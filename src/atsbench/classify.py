@@ -20,14 +20,12 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
-from . import linalg
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
                             InvolutionParams, build_exchange_pair, build_M_inv,
                             kappa_expand, opposite)
 from .groups import AbelianGroup, GroupElement, Subgroup, extend_bicharacter
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
-                    check_morphism, graded_is_simple, is_simple, to_dense,
-                    to_sparse)
+                    center_basis, check_morphism, graded_is_simple, is_simple)
 from .scalars import CycloField
 
 SEARCH_CAP = 10 ** 6
@@ -314,39 +312,11 @@ class IntrinsicInvariants:
 
 
 def graded_center_support(alg: OmegaAlgebra, grading: Grading):
-    field = alg.field
-    rows = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            com = to_dense(field,
-                           _commutator(alg, i, j), alg.dim)
-            row.extend(com)
-        rows.append(row)
-    # kernel of x -> [x, e_j] stacked over j: transpose the linear map
-    mat = [[rows[i][r] for i in range(alg.dim)]
-           for r in range(alg.dim * alg.dim)]
-    center = linalg.kernel(field, mat, alg.dim)
-    degs = set()
-    for v in center:
-        for piece in grading.split_homogeneous(to_sparse(v)):
-            (i, _), = list(piece.items())[:1]
-            degs.add(grading.degmap[i])
-    return tuple(sorted(degs, key=lambda e: e.coords))
-
-
-def _commutator(alg, i, j):
-    a = alg.row(PRODUCT, (i, j))
-    b = alg.row(PRODUCT, (j, i))
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        s = -c if s is None else s - c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    """Degrees g with a nonzero central element in A_g.  The center of a
+    graded algebra is graded, so one kernel per homogeneous component."""
+    return tuple(g for g in grading.support()
+                 if center_basis(alg, [i for i, d in enumerate(grading.degmap)
+                                       if d == g]))
 
 
 def intrinsic_invariants(alg: OmegaAlgebra, grading: Grading,

@@ -138,7 +138,7 @@ def _run_division(cfg: JobConfig, report: Report, full: bool):
     if D.has_involution():
         report.add_report(check_involution(D.algebra))
     if full:
-        report.add_check("simple", is_simple(D.algebra, seed=cfg.seed), "", 1)
+        report.add_check("simple", is_simple(D.algebra), "", 1)
         invertible = True
         for i in range(D.dim):
             try:
@@ -164,9 +164,9 @@ def _run_construct(cfg: JobConfig, report: Report, full: bool):
     for rep in ca.verify():
         report.add_report(rep)
     if full:
-        simple = is_simple(ca.algebra, ops={PRODUCT}, seed=cfg.seed)
-        gsimple = graded_is_simple(ca.algebra, ca.grading, seed=cfg.seed)
-        swi = is_simple(ca.algebra, seed=cfg.seed)
+        simple = is_simple(ca.algebra, ops={PRODUCT})
+        gsimple = graded_is_simple(ca.algebra, ca.grading)
+        swi = is_simple(ca.algebra)
         expected = {
             "exchange_pair": (False, False),
             "simple_algebra": (True, True),
@@ -194,7 +194,7 @@ def _run_envelope(cfg: JobConfig, report: Report):
     report.add_check("round-trip-recovers-triple",
                      W2.algebra.tensors[TRIPLE] == W.algebra.tensors[TRIPLE],
                      "", 1)
-    simple = triple_is_simple(W, env, seed=cfg.seed)
+    simple = triple_is_simple(W, env)
     report.add_check("simplicity-transfer-agrees", True,
                      f"triple simple = {simple}", 1)
     report.artifacts["envelope"] = algebra_to_dict(env.algebra, env.grading)

@@ -12,13 +12,10 @@ Vectors are sparse dicts {basis_index: Scalar} with no stored zeros.
 
 from __future__ import annotations
 
-import json
-import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import linalg
-from .groups import AbelianGroup, GroupElement, g_part, z_part
+from .groups import AbelianGroup, GroupElement, z_part
 from .scalars import CycloField, Scalar, parse_scalar
 
 PRODUCT = "product"
@@ -170,20 +167,16 @@ class Grading:
     def support(self) -> list[GroupElement]:
         return sorted(set(self.degmap), key=lambda e: e.coords)
 
-    def component_indices(self, g: GroupElement) -> list[int]:
-        return [i for i, d in enumerate(self.degmap) if d == g]
-
-    def dims_by_degree(self) -> dict:
-        out = {}
-        for d in self.degmap:
-            out[d] = out.get(d, 0) + 1
-        return out
-
     def split_homogeneous(self, v: SparseVec) -> list[SparseVec]:
         parts = {}
         for i, c in v.items():
             parts.setdefault(self.degmap[i], {})[i] = c
         return [parts[g] for g in sorted(parts, key=lambda e: e.coords)]
+
+
+class VerificationError(RuntimeError):
+    """Two exact computations that must agree did not: a bug in the
+    workbench, not a property of the input."""
 
 
 @dataclass
@@ -360,10 +353,6 @@ def pi1_coarsening(grading: Grading) -> Grading:
     return coarsen(grading, lambda d: Z.element((z_part(d),)), Z)
 
 
-def pi2_coarsening(grading: Grading, G: AbelianGroup) -> Grading:
-    return coarsen(grading, lambda d: g_part(G, d), G)
-
-
 # ---------------------------------------------------------------------------
 # ideals and simplicity
 # ---------------------------------------------------------------------------
@@ -412,137 +401,134 @@ def ideal_closure(alg: OmegaAlgebra, seeds, grading: Grading = None,
     return space
 
 
-def is_simple(alg: OmegaAlgebra, grading: Grading = None, seed: int = 0,
-              draws: int = 20, ops=None) -> bool:
-    """Ideal-closure simplicity test.
+class SimplicityUndecided(Exception):
+    """The field test found no zero divisor in a center of dimension > 1:
+    the algebra may be simple, but no verdict is claimed."""
 
-    Closure from every basis vector, from seeded random dense vectors,
-    and (dim <= 8, rational scalars) from eigenvectors of left/right
-    multiplications.  A pure triple system must additionally satisfy
-    {W,W,W} != 0.  `False` results always exhibit a proper ideal;
-    `True` is exact for the constructions shipped here, whose ideals
-    are spanned by basis vectors.
+
+def center_basis(alg: OmegaAlgebra, indices, symmetric: bool = False) -> list:
+    """Basis of the central elements of span{e_i : i in indices}, and with
+    `symmetric` only those the involution fixes.
+
+    One kernel over len(indices) unknowns, one equation per coordinate of
+    x e_j - e_j x (and of phi(x) - x).
+    """
+    equations = {}
+    for col, i in enumerate(indices):
+        terms = [((j, k), c) for j in range(alg.dim)
+                 for k, c in alg.row(PRODUCT, (i, j)).items()]
+        terms += [((j, k), -c) for j in range(alg.dim)
+                  for k, c in alg.row(PRODUCT, (j, i)).items()]
+        if symmetric:
+            terms += [(k, c) for k, c in alg.row(INVOLUTION, (i,)).items()]
+            terms.append((i, -alg.field.one))
+        for key, c in terms:
+            row = equations.setdefault(key, [alg.field.zero] * len(indices))
+            row[col] = row[col] + c
+    kernel = linalg.kernel(alg.field, list(equations.values()), len(indices))
+    return [{indices[col]: c for col, c in enumerate(v) if not c.is_zero()}
+            for v in kernel]
+
+
+def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
+    """Does A have no ideal other than 0 and A?
+
+    An ideal is a subspace closed under every active operator (`ops`,
+    default all) with the other slots ranging over A, and with a grading
+    also under the homogeneous projections (a graded ideal).
+
+    Associative case (the active ops include an associative product and
+    lie in {product, involution}, and a grading, if given, grades the
+    product): an exact decision.
+      (a) The radical is the kernel of the trace form tr L_{e_i e_j}
+          (Dickson's criterion, characteristic 0).  A radical other than
+          0 and A is a proper ideal; when A is nilpotent, A^2 is one
+          unless A^2 = 0, and then A is simple iff dim A = 1.
+      (b) A semisimple A is simple iff the center part C is a field: the
+          central elements, of identity degree with a grading and fixed
+          by the involution when it is active.
+      (c) dim C = 1 gives True.  Otherwise the candidates w = z - lambda
+          (z a basis vector of C, lambda 0 or a root of unity of the field)
+          are tried: w lies in C, so it is a zero divisor iff its ideal
+          closure is proper, which gives False.  When no candidate is one,
+          SimplicityUndecided is raised, never True.
+    A zero product under both a grading and an active involution also
+    raises SimplicityUndecided.
+
+    Other inputs (a triple product, no product, or a degree map that
+    does not grade the product): closure from every basis vector, and a
+    triple system needs {W,W,W} != 0.  False always shows a proper ideal;
+    True shows only that no basis vector lies in one, and is cross-checked
+    against the envelope in triple_is_simple.
     """
     active = set(ops if ops is not None else alg.operators)
-    if TRIPLE in active and active == {TRIPLE}:
-        if not alg.tensors[TRIPLE]:
+    if (PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}
+            or grading is not None and not _grades_product(grading)):
+        if active == {TRIPLE} and not alg.tensors[TRIPLE]:
             return False
-    candidates = [alg.basis_vec(i) for i in range(alg.dim)]
-    rng = random.Random(seed)
-    for _ in range(draws):
-        v = {}
-        while not v:
-            v = to_sparse([alg.field.scalar(rng.randint(-3, 3)) for _ in range(alg.dim)])
-        candidates.append(v)
-    if alg.dim <= 8 and grading is None:
-        candidates.extend(_eigenvector_candidates(alg))
-    seen = set()
-    for v in candidates:
-        first = min(v)
-        scaled = vec_scale(v[first].inverse(), v)
-        key = tuple(sorted((i, c.coeffs) for i, c in scaled.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        if ideal_closure(alg, [v], grading, ops=active).rank != alg.dim:
+        return all(ideal_closure(alg, [alg.basis_vec(i)], grading,
+                                 ops=active).rank == alg.dim
+                   for i in range(alg.dim))
+    field, dim = alg.field, alg.dim
+    products = alg.tensors[PRODUCT]
+    trace = [field.zero] * dim                      # t_k = tr L_{e_k}
+    for (k, j), out in products.items():
+        if j in out:
+            trace[k] = trace[k] + out[j]
+    form = [[field.zero] * dim for _ in range(dim)]
+    for (i, j), out in products.items():
+        for k, c in out.items():
+            form[i][j] = form[i][j] + c * trace[k]
+    radical = len(linalg.kernel(field, form, dim))
+    if radical:
+        if radical < dim or products:
             return False
-    return True
+        if dim > 1 and grading is not None and INVOLUTION in active:
+            raise SimplicityUndecided("zero product with a grading and an "
+                                      "involution")
+        return dim == 1
+    indices = list(range(dim)) if grading is None else [
+        i for i, d in enumerate(grading.degmap) if d == grading.group.identity]
+    center = center_basis(alg, indices, symmetric=INVOLUTION in active)
+    if len(center) == 1:
+        return True
+    unit = _unit_in(alg, center)
+    lambdas = [field.zero] + field.roots_of_unity()
+    for z in center:
+        for lam in lambdas:
+            w = vec_sub(z, vec_scale(lam, unit))
+            if w and ideal_closure(alg, [w], grading, ops=active).rank < dim:
+                return False
+    raise SimplicityUndecided(f"no zero divisor found in a center part of "
+                              f"dimension {len(center)}")
 
 
-def graded_is_simple(alg: OmegaAlgebra, grading: Grading, seed: int = 0) -> bool:
+def _grades_product(grading: Grading) -> bool:
+    deg = grading.degmap
+    return all(deg[k] == deg[i] + deg[j] for (i, j), out in
+               grading.algebra.tensors[PRODUCT].items() for k in out)
+
+
+def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:
+    """The element u of the span with u c = c for every c in it ({} when
+    there is none; a semisimple A has its unit in every center part).
+
+    Solves over the span, not over A: OmegaAlgebra.unit's 2 dim^2
+    equations cost seconds from dim 72 on."""
+    field, dim = alg.field, alg.dim
+    columns = [[x for c in span for x in to_dense(field, alg.mul(b, c), dim)]
+               for b in span]
+    target = [x for c in span for x in to_dense(field, c, dim)]
+    unit = {}
+    for b, x in zip(span, linalg.solve(field, columns, target) or []):
+        unit = vec_add(unit, vec_scale(x, b))
+    return unit
+
+
+def graded_is_simple(alg: OmegaAlgebra, grading: Grading) -> bool:
     """Graded-simplicity of (A, Gamma): the product-only ideal test with
     homogeneous projections adjoined."""
-    return is_simple(alg, grading=grading, seed=seed, ops={PRODUCT})
-
-
-def _eigenvector_candidates(alg: OmegaAlgebra):
-    """Basis vectors of eigenspaces of the one-sided multiplication
-    operators; the deterministic fallback for small dims.
-
-    Candidate eigenvalues: 0 and the roots of unity of the field, plus
-    (for rational scalars) the exact rational roots of the
-    characteristic polynomial.  Ideals of the small non-simple algebras
-    this workbench meets are spanned by such eigenvectors."""
-    out = []
-    if PRODUCT not in alg.operators:
-        return out
-    field = alg.field
-    lam_candidates = [field.zero] + field.roots_of_unity()
-    for b in range(alg.dim):
-        for side in (0, 1):
-            m = [[field.zero] * alg.dim for _ in range(alg.dim)]
-            for j in range(alg.dim):
-                idx = (b, j) if side == 0 else (j, b)
-                for i, c in alg.row(PRODUCT, idx).items():
-                    m[i][j] = c
-            lams = list(lam_candidates)
-            if all(c.is_rational() for row in m for c in row):
-                rational = [[c.rational_value() for c in row] for row in m]
-                lams.extend(field.scalar(r)
-                            for r in _rational_eigenvalues(rational))
-            seen = set()
-            for lam in lams:
-                if lam in seen:
-                    continue
-                seen.add(lam)
-                shifted = [[m[i][j] - (lam if i == j else field.zero)
-                            for j in range(alg.dim)] for i in range(alg.dim)]
-                for vec in linalg.kernel(field, shifted, alg.dim):
-                    out.append(to_sparse(vec))
-    return out
-
-
-def _rational_eigenvalues(m) -> list[Fraction]:
-    """Rational roots of the characteristic polynomial (Faddeev-LeVerrier)."""
-    d = len(m)
-    coeffs = [Fraction(1)]                  # leading
-    mk = [row[:] for row in m]
-    for k in range(1, d + 1):
-        ck = -sum(mk[i][i] for i in range(d)) / k
-        coeffs.append(ck)
-        if k < d:
-            for i in range(d):
-                mk[i][i] += ck
-            mk = [[sum(m[i][t] * mk[t][j] for t in range(d)) for j in range(d)]
-                  for i in range(d)]
-    # coeffs: x^d + c1 x^(d-1) + ... + cd, low index = high power
-    poly = list(reversed(coeffs))           # low-to-high
-    roots = set()
-    while poly and poly[0] == 0:
-        roots.add(Fraction(0))
-        poly = poly[1:]
-    if len(poly) <= 1:
-        return sorted(roots)
-    den = 1
-    for c in poly:
-        den = den * c.denominator // _igcd(den, c.denominator)
-    ints = [int(c * den) for c in poly]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** k for k, c in enumerate(poly)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.extend((k, n // k))
-        k += 1
-    return sorted(set(out))
+    return is_simple(alg, grading=grading, ops={PRODUCT})
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +571,3 @@ def algebra_from_dict(data: dict):
                           graded_ops=frozenset(data["graded_ops"]))
     return alg, grading
 
-
-def algebra_to_json(alg: OmegaAlgebra, grading: Grading = None) -> str:
-    return json.dumps(algebra_to_dict(alg, grading), indent=2, sort_keys=True)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from . import linalg
 from .groups import AbelianGroup, GroupElement, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
-                    OmegaAlgebra, SparseVec, VerificationReport, check_morphism,
-                    ideal_closure, is_simple, to_dense, to_sparse, vec_add,
-                    vec_eq, vec_scale)
+                    OmegaAlgebra, SparseVec, VerificationError,
+                    VerificationReport, check_morphism, is_simple, to_dense,
+                    vec_add, vec_eq, vec_scale)
 from .scalars import CycloField
 
 
@@ -358,15 +358,16 @@ def recover_triple(env: Envelope) -> TripleSystem:
     return W2
 
 
-def triple_is_simple(W: TripleSystem, env: Envelope = None, seed: int = 0) -> bool:
-    """Ideal test on the triple, cross-checked against simplicity of the
-    envelope as an algebra with involution; disagreement is a bug."""
-    direct = is_simple(W.algebra, seed=seed)
+def triple_is_simple(W: TripleSystem, env: Envelope = None) -> bool:
+    """Ideal test on the triple, cross-checked against the exact simplicity
+    decision on the envelope as an algebra with involution; disagreement
+    is a bug and raises VerificationError."""
+    direct = is_simple(W.algebra)
     env = env or loos_envelope(W)
-    via_envelope = is_simple(env.algebra, seed=seed)
-    assert direct == via_envelope, (
-        "simplicity transfer violated: triple says "
-        f"{direct}, envelope says {via_envelope}")
+    via_envelope = is_simple(env.algebra)
+    if direct != via_envelope:
+        raise VerificationError("simplicity transfer violated: triple says "
+                                f"{direct}, envelope says {via_envelope}")
     return direct
 
 

@@ -7,7 +7,8 @@ zero-tolerance exact check.
 
 import itertools
 
-from atsbench.classify import run_census
+from atsbench.classify import (classify_conductor, enumerate_labels,
+                               run_census)
 from atsbench.constructions import (MonoMatrix, d_inv,
                                     exchange_double_division,
                                     exchange_subgroup_transfer,
@@ -20,7 +21,7 @@ from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
                              all_quadratic_forms, symplectic_decomposition)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, check_grading,
                             check_involution, check_morphism, check_t4_flip,
-                            is_simple, pi1_coarsening)
+                            graded_is_simple, is_simple, pi1_coarsening)
 from atsbench.scalars import CycloField
 from atsbench.triples import (check_at2, extend_automorphism, loos_envelope,
                               pierce_split, reconstruct_iso, recover_triple,
@@ -133,8 +134,8 @@ def test_criterion_4_loos_round_trips():
 
 def test_criterion_5_simplicity_transfer():
     """triple_is_simple agrees with envelope simplicity on every corpus
-    triple, including the engineered non-simple instances (the agreement
-    is a hard assertion inside triple_is_simple)."""
+    triple, including the engineered non-simple instances (disagreement
+    raises VerificationError inside triple_is_simple)."""
     seen_nonsimple = 0
     for entry in _triples:
         simple = triple_is_simple(entry.triple)
@@ -144,6 +145,35 @@ def test_criterion_5_simplicity_transfer():
     assert seen_nonsimple >= 3
     print(f"ACCEPTANCE 5: PASS  simplicity transfer on {len(_triples)} "
           f"triples ({seen_nonsimple} engineered non-simple)")
+
+
+SIMPLICITY_PATTERN = {"exchange_pair": (False, False),
+                      "simple_algebra": (True, True),
+                      "exchange_division": (False, True)}
+
+
+def test_simplicity_decision_matches_case_pattern():
+    """The exact simplicity decision reproduces the paper's case pattern
+    (simple, graded-simple) on every label over Z/2, Z/4 and Z/2 x Z/2 up
+    to dim 8 and on every corpus algebra; each of them is simple as an
+    algebra with involution, and every corpus envelope gets the verdict
+    its triple is expected to have."""
+    algebras = []
+    for torsion in ((2,), (4,), (2, 2)):
+        labels = enumerate_labels(AbelianGroup(0, torsion), 8)
+        field = CycloField(classify_conductor(*labels))
+        algebras += [(lab.name, lab.case, lab.build(field)) for lab in labels]
+    algebras += [(e.name, e.label.case, e.build()) for e in _corpus]
+    for name, case, ca in algebras:
+        pattern = (is_simple(ca.algebra, ops={PRODUCT}),
+                   graded_is_simple(ca.algebra, ca.grading))
+        assert pattern == SIMPLICITY_PATTERN[case], name
+        assert is_simple(ca.algebra), name
+    for entry in _triples:
+        env = loos_envelope(entry.triple)
+        assert is_simple(env.algebra) == entry.expect_simple, entry.name
+    print(f"SIMPLICITY: PASS  case pattern on {len(algebras)} algebras, "
+          f"{len(_triples)} envelopes")
 
 
 def test_criterion_6_pierce_decomposition():

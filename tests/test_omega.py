@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from atsbench.groups import AbelianGroup
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
-                            OmegaAlgebra, algebra_from_dict, algebra_to_dict,
+                            OmegaAlgebra, SimplicityUndecided,
+                            algebra_from_dict, algebra_to_dict, center_basis,
                             check_grading, check_involution, check_morphism,
                             check_t4_flip, coarsen, graded_is_simple,
                             ideal_closure, is_simple, pi1_coarsening)
@@ -118,7 +121,8 @@ def test_simplicity_examples():
 
 def test_simplicity_catches_rotated_ideal():
     # F + F presented on the basis (1,1), (1,-1): no basis vector lies in
-    # a proper ideal, the eigenvector sweep finds one anyway
+    # a proper ideal, the field test finds the zero divisor e1 - 1 of the
+    # two-dimensional center
     alg = OmegaAlgebra(FQ, 2, {PRODUCT: 2})
     half = FQ.scalar(1) / FQ.scalar(2)
     # e0 = (1,1), e1 = (1,-1): e0*e0 = (1,1) = e0, e0*e1 = (1,-1) = e1,
@@ -128,6 +132,61 @@ def test_simplicity_catches_rotated_ideal():
     alg.set_entry(PRODUCT, (1, 0), {1: FQ.one})
     alg.set_entry(PRODUCT, (1, 1), {0: FQ.one})
     assert not is_simple(alg)
+
+
+def algebra_from_table(n, table, conductor=1):
+    """An n-dim product-only algebra over Q(zeta_conductor) from
+    {(i, j): {k: int}}."""
+    field = CycloField(conductor)
+    alg = OmegaAlgebra(field, n, {PRODUCT: 2})
+    for idx, out in table.items():
+        alg.set_entry(PRODUCT, idx, {k: field.scalar(c) for k, c in out.items()})
+    return alg
+
+
+def test_simplicity_edge_cases():
+    # zero products: every subspace is an ideal
+    assert is_simple(algebra_from_table(1, {}))
+    assert not is_simple(algebra_from_table(2, {}))
+    # zero product with degrees 0, 1 swapped by the involution: no proper
+    # graded phi-stable ideal here, so dim > 1 does not give False
+    swapped = algebra_from_table(2, {})
+    swapped.add_operator(INVOLUTION, 1)
+    swapped.set_entry(INVOLUTION, (0,), {1: FQ.one})
+    swapped.set_entry(INVOLUTION, (1,), {0: FQ.one})
+    G = AbelianGroup(0, (2,))
+    gr = Grading(swapped, G, (G.element((0,)), G.element((1,))),
+                 graded_ops=frozenset({PRODUCT}))
+    assert ideal_closure(swapped, [swapped.basis_vec(0)], gr).rank == 2
+    with pytest.raises(SimplicityUndecided):
+        is_simple(swapped, gr)
+    assert not is_simple(swapped)             # span(e0 + e1) is phi-stable
+    # nilpotent with A^2 = span(e1) != 0
+    assert not is_simple(algebra_from_table(2, {(0, 0): {1: 1}}))
+    # upper triangular 2x2 matrices (E11, E12, E22): radical span(E12)
+    upper = algebra_from_table(3, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                   (1, 2): {1: 1}, (2, 2): {2: 1}})
+    assert not is_simple(upper)
+    # Q(i) over Q is a field, but i - lambda is invertible for every
+    # candidate lambda in {0, 1, -1}: no verdict rather than a guessed True
+    gaussian = algebra_from_table(2, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                      (1, 0): {1: 1}, (1, 1): {0: -1}})
+    with pytest.raises(SimplicityUndecided):
+        is_simple(gaussian)
+    # over Q(i) the same table splits: i - zeta_4 is a zero divisor
+    assert not is_simple(algebra_from_table(
+        2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}},
+        conductor=4))
+
+
+def test_center_basis():
+    alg = matrix_algebra(2)
+    assert center_basis(alg, range(4)) == [{0: FQ.one, 3: FQ.one}]
+    assert center_basis(alg, [1, 2]) == []
+    swap = make_f_plus_f(exchange=True)
+    assert len(center_basis(swap, [0, 1])) == 2
+    assert center_basis(swap, [0, 1], symmetric=True) == [
+        {0: FQ.one, 1: FQ.one}]
 
 
 def test_closure_monotone_idempotent():

@@ -1,14 +1,22 @@
 """Triple systems, Loos envelopes, reconstruction, automorphism extension."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import atsbench.triples
 
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     build_exchange_pair, build_M_inv)
 from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
                              trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
-                            OmegaAlgebra, check_grading, check_involution,
-                            check_morphism, is_simple, vec_add, vec_eq)
+                            OmegaAlgebra, VerificationError, check_grading,
+                            check_involution, check_morphism, is_simple,
+                            vec_add, vec_eq)
 from atsbench.scalars import CycloField
 from atsbench.triples import (check_associative, check_at2,
                               direct_sum_triple, extend_automorphism,
@@ -148,6 +156,35 @@ def test_simplicity_examples():
     assert triple_is_simple(scalar_triple(FQ))
     assert not triple_is_simple(direct_sum_triple(FQ, 2))
     assert not triple_is_simple(zero_triple(FQ, 1))
+
+
+def _says_triple_only(alg, **kwargs):
+    """A stub simplicity test: True on the triple, False on its envelope."""
+    return TRIPLE in alg.operators
+
+
+def test_transfer_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(atsbench.triples, "is_simple", _says_triple_only)
+    with pytest.raises(VerificationError, match="simplicity transfer"):
+        triple_is_simple(scalar_triple(FQ))
+
+
+def test_transfer_check_survives_optimize_flag():
+    code = (
+        "import atsbench.triples as tr\n"
+        "from atsbench.omega import TRIPLE, VerificationError\n"
+        "from atsbench.scalars import CycloField\n"
+        "tr.is_simple = lambda alg, **kw: TRIPLE in alg.operators\n"
+        "try:\n"
+        "    tr.triple_is_simple(tr.scalar_triple(CycloField(1)))\n"
+        "except VerificationError:\n"
+        "    print('debug', __debug__, 'raised')\n")
+    src = str(Path(atsbench.triples.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["debug", "False", "raised"]
 
 
 def test_envelope_associativity_on_pair_case():
