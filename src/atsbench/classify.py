@@ -732,14 +732,11 @@ def _all_shift_candidates(l1: ClassLabel, l2: ClassLabel, inverted: bool):
     """Every shift that could align the module degrees at all, from
     first-element differences of the coset multisets."""
     out, seen = [], set()
-    for which in (0,):
-        a = l1.xi(which)
-        b = l2.xi(which, inverted)
-        for g in xi_shift_candidates(a, b):
-            key = l1.full_support.coset_rep(g)
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
+    for g in xi_shift_candidates(l1.xi(0), l2.xi(0, inverted)):
+        key = l1.full_support.coset_rep(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
     return out
 
 

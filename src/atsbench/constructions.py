@@ -21,8 +21,8 @@ from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
                      QuadraticForm, Subgroup, extend_bicharacter, prepend_z,
                      symplectic_decomposition, trivial_subgroup, zg_element)
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
-                    check_grading, check_involution, check_morphism,
-                    check_t4_flip, to_sparse, vec_add, vec_scale)
+                    VerificationError, check_grading, check_involution,
+                    check_morphism, check_t4_flip, to_sparse, vec_scale)
 from .scalars import CycloField, Scalar
 
 
@@ -231,7 +231,8 @@ def d_inv(T: Subgroup, beta: Bicharacter, tau: QuadraticForm,
     for i, t in enumerate(D.elements):
         D.algebra.set_entry(INVOLUTION, (i,), {i: field.scalar(tau(t))})
     rep = check_involution(D.algebra)
-    assert rep.passed, rep.violations
+    if not rep.passed:
+        raise VerificationError(f"tau gives no involution: {rep.violations[:3]}")
     D.sign_form = tau
     return D
 
@@ -882,7 +883,9 @@ def exchange_subgroup_transfer(Dx: GradedDivision, T2: Subgroup):
             (a2, c2), = proj_cols[j].items()
             cc, kk = D1.mu(a1, a2)
             rhs = {kk: c1 * c2 * cc}
-            assert lhs == rhs, "projection is not multiplicative on the T2 part"
+            if lhs != rhs:
+                raise VerificationError(
+                    "projection is not multiplicative on the T2 part")
     # transported commutation bicharacter and involution signs
     signs = {}
     exponent = 2
@@ -950,5 +953,7 @@ def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
                       [Dx1.algebra.basis_vec(i) for i in range(alg1.dim)])
     rep = check_morphism(ident, ops=[PRODUCT],
                          gradings=(Dx2.grading, Dx1.grading))
-    assert rep.passed
+    if not rep.passed:
+        raise VerificationError(f"the identity does not intertwine the "
+                                f"twisted doubles: {rep.violations[:3]}")
     return t_prime, ident

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from .classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR, SIMPLE_ALGEBRA,
                        ClassLabel, classify_conductor)
 from .constructions import (ExchangePairParams, GradedDivision,
-                            InvolutionParams, d_inv, exchange_double_division,
-                            standard_realization)
+                            InvolutionParams, d_inv, exchange_double_division)
 from .groups import (AbelianGroup, Bicharacter, QuadraticForm, Subgroup,
                      all_quadratic_forms, trivial_subgroup)
 from .omega import TRIPLE, LinearMap, check_morphism
@@ -77,14 +76,6 @@ def classification_supports():
     G = AbelianGroup(0, (4, 4))
     T, beta = symplectic_subgroup(G, (G.element((1, 0)), G.element((0, 1))))
     out.append(("Z4^2", T, beta, 4))
-    return out
-
-
-def division_corpus() -> list[DivisionEntry]:
-    out = []
-    for name, T, beta, conductor in classification_supports():
-        D = standard_realization(T, beta, CycloField(conductor))
-        out.append(DivisionEntry(f"D({name})", D, T, beta))
     return out
 
 

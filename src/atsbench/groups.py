@@ -149,9 +149,6 @@ class Subgroup:
     def __hash__(self):
         return hash((self.group, self.elements))
 
-    def index_of(self, e: GroupElement) -> int:
-        return self._index[e]
-
     def is_elementary_2(self) -> bool:
         return all(e.order() in (1, 2) for e in self.elements)
 
@@ -473,7 +470,3 @@ def z_part(e: GroupElement) -> int:
 
 def g_part(G: AbelianGroup, e: GroupElement) -> GroupElement:
     return G.element(e.coords[1:])
-
-
-def flip_z(e: GroupElement) -> GroupElement:
-    return e.group.element((-e.coords[0],) + e.coords[1:])

@@ -12,6 +12,7 @@ Vectors are sparse dicts {basis_index: Scalar} with no stored zeros.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -41,6 +42,16 @@ def vec_scale(c: Scalar, a: SparseVec) -> SparseVec:
     if c.is_zero():
         return {}
     return {i: c * x for i, x in a.items()}
+
+
+def combine(terms) -> SparseVec:
+    """sum of c * row over the (c, row) pairs, stored zeros dropped."""
+    out: SparseVec = {}
+    for c, row in terms:
+        for i, x in row.items():
+            s = out.get(i)
+            out[i] = c * x if s is None else s + c * x
+    return {i: s for i, s in out.items() if not s.is_zero()}
 
 
 def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
@@ -98,21 +109,27 @@ class OmegaAlgebra:
         return self.tensors[op].get(tuple(idx), {})
 
     def apply(self, op: str, *vecs: SparseVec) -> SparseVec:
-        """Multilinear evaluation of an operator on sparse vectors."""
-        arity = self.operators[op]
-        assert len(vecs) == arity
-        out: SparseVec = {}
-        def rec(slot, idx_prefix, coeff):
-            nonlocal out
-            if slot == arity:
-                row = self.tensors[op].get(tuple(idx_prefix))
-                if row:
-                    out = vec_add(out, vec_scale(coeff, row))
-                return
-            for i, c in vecs[slot].items():
-                rec(slot + 1, idx_prefix + (i,), coeff * c)
-        rec(0, (), self.field.one)
-        return out
+        """Multilinear evaluation of an operator on sparse vectors: the
+        coefficient of every basis tuple, then one row lookup each."""
+        if len(vecs) != self.operators[op]:
+            raise ValueError(f"{op} takes {self.operators[op]} arguments, "
+                             f"got {len(vecs)}")
+        first, *rest = vecs
+        terms = [((i,), c) for i, c in first.items()]
+        for v in rest:
+            terms = [(idx + (j,), c * x) for idx, c in terms
+                     for j, x in v.items()]
+        table = self.tensors[op]
+        return combine((c, table[idx]) for idx, c in terms if idx in table)
+
+    def apply_slot(self, op: str, slot: int, v: SparseVec,
+                   others: tuple = ()) -> SparseVec:
+        """op on the basis vectors e_k, k in `others`, with v inserted at
+        position `slot`: one row lookup per coordinate of v."""
+        table = self.tensors[op]
+        head, tail = others[:slot], others[slot:]
+        return combine((c, table.get(head + (i,) + tail, {}))
+                       for i, c in v.items())
 
     def basis_vec(self, i: int) -> SparseVec:
         return {i: self.field.one}
@@ -124,23 +141,17 @@ class OmegaAlgebra:
         return self.apply(INVOLUTION, a)
 
     def unit(self):
-        """Solve for the two-sided unit of the binary product, or None."""
-        cols = []
-        target = []
-        for j in range(self.dim):
-            col = []
-            for i in range(self.dim):
-                left = to_dense(self.field, self.row(PRODUCT, (j, i)), self.dim)
-                right = to_dense(self.field, self.row(PRODUCT, (i, j)), self.dim)
-                col.extend(left)
-                col.extend(right)
-            cols.append(col)
-        for i in range(self.dim):
-            e_i = to_dense(self.field, self.basis_vec(i), self.dim)
-            target.extend(e_i)
-            target.extend(e_i)
-        sol = linalg.solve(self.field, cols, target)
-        return to_sparse(sol) if sol is not None else None
+        """The two-sided unit of the binary product, or None.
+
+        The left unit solved by _unit_in is the answer when it is also a
+        right identity; a left unit equals any two-sided unit, so none is
+        missed."""
+        one = self.field.one
+        u = _unit_in(self, [self.basis_vec(i) for i in range(self.dim)])
+        if all(self.apply_slot(PRODUCT, 1, u, (i,)) == {i: one}
+               for i in range(self.dim)):
+            return u
+        return None
 
 
 @dataclass
@@ -209,10 +220,7 @@ class LinearMap:
             raise ValueError("one image per source basis vector required")
 
     def apply(self, v: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for i, c in v.items():
-            out = vec_add(out, vec_scale(c, self.columns[i]))
-        return out
+        return combine((c, self.columns[i]) for i, c in v.items())
 
     def is_bijective(self) -> bool:
         if self.source.dim != self.target.dim:
@@ -238,13 +246,18 @@ class LinearMap:
 # verification scans
 # ---------------------------------------------------------------------------
 
-def _tuples(dim: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(dim):
-        for tail in _tuples(dim, n - 1):
-            yield (head,) + tail
+def scan(name: str, tuples, sides) -> VerificationReport:
+    """One exact identity scan: `sides(t)` yields (lhs, rhs, message) for
+    each basis tuple t.  Every tuple counts one check and every unequal
+    pair one violation, with the text message() (formatted only then).
+    Vectors compare exactly as dicts because combine stores no zeros."""
+    report = VerificationReport(name)
+    for t in tuples:
+        report.checked += 1
+        for lhs, rhs, message in sides(t):
+            if lhs != rhs:
+                report.violations.append(message())
+    return report
 
 
 def check_grading(grading: Grading) -> VerificationReport:
@@ -274,51 +287,48 @@ def check_morphism(f: LinearMap, ops=None, gradings=None) -> VerificationReport:
     """f(omega(x1..xn)) = omega(f(x1)..f(xn)) on all basis tuples.
 
     gradings, when given as (source_grading, target_grading), adds the
-    graded-map condition f(A_g) <= B_g.
+    graded-map condition f(A_g) <= B_g, one check per basis vector.
     """
-    report = VerificationReport("morphism")
     src, tgt = f.source, f.target
     names = sorted(ops if ops is not None else src.operators)
-    for op in names:
-        arity = src.operators[op]
-        if arity == 0:
-            continue
-        for idx in _tuples(src.dim, arity):
-            report.checked += 1
-            lhs = f.apply(src.row(op, idx))
-            rhs = tgt.apply(op, *[f.columns[i] for i in idx])
-            if not vec_eq(lhs, rhs):
-                report.violations.append(f"{op}{idx}: f(op(x)) != op(f(x))")
-    if gradings is not None:
-        gs, gt = gradings
-        for i, col in enumerate(f.columns):
-            report.checked += 1
-            for j in col:
-                if gt.degmap[j] != gs.degmap[i]:
-                    report.violations.append(
-                        f"f(e{i}) leaves component {gs.degmap[i]}")
-                    break
-    return report
+    tuples = itertools.chain(
+        ((op, idx) for op in names if src.operators[op]
+         for idx in itertools.product(range(src.dim),
+                                      repeat=src.operators[op])),
+        ((None, i) for i in range(src.dim) if gradings is not None))
+
+    def sides(t):
+        op, idx = t
+        if op is None:
+            source, target = gradings
+            deg = source.degmap[idx]
+            yield (all(target.degmap[j] == deg for j in f.columns[idx]), True,
+                   lambda: f"f(e{idx}) leaves component {deg}")
+        else:
+            yield (f.apply(src.row(op, idx)),
+                   tgt.apply(op, *(f.columns[i] for i in idx)),
+                   lambda: f"{op}{idx}: f(op(x)) != op(f(x))")
+    return scan("morphism", tuples, sides)
 
 
 def check_involution(alg: OmegaAlgebra, op: str = INVOLUTION) -> VerificationReport:
     """phi^2 = id and phi(xy) = phi(y)phi(x), exhaustively on basis tuples."""
-    report = VerificationReport("involution")
-    for i in range(alg.dim):
-        report.checked += 1
-        twice = alg.apply(op, alg.row(op, (i,)))
-        if not vec_eq(twice, alg.basis_vec(i)):
-            report.violations.append(f"phi^2(e{i}) != e{i}")
-    if PRODUCT in alg.operators:
-        for i in range(alg.dim):
-            phi_i = alg.row(op, (i,))
-            for j in range(alg.dim):
-                report.checked += 1
-                lhs = alg.apply(op, alg.row(PRODUCT, (i, j)))
-                rhs = alg.mul(alg.row(op, (j,)), phi_i)
-                if not vec_eq(lhs, rhs):
-                    report.violations.append(f"phi(e{i} e{j}) != phi(e{j}) phi(e{i})")
-    return report
+    one = alg.field.one
+    squares = ((i,) for i in range(alg.dim))
+    pairs = itertools.product(range(alg.dim), repeat=2) \
+        if PRODUCT in alg.operators else ()
+
+    def sides(t):
+        if len(t) == 1:
+            i, = t
+            yield (alg.apply_slot(op, 0, alg.row(op, t)), {i: one},
+                   lambda: f"phi^2(e{i}) != e{i}")
+        else:
+            i, j = t
+            yield (alg.apply_slot(op, 0, alg.row(PRODUCT, t)),
+                   alg.apply(PRODUCT, alg.row(op, (j,)), alg.row(op, (i,))),
+                   lambda: f"phi(e{i} e{j}) != phi(e{j}) phi(e{i})")
+    return scan("involution", itertools.chain(squares, pairs), sides)
 
 
 def check_t4_flip(grading: Grading, op: str = INVOLUTION) -> VerificationReport:
@@ -382,20 +392,13 @@ def ideal_closure(alg: OmegaAlgebra, seeds, grading: Grading = None,
 
     for s in seeds:
         push(dict(s) if isinstance(s, dict) else to_sparse(s))
-    basis_vecs = [alg.basis_vec(i) for i in range(alg.dim)]
     while work and space.rank < alg.dim:
         v = work.pop()
         for op, arity in active.items():
-            if arity == 0:
-                continue
-            if arity == 1:
-                push(alg.apply(op, v))
-                continue
             for slot in range(arity):
-                for others in _tuples(alg.dim, arity - 1):
-                    args = [basis_vecs[k] for k in others]
-                    args.insert(slot, v)
-                    push(alg.apply(op, *args))
+                for others in itertools.product(range(alg.dim),
+                                                repeat=arity - 1):
+                    push(alg.apply_slot(op, slot, v, others))
                     if space.rank == alg.dim:
                         return space
     return space
@@ -511,18 +514,13 @@ def _grades_product(grading: Grading) -> bool:
 
 def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:
     """The element u of the span with u c = c for every c in it ({} when
-    there is none; a semisimple A has its unit in every center part).
-
-    Solves over the span, not over A: OmegaAlgebra.unit's 2 dim^2
-    equations cost seconds from dim 72 on."""
+    there is none; a semisimple A has its unit in every center part):
+    one solve with an unknown per element of the span."""
     field, dim = alg.field, alg.dim
     columns = [[x for c in span for x in to_dense(field, alg.mul(b, c), dim)]
                for b in span]
     target = [x for c in span for x in to_dense(field, c, dim)]
-    unit = {}
-    for b, x in zip(span, linalg.solve(field, columns, target) or []):
-        unit = vec_add(unit, vec_scale(x, b))
-    return unit
+    return combine(zip(linalg.solve(field, columns, target) or [], span))
 
 
 def graded_is_simple(alg: OmegaAlgebra, grading: Grading) -> bool:

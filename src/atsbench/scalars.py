@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 class ConductorMismatch(ValueError):
@@ -364,18 +363,6 @@ class CycloField:
 
     def __hash__(self):
         return hash(("CycloField", self.conductor))
-
-
-def root_of_unity(order: int, power: int, conductor: int) -> Scalar:
-    """Standalone form of CycloField.zeta for callers holding a conductor."""
-    return CycloField(conductor).zeta(order, power)
-
-
-def common_conductor(*orders: int) -> int:
-    n = 1
-    for o in orders:
-        n = n * o // gcd(n, o)
-    return n
 
 
 def parse_scalar(text: str, conductor: int) -> Scalar:

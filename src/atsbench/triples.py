@@ -14,6 +14,7 @@ round-trip verification.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ from . import linalg
 from .groups import AbelianGroup, GroupElement, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
-                    VerificationReport, check_morphism, is_simple, to_dense,
-                    vec_add, vec_eq, vec_scale)
+                    VerificationReport, check_morphism, combine, is_simple,
+                    scan, to_dense)
 from .scalars import CycloField
 
 
@@ -68,16 +69,14 @@ def triple_from(algebra: OmegaAlgebra, grading: Grading,
     field = algebra.field
     W = OmegaAlgebra(field, len(minus), {TRIPLE: 3},
                      [algebra.basis_labels[i] for i in minus])
+    phi_rows = [algebra.row(INVOLUTION, (v,)) for v in minus]
     for ku, u in enumerate(minus):
-        phi_rows = {}
-        for kv, v in enumerate(minus):
-            phi_rows[kv] = algebra.row(INVOLUTION, (v,))
-        for kv, v in enumerate(minus):
-            left = algebra.mul(algebra.basis_vec(u), phi_rows[kv])
+        for kv, phi_v in enumerate(phi_rows):
+            left = algebra.apply_slot(PRODUCT, 1, phi_v, (u,))
             if not left:
                 continue
             for kw, w in enumerate(minus):
-                out = algebra.mul(left, algebra.basis_vec(w))
+                out = algebra.apply_slot(PRODUCT, 0, left, (w,))
                 if not out:
                     continue
                 assert all(j in pos for j in out), \
@@ -95,39 +94,23 @@ def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
               samples: int = 10000) -> VerificationReport:
     """The defining identities on basis 5-tuples: exhaustive up to
     exhaustive_limit (dim^5 tuples), seeded random tuples beyond."""
-    report = VerificationReport("at2-axiom")
     alg = W.algebra
     d = alg.dim
-
-    def check_tuple(t):
-        u, v, x, y, z = t
-        report.checked += 1
-        lhs: SparseVec = {}
-        for l, c in W.row(u, v, x).items():
-            lhs = vec_add(lhs, vec_scale(c, W.row(l, y, z)))
-        mid: SparseVec = {}
-        for l, c in W.row(y, x, v).items():
-            mid = vec_add(mid, vec_scale(c, W.row(u, l, z)))
-        rhs: SparseVec = {}
-        for l, c in W.row(x, y, z).items():
-            rhs = vec_add(rhs, vec_scale(c, W.row(u, v, l)))
-        if not vec_eq(lhs, mid):
-            report.violations.append(f"{{{{u,v,x}},y,z}} != {{u,{{y,x,v}},z}} at {t}")
-        if not vec_eq(lhs, rhs):
-            report.violations.append(f"{{{{u,v,x}},y,z}} != {{u,v,{{x,y,z}}}} at {t}")
-
     if d <= exhaustive_limit:
-        for u in range(d):
-            for v in range(d):
-                for x in range(d):
-                    for y in range(d):
-                        for z in range(d):
-                            check_tuple((u, v, x, y, z))
+        tuples = itertools.product(range(d), repeat=5)
     else:
         rng = random.Random(seed)
-        for _ in range(samples):
-            check_tuple(tuple(rng.randrange(d) for _ in range(5)))
-    return report
+        tuples = (tuple(rng.randrange(d) for _ in range(5))
+                  for _ in range(samples))
+
+    def sides(t):
+        u, v, x, y, z = t
+        lhs = alg.apply_slot(TRIPLE, 0, W.row(u, v, x), (y, z))
+        yield (lhs, alg.apply_slot(TRIPLE, 1, W.row(y, x, v), (u, z)),
+               lambda: f"{{{{u,v,x}},y,z}} != {{u,{{y,x,v}},z}} at {t}")
+        yield (lhs, alg.apply_slot(TRIPLE, 2, W.row(x, y, z), (u, v)),
+               lambda: f"{{{{u,v,x}},y,z}} != {{u,v,{{x,y,z}}}} at {t}")
+    return scan("at2-axiom", tuples, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +145,7 @@ class Envelope:
         return self.dim_L + 2 * self.triple.dim
 
 
-def _flatten(field, f, g, d):
+def _flatten(f, g):
     out = []
     for m in (f, g):
         for row in m:
@@ -197,7 +180,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
         return m
 
     ident = linalg.identity_matrix(field, d)
-    e1_flat = _flatten(field, ident, ident, d)
+    e1_flat = _flatten(ident, ident)
 
     L_space = linalg.RowSpace(field, 2 * d * d, track=True)
     L_space.insert(e1_flat)
@@ -208,7 +191,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
             l_ops[(i, j)] = l_op(i, j)
     for i in range(d):
         for j in range(d):
-            lam = _flatten(field, l_ops[(i, j)], l_ops[(j, i)], d)
+            lam = _flatten(l_ops[(i, j)], l_ops[(j, i)])
             lambda_pairs.append((i, j))
             L_space.insert(lam)
 
@@ -221,7 +204,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
             r_ops[(i, j)] = r_op(i, j)
     for i in range(d):
         for j in range(d):
-            rho = _flatten(field, r_ops[(j, i)], r_ops[(i, j)], d)
+            rho = _flatten(r_ops[(j, i)], r_ops[(i, j)])
             rho_pairs.append((i, j))
             R_space.insert(rho)
 
@@ -253,12 +236,12 @@ def loos_envelope(W: TripleSystem) -> Envelope:
     # L x L -> L: (f,g)(f',g') = (f f', g' g)
     for a, (f, g) in enumerate(L_rows):
         for b, (f2, g2) in enumerate(L_rows):
-            prod = _flatten(field, linalg.mat_mul(f, f2), linalg.mat_mul(g2, g), d)
+            prod = _flatten(linalg.mat_mul(f, f2), linalg.mat_mul(g2, g))
             alg.set_entry(PRODUCT, (a, b), L_coords(prod, "L*L"))
     # R x R -> R: (b1,b2)(b1',b2') = (b1' b1, b2 b2')
     for a, (f, g) in enumerate(R_rows):
         for b, (f2, g2) in enumerate(R_rows):
-            prod = _flatten(field, linalg.mat_mul(f2, f), linalg.mat_mul(g, g2), d)
+            prod = _flatten(linalg.mat_mul(f2, f), linalg.mat_mul(g, g2))
             alg.set_entry(PRODUCT, (r_off + a, r_off + b), R_coords(prod, "R*R"))
     # L x W -> W: a x = f(x);   Wbar x L -> Wbar: y a = g(y)
     for a, (f, g) in enumerate(L_rows):
@@ -277,19 +260,19 @@ def loos_envelope(W: TripleSystem) -> Envelope:
     # W x Wbar -> L and Wbar x W -> R
     for i in range(d):
         for j in range(d):
-            lam = _flatten(field, l_ops[(i, j)], l_ops[(j, i)], d)
+            lam = _flatten(l_ops[(i, j)], l_ops[(j, i)])
             alg.set_entry(PRODUCT, (w_off + i, wbar_off + j),
                           L_coords(lam, "lambda(x,y)"))
-            rho = _flatten(field, r_ops[(j, i)], r_ops[(i, j)], d)
+            rho = _flatten(r_ops[(j, i)], r_ops[(i, j)])
             alg.set_entry(PRODUCT, (wbar_off + i, w_off + j),
                           R_coords(rho, "rho(y,x)"))
     # involution: bar swaps pair components on L and R, exchanges W and Wbar
     for a, (f, g) in enumerate(L_rows):
         alg.set_entry(INVOLUTION, (a,),
-                      L_coords(_flatten(field, g, f, d), "bar on L"))
+                      L_coords(_flatten(g, f), "bar on L"))
     for a, (f, g) in enumerate(R_rows):
         alg.set_entry(INVOLUTION, (r_off + a,),
-                      R_coords(_flatten(field, g, f, d), "bar on R"))
+                      R_coords(_flatten(g, f), "bar on R"))
     for k in range(d):
         alg.set_entry(INVOLUTION, (w_off + k,), {wbar_off + k: field.one})
         alg.set_entry(INVOLUTION, (wbar_off + k,), {w_off + k: field.one})
@@ -338,17 +321,13 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
 
 
 def check_associative(alg: OmegaAlgebra) -> VerificationReport:
-    report = VerificationReport("associativity")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ij = alg.row(PRODUCT, (i, j))
-            for k in range(alg.dim):
-                report.checked += 1
-                lhs = alg.mul(ij, alg.basis_vec(k))
-                rhs = alg.mul(alg.basis_vec(i), alg.row(PRODUCT, (j, k)))
-                if not vec_eq(lhs, rhs):
-                    report.violations.append(f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
-    return report
+    def sides(t):
+        i, j, k = t
+        yield (alg.apply_slot(PRODUCT, 0, alg.row(PRODUCT, (i, j)), (k,)),
+               alg.apply_slot(PRODUCT, 1, alg.row(PRODUCT, (j, k)), (i,)),
+               lambda: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
+    return scan("associativity", itertools.product(range(alg.dim), repeat=3),
+                sides)
 
 
 def recover_triple(env: Envelope) -> TripleSystem:
@@ -433,11 +412,7 @@ def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
         target = to_dense(field, algebra.basis_vec(x), algebra.dim)
         sol = linalg.solve(field, prod_cols, target)
         assert sol is not None, "A_0 is not spanned by A_1 A_-1 + A_-1 A_1"
-        img: SparseVec = {}
-        for c, ev in zip(sol, env_products):
-            if not c.is_zero():
-                img = vec_add(img, vec_scale(c, ev))
-        cols[x] = img
+        cols[x] = combine(zip(sol, env_products))
 
     psi = LinearMap(algebra, env.algebra, cols)
     if not psi.is_bijective():
@@ -485,18 +460,18 @@ def extend_automorphism(W: TripleSystem, psi: LinearMap,
 
     psi_cols = psi.columns
     ident = linalg.identity_matrix(field, d)
-    e1_flat = _flatten(field, ident, ident, d)
+    e1_flat = _flatten(ident, ident)
 
     lam_images = {}
     for (i, j) in env.lambda_pairs:
         li = l_of(psi_cols[i], psi_cols[j])
         lj = l_of(psi_cols[j], psi_cols[i])
-        lam_images[(i, j)] = _flatten(field, li, lj, d)
+        lam_images[(i, j)] = _flatten(li, lj)
     rho_images = {}
     for (i, j) in env.rho_pairs:
         ri = r_of(psi_cols[j], psi_cols[i])
         rj = r_of(psi_cols[i], psi_cols[j])
-        rho_images[(i, j)] = _flatten(field, ri, rj, d)
+        rho_images[(i, j)] = _flatten(ri, rj)
 
     cols = [None] * alg.dim
     for a in range(env.dim_L):

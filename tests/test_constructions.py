@@ -1,9 +1,14 @@
 """Standard realizations, involutions, doubles, matrix algebras, Phi."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import atsbench.constructions
 from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     InvolutionParams, MonoMatrix,
                                     build_exchange_pair, build_M_inv, d_inv,
@@ -488,6 +493,40 @@ def test_removal_twist_instances():
         assert t_prime in T1
         checked += 1
     assert checked >= 3
+
+
+def test_scan_verdicts_survive_optimize_flag():
+    # a failing involution scan in d_inv and a failing morphism scan in
+    # removal_twist raise VerificationError, also under python -O
+    code = (
+        "import atsbench.constructions as c\n"
+        "from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,\n"
+        "                             all_quadratic_forms)\n"
+        "from atsbench.omega import VerificationError, VerificationReport\n"
+        "from atsbench.scalars import CycloField\n"
+        "F = CycloField(2)\n"
+        "G = AbelianGroup(0, (2, 2, 2))\n"
+        "a, b, t = (G.element(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))\n"
+        "T = Subgroup(G, (a, b))\n"
+        "beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])\n"
+        "tau1, tau2 = all_quadratic_forms(beta)[:2]\n"
+        "Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)\n"
+        "            for tau in (tau1, tau2))\n"
+        "c.check_involution = c.check_morphism = (\n"
+        "    lambda *args, **kw: VerificationReport('forced', ['forced']))\n"
+        "for call in (lambda: c.d_inv(T, beta, tau1, F),\n"
+        "             lambda: c.removal_twist(Dx1, Dx2)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except VerificationError:\n"
+        "        print('raised')\n"
+        "print('debug', __debug__)\n")
+    src = str(Path(atsbench.constructions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["raised", "raised", "debug", "False"]
 
 
 def test_double_is_simple_with_involution_only():

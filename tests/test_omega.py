@@ -73,12 +73,48 @@ def test_transpose_is_involution():
     assert check_involution(alg).checked == 20
 
 
+def test_broken_involutions_are_reported():
+    # phi^2 != id: without a product only the squares are scanned
+    alg = OmegaAlgebra(FQ, 2, {INVOLUTION: 1})
+    alg.set_entry(INVOLUTION, (0,), {1: FQ.one})
+    alg.set_entry(INVOLUTION, (1,), {1: FQ.one})
+    rep = check_involution(alg)
+    assert (rep.checked, rep.violations) == (2, ["phi^2(e0) != e0"])
+    # phi^2 = id, but phi(e0 e0) = -e0 while phi(e0) phi(e0) = e0
+    alg = make_f_plus_f(exchange=False)
+    alg.add_operator(INVOLUTION, 1)
+    alg.set_entry(INVOLUTION, (0,), {0: FQ.scalar(-1)})
+    alg.set_entry(INVOLUTION, (1,), {1: FQ.one})
+    rep = check_involution(alg)
+    assert (rep.checked, rep.violations) == (
+        6, ["phi(e0 e0) != phi(e0) phi(e0)"])
+
+
 def test_swap_is_not_automorphism():
     alg = matrix_algebra(2)
     cols = [alg.basis_vec(0), alg.basis_vec(2), alg.basis_vec(1),
             alg.basis_vec(3)]
     f = LinearMap(alg, alg, cols)
-    assert not check_morphism(f, ops=[PRODUCT]).passed
+    rep = check_morphism(f, ops=[PRODUCT])
+    assert not rep.passed
+    # the swap is the transpose: f(xy) = f(y) f(x), which differs from
+    # f(x) f(y) exactly on the non-commuting pairs of matrix units
+    noncommuting = [(0, 1), (0, 2), (1, 0), (1, 2), (1, 3), (2, 0), (2, 1),
+                    (2, 3), (3, 1), (3, 2)]
+    products = [f"product{p}: f(op(x)) != op(f(x))" for p in noncommuting]
+    assert (rep.checked, rep.violations) == (16, products)
+    # with the 3-grading, E12 (degree -1) and E21 (degree 1) change places
+    grading = m2_grading(alg)
+    rep = check_morphism(f, ops=[PRODUCT], gradings=(grading, grading))
+    assert (rep.checked, rep.violations) == (
+        20, products + ["f(e1) leaves component (-1)",
+                        "f(e2) leaves component (1)"])
+
+
+def test_apply_rejects_wrong_arity():
+    alg = matrix_algebra(2)
+    with pytest.raises(ValueError, match="product takes 2 arguments, got 1"):
+        alg.apply(PRODUCT, alg.basis_vec(0))
 
 
 def test_t4_flip():

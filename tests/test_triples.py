@@ -105,6 +105,15 @@ def test_sum_product_is_not_at2():
         bad.set_entry(TRIPLE, t, {0: FQ.one, 1: FQ.one})
     from atsbench.triples import TripleSystem
     assert not check_at2(TripleSystem(bad)).passed
+    # one entry each: {e0,e1,e0} = e0 breaks only the middle identity,
+    # {e0,e0,e1} = e1 only the right one, each at a single 5-tuple
+    mid = "{{u,v,x},y,z} != {u,{y,x,v},z} at (0, 1, 0, 1, 0)"
+    right = "{{u,v,x},y,z} != {u,v,{x,y,z}} at (0, 0, 0, 0, 1)"
+    for entry, out, violation in [((0, 1, 0), 0, mid), ((0, 0, 1), 1, right)]:
+        W = OmegaAlgebra(FQ, 2, {TRIPLE: 3})
+        W.set_entry(TRIPLE, entry, {out: FQ.one})
+        rep = check_at2(TripleSystem(W))
+        assert (rep.checked, rep.violations) == (2 ** 5, [violation])
 
 
 def test_at2_sampling_path():
@@ -192,7 +201,16 @@ def test_envelope_associativity_on_pair_case():
     W, _ = triple_from(ca.algebra, ca.grading)
     env = loos_envelope(W)
     assert env.algebra.dim == 8
-    assert check_associative(env.algebra).passed
+    rep = check_associative(env.algebra)
+    assert rep.passed and rep.checked == 8 ** 3
+    # e0 e0 = e1, e1 e0 = e0 and all other products zero
+    bad = OmegaAlgebra(FQ, 2, {PRODUCT: 2})
+    bad.set_entry(PRODUCT, (0, 0), {1: FQ.one})
+    bad.set_entry(PRODUCT, (1, 0), {0: FQ.one})
+    rep = check_associative(bad)
+    assert (rep.checked, rep.violations) == (8, [
+        "(e0 e0) e0 != e0 (e0 e0)", "(e0 e1) e0 != e0 (e1 e0)",
+        "(e1 e0) e0 != e1 (e0 e0)", "(e1 e1) e0 != e1 (e1 e0)"])
 
 
 # ---------------------------------------------------------------------------
