@@ -101,7 +101,10 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
         raise ConfigError(f"unknown builtin triple {kind!r}")
     if source == "json":
         with open(spec["file"], encoding="utf-8") as fh:
-            alg, grading = algebra_from_dict(json.load(fh))
+            try:
+                alg, grading = algebra_from_dict(json.load(fh))
+            except ValueError as err:
+                raise ConfigError(f"{spec['file']}: {err}") from err
         return TripleSystem(alg, grading, label=spec["file"])
     raise ConfigError(f"unknown triple source {source!r}")
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
-from . import linalg
 from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
                      QuadraticForm, Subgroup, extend_bicharacter, prepend_z,
-                     symplectic_decomposition, trivial_subgroup, zg_element)
+                     symplectic_decomposition, zg_element)
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, check_grading, check_involution,
-                    check_morphism, check_t4_flip, to_sparse, vec_scale)
+                    check_morphism, check_t4_flip, combine, vec_scale)
 from .scalars import CycloField, Scalar
 
 
@@ -261,50 +261,30 @@ def exchange_double(alg: OmegaAlgebra, grading: Grading,
         raise ConstraintError("doubling element must avoid the support")
     field = alg.field
     d = alg.dim
-
-    # pair coordinates: (p, q) as a length-2d dense vector
-    def pair(p, q):
-        out = dict(p)
-        for i, c in q.items():
-            out[i + d] = c
-        return out
-
     phi_cols = [alg.row(INVOLUTION, (k,)) for k in range(d)]
-    u_cols = [pair(alg.basis_vec(k), phi_cols[k]) for k in range(d)]
-    v_cols = [pair(alg.basis_vec(k), vec_scale(field.scalar(-1), phi_cols[k]))
-              for k in range(d)]
-    change = []
-    for col in u_cols + v_cols:
-        dense = [field.zero] * (2 * d)
-        for i, c in col.items():
-            dense[i] = c
-        change.append(dense)
-    inv = linalg.invert_matrix(field, [list(r) for r in zip(*change)])
-    assert inv is not None
+    for k in range(d):
+        if alg.apply_slot(INVOLUTION, 0, phi_cols[k]) != {k: field.one}:
+            raise ConstraintError(f"involution must square to the identity "
+                                  f"(fails at basis vector {k})")
+    half = field.scalar(Fraction(1, 2))
 
-    def to_new(vec_pair):
-        dense = [field.zero] * (2 * d)
-        for i, c in vec_pair.items():
-            dense[i] = c
-        return to_sparse(linalg.mat_vec(field, inv, dense))
-
-    def pair_mul(x, y):
-        # (a, b)(c, d) = (ac, db): components of length-2d sparse vectors
-        a = {i: c for i, c in x.items() if i < d}
-        b = {i - d: c for i, c in x.items() if i >= d}
-        c_ = {i: c for i, c in y.items() if i < d}
-        dd = {i - d: c for i, c in y.items() if i >= d}
-        return pair(alg.mul(a, c_), alg.mul(dd, b))
+    def to_new(p, q):
+        # (p, q) = sum a_k u_k + b_k v_k: a = (p + phi q)/2, b = (p - phi q)/2
+        phi_q = alg.apply_slot(INVOLUTION, 0, q)
+        a = combine([(half, p), (half, phi_q)])
+        b = combine([(half, p), (-half, phi_q)])
+        return {**a, **{d + k: c for k, c in b.items()}}
 
     out = OmegaAlgebra(field, 2 * d, {PRODUCT: 2, INVOLUTION: 1},
                        [f"u{k}" for k in range(d)] + [f"v{k}" for k in range(d)])
-    cols = u_cols + v_cols
-    for i in range(2 * d):
-        for j in range(2 * d):
-            out.set_entry(PRODUCT, (i, j), to_new(pair_mul(cols[i], cols[j])))
-        swapped = pair({k - d: c for k, c in cols[i].items() if k >= d},
-                       {k: c for k, c in cols[i].items() if k < d})
-        out.set_entry(INVOLUTION, (i,), to_new(swapped))
+    minus_one = field.scalar(-1)
+    cols = ([(alg.basis_vec(k), phi_cols[k]) for k in range(d)] +
+            [(alg.basis_vec(k), vec_scale(minus_one, phi_cols[k])) for k in range(d)])
+    for i, (p, q) in enumerate(cols):
+        for j, (p2, q2) in enumerate(cols):
+            # (p, q)(p', q') = (p p', q' q)
+            out.set_entry(PRODUCT, (i, j), to_new(alg.mul(p, p2), alg.mul(q2, q)))
+        out.set_entry(INVOLUTION, (i,), to_new(q, p))
     degmap = tuple(list(grading.degmap) + [h + t for h in grading.degmap])
     new_grading = Grading(out, grading.group, degmap,
                           graded_ops=grading.graded_ops | {INVOLUTION})
@@ -346,16 +326,19 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
                          t=t, inner=D)
     for i in range(alg.dim):
         row = alg.row(INVOLUTION, (i,))
-        assert list(row) == [i], "exchange involution must be diagonal on Y_s"
-        assert row[i] == D.field.scalar(sign_ext(elements[i])), \
-            "involution signs must follow the extended quadratic form"
+        if list(row) != [i]:
+            raise VerificationError("exchange involution must be diagonal on Y_s")
+        if row[i] != D.field.scalar(sign_ext(elements[i])):
+            raise VerificationError(
+                "involution signs must follow the extended quadratic form")
     for i in range(alg.dim):
         for j in range(alg.dim):
             ci, ki = out.mu(i, j)
             cj, kj = out.mu(j, i)
-            assert ki == kj
-            assert ci == beta_ext.eval(elements[i], elements[j], D.field) * cj, \
-                "commutation factor must follow the extended bicharacter"
+            if ki != kj or ci != beta_ext.eval(elements[i], elements[j],
+                                               D.field) * cj:
+                raise VerificationError(
+                    "commutation factor must follow the extended bicharacter")
     return out
 
 
@@ -512,10 +495,6 @@ def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
         raise ConstraintError(
             f"kappa{which}: entries beyond the first m{which}={m} must pair up")
     T_full = params.full_support
-    reps = [T_full.coset_rep(g) for g in gamma]
-    if len(set(reps)) != len(reps):
-        raise ConstraintError(
-            f"gamma{which} entries must be distinct modulo the support")
     l = 0
     while l < m and kappa[l] % 2 == 1:
         l += 1

@@ -20,8 +20,8 @@ from .groups import (AbelianGroup, Bicharacter, QuadraticForm, Subgroup,
                      all_quadratic_forms, trivial_subgroup)
 from .omega import TRIPLE, LinearMap, check_morphism
 from .scalars import CycloField
-from .triples import (TripleSystem, direct_sum_triple, loos_envelope,
-                      scalar_triple, triple_from, zero_triple)
+from .triples import (TripleSystem, direct_sum_triple, scalar_triple,
+                      triple_from, zero_triple)
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))

@@ -1,12 +1,16 @@
 """Exact dense linear algebra over a cyclotomic field.
 
-Vectors are lists/tuples of Scalar, matrices are lists of rows.  All
-routines are plain fraction-exact Gaussian elimination; dimensions in
-this workbench stay far below anything that would need pivoting
-strategies or sparsity tricks.
+Vectors are lists/tuples of Scalar, matrices are lists of rows.  One
+fraction-exact elimination kernel, `RowSpace` (an incrementally reduced
+row echelon basis), does all the work: `rref`, `solve`, `invert_matrix`
+and `kernel` read their answers off it.  Dimensions in this workbench
+stay far below anything that would need pivoting strategies or sparsity
+tricks.
 """
 
 from __future__ import annotations
+
+import bisect
 
 from .scalars import CycloField, Scalar
 
@@ -54,22 +58,14 @@ def mat_mul(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
 
 
 class RowSpace:
-    """Incrementally maintained reduced row echelon basis.
+    """Incrementally maintained reduced row echelon basis, rows sorted by
+    pivot column: the one elimination loop of the package."""
 
-    Optionally tracks, for every stored basis row, its expression as a
-    combination of the vectors that were fed in (needed when a caller
-    later wants images of basis rows under a map defined on the
-    generators).
-    """
-
-    def __init__(self, field: CycloField, width: int, track: bool = False):
+    def __init__(self, field: CycloField, width: int):
         self.field = field
         self.width = width
         self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
-        self.track = track
-        self.combos: list[list[Scalar]] = []   # over the inserted generators
-        self.n_inserted = 0
 
     def reduce(self, vec) -> tuple[list[Scalar], list[Scalar]]:
         """Return vec reduced against the basis, plus the combination used."""
@@ -87,49 +83,23 @@ class RowSpace:
 
     def insert(self, vec) -> bool:
         """Add vec to the span; returns True if the rank grew."""
-        v, combo = self.reduce(vec)
-        gen_index = self.n_inserted
-        self.n_inserted += 1
+        v, _ = self.reduce(vec)
         pivot = next((j for j in range(self.width) if not v[j].is_zero()), None)
         if pivot is None:
             return False
         inv = v[pivot].inverse()
         v = [x * inv for x in v]
-        if self.track:
-            expr = [self.field.zero] * self.n_inserted
-            expr[gen_index] = inv
-            for idx, c in enumerate(combo):
-                if not c.is_zero():
-                    prev = self.combos[idx]
-                    for j, pc in enumerate(prev):
-                        expr[j] = expr[j] - inv * c * pc
-            self.combos.append(expr)
         # back-substitute to keep the basis fully reduced
-        for idx, row in enumerate(self.rows):
+        for row in self.rows:
             c = row[pivot]
             if c.is_zero():
                 continue
-            for j in range(self.width):
+            for j in range(pivot, self.width):
                 if not v[j].is_zero():
                     row[j] = row[j] - c * v[j]
-            if self.track:
-                expr = self.combos[idx]
-                while len(expr) < self.n_inserted:
-                    expr.append(self.field.zero)
-                new = self.combos[-1]
-                for j, nc in enumerate(new):
-                    if not nc.is_zero():
-                        expr[j] = expr[j] - c * nc
-        self.rows.append(v)
-        self.pivots.append(pivot)
-        order = sorted(range(len(self.rows)), key=lambda k: self.pivots[k])
-        self.rows = [self.rows[k] for k in order]
-        self.pivots = [self.pivots[k] for k in order]
-        if self.track:
-            self.combos = [self.combos[k] for k in order]
-            for expr in self.combos:
-                while len(expr) < self.n_inserted:
-                    expr.append(self.field.zero)
+        pos = bisect.bisect(self.pivots, pivot)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pivot)
         return True
 
     def contains(self, vec) -> bool:
@@ -160,53 +130,27 @@ def solve(field: CycloField, columns: list[list[Scalar]], target: list[Scalar]):
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    height = len(target)
     n = len(columns)
-    rows = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(height)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((k for k in range(r, height) if not rows[k][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(height):
-            if k != r and not rows[k][c].is_zero():
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == height:
-            break
-    for k in range(r, height):
-        if not rows[k][n].is_zero():
-            return None
+    space = RowSpace(field, n + 1)
+    for i, t in enumerate(target):
+        space.insert([col[i] for col in columns] + [t])
+    if space.pivots and space.pivots[-1] == n:
+        return None
     x = [field.zero] * n
-    for k, c in enumerate(piv_cols):
-        x[c] = rows[k][n]
+    for row, p in zip(space.rows, space.pivots):
+        x[p] = row[n]
     return x
 
 
 def invert_matrix(field: CycloField, m: list[list[Scalar]]):
     """Inverse of a square matrix, or None if singular."""
     n = len(m)
-    aug = [list(row) + unit_vector(field, n, i) for i, row in enumerate(m)]
-    r = 0
-    for c in range(n):
-        pr = next((k for k in range(r, n) if not aug[k][c].is_zero()), None)
-        if pr is None:
-            return None
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for k in range(n):
-            if k != r and not aug[k][c].is_zero():
-                f = aug[k][c]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
+    space = RowSpace(field, 2 * n)
+    for i, row in enumerate(m):
+        space.insert(list(row) + unit_vector(field, n, i))
+    if space.pivots != list(range(n)):
+        return None
+    return [row[n:] for row in space.rows]
 
 
 def kernel(field: CycloField, rows: list[list[Scalar]], width: int):

@@ -555,14 +555,28 @@ def algebra_to_dict(alg: OmegaAlgebra, grading: Grading = None) -> dict:
 
 
 def algebra_from_dict(data: dict):
+    """Inverse of algebra_to_dict; a malformed tensor entry or degree list
+    raises ValueError naming it."""
     field = CycloField(data["conductor"])
-    alg = OmegaAlgebra(field, data["dim"], data["operators"], data.get("basis"))
-    for op, idx, j, text in data["tensor"]:
+    dim = data["dim"]
+    alg = OmegaAlgebra(field, dim, data["operators"], data.get("basis"))
+    for entry in data["tensor"]:
+        op, idx, j, text = entry
+        if op not in alg.operators:
+            raise ValueError(f"tensor entry {entry}: unknown operator {op!r}")
+        if len(idx) != alg.operators[op]:
+            raise ValueError(f"tensor entry {entry}: {op!r} has arity "
+                             f"{alg.operators[op]}, not {len(idx)}")
+        if not all(0 <= i < dim for i in [*idx, j]):
+            raise ValueError(f"tensor entry {entry}: index outside [0, {dim})")
         row = dict(alg.row(op, tuple(idx)))
         row[j] = parse_scalar(text, field.conductor)
         alg.set_entry(op, tuple(idx), row)
     grading = None
     if "degrees" in data:
+        if len(data["degrees"]) != dim:
+            raise ValueError(f"degrees lists {len(data['degrees'])} entries "
+                             f"for dimension {dim}")
         group = AbelianGroup(data["group"]["free_rank"], tuple(data["group"]["torsion"]))
         degmap = tuple(group.element(tuple(c)) for c in data["degrees"])
         grading = Grading(alg, group, degmap,

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .groups import AbelianGroup, GroupElement, g_part, prepend_z, z_part, zg_element
+from .groups import AbelianGroup, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
                     VerificationReport, check_morphism, combine, is_simple,
@@ -127,10 +127,8 @@ class Envelope:
     e1: SparseVec
     e2: SparseVec
     embedding: LinearMap             # W into the envelope
-    L_space: linalg.RowSpace         # flattened pairs, combos tracked
+    L_space: linalg.RowSpace         # flattened operator pairs (f, g)
     R_space: linalg.RowSpace
-    lambda_pairs: list               # generator order behind L_space (after e1)
-    rho_pairs: list
 
     @property
     def w_offset(self) -> int:
@@ -153,60 +151,55 @@ def _flatten(f, g):
     return out
 
 
+def _split(flat, d):
+    f = [flat[r * d:(r + 1) * d] for r in range(d)]
+    g = [flat[d * d + r * d:d * d + (r + 1) * d] for r in range(d)]
+    return f, g
+
+
+def _coords(space: linalg.RowSpace, offset: int, flat, what: str) -> SparseVec:
+    """Coordinates of flat over the rows of space, as a sparse vector
+    shifted by offset; a flat outside the span raises VerificationError."""
+    coords = space.coordinates(flat)
+    if coords is None:
+        raise VerificationError(what)
+    return {offset + k: c for k, c in enumerate(coords) if not c.is_zero()}
+
+
 def loos_envelope(W: TripleSystem) -> Envelope:
     """L + W + Wbar + R with the 2x2-block product and the bar involution.
 
     L is spanned by the unit pair together with all lambda(x, y) =
     (l(x,y), l(y,x)); R by the unit and rho(x, y) = (r(y,x), r(x,y)).
     Operator pairs are row-reduced exactly; the subalgebra claims are
-    asserted while the product table is assembled.
+    verified while the product table is assembled.
     """
     field = W.field
     d = W.dim
 
-    def l_op(i, j):
+    def operator(index):
+        # the d x d matrix whose column k is W.row(*index(k))
         m = [[field.zero] * d for _ in range(d)]
         for k in range(d):
-            for out, c in W.row(i, j, k).items():
+            for out, c in W.row(*index(k)).items():
                 m[out][k] = c
         return m
 
-    def r_op(i, j):
-        # r(z, y) x = {x, y, z}: operator of the pair (z=i, y=j)
-        m = [[field.zero] * d for _ in range(d)]
-        for k in range(d):
-            for out, c in W.row(k, j, i).items():
-                m[out][k] = c
-        return m
+    pairs = list(itertools.product(range(d), repeat=2))
+    l_ops = {(i, j): operator(lambda k: (i, j, k)) for i, j in pairs}
+    # r(z, y) x = {x, y, z}: operator of the pair (z=i, y=j)
+    r_ops = {(i, j): operator(lambda k: (k, j, i)) for i, j in pairs}
+    lams = [_flatten(l_ops[i, j], l_ops[j, i]) for i, j in pairs]
+    rhos = [_flatten(r_ops[j, i], r_ops[i, j]) for i, j in pairs]
 
     ident = linalg.identity_matrix(field, d)
-    e1_flat = _flatten(ident, ident)
-
-    L_space = linalg.RowSpace(field, 2 * d * d, track=True)
-    L_space.insert(e1_flat)
-    lambda_pairs = []
-    l_ops = {}
-    for i in range(d):
-        for j in range(d):
-            l_ops[(i, j)] = l_op(i, j)
-    for i in range(d):
-        for j in range(d):
-            lam = _flatten(l_ops[(i, j)], l_ops[(j, i)])
-            lambda_pairs.append((i, j))
-            L_space.insert(lam)
-
-    R_space = linalg.RowSpace(field, 2 * d * d, track=True)
-    R_space.insert(e1_flat)          # e2 = (id, id) in E^op + E
-    rho_pairs = []
-    r_ops = {}
-    for i in range(d):
-        for j in range(d):
-            r_ops[(i, j)] = r_op(i, j)
-    for i in range(d):
-        for j in range(d):
-            rho = _flatten(r_ops[(j, i)], r_ops[(i, j)])
-            rho_pairs.append((i, j))
-            R_space.insert(rho)
+    e1_flat = _flatten(ident, ident)   # also e2 = (id, id) in E^op + E
+    L_space = linalg.RowSpace(field, 2 * d * d)
+    R_space = linalg.RowSpace(field, 2 * d * d)
+    for space, generators in ((L_space, lams), (R_space, rhos)):
+        space.insert(e1_flat)
+        for gen in generators:
+            space.insert(gen)
 
     nL, nR = L_space.rank, R_space.rank
     dim = nL + 2 * d + nR
@@ -215,23 +208,14 @@ def loos_envelope(W: TripleSystem) -> Envelope:
               [f"wbar{k}" for k in range(d)] + [f"R{k}" for k in range(nR)])
     alg = OmegaAlgebra(field, dim, {PRODUCT: 2, INVOLUTION: 1}, labels)
 
-    def split(flat):
-        f = [flat[r * d:(r + 1) * d] for r in range(d)]
-        g = [flat[d * d + r * d:d * d + (r + 1) * d] for r in range(d)]
-        return f, g
-
     def L_coords(flat, what):
-        coords = L_space.coordinates(flat)
-        assert coords is not None, f"{what} escaped the L subalgebra"
-        return {k + 0: c for k, c in enumerate(coords) if not c.is_zero()}
+        return _coords(L_space, 0, flat, f"{what} escaped the L subalgebra")
 
     def R_coords(flat, what):
-        coords = R_space.coordinates(flat)
-        assert coords is not None, f"{what} escaped the R subalgebra"
-        return {r_off + k: c for k, c in enumerate(coords) if not c.is_zero()}
+        return _coords(R_space, r_off, flat, f"{what} escaped the R subalgebra")
 
-    L_rows = [split(row) for row in L_space.rows]
-    R_rows = [split(row) for row in R_space.rows]
+    L_rows = [_split(row, d) for row in L_space.rows]
+    R_rows = [_split(row, d) for row in R_space.rows]
 
     # L x L -> L: (f,g)(f',g') = (f f', g' g)
     for a, (f, g) in enumerate(L_rows):
@@ -258,14 +242,11 @@ def loos_envelope(W: TripleSystem) -> Envelope:
             alg.set_entry(PRODUCT, (r_off + a, wbar_off + k),
                           {wbar_off + i: b2[i][k] for i in range(d) if not b2[i][k].is_zero()})
     # W x Wbar -> L and Wbar x W -> R
-    for i in range(d):
-        for j in range(d):
-            lam = _flatten(l_ops[(i, j)], l_ops[(j, i)])
-            alg.set_entry(PRODUCT, (w_off + i, wbar_off + j),
-                          L_coords(lam, "lambda(x,y)"))
-            rho = _flatten(r_ops[(j, i)], r_ops[(i, j)])
-            alg.set_entry(PRODUCT, (wbar_off + i, w_off + j),
-                          R_coords(rho, "rho(y,x)"))
+    for (i, j), lam, rho in zip(pairs, lams, rhos):
+        alg.set_entry(PRODUCT, (w_off + i, wbar_off + j),
+                      L_coords(lam, "lambda(x,y)"))
+        alg.set_entry(PRODUCT, (wbar_off + i, w_off + j),
+                      R_coords(rho, "rho(y,x)"))
     # involution: bar swaps pair components on L and R, exchanges W and Wbar
     for a, (f, g) in enumerate(L_rows):
         alg.set_entry(INVOLUTION, (a,),
@@ -283,7 +264,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
     embedding = LinearMap(W.algebra, alg,
                           [{w_off + k: field.one} for k in range(d)])
     return Envelope(W, alg, grading, nL, nR, e1, e2, embedding,
-                    L_space, R_space, lambda_pairs, rho_pairs)
+                    L_space, R_space)
 
 
 def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
@@ -411,7 +392,8 @@ def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
     for x in zero:
         target = to_dense(field, algebra.basis_vec(x), algebra.dim)
         sol = linalg.solve(field, prod_cols, target)
-        assert sol is not None, "A_0 is not spanned by A_1 A_-1 + A_-1 A_1"
+        if sol is None:
+            raise VerificationError("A_0 is not spanned by A_1 A_-1 + A_-1 A_1")
         cols[x] = combine(zip(sol, env_products))
 
     psi = LinearMap(algebra, env.algebra, cols)
@@ -430,9 +412,11 @@ def extend_automorphism(W: TripleSystem, psi: LinearMap,
     envelope: psi on W, conjugated by the involution on Wbar, and
     lambda(x,y) -> lambda(psi x, psi y) on the operator parts.
 
-    The extension is verified as an automorphism of the envelope (with
-    involution and grading); the lambda/rho images landing back in L/R
-    is the well-definedness guarantee and is asserted.
+    Since l(psi x, psi y) = P l(x,y) P^-1 for the matrix P of psi (and
+    likewise for r), every operator pair (f, g) spanning L or R maps to
+    (P f P^-1, P g P^-1).  The extension is verified as an automorphism
+    of the envelope (with involution and grading); the images landing
+    back in L/R is the well-definedness guarantee and is verified too.
     """
     rep = check_morphism(psi, ops=[TRIPLE])
     if not rep.passed or not psi.is_bijective():
@@ -441,65 +425,26 @@ def extend_automorphism(W: TripleSystem, psi: LinearMap,
     field = W.field
     d = W.dim
     alg = env.algebra
-
-    def l_of(xs: SparseVec, ys: SparseVec):
-        m = [[field.zero] * d for _ in range(d)]
-        for k in range(d):
-            out = W.product(xs, ys, W.algebra.basis_vec(k))
-            for i, c in out.items():
-                m[i][k] = c
-        return m
-
-    def r_of(zs: SparseVec, ys: SparseVec):
-        m = [[field.zero] * d for _ in range(d)]
-        for k in range(d):
-            out = W.product(W.algebra.basis_vec(k), ys, zs)
-            for i, c in out.items():
-                m[i][k] = c
-        return m
-
     psi_cols = psi.columns
-    ident = linalg.identity_matrix(field, d)
-    e1_flat = _flatten(ident, ident)
+    P = [[psi_cols[k].get(i, field.zero) for k in range(d)] for i in range(d)]
+    P_inv = linalg.invert_matrix(field, P)
 
-    lam_images = {}
-    for (i, j) in env.lambda_pairs:
-        li = l_of(psi_cols[i], psi_cols[j])
-        lj = l_of(psi_cols[j], psi_cols[i])
-        lam_images[(i, j)] = _flatten(li, lj)
-    rho_images = {}
-    for (i, j) in env.rho_pairs:
-        ri = r_of(psi_cols[j], psi_cols[i])
-        rj = r_of(psi_cols[i], psi_cols[j])
-        rho_images[(i, j)] = _flatten(ri, rj)
+    def conjugate(m):
+        return linalg.mat_mul(linalg.mat_mul(P, m), P_inv)
 
     cols = [None] * alg.dim
-    for a in range(env.dim_L):
-        combo = env.L_space.combos[a]
-        flat = [field.zero] * (2 * d * d)
-        gens = [e1_flat] + [lam_images[p] for p in env.lambda_pairs]
-        for c, gen in zip(combo, gens):
-            if not c.is_zero():
-                flat = [acc + c * x for acc, x in zip(flat, gen)]
-        coords = env.L_space.coordinates(flat)
-        assert coords is not None, "automorphism image escapes L (well-definedness)"
-        cols[a] = {k: c for k, c in enumerate(coords) if not c.is_zero()}
+    for name, space, off in (("L", env.L_space, 0),
+                             ("R", env.R_space, env.r_offset)):
+        for a, row in enumerate(space.rows):
+            f, g = _split(row, d)
+            cols[off + a] = _coords(
+                space, off, _flatten(conjugate(f), conjugate(g)),
+                f"automorphism image escapes {name} (well-definedness)")
     for k in range(d):
         cols[env.w_offset + k] = {env.w_offset + i: c
                                   for i, c in psi_cols[k].items()}
         cols[env.wbar_offset + k] = {env.wbar_offset + i: c
                                      for i, c in psi_cols[k].items()}
-    for a in range(env.dim_R):
-        combo = env.R_space.combos[a]
-        flat = [field.zero] * (2 * d * d)
-        gens = [e1_flat] + [rho_images[p] for p in env.rho_pairs]
-        for c, gen in zip(combo, gens):
-            if not c.is_zero():
-                flat = [acc + c * x for acc, x in zip(flat, gen)]
-        coords = env.R_space.coordinates(flat)
-        assert coords is not None, "automorphism image escapes R (well-definedness)"
-        cols[env.r_offset + a] = {env.r_offset + k: c
-                                  for k, c in enumerate(coords) if not c.is_zero()}
 
     extended = LinearMap(alg, alg, cols)
     # the extension is an automorphism of the 3-graded algebra with

@@ -174,6 +174,29 @@ file = {w_path}
     assert main(["check-at2", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("index", [[0, 0, 5], [0, 0]])
+def test_malformed_triple_json_is_input_error(tmp_path, capsys, index):
+    # an index outside the dim-2 space, or of the wrong length, is an
+    # input error (exit 2), not a failed round trip
+    from atsbench.omega import TRIPLE, OmegaAlgebra, algebra_to_dict
+    from atsbench.scalars import CycloField
+    F = CycloField(1)
+    W = OmegaAlgebra(F, 2, {TRIPLE: 3})
+    W.set_entry(TRIPLE, (0, 0, 0), {0: F.one})
+    data = algebra_to_dict(W)
+    data["tensor"].append(["triple", index, 0, "1"])
+    w_path = tmp_path / "w.json"
+    w_path.write_text(json.dumps(data))
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text(f"""
+[triple]
+source = json
+file = {w_path}
+""")
+    assert main(["envelope", str(cfg)]) == 2
+    assert f"tensor entry ['triple', {index}, 0, '1']" in capsys.readouterr().err
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "atsbench.cli", "--help"],
                           capture_output=True, text=True)

@@ -529,6 +529,70 @@ def test_scan_verdicts_survive_optimize_flag():
     assert out.stdout.split() == ["raised", "raised", "debug", "False"]
 
 
+def test_elimination_checks_survive_optimize_flag():
+    # the diagonal involution, the involution signs and the commutation
+    # factor checked by exchange_double_division, the L/R subalgebra check
+    # of loos_envelope and the A_0 spanning check of reconstruct_iso each
+    # raise VerificationError when forced to fail, also under python -O
+    code = (
+        "import atsbench.constructions as c\n"
+        "import atsbench.linalg as la\n"
+        "import atsbench.triples as tr\n"
+        "from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,\n"
+        "                             Subgroup, all_quadratic_forms,\n"
+        "                             trivial_subgroup)\n"
+        "from atsbench.omega import INVOLUTION, VerificationError\n"
+        "from atsbench.scalars import CycloField\n"
+        "F = CycloField(2)\n"
+        "G = AbelianGroup(0, (2, 2, 2))\n"
+        "a, b, t = (G.element(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))\n"
+        "T = Subgroup(G, (a, b))\n"
+        "beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])\n"
+        "D = c.d_inv(T, beta, all_quadratic_forms(beta)[0], F)\n"
+        "Z2 = AbelianGroup(0, (2,))\n"
+        "e, T1 = Z2.identity, trivial_subgroup(Z2)\n"
+        "m2 = c.build_M_inv(c.InvolutionParams(\n"
+        "    group=Z2, T=T1, beta=Bicharacter.from_generator_matrix(T1, (), []),\n"
+        "    kappa0=(1,), gamma0=(e,), kappa1=(1,), gamma1=(e,), delta=1, g=e), F)\n"
+        "double, extend = c.exchange_double, QuadraticForm.extend\n"
+        "def skew_involution(*args):\n"
+        "    alg, grading = double(*args)\n"
+        "    alg.set_entry(INVOLUTION, (0,), {1: F.one})\n"
+        "    return alg, grading\n"
+        "class Constant:\n"
+        "    def eval(self, x, y, field):\n"
+        "        return field.scalar(2)\n"
+        "cases = [\n"
+        "    (c, 'exchange_double', skew_involution,\n"
+        "     lambda: c.exchange_double_division(D, t)),\n"
+        "    (QuadraticForm, 'extend', lambda q, s: lambda u: -extend(q, s)(u),\n"
+        "     lambda: c.exchange_double_division(D, t)),\n"
+        "    (c, 'extend_bicharacter', lambda *args: Constant(),\n"
+        "     lambda: c.exchange_double_division(D, t)),\n"
+        "    (la.RowSpace, 'coordinates', lambda self, vec: None,\n"
+        "     lambda: tr.loos_envelope(tr.scalar_triple(F))),\n"
+        "    (la, 'solve', lambda *args: None,\n"
+        "     lambda: tr.reconstruct_iso(m2.algebra, m2.grading,\n"
+        "                                require_simple=False)),\n"
+        "]\n"
+        "for owner, name, fake, call in cases:\n"
+        "    real = getattr(owner, name)\n"
+        "    setattr(owner, name, fake)\n"
+        "    try:\n"
+        "        call()\n"
+        "    except VerificationError as err:\n"
+        "        print(str(err).split()[0])\n"
+        "    setattr(owner, name, real)\n"
+        "print('debug', __debug__)\n")
+    src = str(Path(atsbench.constructions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["exchange", "involution", "commutation",
+                                  "L*L", "A_0", "debug", "False"]
+
+
 def test_double_is_simple_with_involution_only():
     # the double is graded-division and simple with involution while the
     # underlying algebra is not simple

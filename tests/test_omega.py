@@ -290,3 +290,20 @@ def test_json_round_trip():
     assert alg2.tensors == alg.tensors
     assert gr2.degmap == gr.degmap
     assert gr2.graded_ops == gr.graded_ops
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["tensor"].append(["cube", [0], 0, "1"]), "unknown operator"),
+    (lambda d: d["tensor"].append(["product", [0], 0, "1"]), "arity 2, not 1"),
+    (lambda d: d["tensor"].append(["product", [0, 4], 0, "1"]),
+     r"outside \[0, 4\)"),
+    (lambda d: d["tensor"].append(["product", [0, 0], -1, "1"]),
+     r"outside \[0, 4\)"),
+    (lambda d: d["degrees"].pop(), "3 entries for dimension 4"),
+])
+def test_json_rejects_malformed_entries(edit, message):
+    alg = matrix_algebra(2)
+    data = json.loads(json.dumps(algebra_to_dict(alg, m2_grading(alg))))
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        algebra_from_dict(data)
