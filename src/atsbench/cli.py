@@ -3,7 +3,9 @@
 One job per invocation: parse a config, run the pipeline, print a
 human-readable summary, optionally write a machine-readable JSON report
 (byte-identical across runs with the same config and seed), and exit 0
-exactly when every check passed.
+exactly when every check passed.  Exit status 1 means a check failed, 2
+bad input, and 3 an internal verification error (a VerificationError or
+WitnessError: the program contradicted itself, not the input).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import sys
 import time
 from math import gcd
 
-from .classify import (ClassLabel, CycloField, classify_conductor, decide_iso,
-                       refute_isomorphism, run_census, witness_isomorphism)
+from .classify import (ClassLabel, CycloField, WitnessError,
+                       classify_conductor, decide_iso, refute_isomorphism,
+                       run_census, witness_isomorphism)
 from .config import ConfigError, JobConfig, parse_config
 from .constructions import ConstraintError
-from .omega import (PRODUCT, TRIPLE, algebra_from_dict, algebra_to_dict,
-                    check_grading, check_involution, graded_is_simple,
-                    is_simple)
+from .omega import (PRODUCT, TRIPLE, VerificationError, algebra_from_dict,
+                    algebra_to_dict, check_grading, check_involution,
+                    graded_is_simple, is_simple)
 from .triples import (TripleSystem, check_associative, check_at2,
                       direct_sum_triple, loos_envelope, recover_triple,
                       scalar_triple, triple_from, triple_is_simple,
@@ -314,6 +317,9 @@ def main(argv=None) -> int:
     except (ConfigError, ConstraintError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (VerificationError, WitnessError) as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     print(report.summary())
     print(f"(wall time {time.time() - t0:.2f}s; not part of the JSON report)")
     out_path = args.json_out or cfg.output

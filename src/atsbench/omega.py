@@ -561,7 +561,16 @@ def algebra_from_dict(data: dict):
     dim = data["dim"]
     alg = OmegaAlgebra(field, dim, data["operators"], data.get("basis"))
     for entry in data["tensor"]:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise ValueError(f"tensor entry {entry}: expected "
+                             "[operator, index list, slot, scalar text]")
         op, idx, j, text = entry
+        if not (isinstance(idx, list) and all(type(i) is int for i in idx)):
+            raise ValueError(f"tensor entry {entry}: index is not a list of ints")
+        if type(j) is not int:
+            raise ValueError(f"tensor entry {entry}: slot is not an int")
+        if not isinstance(text, str):
+            raise ValueError(f"tensor entry {entry}: scalar is not a string")
         if op not in alg.operators:
             raise ValueError(f"tensor entry {entry}: unknown operator {op!r}")
         if len(idx) != alg.operators[op]:
@@ -570,7 +579,10 @@ def algebra_from_dict(data: dict):
         if not all(0 <= i < dim for i in [*idx, j]):
             raise ValueError(f"tensor entry {entry}: index outside [0, {dim})")
         row = dict(alg.row(op, tuple(idx)))
-        row[j] = parse_scalar(text, field.conductor)
+        try:
+            row[j] = parse_scalar(text, field.conductor)
+        except ValueError as err:
+            raise ValueError(f"tensor entry {entry}: {err}") from None
         alg.set_entry(op, tuple(idx), row)
     grading = None
     if "degrees" in data:

@@ -2,10 +2,13 @@
 
 Every coefficient in the workbench lives in Q(zeta_N) for a fixed
 conductor N chosen per session (N = 1 or 2 degenerates to plain
-rationals).  Elements are stored as coefficient vectors of length
-phi(N) on the power basis 1, z, ..., z^(phi(N)-1), reduced modulo the
-N-th cyclotomic polynomial after every operation.  There is no
-floating point anywhere: coefficients are `fractions.Fraction`.
+rationals).  Elements are coefficient vectors of length phi(N) on the
+power basis 1, z, ..., z^(phi(N)-1), reduced modulo the N-th cyclotomic
+polynomial after every operation.  There is no floating point anywhere:
+a scalar stores integer numerators `num` over one positive common
+denominator `den`, kept in lowest terms (gcd(den, *num) == 1, so zero is
+(0, ..., 0)/1).  Sums and products are integer arithmetic; `coeffs`
+gives the coefficients as `fractions.Fraction`s.
 
 >>> F = CycloField(4)
 >>> i = F.zeta(4, 1)
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 
 class ConductorMismatch(ValueError):
@@ -29,6 +34,7 @@ class ScalarDivisionError(ZeroDivisionError):
     """Raised on division by the zero scalar."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     p, m = 2, n
@@ -80,16 +86,19 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(conductor: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row k is x^(phi+k) reduced mod Phi_N, for k = 0 .. phi-2."""
+def _reduction_table(conductor: int) -> tuple[tuple[int, ...], ...]:
+    """Row k is x^(phi+k) reduced mod Phi_N, for k = 0 .. phi-2.
+
+    Phi_N is monic with integer coefficients, so the rows are integral.
+    """
     phi = euler_phi(conductor)
-    poly = cyclotomic_polynomial(conductor)
+    poly = [int(c) for c in cyclotomic_polynomial(conductor)]
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}) since Phi is monic
     rows = []
     current = [-c for c in poly[:phi]]
     rows.append(tuple(current))
     for _ in range(phi - 2):
-        shifted = [Fraction(0)] + current[:-1]
+        shifted = [0] + current[:-1]
         top = current[-1]
         if top:
             for j in range(phi):
@@ -99,65 +108,92 @@ def _reduction_table(conductor: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
+def _mismatch(a: "Scalar", b: "Scalar") -> ConductorMismatch:
+    return ConductorMismatch(
+        f"conductor mismatch: {a.conductor} vs {b.conductor}")
+
+
 class Scalar:
     """An element of Q(zeta_N), immutable and hashable."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
         phi = euler_phi(conductor)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != phi:
             raise ValueError(
                 f"expected {phi} coefficients for conductor {conductor}, got {len(coeffs)}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        # the lcm of lowest-terms denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in coeffs))
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set_den(self, den)
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("Scalar is immutable")
 
     @staticmethod
     def rational(value, conductor: int = 1) -> "Scalar":
-        phi = euler_phi(conductor)
-        coeffs = [Fraction(value)] + [Fraction(0)] * (phi - 1)
-        return Scalar(conductor, coeffs)
+        if type(value) is not int:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        else:
+            num, den = value, 1
+        return _make(conductor, (num,) + (0,) * (euler_phi(conductor) - 1), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- ring structure -------------------------------------------------
 
-    def _check(self, other: "Scalar"):
-        if self.conductor != other.conductor:
-            raise ConductorMismatch(
-                f"conductor mismatch: {self.conductor} vs {other.conductor}")
-
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return Scalar(self.conductor,
-                      [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+        if self.conductor != other.conductor:
+            raise _mismatch(self, other)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.conductor, tuple(map(add, self.num, other.num)), da)
+        return _make(self.conductor,
+                     tuple(a * db + b * da for a, b in zip(self.num, other.num)),
+                     da * db)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return Scalar(self.conductor,
-                      [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+        if self.conductor != other.conductor:
+            raise _mismatch(self, other)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.conductor, tuple(map(sub, self.num, other.num)), da)
+        return _make(self.conductor,
+                     tuple(a * db - b * da for a, b in zip(self.num, other.num)),
+                     da * db)
 
     def __neg__(self):
-        return Scalar(self.conductor, [-a for a in self.coeffs])
+        return _make(self.conductor, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+        conductor = self.conductor
+        if conductor != other.conductor:
+            raise _mismatch(self, other)
+        a, b = self.num, other.num
+        den = self.den * other.den
         phi = len(a)
         if phi == 1:
-            return Scalar(self.conductor, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * phi - 1)
+            return _make(conductor, (a[0] * b[0],), den)
+        conv = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        table = _reduction_table(self.conductor)
+        table = _reduction_table(conductor)
         out = conv[:phi]
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
@@ -165,17 +201,18 @@ class Scalar:
                 row = table[k - phi]
                 for j in range(phi):
                     out[j] += c * row[j]
-        return Scalar(self.conductor, out)
+        return _make(conductor, tuple(out), den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ScalarDivisionError("division by zero scalar")
-        phi = len(self.coeffs)
+        phi = len(self.num)
         if phi == 1:
-            return Scalar(self.conductor, (1 / self.coeffs[0],))
+            n = self.num[0]
+            return _make(self.conductor, (self.den if n > 0 else -self.den,), abs(n))
         # extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial
         modulus = list(cyclotomic_polynomial(self.conductor))
-        r0, r1 = modulus, [c for c in self.coeffs]
+        r0, r1 = modulus, list(self.coeffs)
         while r1 and r1[-1] == 0:
             r1.pop()
         s0, s1 = [Fraction(0)], [Fraction(1)]
@@ -192,7 +229,8 @@ class Scalar:
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        self._check(other)
+        if self.conductor != other.conductor:
+            raise _mismatch(self, other)
         return self * other.inverse()
 
     def __pow__(self, n: int):
@@ -223,10 +261,10 @@ class Scalar:
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -234,11 +272,12 @@ class Scalar:
         return self.coeffs[0]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Scalar.rational(other, self.conductor)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return (self.num == other.num and self.den == other.den
+                and self.conductor == other.conductor)
 
     def __hash__(self):
         return hash((self.conductor, self.coeffs))
@@ -265,6 +304,26 @@ class Scalar:
                     parts.append(f"{c}*{mon}")
         text = "+".join(parts)
         return text.replace("+-", "-")
+
+
+_new_scalar = object.__new__
+_set_conductor = Scalar.conductor.__set__
+_set_num = Scalar.num.__set__
+_set_den = Scalar.den.__set__
+
+
+def _make(conductor: int, num: tuple[int, ...], den: int) -> Scalar:
+    """The scalar num/den of this conductor; den > 0, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = tuple(n // g for n in num)
+    s = _new_scalar(Scalar)
+    _set_conductor(s, conductor)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
 
 
 def _poly_mul(a, b):
@@ -295,14 +354,17 @@ class CycloField:
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         self.conductor = conductor
+        # scalars are immutable, so every caller can share these two
+        self._zero = Scalar.rational(0, conductor)
+        self._one = Scalar.rational(1, conductor)
 
     @property
     def zero(self) -> Scalar:
-        return Scalar.rational(0, self.conductor)
+        return self._zero
 
     @property
     def one(self) -> Scalar:
-        return Scalar.rational(1, self.conductor)
+        return self._one
 
     def scalar(self, value) -> Scalar:
         return Scalar.rational(value, self.conductor)
@@ -385,7 +447,11 @@ def parse_scalar(text: str, conductor: int) -> Scalar:
     for term in s.split("+"):
         if not term:
             raise ValueError(f"malformed scalar literal {text!r}")
-        total = total + _parse_term(term, field)
+        try:
+            total = total + _parse_term(term, field)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"zero denominator in scalar literal {text!r}") from None
     return total
 
 

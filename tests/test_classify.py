@@ -159,6 +159,22 @@ def test_decide_symmetry_on_random_pairs():
         assert decide_iso(l1, l2).verdict == decide_iso(l2, l1).verdict
 
 
+def test_decide_transitivity_on_random_triples():
+    # YES and YES give YES; YES and NO give NO (isomorphism is an
+    # equivalence relation); both cases must actually occur
+    labels = enumerate_labels(Z2, 8)
+    rng = random.Random(13)
+    seen = {"yes-yes": 0, "yes-no": 0}
+    for _ in range(60):
+        l1, l2, l3 = (rng.choice(labels) for _ in range(3))
+        d12, d23 = decide_iso(l1, l2), decide_iso(l2, l3)
+        if d12.is_yes:
+            kind = "yes-yes" if d23.is_yes else "yes-no"
+            seen[kind] += 1
+            assert decide_iso(l1, l3).is_yes == d23.is_yes
+    assert all(seen.values()), seen
+
+
 def test_exchange_pair_opposite_branch():
     # over Z4 the labels (1),(0) and (3),(0) relate only by the opposite map
     T, beta = trivial_pair(Z4)

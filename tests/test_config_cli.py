@@ -174,17 +174,25 @@ file = {w_path}
     assert main(["check-at2", str(cfg)]) == 1
 
 
-@pytest.mark.parametrize("index", [[0, 0, 5], [0, 0]])
-def test_malformed_triple_json_is_input_error(tmp_path, capsys, index):
-    # an index outside the dim-2 space, or of the wrong length, is an
-    # input error (exit 2), not a failed round trip
+@pytest.mark.parametrize("entry", [
+    pytest.param(["triple", [0, 0, 5], 0, "1"], id="index0"),
+    pytest.param(["triple", [0, 0], 0, "1"], id="index1"),
+    pytest.param(["triple", 5, 0, "1"], id="index-not-a-list"),
+    pytest.param(["triple", [0, 0, 1], "0", "1"], id="slot-not-an-int"),
+    pytest.param(["triple", [0, 0, 1], 0, 1], id="scalar-not-a-string"),
+    pytest.param(["triple", [0, 0, 1], 0, "1/0"], id="zero-denominator"),
+    pytest.param(["triple", [0, 0, 1], 0], id="three-fields"),
+])
+def test_malformed_triple_json_is_input_error(tmp_path, capsys, entry):
+    # a bad index, slot or scalar in a dim-2 triple tensor is an input
+    # error (exit 2) naming the entry, not a failed round trip or a traceback
     from atsbench.omega import TRIPLE, OmegaAlgebra, algebra_to_dict
     from atsbench.scalars import CycloField
     F = CycloField(1)
     W = OmegaAlgebra(F, 2, {TRIPLE: 3})
     W.set_entry(TRIPLE, (0, 0, 0), {0: F.one})
     data = algebra_to_dict(W)
-    data["tensor"].append(["triple", index, 0, "1"])
+    data["tensor"].append(entry)
     w_path = tmp_path / "w.json"
     w_path.write_text(json.dumps(data))
     cfg = tmp_path / "env.cfg"
@@ -194,7 +202,30 @@ source = json
 file = {w_path}
 """)
     assert main(["envelope", str(cfg)]) == 2
-    assert f"tensor entry ['triple', {index}, 0, '1']" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"tensor entry {entry}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", ["VerificationError", "WitnessError"])
+def test_internal_verification_error_exits_3(tmp_path, capsys, monkeypatch,
+                                             error):
+    # a check that contradicts the program itself is exit 3, not a traceback
+    from atsbench import cli, classify, omega
+    exc = {"VerificationError": omega.VerificationError,
+           "WitnessError": classify.WitnessError}[error]
+
+    def broken(*args, **kwargs):
+        raise exc("involution check contradicted itself")
+    monkeypatch.setattr(cli, "check_involution", broken)
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("""
+[triple]
+source = builtin
+builtin = scalar
+""")
+    assert main(["envelope", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: involution check contradicted itself" in err
 
 
 def test_console_script_installed():

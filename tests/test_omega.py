@@ -300,6 +300,10 @@ def test_json_round_trip():
     (lambda d: d["tensor"].append(["product", [0, 0], -1, "1"]),
      r"outside \[0, 4\)"),
     (lambda d: d["degrees"].pop(), "3 entries for dimension 4"),
+    (lambda d: d["tensor"].append(["product", 0, 0, "1"]),
+     "index is not a list of ints"),
+    (lambda d: d["tensor"].append(["product", [0, 0], 0, "2/0"]),
+     "zero denominator in scalar literal '2/0'"),
 ])
 def test_json_rejects_malformed_entries(edit, message):
     alg = matrix_algebra(2)

@@ -2,13 +2,42 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from atsbench.scalars import (ConductorMismatch, CycloField,
+from atsbench import scalars
+from atsbench.scalars import (ConductorMismatch, CycloField, Scalar,
                               ScalarDivisionError, cyclotomic_polynomial,
                               euler_phi, parse_scalar)
-from helpers import close, numeric
+from helpers import (close, numeric, ref_add, ref_inverse, ref_mul,
+                     ref_sub)
+
+PROPERTY_CONDUCTORS = (1, 3, 4, 8, 12)
+
+
+def random_scalars(conductor, rng, n):
+    """n scalars with small non-integer coefficients, zero among them."""
+    phi = euler_phi(conductor)
+    out = [Scalar(conductor, [0] * phi)]
+    while len(out) < n:
+        out.append(Scalar(conductor, [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)]))
+    return out
+
+
+def reference_str(s):
+    """The textual form, rebuilt from the Fraction coefficients."""
+    if all(c == 0 for c in s.coeffs):
+        return "0"
+    parts = []
+    for k, c in enumerate(s.coeffs):
+        if c == 0:
+            continue
+        mon = f"z{s.conductor}" if k == 1 else f"z{s.conductor}^{k}"
+        parts.append(str(c) if k == 0 else mon if c == 1
+                     else f"-{mon}" if c == -1 else f"{c}*{mon}")
+    return "+".join(parts).replace("+-", "-")
 
 
 def test_root_of_unity_identity_case():
@@ -112,3 +141,69 @@ def test_roots_of_unity_group():
     F3 = CycloField(3)
     roots3 = F3.roots_of_unity()
     assert len(roots3) == 6
+
+
+@pytest.mark.parametrize("conductor", PROPERTY_CONDUCTORS)
+def test_field_axioms_on_fractional_coefficients(conductor):
+    rng = random.Random(100 + conductor)
+    zero, one = CycloField(conductor).zero, CycloField(conductor).one
+    xs = random_scalars(conductor, rng, 12)
+    for _ in range(40):
+        a, b, c = (rng.choice(xs) for _ in range(3))
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert (a * b) * c == a * (b * c) and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a and a - a == zero
+        assert a + (-a) == 0 and a * zero == 0
+        if not a.is_zero():
+            assert a * a.inverse() == 1
+            assert (b / a) * a == b
+
+
+@pytest.mark.parametrize("conductor", PROPERTY_CONDUCTORS)
+def test_arithmetic_agrees_with_fraction_reference(conductor):
+    rng = random.Random(200 + conductor)
+    xs = random_scalars(conductor, rng, 12)
+    for _ in range(40):
+        a, b = rng.choice(xs), rng.choice(xs)
+        assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
+        assert (a - b).coeffs == ref_sub(a.coeffs, b.coeffs)
+        assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs, conductor)
+        assert (-a).coeffs == tuple(-c for c in a.coeffs)
+        if not a.is_zero():
+            assert a.inverse().coeffs == ref_inverse(a.coeffs, conductor)
+
+
+@pytest.mark.parametrize("conductor", PROPERTY_CONDUCTORS)
+def test_hash_text_and_parse_round_trip(conductor):
+    rng = random.Random(300 + conductor)
+    F = CycloField(conductor)
+    xs = random_scalars(conductor, rng, 30) + [F.one, -F.one, F.scalar(7)]
+    for s in xs:
+        assert hash(s) == hash((conductor, s.coeffs))
+        assert str(s) == reference_str(s)
+        assert repr(s) == f"Scalar({conductor}, {reference_str(s)})"
+        assert parse_scalar(str(s), conductor) == s
+        assert Scalar(conductor, s.coeffs) == s
+        assert Scalar(conductor, [str(c) for c in s.coeffs]) == s
+    with pytest.raises(ValueError, match="expected"):
+        Scalar(conductor, [1] * (euler_phi(conductor) + 1))
+
+
+@pytest.mark.parametrize("conductor", PROPERTY_CONDUCTORS)
+def test_canonical_integer_form(conductor, monkeypatch):
+    rng = random.Random(400 + conductor)
+    xs = random_scalars(conductor, rng, 12)
+    results = list(xs)
+    for a, b in zip(xs, xs[1:]):
+        results += [a + b, a - b, a * b, -a, a - a, (a + a) * b]
+    for s in results:
+        assert all(type(n) is int for n in s.num) and type(s.den) is int
+        assert s.den >= 1 and gcd(s.den, *s.num) == 1
+        assert s.den == 1 or not s.is_zero()
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+    monkeypatch.setattr(scalars, "Fraction", no_fraction)
+    for a, b in zip(xs, xs[1:]):
+        a + b, a - b, a * b, -a, a.is_zero(), a == b
