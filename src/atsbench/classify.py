@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import gcd, lcm
 
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
                             InvolutionParams, build_exchange_pair, build_M_inv,
-                            kappa_expand, opposite)
+                            diagonal_solutions, kappa_expand, opposite)
 from .groups import AbelianGroup, GroupElement, Subgroup, extend_bicharacter
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
-                    center_basis, check_morphism, graded_is_simple, is_simple)
+                    VerificationError, center_basis, check_morphism,
+                    graded_is_simple, is_simple)
 from .scalars import CycloField
 
 SEARCH_CAP = 10 ** 6
@@ -49,9 +50,6 @@ class XiMultiset:
     def shifted(self, g: GroupElement) -> "XiMultiset":
         return XiMultiset(self.T, {self.T.coset_rep(g + rep): m
                                    for rep, m in self.counts.items()})
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def __eq__(self, other):
         return isinstance(other, XiMultiset) and self.counts == other.counts
@@ -101,14 +99,6 @@ def xi_shift_candidates(a: XiMultiset, b: XiMultiset):
     return out
 
 
-def xi_shift_equal(a: XiMultiset, b: XiMultiset):
-    """Some g with a = g.b, or None."""
-    for g in xi_shift_candidates(a, b):
-        if a == b.shifted(g):
-            return g
-    return None
-
-
 # ---------------------------------------------------------------------------
 # class labels
 # ---------------------------------------------------------------------------
@@ -116,14 +106,8 @@ def xi_shift_equal(a: XiMultiset, b: XiMultiset):
 def classify_conductor(*labels) -> int:
     """Conductor 2 * lcm(2, exponents of the supports): large enough for
     all structure constants and for the square roots the witnesses need."""
-    m = 2
-    for lab in labels:
-        for e in lab.params.full_support.elements:
-            o = e.order()
-            m = m * o // gcd(m, o)
-        o = lab.params.beta.exponent
-        m = m * o // gcd(m, o)
-    return 2 * m
+    return 2 * lcm(2, *(n for lab in labels for n in (
+        lab.params.full_support.exponent, lab.params.beta.exponent)))
 
 
 @dataclass
@@ -175,12 +159,8 @@ class ClassLabel:
     def dimension(self) -> int:
         p = self.params
         n = sum(p.kappa0) + sum(p.kappa1)
-        t_dim = len(p.T)
-        if self.case == EXCHANGE_PAIR:
-            return 2 * n * n * t_dim
-        if self.case == EXCHANGE_DIVISION:
-            return 2 * n * n * t_dim
-        return n * n * t_dim
+        doubled = 1 if self.case == SIMPLE_ALGEBRA else 2
+        return doubled * n * n * len(p.T)
 
     def build(self, field: CycloField) -> ConstructedAlgebra:
         key = field.conductor
@@ -288,9 +268,10 @@ def _cross_case_certificate(l1, l2, field):
             "simple_algebra": inv.simple,
             "graded_simple": inv.graded_simple,
         }
-    assert (facts["left"]["simple_algebra"], facts["left"]["graded_simple"]) != \
-           (facts["right"]["simple_algebra"], facts["right"]["graded_simple"]), \
-        "cross-case labels must differ in an intrinsic simplicity invariant"
+    if (facts["left"]["simple_algebra"], facts["left"]["graded_simple"]) == \
+            (facts["right"]["simple_algebra"], facts["right"]["graded_simple"]):
+        raise VerificationError("cross-case labels must differ in an "
+                                "intrinsic simplicity invariant")
     return {"violated": "different classification case",
             "intrinsic": facts}
 
@@ -370,9 +351,10 @@ def _module_positions(ca: ConstructedAlgebra):
     return [(0 if i < mk.k0 else 1, mk.gamma[i]) for i in range(mk.N)]
 
 
-def _matchings(pos1, pos2, shift, T: Subgroup, cap: int):
+def _matchings(pos1, pos2, shift, T: Subgroup):
     """Bijections pi with delta'_(pi(i)) = delta_i and
-    gamma_i - shift - gamma'_(pi(i)) in T; yields (pi, s) pairs."""
+    gamma_i - shift - gamma'_(pi(i)) in T; yields (pi, s) pairs, lazily:
+    the caller bounds the search by its attempt count."""
     n = len(pos1)
     if n != len(pos2):
         return
@@ -386,14 +368,9 @@ def _matchings(pos1, pos2, shift, T: Subgroup, cap: int):
             if s in T:
                 row.append((j, s))
         allowed.append(row)
-    count = 0
 
     def backtrack(i, used, pi, s_list):
-        nonlocal count
-        if count >= cap:
-            return
         if i == n:
-            count += 1
             yield list(pi), list(s_list)
             return
         for (j, s) in allowed[i]:
@@ -518,12 +495,13 @@ def _solve_scalars(ca1, ca2, pi, s_list, chi, roots):
 
 
 def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
-                        shifts, cap: int = SEARCH_CAP):
+                        shifts):
     """Search the structured family (block permutations x monomial
     division scalars x character twists x shift relabelings) for a
     verified isomorphism of graded algebras with involution.
 
-    Returns (map, meta) or (None, attempts)."""
+    Returns (map, meta) or (None, attempts); gives up after SEARCH_CAP
+    attempts."""
     field = ca1.field
     if (ca1.algebra.dim != ca2.algebra.dim
             or ca1.D.elements != ca2.D.elements):
@@ -533,10 +511,10 @@ def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
     pos2 = _module_positions(ca2)
     attempts = 0
     for shift in shifts:
-        for pi, s_list in _matchings(pos1, pos2, shift, ca1.D.support, cap):
+        for pi, s_list in _matchings(pos1, pos2, shift, ca1.D.support):
             for chi in _division_characters(ca1):
                 attempts += 1
-                if attempts > cap:
+                if attempts > SEARCH_CAP:
                     return None, attempts
                 if ca1.phi is not None:
                     c_candidates = _solve_scalars(ca1, ca2, pi, s_list, chi, roots)
@@ -555,48 +533,12 @@ def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
 # opposite-branch search for exchange pairs
 # ---------------------------------------------------------------------------
 
-def _antimap_candidates(D, roots, cap: int = 4096):
+def _antimap_candidates(D, roots):
     """Diagonal maps nu(Z_b) = n_b Z_b with n_b n_b' / n_(b+b') equal to
     the commutation factor: exactly the entrywise pieces of a graded
-    isomorphism D -> D^op.  Solved by choosing values on a basis of the
-    support and propagating; inconsistent propagation discards the choice."""
-    T = D.support
-    basis = T.basis()
-    if not basis:
-        return [{T.group.identity: D.field.one}]
-    out = []
-    for choice in itertools.product(roots, repeat=len(basis)):
-        if len(out) * len(roots) > cap:
-            break
-        values = {T.group.identity: D.field.one}
-        ok = True
-        for gen, n_gen in zip(basis, choice):
-            new_values = dict(values)
-            gen_idx = D.index[gen]
-            for u in list(values):
-                # n_(prev+gen) = n_prev n_gen mu(gen, prev) / mu(prev, gen),
-                # forced by anti-multiplicativity, layer by generator power
-                prev = u
-                for _ in range(1, gen.order()):
-                    cu, ku = D.mu(D.index[prev], gen_idx)
-                    cg, kg = D.mu(gen_idx, D.index[prev])
-                    assert ku == kg
-                    new_values[prev + gen] = new_values[prev] * n_gen * cg / cu
-                    prev = prev + gen
-            values = new_values
-        # verify the full anti-multiplicativity table
-        for u in T.elements:
-            for v in T.elements:
-                cu, k = D.mu(D.index[u], D.index[v])
-                cv, _ = D.mu(D.index[v], D.index[u])
-                if values[u] * values[v] * cv != values[u + v] * cu:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and values not in out:
-            out.append(values)
-    return out
+    isomorphism D -> D^op, whose structure constants are mu(t, s)."""
+    return list(diagonal_solutions(
+        D, lambda s, t: D.mu(D.index[t], D.index[s])[0], roots))
 
 
 def _build_anti_map(m1, m2, D, pi, s_list, nu, field) -> LinearMap:
@@ -617,26 +559,29 @@ def _build_anti_map(m1, m2, D, pi, s_list, nu, field) -> LinearMap:
     return LinearMap(m1.algebra, m2.algebra, cols)
 
 
-def _anti_matchings(m1, m2, shift, T, cap):
+def _anti_matchings(m1, m2, shift, T):
     """Part-preserving bijections with gamma_i + gamma'_(pi(i)) + s_i =
     shift, s_i in T (the opposite-branch degree condition)."""
     pos1 = [(0 if i < m1.k0 else 1, m1.gamma[i]) for i in range(m1.N)]
     pos2 = [(0 if i < m2.k0 else 1, -m2.gamma[i]) for i in range(m2.N)]
-    yield from _matchings(pos1, pos2, shift, T, cap)
+    yield from _matchings(pos1, pos2, shift, T)
 
 
-def find_component_anti_iso(m1, m2, D, shifts, field, cap: int = SEARCH_CAP):
+def find_component_anti_iso(m1, m2, D, shifts, field):
     """Graded isomorphism (component of label 1) -> (component of label 2)^op
-    within the monomial family; returns (map into m2 coordinates, meta)."""
+    within the monomial family; returns (map into m2 coordinates, meta) or
+    (None, attempts), giving up after SEARCH_CAP attempts."""
     roots = field.roots_of_unity()
     op_alg, op_grading = opposite(m2.algebra, m2.grading)
     nus = _antimap_candidates(D, roots)
+    if not nus:     # no candidate map: the family is empty
+        return None, 0
     attempts = 0
     for shift in shifts:
-        for pi, s_list in _anti_matchings(m1, m2, shift, D.support, cap):
+        for pi, s_list in _anti_matchings(m1, m2, shift, D.support):
             for nu in nus:
                 attempts += 1
-                if attempts > cap:
+                if attempts > SEARCH_CAP:
                     return None, attempts
                 f = _build_anti_map(m1, m2, D, pi, s_list, nu, field)
                 f_op = LinearMap(m1.algebra, op_alg, f.columns)
@@ -655,8 +600,8 @@ def _component_wrapper(ca: ConstructedAlgebra) -> ConstructedAlgebra:
     """The underlying matrix component of an exchange pair, viewed as a
     searchable construction without involution."""
     mk = ca.matrix
-    return ConstructedAlgebra("component", ca.field, ca.group, ca.D, mk,
-                              mk.algebra, mk.grading, ca.params, None)
+    return ConstructedAlgebra(ca.field, ca.group, ca.D, mk, mk.algebra,
+                              mk.grading, ca.params, None)
 
 
 def _assemble_pair_map(ca1, ca2, f_cols, branch) -> LinearMap:
@@ -676,9 +621,20 @@ def _assemble_pair_map(ca1, ca2, f_cols, branch) -> LinearMap:
     return LinearMap(ca1.algebra, ca2.algebra, cols)
 
 
-class WitnessError(AssertionError):
+class WitnessError(VerificationError):
     """A YES decision could not be backed by a verified isomorphism;
     this falsifies the implementation and halts the run."""
+
+
+def _pair_search(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra, branch,
+                 shifts):
+    """The exchange-pair search on the matrix components: an isomorphism
+    (branch "direct") or one onto the opposite of the second component."""
+    if branch == "direct":
+        return find_structured_iso(_component_wrapper(ca1),
+                                   _component_wrapper(ca2), shifts)
+    return find_component_anti_iso(ca1.matrix, ca2.matrix, ca1.D, shifts,
+                                   ca1.field)
 
 
 def witness_isomorphism(l1: ClassLabel, l2: ClassLabel, certificate: dict,
@@ -692,19 +648,12 @@ def witness_isomorphism(l1: ClassLabel, l2: ClassLabel, certificate: dict,
     ca1, ca2 = l1.build(field), l2.build(field)
     shift = certificate.get("shift", l1.params.group.identity)
     if l1.case == EXCHANGE_PAIR:
-        m1w, m2w = _component_wrapper(ca1), _component_wrapper(ca2)
-        if certificate.get("branch") == "direct":
-            f, meta = find_structured_iso(m1w, m2w, [shift])
-            cols = f.columns if f else None
-        else:
-            f, meta = find_component_anti_iso(ca1.matrix, ca2.matrix, ca1.D,
-                                              [shift], field)
-            cols = f.columns if f else None
-        if cols is None:
+        f, _ = _pair_search(ca1, ca2, certificate.get("branch"), [shift])
+        if f is None:
             raise WitnessError(
                 f"no structured witness for {l1.name} ~ {l2.name} "
                 f"(branch {certificate.get('branch')})")
-        F = _assemble_pair_map(ca1, ca2, cols, certificate.get("branch"))
+        F = _assemble_pair_map(ca1, ca2, f.columns, certificate.get("branch"))
         rep = check_morphism(F, gradings=(ca1.grading, ca2.grading))
         if not rep.passed or not F.is_bijective():
             raise WitnessError(f"pair witness fails verification: "
@@ -728,25 +677,13 @@ class Refutation:
     details: dict
 
 
-def _all_shift_candidates(l1: ClassLabel, l2: ClassLabel, inverted: bool):
-    """Every shift that could align the module degrees at all, from
-    first-element differences of the coset multisets."""
-    out, seen = [], set()
-    for g in xi_shift_candidates(l1.xi(0), l2.xi(0, inverted)):
-        key = l1.full_support.coset_rep(g)
-        if key not in seen:
-            seen.add(key)
-            out.append(g)
-    return out
-
-
 def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
-                       field: CycloField = None,
-                       cap: int = SEARCH_CAP) -> Refutation:
+                       field: CycloField = None) -> Refutation:
     """Independent evidence for a NO decision: (a) an intrinsic invariant
-    mismatch, or (b) exhaustion of the structured candidate family.
-    Reports INCONCLUSIVE rather than silently passing when neither
-    applies within budget."""
+    mismatch, or (b) exhaustion of the structured candidate family, every
+    shift that could align the module degrees at all (first-element
+    differences of the coset multisets).  Reports INCONCLUSIVE rather
+    than silently passing when neither applies within SEARCH_CAP."""
     field = field or CycloField(classify_conductor(l1, l2))
     ca1, ca2 = l1.build(field), l2.build(field)
     inv1 = l1.intrinsics(field)
@@ -763,25 +700,16 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
                           {"reason": "cross-case pair with identical "
                                      "intrinsic invariants"})
     attempts = 0
-    searches = []
-    if l1.case == EXCHANGE_PAIR:
-        m1w, m2w = _component_wrapper(ca1), _component_wrapper(ca2)
-        searches.append(lambda: find_structured_iso(
-            m1w, m2w, _all_shift_candidates(l1, l2, False), cap))
-        searches.append(lambda: find_component_anti_iso(
-            ca1.matrix, ca2.matrix, ca1.D,
-            _all_shift_candidates(l1, l2, True), field, cap))
-    else:
-        searches.append(lambda: find_structured_iso(
-            ca1, ca2, _all_shift_candidates(l1, l2, False), cap))
-    for search in searches:
-        f, n = search()
+    for branch in ("direct", "op") if l1.case == EXCHANGE_PAIR else (None,):
+        shifts = xi_shift_candidates(l1.xi(0), l2.xi(0, branch == "op"))
+        f, n = (find_structured_iso(ca1, ca2, shifts) if branch is None
+                else _pair_search(ca1, ca2, branch, shifts))
         if f is not None:
             raise WitnessError(
                 f"refutation search found an isomorphism between labels "
                 f"decided NO: {l1.name} ~ {l2.name}")
         attempts += n
-    if attempts > cap:
+    if attempts > SEARCH_CAP:
         return Refutation(False, "INCONCLUSIVE",
                           {"reason": "search budget exhausted",
                            "attempts": attempts})
@@ -792,11 +720,12 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
 # label enumeration and census
 # ---------------------------------------------------------------------------
 
-def all_subgroups(G: AbelianGroup, max_generators: int = 3):
-    """All subgroups of a small finite group, by closing generator sets."""
+def all_subgroups(G: AbelianGroup):
+    """All subgroups of a small finite group, by closing generator sets of
+    at most three elements."""
     elements = G.elements()
     seen = {}
-    for size in range(0, max_generators + 1):
+    for size in range(4):
         for gens in itertools.combinations(elements, size):
             sub = Subgroup(G, gens)
             seen.setdefault(frozenset(e.coords for e in sub.elements), sub)
@@ -855,9 +784,9 @@ def _part_shapes(n: int):
 
 def enumerate_labels(G: AbelianGroup, max_dim: int,
                      cases=(EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION),
-                     max_parts: int = 2,
                      max_support: int = None) -> list[ClassLabel]:
-    """All valid class labels over G within the dimension bound.
+    """All valid class labels over G within the dimension bound; each
+    module part of an exchange pair has dimension at most two.
 
     Deliberately exhaustive and deduplicated only by literal parameter
     equality: distinct labels of the same class are exactly what the
@@ -884,9 +813,9 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
             if EXCHANGE_PAIR in cases:
                 n = 2
                 while 2 * n * n * tdim <= max_dim:
-                    for k0 in range(1, min(n, max_parts + 1)):
+                    for k0 in range(1, min(n, 3)):
                         k1 = n - k0
-                        if not 1 <= k1 <= max_parts:
+                        if not 1 <= k1 <= 2:
                             continue
                         for kappa0 in _compositions(k0):
                             for kappa1 in _compositions(k1):
@@ -1000,11 +929,11 @@ class CensusResult:
         }
 
 
-def run_census(G: AbelianGroup, max_dim: int, verify: bool = True,
+def run_census(G: AbelianGroup, max_dim: int,
                cases=(EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION),
                max_support: int = None) -> CensusResult:
-    """Enumerate labels, decide all pairs, and (by default) verify every
-    YES with a witness and every NO with a refutation."""
+    """Enumerate labels, decide all pairs, and verify every YES with a
+    witness and every NO with a refutation."""
     labels = enumerate_labels(G, max_dim, cases=cases, max_support=max_support)
     if not labels:
         return CensusResult(G, max_dim, [], [])
@@ -1017,19 +946,17 @@ def run_census(G: AbelianGroup, max_dim: int, verify: bool = True,
             if decision.is_yes:
                 result.yes_count += 1
                 detail = str(decision.certificate.get("branch", "direct"))
-                if verify:
-                    witness_isomorphism(l1, l2, decision.certificate, field)
-                    result.verified_witnesses += 1
+                witness_isomorphism(l1, l2, decision.certificate, field)
+                result.verified_witnesses += 1
             else:
                 result.no_count += 1
                 detail = decision.certificate.get("violated", "")
-                if verify:
-                    ref = refute_isomorphism(l1, l2, field)
-                    if not ref.refuted:
-                        result.inconclusive += 1
-                        detail += " [INCONCLUSIVE]"
-                    else:
-                        result.refutations += 1
-                        detail += f" [{ref.method}]"
+                ref = refute_isomorphism(l1, l2, field)
+                if not ref.refuted:
+                    result.inconclusive += 1
+                    detail += " [INCONCLUSIVE]"
+                else:
+                    result.refutations += 1
+                    detail += f" [{ref.method}]"
             result.decisions.append((i, j, decision.verdict, detail))
     return result

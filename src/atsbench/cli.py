@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from math import gcd
 
 from .classify import (ClassLabel, CycloField, WitnessError,
                        classify_conductor, decide_iso, refute_isomorphism,
@@ -73,13 +72,17 @@ class Report:
 
 
 def _field_for(label: ClassLabel) -> CycloField:
-    # construction jobs run at the session conductor: the lcm of the
-    # support element orders (classification jobs double it themselves)
-    n = 1
-    for e in label.params.full_support.elements:
-        o = e.order()
-        n = n * o // gcd(n, o)
-    return CycloField(n)
+    # construction jobs run at the session conductor: the exponent of the
+    # support (classification jobs double it themselves)
+    return CycloField(label.params.full_support.exponent)
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror}") from None
 
 
 def _build_triple(cfg: JobConfig) -> TripleSystem:
@@ -93,7 +96,7 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
         return W
     if source == "builtin":
         kind = spec.get("builtin", "scalar")
-        dim = int(spec.get("dim", "1"))
+        dim = spec.get("dim", 1)
         field = CycloField(1)
         if kind == "scalar":
             return scalar_triple(field)
@@ -103,11 +106,13 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
             return direct_sum_triple(field, max(dim, 2))
         raise ConfigError(f"unknown builtin triple {kind!r}")
     if source == "json":
-        with open(spec["file"], encoding="utf-8") as fh:
-            try:
-                alg, grading = algebra_from_dict(json.load(fh))
-            except ValueError as err:
-                raise ConfigError(f"{spec['file']}: {err}") from err
+        if "file" not in spec:
+            raise ConfigError("triple source json needs a file")
+        text = _read(spec["file"])
+        try:
+            alg, grading = algebra_from_dict(json.loads(text))
+        except ValueError as err:
+            raise ConfigError(f"{spec['file']}: {err}") from err
         return TripleSystem(alg, grading, label=spec["file"])
     raise ConfigError(f"unknown triple source {source!r}")
 
@@ -117,11 +122,7 @@ def _run_division(cfg: JobConfig, report: Report, full: bool):
                                 standard_realization)
     spec = cfg.division_spec
     T, beta, tau, t = spec["T"], spec["beta"], spec["tau"], spec["t"]
-    conductor = 1
-    for e in T.elements:
-        o = e.order()
-        conductor = conductor * o // gcd(conductor, o)
-    field = CycloField(conductor)
+    field = CycloField(T.exponent)
     if tau is not None:
         D = d_inv(T, beta, tau, field)
     else:
@@ -218,8 +219,7 @@ def _run_triple(cfg: JobConfig, report: Report, at2_only: bool):
 def _run_decide(path1: str, path2: str, verify: bool, report: Report):
     labels = []
     for path in (path1, path2):
-        with open(path, encoding="utf-8") as fh:
-            sub = parse_config(fh.read())
+        sub = parse_config(_read(path))
         if sub.label is None:
             raise ConfigError(f"{path}: decide-iso configs need a [label]")
         labels.append(sub.label)
@@ -303,8 +303,7 @@ def main(argv=None) -> int:
 
     t0 = time.time()
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        cfg = parse_config(_read(args.config))
         cfg.command = args.command
         if args.seed is not None:
             cfg.seed = args.seed

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .classify import EXCHANGE_DIVISION, EXCHANGE_PAIR, SIMPLE_ALGEBRA, ClassLabel
 from .constructions import ExchangePairParams, InvolutionParams
-from .groups import AbelianGroup, Bicharacter, GroupElement, Subgroup, trivial_subgroup
+from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
+                     QuadraticForm, Subgroup)
 
 
 class ConfigError(ValueError):
@@ -97,6 +98,14 @@ def _raw_sections(text: str):
     return sections
 
 
+def _int(text: str, lineno, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"line {lineno or '?'}: {key} must be an integer, "
+                          f"got {text!r}") from None
+
+
 def parse_group(text: str, lineno: int = 0) -> AbelianGroup:
     text = text.strip()
     if text in ("1", "trivial"):
@@ -107,14 +116,17 @@ def parse_group(text: str, lineno: int = 0) -> AbelianGroup:
         if token == "Z":
             free += 1
         elif token.startswith("Z^"):
-            free += int(token[2:])
+            free += _int(token[2:], lineno, "a free rank")
         elif token.startswith("Z/"):
-            torsion.append(int(token[2:]))
+            torsion.append(_int(token[2:], lineno, "a torsion order"))
         else:
             raise ConfigError(
                 f"line {lineno}: cannot parse group factor {token!r} "
                 "(expected Z, Z^r, or Z/m)")
-    return AbelianGroup(free, tuple(torsion))
+    try:
+        return AbelianGroup(free, tuple(torsion))
+    except GroupError as err:
+        raise ConfigError(f"line {lineno}: {err}") from None
 
 
 def _parse_element(G: AbelianGroup, token: str, lineno: int) -> GroupElement:
@@ -123,7 +135,8 @@ def _parse_element(G: AbelianGroup, token: str, lineno: int) -> GroupElement:
         raise ConfigError(f"line {lineno}: element must look like (g1,...,gk),"
                           f" got {token!r}")
     inner = token[1:-1].strip()
-    coords = [int(c) for c in inner.split(",")] if inner else []
+    coords = [_int(c, lineno, "a coordinate") for c in inner.split(",")] \
+        if inner else []
     if len(coords) != G.ncoords:
         raise ConfigError(
             f"line {lineno}: element {token} has {len(coords)} coordinates, "
@@ -151,11 +164,8 @@ def _parse_elements(G, value, lineno):
     return tuple(_parse_element(G, p, lineno) for p in parts)
 
 
-def _parse_ints(value, lineno):
-    try:
-        return tuple(int(tok) for tok in value.split())
-    except ValueError:
-        raise ConfigError(f"line {lineno}: expected integers, got {value!r}")
+def _parse_ints(value, lineno, key):
+    return tuple(_int(tok, lineno, key) for tok in value.split())
 
 
 def _get(section, key, default=None):
@@ -164,29 +174,37 @@ def _get(section, key, default=None):
     return default, None
 
 
+def _parse_support(G: AbelianGroup, section: dict):
+    """(T, beta): the subgroup of the listed generators and the
+    nondegenerate alternating bicharacter of its exponent matrix."""
+    t_text, t_line = _get(section, "T", "")
+    gens = _parse_elements(G, t_text or "", t_line or 0)
+    beta_text, beta_line = _get(section, "beta")
+    if gens and beta_text is None:
+        raise ConfigError(f"line {t_line}: nontrivial T needs a beta "
+                          "exponent matrix")
+    try:
+        matrix = json.loads(beta_text) if gens else []
+    except json.JSONDecodeError:
+        raise ConfigError(f"line {beta_line}: beta must be a JSON matrix")
+    try:
+        T = Subgroup(G, gens)
+        beta = Bicharacter.from_generator_matrix(T, gens, matrix)
+    except GroupError as err:
+        raise ConfigError(f"line {beta_line or t_line}: {err}") from None
+    if not beta.is_nondegenerate_alternating():
+        raise ConfigError(
+            f"line {beta_line or '?'}: beta must be a nondegenerate "
+            "alternating bicharacter on T")
+    return T, beta
+
+
 def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
     case, lineno = _get(section, "case")
     if case not in (EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION):
         raise ConfigError(f"line {lineno or '?'}: case must be one of "
                           f"{EXCHANGE_PAIR}, {SIMPLE_ALGEBRA}, {EXCHANGE_DIVISION}")
-    t_text, t_line = _get(section, "T", "")
-    gens = _parse_elements(G, t_text or "", t_line or 0)
-    T = Subgroup(G, gens) if gens else trivial_subgroup(G)
-    beta_text, beta_line = _get(section, "beta")
-    if gens:
-        if beta_text is None:
-            raise ConfigError("nontrivial T needs a beta exponent matrix")
-        try:
-            matrix = json.loads(beta_text)
-        except json.JSONDecodeError:
-            raise ConfigError(f"line {beta_line}: beta must be a JSON matrix")
-        beta = Bicharacter.from_generator_matrix(T, gens, matrix)
-    else:
-        beta = Bicharacter.from_generator_matrix(T, (), [])
-    if not beta.is_nondegenerate_alternating():
-        raise ConfigError(
-            f"line {beta_line or '?'}: beta must be a nondegenerate "
-            "alternating bicharacter on T")
+    T, beta = _parse_support(G, section)
 
     kappa0, k0_line = _get(section, "kappa0")
     kappa1, k1_line = _get(section, "kappa1")
@@ -196,8 +214,8 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
                       ("gamma0", gamma0, g0_line), ("gamma1", gamma1, g1_line)):
         if v is None:
             raise ConfigError(f"label is missing {nm}")
-    kappa0 = _parse_ints(kappa0, k0_line)
-    kappa1 = _parse_ints(kappa1, k1_line)
+    kappa0 = _parse_ints(kappa0, k0_line, "kappa0")
+    kappa1 = _parse_ints(kappa1, k1_line, "kappa1")
     gamma0 = _parse_elements(G, gamma0, g0_line)
     gamma1 = _parse_elements(G, gamma1, g1_line)
 
@@ -213,10 +231,7 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
         return ClassLabel(case, params)
 
     delta_text, delta_line = _get(section, "delta", "1")
-    try:
-        delta = int(delta_text)
-    except ValueError:
-        raise ConfigError(f"line {delta_line}: delta must be +1 or -1")
+    delta = _int(delta_text, delta_line, "delta")
     g_text, g_line = _get(section, "g")
     g = _parse_element(G, g_text, g_line) if g_text else G.identity
     t_el = None
@@ -229,10 +244,11 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
     for which in ("0", "1"):
         m_text, m_line = _get(section, f"m{which}")
         if m_text is not None:
-            kwargs[f"m{which}"] = int(m_text)
+            kwargs[f"m{which}"] = _int(m_text, m_line, f"m{which}")
         s_text, s_line = _get(section, f"S_signs{which}")
         if s_text is not None:
-            kwargs[f"S_signs{which}"] = _parse_ints(s_text, s_line)
+            kwargs[f"S_signs{which}"] = _parse_ints(s_text, s_line,
+                                                    f"S_signs{which}")
         tv_text, tv_line = _get(section, f"t_values{which}")
         if tv_text is not None:
             kwargs[f"t_values{which}"] = _parse_elements(G, tv_text, tv_line)
@@ -246,34 +262,19 @@ def parse_division(G: AbelianGroup, section: dict) -> dict:
     """A graded division algebra spec: support generators, bicharacter
     matrix, optional quadratic-form signs (over the enumerated support,
     sorted by coordinates) and optional doubling element."""
-    t_text, t_line = _get(section, "T", "")
-    gens = _parse_elements(G, t_text or "", t_line or 0)
-    T = Subgroup(G, gens) if gens else trivial_subgroup(G)
-    beta_text, beta_line = _get(section, "beta")
-    if gens:
-        if beta_text is None:
-            raise ConfigError("[division] with nontrivial T needs beta")
-        try:
-            matrix = json.loads(beta_text)
-        except json.JSONDecodeError:
-            raise ConfigError(f"line {beta_line}: beta must be a JSON matrix")
-        beta = Bicharacter.from_generator_matrix(T, gens, matrix)
-    else:
-        beta = Bicharacter.from_generator_matrix(T, (), [])
-    if not beta.is_nondegenerate_alternating():
-        raise ConfigError(
-            f"line {beta_line or '?'}: beta must be a nondegenerate "
-            "alternating bicharacter on T")
+    T, beta = _parse_support(G, section)
     out = {"T": T, "beta": beta, "tau": None, "t": None}
     tau_text, tau_line = _get(section, "tau")
     if tau_text is not None:
-        signs = [int(tok) for tok in tau_text.split()]
+        signs = _parse_ints(tau_text, tau_line, "tau")
         if len(signs) != len(T):
             raise ConfigError(
                 f"line {tau_line}: tau needs one sign per element of T "
                 f"({len(T)} values, sorted by coordinates)")
-        from .groups import QuadraticForm
-        out["tau"] = QuadraticForm(T, dict(zip(T.elements, signs)))
+        try:
+            out["tau"] = QuadraticForm(T, dict(zip(T.elements, signs)))
+        except GroupError as err:
+            raise ConfigError(f"line {tau_line}: tau: {err}") from None
     t_el_text, t_el_line = _get(section, "t")
     if t_el_text is not None:
         out["t"] = _parse_element(G, t_el_text, t_el_line)
@@ -294,11 +295,11 @@ def parse_config(text: str) -> JobConfig:
                 f"line {lineno}: unknown command {cfg.command!r} "
                 f"(expected one of {', '.join(_COMMANDS)})")
     if "seed" in job:
-        cfg.seed = int(job["seed"][0])
+        cfg.seed = _int(*job["seed"], "seed")
     if "output" in job:
         cfg.output = job["output"][0]
     if "max_dim" in job:
-        cfg.max_dim = int(job["max_dim"][0])
+        cfg.max_dim = _int(*job["max_dim"], "max_dim")
     if "group" in sections:
         g_text, g_line = sections["group"].get("G", (None, None))
         if g_text is None:
@@ -314,11 +315,14 @@ def parse_config(text: str) -> JobConfig:
         cfg.division_spec = parse_division(cfg.group, sections["division"])
     if "triple" in sections:
         cfg.triple_spec = {k: v for k, (v, _) in sections["triple"].items()}
+        if "dim" in cfg.triple_spec:
+            cfg.triple_spec["dim"] = _int(*sections["triple"]["dim"], "dim")
     if "census" in sections:
         if "max_dim" in sections["census"]:
-            cfg.max_dim = int(sections["census"]["max_dim"][0])
+            cfg.max_dim = _int(*sections["census"]["max_dim"], "max_dim")
         if "max_support" in sections["census"]:
-            cfg.max_support = int(sections["census"]["max_support"][0])
+            cfg.max_support = _int(*sections["census"]["max_support"],
+                                   "max_support")
         if "cases" in sections["census"]:
             cases = tuple(sections["census"]["cases"][0].split())
             for c in cases:

@@ -217,19 +217,13 @@ def transpose_form(D: GradedDivision) -> QuadraticForm:
     return QuadraticForm(D.support, values)
 
 
-def d_inv(T: Subgroup, beta: Bicharacter, tau: QuadraticForm,
-          field: CycloField) -> GradedDivision:
-    """D(T, beta) with the involution X_t -> tau(t) X_t."""
-    if not T.is_elementary_2():
-        raise ConstraintError(
-            "a graded division algebra admits an involution only when "
-            "its support is an elementary 2-group")
-    D = standard_realization(T, beta, field)
-    if tau.polar_form() != beta:
+def _with_involution(D: GradedDivision, tau: QuadraticForm) -> GradedDivision:
+    """Give D the involution X_t -> tau(t) X_t, verified."""
+    if tau.polar_form() != D.bicharacter:
         raise ConstraintError("polar form of tau must equal beta")
     D.algebra.add_operator(INVOLUTION, 1)
     for i, t in enumerate(D.elements):
-        D.algebra.set_entry(INVOLUTION, (i,), {i: field.scalar(tau(t))})
+        D.algebra.set_entry(INVOLUTION, (i,), {i: D.field.scalar(tau(t))})
     rep = check_involution(D.algebra)
     if not rep.passed:
         raise VerificationError(f"tau gives no involution: {rep.violations[:3]}")
@@ -237,11 +231,21 @@ def d_inv(T: Subgroup, beta: Bicharacter, tau: QuadraticForm,
     return D
 
 
+def d_inv(T: Subgroup, beta: Bicharacter, tau: QuadraticForm,
+          field: CycloField) -> GradedDivision:
+    """D(T, beta) with the involution X_t -> tau(t) X_t."""
+    if not T.is_elementary_2():
+        raise ConstraintError(
+            "a graded division algebra admits an involution only when "
+            "its support is an elementary 2-group")
+    return _with_involution(standard_realization(T, beta, field), tau)
+
+
 def d_inv_transpose(T: Subgroup, beta: Bicharacter,
                     field: CycloField) -> GradedDivision:
     """D(T, beta) with matrix transposition as the involution."""
     D = standard_realization(T, beta, field)
-    return d_inv(T, beta, transpose_form(D), field)
+    return _with_involution(D, transpose_form(D))
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +555,14 @@ def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
 
 def build_division_part(params: InvolutionParams,
                         field: CycloField) -> GradedDivision:
-    if params.t is None:
-        return d_inv_transpose(params.T, params.beta, field)
-    inner = d_inv_transpose(params.T, params.beta, field)
-    return exchange_double_division(inner, params.t)
+    D = d_inv_transpose(params.T, params.beta, field)
+    return D if params.t is None else exchange_double_division(D, params.t)
 
 
 @dataclass
 class ConstructedAlgebra:
     """A fully assembled algebra with involution and Z x G grading,
     together with the construction data classify needs."""
-    kind: str                    # "phi" | "exchange_pair"
     field: CycloField
     group: AbelianGroup          # the G of the Z x G grading
     D: GradedDivision
@@ -620,7 +621,7 @@ def _phi_inverse(phi: dict, D: GradedDivision):
     return inv
 
 
-def validate_params(params: InvolutionParams, field: CycloField):
+def validate_params(params: InvolutionParams):
     """Checks that do not need the built division algebra."""
     if not params.T.is_elementary_2():
         raise ConstraintError("the support T must be an elementary 2-group")
@@ -629,13 +630,12 @@ def validate_params(params: InvolutionParams, field: CycloField):
     # delta/t shape constraints are enforced at parameter construction
 
 
-def build_M_inv(params: InvolutionParams, field: CycloField,
-                verify: bool = True) -> ConstructedAlgebra:
+def build_M_inv(params: InvolutionParams, field: CycloField) -> ConstructedAlgebra:
     """M(G, T, beta, kappa0, kappa1, gamma0, gamma1, delta, g) or its
     exchange-double variant: the 3-graded matrix algebra over the
     division part with the involution X -> Phi^{-1} X^* Phi, where *
     is the entrywise-phi0 transpose."""
-    validate_params(params, field)
+    validate_params(params)
     D = build_division_part(params, field)
     phi = phi_matrix(params, D, D.sign_form)
     phi_inv = _phi_inverse(phi, D)
@@ -667,12 +667,14 @@ def build_M_inv(params: InvolutionParams, field: CycloField,
                 coeff = sgn * c_l * c1 * c2 * c_r
                 alg.set_entry(INVOLUTION, (mk.bidx(b, i, j),),
                               {mk.bidx(k2, p, q): coeff})
-    ca = ConstructedAlgebra("phi", field, params.group, D, mk, alg,
-                            mk.grading, params, phi)
-    if verify:
-        for rep in ca.verify():
-            if not rep.passed:
-                raise AssertionError(f"{rep.name} failed: {rep.violations[:3]}")
+    return _verified(ConstructedAlgebra(field, params.group, D, mk, alg,
+                                        mk.grading, params, phi))
+
+
+def _verified(ca: ConstructedAlgebra) -> ConstructedAlgebra:
+    for rep in ca.verify():
+        if not rep.passed:
+            raise VerificationError(f"{rep.name} failed: {rep.violations[:3]}")
     return ca
 
 
@@ -753,76 +755,76 @@ def exchange_of_graded(alg: OmegaAlgebra,
     return out, new_grading
 
 
-def build_exchange_pair(params: ExchangePairParams, field: CycloField,
-                        verify: bool = True) -> ConstructedAlgebra:
+def build_exchange_pair(params: ExchangePairParams,
+                        field: CycloField) -> ConstructedAlgebra:
     """M(G, D(T, beta), kappa0, kappa1, gamma0, gamma1)^ex."""
     D = standard_realization(params.T, params.beta, field)
     g0 = kappa_expand(params.kappa0, params.gamma0)
     g1 = kappa_expand(params.kappa1, params.gamma1)
     mk = matrix_grading(D, g0, g1)
     alg, grading = exchange_of_graded(mk.algebra, mk.grading)
-    ca = ConstructedAlgebra("exchange_pair", field, params.group, D, mk,
-                            alg, grading, params)
-    if verify:
-        for rep in ca.verify():
-            if not rep.passed:
-                raise AssertionError(f"{rep.name} failed: {rep.violations[:3]}")
-    return ca
+    return _verified(ConstructedAlgebra(field, params.group, D, mk, alg,
+                                        grading, params))
 
 
 # ---------------------------------------------------------------------------
 # exchange-double theorems, checked on instances
 # ---------------------------------------------------------------------------
 
+DIAGONAL_CAP = 4096
+
+
+def diagonal_solutions(Da: GradedDivision, mu_b, roots):
+    """The diagonal maps Z_s -> c_s Z_s, as dicts s -> c_s, with
+    c_s c_t mu_b(s, t) = c_(s+t) mu_a(s, t) for all s, t in the support
+    (mu_a the structure constants of Da): the graded isomorphisms from Da
+    to the algebra with structure constants mu_b on the same support.
+
+    Values from `roots` on a basis of the support propagate to everything;
+    each choice is verified against the full table and repeats are
+    skipped.  Stops once the solutions found times len(roots) exceed
+    DIAGONAL_CAP."""
+    T = Da.support
+    basis = T.basis()
+    found = []
+    for choice in itertools.product(roots, repeat=len(basis)):
+        if len(found) * len(roots) > DIAGONAL_CAP:
+            return
+        c = {T.group.identity: Da.field.one}
+        for gen, c_gen in zip(basis, choice):
+            new_c = dict(c)
+            for u in c:
+                prev = u
+                for _ in range(1, gen.order()):
+                    ma, _ = Da.mu(Da.index[prev], Da.index[gen])
+                    # forced by c_s c_t / c_(s+t) = mu_a / mu_b
+                    new_c[prev + gen] = new_c[prev] * c_gen * mu_b(prev, gen) / ma
+                    prev = prev + gen
+            c = new_c
+        if all(c[s1] * c[s2] * mu_b(s1, s2)
+               == c[s1 + s2] * Da.mu(Da.index[s1], Da.index[s2])[0]
+               for s1 in T.elements for s2 in T.elements) and c not in found:
+            found.append(c)
+            yield c
+
+
 def graded_division_iso(Da: GradedDivision, Db: GradedDivision):
     """A graded isomorphism between two graded division algebras with the
-    same support, as a diagonal map Z_s -> c_s Z_s.
-
-    The scalars satisfy c_s c_t / c_(s+t) = mu_a(s,t) / mu_b(s,t); values
-    on a basis of the support propagate to everything, and each choice is
-    verified against the full tables.  Involutions (when present) must
-    carry identical sign functions, which the diagonal map preserves.
+    same support, as a diagonal map Z_s -> c_s Z_s (diagonal_solutions
+    with mu_b the structure constants of Db).  Involutions (when present)
+    must carry identical sign functions, which the diagonal map preserves.
     Returns a verified LinearMap or None.
     """
     if set(Da.support.elements) != set(Db.support.elements):
         return None
-    field = Da.field
-    roots = field.roots_of_unity()
-    basis = Da.support.basis()
-    for choice in itertools.product(roots, repeat=len(basis)):
-        c = {Da.group.identity: field.one}
-        for gen, c_gen in zip(basis, choice):
-            new_c = dict(c)
-            gi_a, gi_b = Da.index[gen], Db.index[gen]
-            for u in list(c):
-                prev = u
-                for _ in range(1, gen.order()):
-                    ma, _ = Da.mu(Da.index[prev], gi_a)
-                    mb, _ = Db.mu(Db.index[prev], gi_b)
-                    # forced by c_s c_t / c_(s+t) = mu_a / mu_b
-                    new_c[prev + gen] = new_c[prev] * c_gen * mb / ma
-                    prev = prev + gen
-            c = new_c
-        ok = True
-        for s1 in Da.support.elements:
-            for s2 in Da.support.elements:
-                ma, _ = Da.mu(Da.index[s1], Da.index[s2])
-                mb, _ = Db.mu(Db.index[s1], Db.index[s2])
-                if c[s1] * c[s2] * mb != c[s1 + s2] * ma:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        cols = [dict() for _ in range(Da.dim)]
-        for i, s in enumerate(Da.elements):
-            cols[i] = {Db.index[s]: c[s]}
-        f = LinearMap(Da.algebra, Db.algebra, cols)
-        ops = [PRODUCT] + ([INVOLUTION] if Da.has_involution()
-                           and Db.has_involution() else [])
-        rep = check_morphism(f, ops=ops, gradings=(Da.grading, Db.grading))
-        if rep.passed:
+    ops = [PRODUCT] + ([INVOLUTION] if Da.has_involution()
+                       and Db.has_involution() else [])
+    for c in diagonal_solutions(
+            Da, lambda s, t: Db.mu(Db.index[s], Db.index[t])[0],
+            Da.field.roots_of_unity()):
+        f = LinearMap(Da.algebra, Db.algebra,
+                      [{Db.index[s]: c[s]} for s in Da.elements])
+        if check_morphism(f, ops=ops, gradings=(Da.grading, Db.grading)).passed:
             return f
     return None
 
@@ -901,8 +903,9 @@ def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
     if Dx1.bicharacter != Dx2.bicharacter:
         raise ConstraintError("doubles must share the extended bicharacter")
     field = Dx1.field
-    assert Dx1.algebra.tensors[PRODUCT] == Dx2.algebra.tensors[PRODUCT], \
-        "Y-basis product tensors of the two doubles must coincide"
+    if Dx1.algebra.tensors[PRODUCT] != Dx2.algebra.tensors[PRODUCT]:
+        raise VerificationError(
+            "Y-basis product tensors of the two doubles must coincide")
     T1 = Dx1.inner.support
     tau1, tau2 = Dx1.inner.sign_form, Dx2.inner.sign_form
     beta = Dx1.inner.bicharacter
@@ -914,7 +917,8 @@ def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
                field.scalar(tau1(s) * tau2(s)) for s in T1.elements):
             t_prime = cand
             break
-    assert t_prime is not None, "no t' realizes the character tau1 tau2"
+    if t_prime is None:
+        raise VerificationError("no t' realizes the character tau1 tau2")
     # Int(Y_t') o phi_1 must equal phi_2 exactly on the Y basis
     alg1 = Dx1.algebra
     i_tp = Dx1.index[t_prime]
@@ -925,8 +929,8 @@ def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
         c2, k2 = Dx1.mu(k1, inv_idx)
         twisted = {k2: c * c1 * c2 * inv_c}
         expected = Dx2.algebra.row(INVOLUTION, (i,))
-        assert twisted == expected, \
-            f"Int(Y_t') o phi_1 != phi_2 at basis {i}"
+        if twisted != expected:
+            raise VerificationError(f"Int(Y_t') o phi_1 != phi_2 at basis {i}")
     # seatbelt: the identity map intertwines the twisted structures
     ident = LinearMap(Dx2.algebra, Dx1.algebra,
                       [Dx1.algebra.basis_vec(i) for i in range(alg1.dim)])

@@ -34,16 +34,14 @@ def _trivial(G):
     return T, Bicharacter.from_generator_matrix(T, (), [])
 
 
-def symplectic_subgroup(G, gens, orders_matrix=None):
+def symplectic_subgroup(G, gens):
+    """T = <gens> with beta pairing gens[2k] with gens[2k+1]."""
     T = Subgroup(G, gens)
-    r = len(gens) // 2
-    if orders_matrix is None:
-        orders_matrix = [[0] * len(gens) for _ in range(len(gens))]
-        for k in range(r):
-            orders_matrix[2 * k][2 * k + 1] = 1
-            orders_matrix[2 * k + 1][2 * k] = -1
-    beta = Bicharacter.from_generator_matrix(T, gens, orders_matrix)
-    return T, beta
+    matrix = [[0] * len(gens) for _ in gens]
+    for k in range(len(gens) // 2):
+        matrix[2 * k][2 * k + 1] = 1
+        matrix[2 * k + 1][2 * k] = -1
+    return T, Bicharacter.from_generator_matrix(T, gens, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +259,11 @@ def triple_corpus() -> list[TripleEntry]:
 
 
 def seeded_automorphisms(entries: list[TripleEntry], seed: int = 0,
-                         want: int = 12, per_entry: int = 3):
+                         want: int = 12):
     """Seeded monomial triple automorphisms spread across the corpus,
-    verified before being returned: (entry, psi) pairs.  At most
-    per_entry maps come from any one triple so several different
-    corpus shapes contribute."""
+    verified before being returned: (entry, psi) pairs.  At most three
+    maps come from any one triple so several different corpus shapes
+    contribute."""
     rng = random.Random(seed)
     found = []
     scalars = [1, -1, 2, -2]
@@ -277,7 +275,7 @@ def seeded_automorphisms(entries: list[TripleEntry], seed: int = 0,
         d = W.dim
         field = W.field
         tries = here = 0
-        while tries < 40 and here < per_entry and len(found) < want:
+        while tries < 40 and here < 3 and len(found) < want:
             tries += 1
             perm = list(range(d))
             rng.shuffle(perm)

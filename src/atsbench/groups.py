@@ -16,7 +16,7 @@ built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import CycloField, Scalar
 
@@ -151,6 +151,11 @@ class Subgroup:
 
     def is_elementary_2(self) -> bool:
         return all(e.order() in (1, 2) for e in self.elements)
+
+    @property
+    def exponent(self) -> int:
+        """The lcm of the element orders."""
+        return lcm(*(e.order() for e in self.elements))
 
     def coset_rep(self, g: GroupElement) -> GroupElement:
         """Lexicographically smallest representative of g + T."""
@@ -327,17 +332,16 @@ class QuadraticForm:
     """A sign-valued form tau on an elementary 2-group with tau(e) = 1 whose
     polar form tau(t1+t2)tau(t1)tau(t2) is a bicharacter."""
 
-    def __init__(self, domain: Subgroup, values: dict, check: bool = True):
+    def __init__(self, domain: Subgroup, values: dict):
         self.domain = domain
         self.values = {t: int(values[t]) for t in domain.elements}
-        if check:
-            if not domain.is_elementary_2():
-                raise GroupError("quadratic form domain must be an elementary 2-group")
-            if self.values[domain.group.identity] != 1:
-                raise GroupError("quadratic form must send the identity to +1")
-            if any(v not in (1, -1) for v in self.values.values()):
-                raise GroupError("quadratic form values must be +-1")
-            self.polar_form()   # raises if the polar form is not multiplicative
+        if not domain.is_elementary_2():
+            raise GroupError("quadratic form domain must be an elementary 2-group")
+        if self.values[domain.group.identity] != 1:
+            raise GroupError("quadratic form must send the identity to +1")
+        if any(v not in (1, -1) for v in self.values.values()):
+            raise GroupError("quadratic form values must be +-1")
+        self.polar_form()   # raises if the polar form is not multiplicative
 
     def __call__(self, t: GroupElement) -> int:
         if t not in self.values:

@@ -137,22 +137,6 @@ class OmegaAlgebra:
     def mul(self, a: SparseVec, b: SparseVec) -> SparseVec:
         return self.apply(PRODUCT, a, b)
 
-    def involution_of(self, a: SparseVec) -> SparseVec:
-        return self.apply(INVOLUTION, a)
-
-    def unit(self):
-        """The two-sided unit of the binary product, or None.
-
-        The left unit solved by _unit_in is the answer when it is also a
-        right identity; a left unit equals any two-sided unit, so none is
-        missed."""
-        one = self.field.one
-        u = _unit_in(self, [self.basis_vec(i) for i in range(self.dim)])
-        if all(self.apply_slot(PRODUCT, 1, u, (i,)) == {i: one}
-               for i in range(self.dim)):
-            return u
-        return None
-
 
 @dataclass
 class Grading:
@@ -167,7 +151,6 @@ class Grading:
     group: AbelianGroup
     degmap: tuple
     graded_ops: frozenset = None
-    verified: bool = False
 
     def __post_init__(self):
         if len(self.degmap) != self.algebra.dim:
@@ -228,11 +211,6 @@ class LinearMap:
         rows = [to_dense(self.target.field, col, self.target.dim) for col in self.columns]
         return len(linalg.rref(self.target.field, rows)) == self.source.dim
 
-    def compose(self, first: "LinearMap") -> "LinearMap":
-        """self o first."""
-        return LinearMap(first.source, self.target,
-                         [self.apply(col) for col in first.columns])
-
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and
                 all(vec_eq(a, b) for a, b in zip(self.columns, other.columns)))
@@ -278,8 +256,6 @@ def check_grading(grading: Grading) -> VerificationReport:
                     report.violations.append(
                         f"{op}{idx} -> index {j}: degree {grading.degmap[j]}"
                         f" != predicted {predicted}")
-    if report.passed:
-        grading.verified = True
     return report
 
 
@@ -311,7 +287,7 @@ def check_morphism(f: LinearMap, ops=None, gradings=None) -> VerificationReport:
     return scan("morphism", tuples, sides)
 
 
-def check_involution(alg: OmegaAlgebra, op: str = INVOLUTION) -> VerificationReport:
+def check_involution(alg: OmegaAlgebra) -> VerificationReport:
     """phi^2 = id and phi(xy) = phi(y)phi(x), exhaustively on basis tuples."""
     one = alg.field.one
     squares = ((i,) for i in range(alg.dim))
@@ -321,17 +297,18 @@ def check_involution(alg: OmegaAlgebra, op: str = INVOLUTION) -> VerificationRep
     def sides(t):
         if len(t) == 1:
             i, = t
-            yield (alg.apply_slot(op, 0, alg.row(op, t)), {i: one},
-                   lambda: f"phi^2(e{i}) != e{i}")
+            yield (alg.apply_slot(INVOLUTION, 0, alg.row(INVOLUTION, t)),
+                   {i: one}, lambda: f"phi^2(e{i}) != e{i}")
         else:
             i, j = t
-            yield (alg.apply_slot(op, 0, alg.row(PRODUCT, t)),
-                   alg.apply(PRODUCT, alg.row(op, (j,)), alg.row(op, (i,))),
+            yield (alg.apply_slot(INVOLUTION, 0, alg.row(PRODUCT, t)),
+                   alg.apply(PRODUCT, alg.row(INVOLUTION, (j,)),
+                             alg.row(INVOLUTION, (i,))),
                    lambda: f"phi(e{i} e{j}) != phi(e{j}) phi(e{i})")
     return scan("involution", itertools.chain(squares, pairs), sides)
 
 
-def check_t4_flip(grading: Grading, op: str = INVOLUTION) -> VerificationReport:
+def check_t4_flip(grading: Grading) -> VerificationReport:
     """The involution must map the (i, g) component onto the (-i, g) one.
 
     Assumes the grading group is Z x G with the Z slot in coordinate 0.
@@ -342,19 +319,18 @@ def check_t4_flip(grading: Grading, op: str = INVOLUTION) -> VerificationReport:
         report.checked += 1
         d = grading.degmap[i]
         flipped = grading.group.element((-d.coords[0],) + d.coords[1:])
-        for j in alg.row(op, (i,)):
+        for j in alg.row(INVOLUTION, (i,)):
             if grading.degmap[j] != flipped:
                 report.violations.append(
                     f"phi(e{i}) [{d}] meets component {grading.degmap[j]} != {flipped}")
     return report
 
 
-def coarsen(grading: Grading, alpha, target_group: AbelianGroup,
-            graded_ops=None) -> Grading:
+def coarsen(grading: Grading, alpha, target_group: AbelianGroup) -> Grading:
     """Push the grading along a homomorphism alpha: G -> H."""
     degmap = tuple(alpha(d) for d in grading.degmap)
     return Grading(grading.algebra, target_group, degmap,
-                   graded_ops=graded_ops or grading.graded_ops)
+                   graded_ops=grading.graded_ops)
 
 
 def pi1_coarsening(grading: Grading) -> Grading:
@@ -554,13 +530,23 @@ def algebra_to_dict(alg: OmegaAlgebra, grading: Grading = None) -> dict:
     return out
 
 
+def _require(data, *path):
+    """data[path[0]][path[1]]...; a missing key raises ValueError naming it."""
+    for depth, key in enumerate(path):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"missing key {'.'.join(path[:depth + 1])!r}")
+        data = data[key]
+    return data
+
+
 def algebra_from_dict(data: dict):
-    """Inverse of algebra_to_dict; a malformed tensor entry or degree list
-    raises ValueError naming it."""
-    field = CycloField(data["conductor"])
-    dim = data["dim"]
-    alg = OmegaAlgebra(field, dim, data["operators"], data.get("basis"))
-    for entry in data["tensor"]:
+    """Inverse of algebra_to_dict; a missing key, a malformed tensor entry
+    or degree list raises ValueError naming it."""
+    field = CycloField(_require(data, "conductor"))
+    dim = _require(data, "dim")
+    alg = OmegaAlgebra(field, dim, _require(data, "operators"),
+                       data.get("basis"))
+    for entry in _require(data, "tensor"):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"tensor entry {entry}: expected "
                              "[operator, index list, slot, scalar text]")
@@ -589,9 +575,10 @@ def algebra_from_dict(data: dict):
         if len(data["degrees"]) != dim:
             raise ValueError(f"degrees lists {len(data['degrees'])} entries "
                              f"for dimension {dim}")
-        group = AbelianGroup(data["group"]["free_rank"], tuple(data["group"]["torsion"]))
+        group = AbelianGroup(_require(data, "group", "free_rank"),
+                             tuple(_require(data, "group", "torsion")))
         degmap = tuple(group.element(tuple(c)) for c in data["degrees"])
         grading = Grading(alg, group, degmap,
-                          graded_ops=frozenset(data["graded_ops"]))
+                          graded_ops=frozenset(_require(data, "graded_ops")))
     return alg, grading
 

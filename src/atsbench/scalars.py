@@ -410,10 +410,6 @@ class CycloField:
         assert len(out) == m
         return out
 
-    def random_scalar(self, rng, lo: int = -3, hi: int = 3) -> Scalar:
-        phi = euler_phi(self.conductor)
-        return Scalar(self.conductor, [Fraction(rng.randint(lo, hi)) for _ in range(phi)])
-
     def parse(self, text: str) -> Scalar:
         return parse_scalar(text, self.conductor)
 

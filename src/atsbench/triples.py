@@ -79,8 +79,9 @@ def triple_from(algebra: OmegaAlgebra, grading: Grading,
                 out = algebra.apply_slot(PRODUCT, 0, left, (w,))
                 if not out:
                     continue
-                assert all(j in pos for j in out), \
-                    "triple product must stay in the degree -1 component"
+                if not all(j in pos for j in out):
+                    raise VerificationError(
+                        "triple product must stay in the degree -1 component")
                 W.set_entry(TRIPLE, (ku, kv, kw), {pos[j]: c for j, c in out.items()})
     w_grading = None
     if grading.group.ncoords > 1:
@@ -286,8 +287,8 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
                 for k in range(d):
                     if not m[i][k].is_zero():
                         s = wdeg[i] - wdeg[k]
-                        assert shift is None or shift == s, \
-                            f"{what} mixes G-degrees"
+                        if shift not in (None, s):
+                            raise VerificationError(f"{what} mixes G-degrees")
                         shift = s
         return shift if shift is not None else G.identity
 
@@ -381,7 +382,9 @@ def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
         cols[a] = {env.w_offset + pos[a]: field.one}
     for b in plus:
         img = algebra.row(INVOLUTION, (b,))
-        assert all(j in pos for j in img)
+        if not all(j in pos for j in img):
+            raise VerificationError(
+                "involution must map degree +1 into degree -1")
         cols[b] = {env.wbar_offset + pos[j]: c for j, c in img.items()}
 
     products = pm_products + mp_products
@@ -398,11 +401,11 @@ def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
 
     psi = LinearMap(algebra, env.algebra, cols)
     if not psi.is_bijective():
-        raise AssertionError("reconstruction map is not bijective")
+        raise VerificationError("reconstruction map is not bijective")
     rep = check_morphism(psi, ops=[PRODUCT, INVOLUTION],
                          gradings=(grading, env.grading))
     if not rep.passed:
-        raise AssertionError(f"reconstruction map fails: {rep.violations[:3]}")
+        raise VerificationError(f"reconstruction map fails: {rep.violations[:3]}")
     return psi, env, W
 
 
@@ -455,7 +458,8 @@ def extend_automorphism(W: TripleSystem, psi: LinearMap,
     rep = check_morphism(extended, ops=[PRODUCT, INVOLUTION],
                          gradings=(z_grading, z_grading))
     if not rep.passed or not extended.is_bijective():
-        raise AssertionError(f"extension fails verification: {rep.violations[:3]}")
+        raise VerificationError(
+            f"extension fails verification: {rep.violations[:3]}")
     return extended
 
 

@@ -1,19 +1,25 @@
 """Shared test oracles: dense exact matrices, plain-Fraction cyclotomic
-arithmetic and a complex-float embedding.
+arithmetic and a complex-float embedding, plus small routines only the
+tests use.
 
 The dense-matrix routines are an independent implementation (plain list
 arithmetic, no sparse tensors) used to cross-check structure constants;
 the `ref_*` routines redo Q(zeta_N) arithmetic on tuples of `Fraction`s
 (schoolbook convolution, long division by the cyclotomic polynomial,
-Gauss-Jordan for inverses) to cross-check `Scalar`; the float embedding
+Gauss-Jordan for inverses) to cross-check `Scalar`, and
+`ref_antimap_candidates` is the standalone propagation loop that
+`classify._antimap_candidates` is checked against; the float embedding
 sends z_N to exp(2 pi i / N) and is used as a sanity oracle next to the
 exact assertions, never instead of them.
 """
 
 import cmath
+import itertools
 from fractions import Fraction
 
-from atsbench.scalars import Scalar, cyclotomic_polynomial
+from atsbench.classify import xi_shift_candidates
+from atsbench.omega import PRODUCT, LinearMap, _unit_in
+from atsbench.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
 def numeric(s: Scalar) -> complex:
@@ -100,4 +106,73 @@ def sparse_of_algebra_elem(alg, vec, dim):
     out = [alg.field.zero] * dim
     for i, c in vec.items():
         out[i] = c
+    return out
+
+
+def random_scalar(F, rng, lo: int = -3, hi: int = 3) -> Scalar:
+    """A scalar of F with integer coefficients drawn from [lo, hi]."""
+    return Scalar(F.conductor, [rng.randint(lo, hi)
+                                for _ in range(euler_phi(F.conductor))])
+
+
+def unit(alg):
+    """The two-sided unit of the binary product, or None: the left unit
+    solved by omega._unit_in, when it is also a right identity (a left
+    unit equals any two-sided unit, so none is missed)."""
+    u = _unit_in(alg, [alg.basis_vec(i) for i in range(alg.dim)])
+    if all(alg.apply_slot(PRODUCT, 1, u, (i,)) == {i: alg.field.one}
+           for i in range(alg.dim)):
+        return u
+    return None
+
+
+def compose(g: LinearMap, f: LinearMap) -> LinearMap:
+    """g o f."""
+    return LinearMap(f.source, g.target, [g.apply(col) for col in f.columns])
+
+
+def xi_shift_equal(a, b):
+    """Some g with a = g.b for two coset multisets, or None."""
+    return next((g for g in xi_shift_candidates(a, b) if a == b.shifted(g)),
+                None)
+
+
+def ref_antimap_candidates(D, roots, cap: int = 4096):
+    """Diagonal maps nu(Z_b) = n_b Z_b with n_u n_v mu(v, u) =
+    n_(u+v) mu(u, v), by choosing values on a basis of the support,
+    propagating, verifying the full table and skipping repeats; stops
+    once len(out) * len(roots) exceeds cap."""
+    T = D.support
+    basis = T.basis()
+    if not basis:
+        return [{T.group.identity: D.field.one}]
+    out = []
+    for choice in itertools.product(roots, repeat=len(basis)):
+        if len(out) * len(roots) > cap:
+            break
+        values = {T.group.identity: D.field.one}
+        ok = True
+        for gen, n_gen in zip(basis, choice):
+            new_values = dict(values)
+            gen_idx = D.index[gen]
+            for u in list(values):
+                prev = u
+                for _ in range(1, gen.order()):
+                    cu, ku = D.mu(D.index[prev], gen_idx)
+                    cg, kg = D.mu(gen_idx, D.index[prev])
+                    assert ku == kg
+                    new_values[prev + gen] = new_values[prev] * n_gen * cg / cu
+                    prev = prev + gen
+            values = new_values
+        for u in T.elements:
+            for v in T.elements:
+                cu, k = D.mu(D.index[u], D.index[v])
+                cv, _ = D.mu(D.index[v], D.index[u])
+                if values[u] * values[v] * cv != values[u + v] * cu:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok and values not in out:
+            out.append(values)
     return out

@@ -26,6 +26,7 @@ from atsbench.scalars import CycloField
 from atsbench.triples import (check_at2, extend_automorphism, loos_envelope,
                               pierce_split, reconstruct_iso, recover_triple,
                               triple_from, triple_is_simple)
+from helpers import compose
 
 _corpus = algebra_corpus()
 _triples = triple_corpus()
@@ -256,9 +257,9 @@ def test_criterion_9_automorphism_extension():
     for key, (entry, env) in by_entry.items():
         here = [psi for e, psi in autos if e is entry]
         for p1, p2 in itertools.combinations(here, 2):
-            lhs = extend_automorphism(entry.triple, p1.compose(p2), env)
-            rhs = extend_automorphism(entry.triple, p1, env).compose(
-                extend_automorphism(entry.triple, p2, env))
+            lhs = extend_automorphism(entry.triple, compose(p1, p2), env)
+            rhs = compose(extend_automorphism(entry.triple, p1, env),
+                          extend_automorphism(entry.triple, p2, env))
             assert lhs == rhs
             compositions += 1
         if compositions >= 6:

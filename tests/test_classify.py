@@ -1,22 +1,28 @@
 """Decision procedures: Xi multisets, decide/witness/refute, intrinsics."""
 
+import json
 import random
 
 import pytest
 
+from atsbench import classify
 from atsbench.classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR,
-                               SIMPLE_ALGEBRA, ClassLabel, WitnessError,
+                               SIMPLE_ALGEBRA, ClassLabel, Refutation,
+                               WitnessError, _antimap_candidates,
                                classify_conductor, decide_iso,
                                enumerate_labels, halvings,
                                intrinsic_invariants, refute_isomorphism,
-                               witness_isomorphism, xi_multiset,
-                               xi_shift_equal)
+                               witness_isomorphism, xi_multiset)
+from atsbench.cli import main
+from atsbench.config import parse_config
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     d_inv, exchange_double_division,
                                     standard_realization)
+from atsbench.corpus import classification_supports, involuted_division_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              Subgroup, all_quadratic_forms, trivial_subgroup)
 from atsbench.scalars import CycloField
+from helpers import ref_antimap_candidates, xi_shift_equal
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
@@ -386,3 +392,55 @@ def test_witness_with_division_support_shift():
     assert d.is_yes
     f = witness_isomorphism(l1, l2, d.certificate)
     assert f.is_bijective()
+
+
+BUDGET_LABEL = """
+[group]
+G = Z/2
+
+[label]
+case = simple_algebra
+kappa0 = 1 1
+gamma0 = (0) (1)
+kappa1 = 1 1
+gamma1 = (0) (1)
+"""
+
+
+def test_exhausted_search_budget_is_inconclusive(monkeypatch, tmp_path):
+    # a search that gives up must say INCONCLUSIVE, never NO: the smallest
+    # pair refuted by exhausted search (two dim-16 labels, 2 attempts),
+    # with the search budget set to 0
+    texts = {"a.cfg": BUDGET_LABEL + "delta = -1\ng = (1)\nm0 = 0\nm1 = 0\n",
+             "b.cfg": BUDGET_LABEL + "delta = 1\ng = (0)\n"}
+    l1, l2 = (parse_config(text).label for text in texts.values())
+    assert l1.dimension() == l2.dimension() == 16
+    field = CycloField(classify_conductor(l1, l2))
+    assert not decide_iso(l1, l2, field).is_yes
+    assert refute_isomorphism(l1, l2, field) == Refutation(
+        True, "exhausted-search", {"attempts": 2})
+    monkeypatch.setattr(classify, "SEARCH_CAP", 0)
+    assert refute_isomorphism(l1, l2, field) == Refutation(
+        False, "INCONCLUSIVE",
+        {"reason": "search budget exhausted", "attempts": 1})
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "d.json"
+    assert main(["decide-iso", str(tmp_path / "a.cfg"),
+                 str(tmp_path / "b.cfg"), "--verify", "--json", str(out)]) == 1
+    check = json.loads(out.read_text())["checks"][-1]
+    assert check["name"] == "refutation" and not check["passed"]
+    assert check["detail"].startswith("INCONCLUSIVE")
+
+
+def test_antimap_candidates_match_reference_loop():
+    # the shared diagonal solver gives the same candidate lists, in the
+    # same order, as the standalone propagation loop it replaced
+    divisions = [entry.D for entry in involuted_division_corpus()]
+    divisions += [standard_realization(T, beta, CycloField(conductor))
+                  for name, T, beta, conductor in classification_supports()
+                  if name in ("Z2^2", "Z2^4")]
+    for D in divisions:
+        roots = D.field.roots_of_unity()
+        got = _antimap_candidates(D, roots)
+        assert got and got == ref_antimap_candidates(D, roots)

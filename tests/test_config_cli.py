@@ -1,11 +1,14 @@
 """Config grammar and the ats command line."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import atsbench
 from atsbench.cli import main, run
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
@@ -228,6 +231,123 @@ builtin = scalar
     assert "internal error: involution check contradicted itself" in err
 
 
+OPTIMIZED_CHECKS = """
+import sys
+import atsbench.classify as cl
+import atsbench.cli as cli
+import atsbench.constructions as c
+import atsbench.triples as tr
+from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
+                             all_quadratic_forms, trivial_subgroup)
+from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
+                            OmegaAlgebra, VerificationError,
+                            VerificationReport)
+from atsbench.scalars import CycloField
+F = CycloField(2)
+one = F.one
+Z, Z2, Z3 = AbelianGroup(1), AbelianGroup(0, (2,)), AbelianGroup(0, (3,))
+e, T1 = Z2.identity, trivial_subgroup(Z2)
+b1 = Bicharacter.from_generator_matrix(T1, (), [])
+inv_params = c.InvolutionParams(group=Z2, T=T1, beta=b1, kappa0=(1,),
+                                gamma0=(e,), kappa1=(1,), gamma1=(e,),
+                                delta=1, g=e)
+pair_params = c.ExchangePairParams(group=Z2, T=T1, beta=b1, kappa0=(1,),
+                                   gamma0=(e,), kappa1=(1,), gamma1=(e,))
+m2 = c.build_M_inv(inv_params, F)
+label = cl.ClassLabel(cl.SIMPLE_ALGEBRA, inv_params)
+G = AbelianGroup(0, (2, 2, 2))
+a, b, t = (G.element(x) for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+T = Subgroup(G, (a, b))
+beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
+Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)
+            for tau in all_quadratic_forms(beta)[:2])
+
+
+def z_graded(dim, degrees, products, involution):
+    alg = OmegaAlgebra(F, dim, {PRODUCT: 2, INVOLUTION: 1})
+    for idx, k in products.items():
+        alg.set_entry(PRODUCT, idx, {k: one})
+    for i, j in involution.items():
+        alg.set_entry(INVOLUTION, (i,), {j: one})
+    return alg, Grading(alg, Z, tuple(Z.element((d,)) for d in degrees))
+
+
+def failing(*args, **kw):
+    return VerificationReport("forced", ["forced"])
+
+
+real_morphism = tr.check_morphism
+unpatched = (tr, "check_morphism", real_morphism)
+
+
+def failing_with_involution(f, ops=None, gradings=None):
+    return (failing() if INVOLUTION in ops
+            else real_morphism(f, ops=ops, gradings=gradings))
+
+
+# {x, y, z} = x phi(y) z leaves degree -1; phi(e2) stays in degree +1
+leaky = z_graded(2, (-1, 1), {(0, 1): 0, (0, 0): 1}, {0: 1, 1: 0})
+unflipped = z_graded(3, (-1, 1, 1), {}, {0: 1, 1: 0, 2: 2})
+W3 = tr.TripleSystem(OmegaAlgebra(F, 2, {TRIPLE: 3}))
+W3.grading = Grading(W3.algebra, Z3, (Z3.element((0,)), Z3.element((1,))))
+swap = [[F.zero, one], [one, F.zero]]
+zero2 = [[F.zero] * 2 for _ in range(2)]
+cases = [
+    (c, "check_t4_flip", failing, lambda: c.build_M_inv(inv_params, F)),
+    (c, "check_t4_flip", failing,
+     lambda: c.build_exchange_pair(pair_params, F)),
+    (LinearMap, "is_bijective", lambda self: False,
+     lambda: tr.reconstruct_iso(m2.algebra, m2.grading, require_simple=False)),
+    (tr, "check_morphism", failing,
+     lambda: tr.reconstruct_iso(m2.algebra, m2.grading, require_simple=False)),
+    (*unpatched, lambda: tr.reconstruct_iso(*unflipped, require_simple=False)),
+    (tr, "check_morphism", failing_with_involution,
+     lambda: tr.extend_automorphism(tr.scalar_triple(F), LinearMap.identity(
+         tr.scalar_triple(F).algebra))),
+    (*unpatched, lambda: tr.triple_from(*leaky)),
+    (*unpatched,
+     lambda: tr._envelope_grading(W3, None, 1, 0, [(swap, zero2)], [], 2)),
+    (Dx2.algebra, "tensors", dict(Dx2.algebra.tensors, product={}),
+     lambda: c.removal_twist(Dx1, Dx2)),
+    (Dx2.inner, "sign_form", lambda s: 2, lambda: c.removal_twist(Dx1, Dx2)),
+    (Dx2.algebra, "tensors",
+     dict(Dx2.algebra.tensors, involution=Dx1.algebra.tensors[INVOLUTION]),
+     lambda: c.removal_twist(Dx1, Dx2)),
+    (*unpatched, lambda: cl._cross_case_certificate(label, label, F)),
+]
+for owner, name, fake, call in cases:
+    real = getattr(owner, name)
+    setattr(owner, name, fake)
+    try:
+        call()
+        print("passed")
+    except VerificationError as err:
+        print(str(err).split()[0])
+    setattr(owner, name, real)
+print(issubclass(cl.WitnessError, VerificationError))
+c.check_t4_flip = failing
+print("exit", cli.main(["construct", sys.argv[1]]), "debug", __debug__)
+"""
+
+
+def test_verified_claims_survive_optimize_flag(tmp_path):
+    # every verification loop and verified-claim check raises
+    # VerificationError when forced to fail, also under python -O, and
+    # the command line turns it into exit status 3
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(MINIMAL)
+    src = str(Path(atsbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS,
+                          str(cfg)], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == [
+        "forced", "forced", "reconstruction", "reconstruction", "involution",
+        "extension", "triple", "L", "Y-basis", "no", "Int(Y_t')",
+        "cross-case", "True", "exit", "3", "debug", "False"]
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "atsbench.cli", "--help"],
                           capture_output=True, text=True)
@@ -272,3 +392,75 @@ max_dim = 4
     census = data["artifacts"]["census"]
     assert census["inconclusive"] == 0
     assert census["yes"] == census["verified_witnesses"]
+
+
+GRADED_TRIPLE = {"conductor": 1, "dim": 1, "operators": {"triple": 3},
+                 "basis": ["w"], "tensor": [["triple", [0, 0, 0], 0, "1"]],
+                 "group": {"free_rank": 0, "torsion": [2]}, "degrees": [[0]],
+                 "graded_ops": ["triple"]}
+JSON_TRIPLE_CFG = "[triple]\nsource = json\nfile = w.json\n"
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("argv, files, named", [
+    pytest.param(["census", "missing.cfg"], {}, "missing.cfg",
+                 id="missing-config"),
+    pytest.param(["decide-iso", "a.cfg", "missing.cfg"], {"a.cfg": MINIMAL},
+                 "missing.cfg", id="missing-second-config"),
+    pytest.param(["envelope", "t.cfg"], {"t.cfg": JSON_TRIPLE_CFG},
+                 "w.json", id="missing-triple-file"),
+    pytest.param(["construct", "j.cfg"],
+                 {"j.cfg": _edit(MINIMAL, "seed = 0", "seed = x")},
+                 "seed", id="seed"),
+    pytest.param(["census", "j.cfg"],
+                 {"j.cfg": "[job]\nmax_dim = x\n[group]\nG = Z/2\n"},
+                 "max_dim", id="max-dim"),
+    pytest.param(["census", "j.cfg"],
+                 {"j.cfg": "[group]\nG = Z/2\n[census]\nmax_support = x\n"},
+                 "max_support", id="max-support"),
+    pytest.param(["construct", "j.cfg"], {"j.cfg": MINIMAL + "m0 = x\n"},
+                 "m0", id="m0"),
+    pytest.param(["construct", "j.cfg"],
+                 {"j.cfg": _edit(DIVISION_CFG, "tau = 1 1 1 -1",
+                                 "tau = 1 1 x 1")}, "tau", id="tau"),
+    pytest.param(["envelope", "t.cfg"],
+                 {"t.cfg": "[triple]\nsource = builtin\nbuiltin = zero\n"
+                           "dim = two\n"}, "dim", id="triple-dim"),
+    pytest.param(["construct", "j.cfg"],
+                 {"j.cfg": _edit(MINIMAL, "gamma0 = (0)", "gamma0 = (a)")},
+                 "coordinate", id="element"),
+    pytest.param(["construct", "j.cfg"],
+                 {"j.cfg": _edit(MINIMAL, "G = Z/2", "G = Z/1")},
+                 "torsion orders", id="group-order-one"),
+    pytest.param(["envelope", "t.cfg"],
+                 {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(
+                     {k: v for k, v in GRADED_TRIPLE.items()
+                      if k != "conductor"})},
+                 "'conductor'", id="json-without-conductor"),
+    pytest.param(["envelope", "t.cfg"],
+                 {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(
+                     dict(GRADED_TRIPLE, group={"free_rank": 0}))},
+                 "'group.torsion'", id="json-without-torsion"),
+])
+def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
+                                            argv, files, named):
+    # a missing file or a malformed value is bad input: exit 2 and an
+    # error naming the file, key or line, never a traceback
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_well_formed_json_triple_is_accepted(tmp_path, monkeypatch):
+    # the graded triple the missing-key cases start from is valid
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps(GRADED_TRIPLE))
+    (tmp_path / "t.cfg").write_text(JSON_TRIPLE_CFG)
+    assert main(["check-at2", "t.cfg"]) == 0

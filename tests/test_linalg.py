@@ -11,7 +11,7 @@ from atsbench.linalg import (RowSpace, identity_matrix, invert_matrix, kernel,
                              mat_mul, mat_vec, rref, solve)
 from atsbench.omega import INVOLUTION, PRODUCT, Grading, OmegaAlgebra
 from atsbench.scalars import CycloField
-from helpers import dense_eq, dense_mul, dense_transpose
+from helpers import dense_eq, dense_mul, dense_transpose, random_scalar
 
 CONDUCTORS = (1, 4)
 TRIALS = 12
@@ -19,7 +19,7 @@ TRIALS = 12
 
 def _scalar(F, rng):
     # about a third of the entries are zero, so pivots get skipped
-    return F.zero if rng.random() < 0.35 else F.random_scalar(rng, -2, 2)
+    return F.zero if rng.random() < 0.35 else random_scalar(F, rng, -2, 2)
 
 
 def _matrix(F, rng, n, m):

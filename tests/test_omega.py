@@ -12,6 +12,7 @@ from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             check_t4_flip, coarsen, graded_is_simple,
                             ideal_closure, is_simple, pi1_coarsening)
 from atsbench.scalars import CycloField
+from helpers import unit
 
 FQ = CycloField(1)
 Z = AbelianGroup(1)
@@ -276,10 +277,10 @@ def test_triple_nontriviality_requirement():
 
 def test_unit_detection():
     alg = matrix_algebra(2)
-    u = alg.unit()
+    u = unit(alg)
     assert u == {0: FQ.one, 3: FQ.one}
     nounit = OmegaAlgebra(FQ, 1, {PRODUCT: 2})
-    assert nounit.unit() is None
+    assert unit(nounit) is None
 
 
 def test_json_round_trip():
