@@ -329,14 +329,16 @@ def intrinsic_invariants(alg: OmegaAlgebra, grading: Grading,
             for j in range(alg.dim):
                 ((k1, c1),) = alg.row(PRODUCT, (i, j)).items()
                 ((k2, c2),) = alg.row(PRODUCT, (j, i)).items()
-                assert k1 == k2
+                if k1 != k2:
+                    raise VerificationError(f"commutation: Z{i} Z{j} leaves a component")
                 comm[(grading.degmap[i].coords, grading.degmap[j].coords)] = c1 / c2
         inv.commutation = comm
         if INVOLUTION in alg.operators:
             signs = {}
             for i in range(alg.dim):
                 ((k, c),) = alg.row(INVOLUTION, (i,)).items()
-                assert k == i, "involution must be diagonal on a division basis"
+                if k != i:
+                    raise VerificationError("involution is not diagonal on a division basis")
                 signs[grading.degmap[i].coords] = c
             inv.involution_signs = signs
     return inv

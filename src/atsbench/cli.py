@@ -83,6 +83,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise ConfigError(f"{path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def _build_triple(cfg: JobConfig) -> TripleSystem:
@@ -118,8 +120,8 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
 
 
 def _run_division(cfg: JobConfig, report: Report, full: bool):
-    from .constructions import (d_inv, exchange_double_division,
-                                standard_realization)
+    from .constructions import (check_commutation, d_inv,
+                                exchange_double_division, standard_realization)
     spec = cfg.division_spec
     T, beta, tau, t = spec["T"], spec["beta"], spec["tau"], spec["t"]
     field = CycloField(T.exponent)
@@ -132,15 +134,7 @@ def _run_division(cfg: JobConfig, report: Report, full: bool):
     report.artifacts["dimension"] = D.dim
     report.add_check("dimension-equals-support", D.dim == len(D.support),
                      f"dim {D.dim}", 1)
-    ok, n = True, 0
-    for i, ti in enumerate(D.elements):
-        for j, tj in enumerate(D.elements):
-            ci, ki = D.mu(i, j)
-            cj, kj = D.mu(j, i)
-            n += 1
-            if ki != kj or ci != D.bicharacter.eval(ti, tj, field) * cj:
-                ok = False
-    report.add_check("commutation-relation", ok, "", n)
+    report.add_report(check_commutation(D))
     report.add_report(check_grading(D.grading))
     if D.has_involution():
         report.add_report(check_involution(D.algebra))
@@ -150,7 +144,7 @@ def _run_division(cfg: JobConfig, report: Report, full: bool):
         for i in range(D.dim):
             try:
                 D.basis_inverse(i)
-            except Exception:
+            except (VerificationError, ZeroDivisionError):
                 invertible = False
         report.add_check("homogeneous-elements-invertible", invertible,
                          "", D.dim)

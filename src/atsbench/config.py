@@ -187,6 +187,12 @@ def _parse_support(G: AbelianGroup, section: dict):
         matrix = json.loads(beta_text) if gens else []
     except json.JSONDecodeError:
         raise ConfigError(f"line {beta_line}: beta must be a JSON matrix")
+    n = len(gens)
+    if not (type(matrix) is list and len(matrix) == n and all(
+            type(row) is list and len(row) == n
+            and all(type(k) is int for k in row) for row in matrix)):
+        raise ConfigError(f"line {beta_line}: beta must be a list of {n} "
+                          f"lists of {n} ints, one per generator of T")
     try:
         T = Subgroup(G, gens)
         beta = Bicharacter.from_generator_matrix(T, gens, matrix)

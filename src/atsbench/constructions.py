@@ -21,8 +21,9 @@ from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
                      QuadraticForm, Subgroup, extend_bicharacter, prepend_z,
                      symplectic_decomposition, zg_element)
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
-                    VerificationError, check_grading, check_involution,
-                    check_morphism, check_t4_flip, combine, vec_scale)
+                    VerificationError, VerificationReport, check_grading,
+                    check_involution, check_morphism, check_t4_flip, combine,
+                    scan, vec_scale)
 from .scalars import CycloField, Scalar
 
 
@@ -132,7 +133,8 @@ class GradedDivision:
     def mu(self, i: int, j: int):
         """Structure constant: Z_i Z_j = mu * Z_k; returns (mu, k)."""
         row = self.algebra.row(PRODUCT, (i, j))
-        assert len(row) == 1, "graded division product must be monomial"
+        if len(row) != 1:
+            raise VerificationError(f"product Z{i} Z{j} must be monomial")
         ((k, c),) = row.items()
         return c, k
 
@@ -140,11 +142,26 @@ class GradedDivision:
         """(c, j) with Z_i^{-1} = c * Z_j."""
         j = self.index[-self.elements[i]]
         c, k = self.mu(i, j)
-        assert self.elements[k].is_identity()
+        if not self.elements[k].is_identity():
+            raise VerificationError(f"inverse: Z{i} Z{j} is not in degree 0")
         return c.inverse(), j
 
     def has_involution(self) -> bool:
         return INVOLUTION in self.algebra.operators
+
+
+def check_commutation(D: GradedDivision) -> VerificationReport:
+    """Z_i Z_j = beta(s_i, s_j) Z_j Z_i with equal targets, on every basis pair."""
+    beta, elements, field = D.bicharacter, D.elements, D.field
+
+    def sides(ij):
+        i, j = ij
+        ci, ki = D.mu(i, j)
+        cj, kj = D.mu(j, i)
+        yield ((ki, ci), (kj, beta.eval(elements[i], elements[j], field) * cj),
+               lambda: f"Z{i} Z{j} != beta * Z{j} Z{i}")
+    return scan("commutation-relation",
+                itertools.product(range(D.dim), repeat=2), sides)
 
 
 def standard_realization(T: Subgroup, beta: Bicharacter,
@@ -196,7 +213,8 @@ def standard_realization(T: Subgroup, beta: Bicharacter,
         for j, tj in enumerate(elements):
             k = index[ti + tj]
             c = (mats[i] @ mats[j]).scalar_ratio(mats[k])
-            assert c is not None, "product of X_t basis elements must be monomial"
+            if c is None:
+                raise VerificationError(f"realization: X{ti} X{tj} is not monomial")
             alg.set_entry(PRODUCT, (i, j), {k: c})
     grading = Grading(alg, group, elements)
     return GradedDivision(field, group, T, alg, grading, elements, beta,
@@ -212,7 +230,8 @@ def transpose_form(D: GradedDivision) -> QuadraticForm:
     values = {}
     for i, t in enumerate(D.elements):
         c = D.matrices[i].transpose().scalar_ratio(D.matrices[i])
-        assert c is not None and c.is_rational()
+        if c is None or not c.is_rational():
+            raise VerificationError(f"transpose of X{t} is no rational multiple of it")
         values[t] = int(c.rational_value())
     return QuadraticForm(D.support, values)
 
@@ -310,7 +329,8 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
     order = []
     for s in elements:
         matches = [i for i, h in enumerate(gr2.degmap) if h == s]
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise VerificationError(f"degree {s} holds {len(matches)} basis vectors, not 1")
         order.append(matches[0])
     perm = {old: new for new, old in enumerate(order)}
 
@@ -335,14 +355,9 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
         if row[i] != D.field.scalar(sign_ext(elements[i])):
             raise VerificationError(
                 "involution signs must follow the extended quadratic form")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            ci, ki = out.mu(i, j)
-            cj, kj = out.mu(j, i)
-            if ki != kj or ci != beta_ext.eval(elements[i], elements[j],
-                                               D.field) * cj:
-                raise VerificationError(
-                    "commutation factor must follow the extended bicharacter")
+    if not check_commutation(out).passed:
+        raise VerificationError(
+            "commutation factor must follow the extended bicharacter")
     return out
 
 
@@ -647,7 +662,8 @@ def build_M_inv(params: InvolutionParams, field: CycloField) -> ConstructedAlgeb
 
     col_of_row = {}
     for (i, j) in phi:
-        assert i not in col_of_row, "Phi must be monomial"
+        if i in col_of_row:
+            raise VerificationError(f"Phi must be monomial: row {i} has two entries")
         col_of_row[i] = j
 
     # phi(b E_ij) = Phi^{-1} (sigma(b) b E_ji) Phi lands at a single
@@ -880,7 +896,8 @@ def exchange_subgroup_transfer(Dx: GradedDivision, T2: Subgroup):
     for h in T2.elements:
         row = Dx.algebra.row(INVOLUTION, (Dx.index[h],))
         ((k, c),) = row.items()
-        assert k == Dx.index[h]
+        if k != Dx.index[h]:
+            raise VerificationError(f"transported involution moves Y{h} to index {k}")
         signs[h] = 1 if c == field.one else -1
     beta2 = Bicharacter(T2, exponent, table)
     tau2 = QuadraticForm(T2, signs)

@@ -15,8 +15,9 @@ built from.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .scalars import CycloField, Scalar
 
@@ -217,26 +218,17 @@ class Bicharacter:
         o_ij = gcd(ord gen_i, ord gen_j)."""
         gens = tuple(gens)
         orders = [g.order() for g in gens]
-        size = 1
-        for o in orders:
-            size *= o
-        if size != len(domain):
+        if prod(orders) != len(domain):
             raise GroupError("bicharacter generators must form a basis of the domain")
-        M = 1
-        for o in orders:
-            M = M * o // gcd(M, o)
-        M = max(M, 1)
+        M = lcm(*orders)
         # exponent coordinates of every element over the generator basis
         coords = {}
-        def rec(i, cur, vec):
-            if i == len(gens):
-                coords[cur] = tuple(vec)
-                return
-            e = domain.group.identity
-            for k in range(orders[i]):
-                rec(i + 1, cur + e, vec + [k])
-                e = e + gens[i]
-        rec(0, domain.group.identity, [])
+        for vec in itertools.product(*map(range, orders)):
+            cur = domain.group.identity
+            for k, g in zip(vec, gens):
+                for _ in range(k):
+                    cur = cur + g
+            coords[cur] = vec
         if len(coords) != len(domain):
             raise GroupError("generator exponents do not enumerate the domain")
         kmat = [[(matrix[i][j] * (M // gcd(orders[i], orders[j]))) % M

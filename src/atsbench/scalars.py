@@ -3,12 +3,13 @@
 Every coefficient in the workbench lives in Q(zeta_N) for a fixed
 conductor N chosen per session (N = 1 or 2 degenerates to plain
 rationals).  Elements are coefficient vectors of length phi(N) on the
-power basis 1, z, ..., z^(phi(N)-1), reduced modulo the N-th cyclotomic
-polynomial after every operation.  There is no floating point anywhere:
-a scalar stores integer numerators `num` over one positive common
-denominator `den`, kept in lowest terms (gcd(den, *num) == 1, so zero is
-(0, ..., 0)/1).  Sums and products are integer arithmetic; `coeffs`
-gives the coefficients as `fractions.Fraction`s.
+power basis 1, z, ..., z^(phi(N)-1).  There is no floating point: a
+scalar stores integer numerators `num` over one positive common
+denominator `den`, in lowest terms (gcd(den, *num) == 1, so zero is
+(0, ..., 0)/1).  All arithmetic is integral and reads one table, the
+powers of zeta reduced mod Phi_N: products reduce through it, and the
+inverse is the product of the other Galois conjugates over the norm.
+`coeffs` gives the coefficients as `fractions.Fraction`s.
 
 >>> F = CycloField(4)
 >>> i = F.zeta(4, 1)
@@ -49,63 +50,72 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Exact division of polynomials given as low-to-high coefficient lists."""
-    num = list(num)
-    quot = [Fraction(0)] * (max(len(num) - len(den) + 1, 0))
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial.
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients (low to high) of the n-th cyclotomic polynomial.
 
     Computed by dividing x^n - 1 by Phi_d for every proper divisor d;
-    n stays tiny here so the recursion is cheap.
+    each Phi_d is monic, so the long division stays integral.
 
     >>> cyclotomic_polynomial(4)
-    (Fraction(1, 1), Fraction(0, 1), Fraction(1, 1))
+    (1, 0, 1)
     """
     if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem, "cyclotomic division must be exact"
+            den = cyclotomic_polynomial(d)
+            k = len(den) - 1
+            quot = [0] * (len(num) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = num[i + k]
+                for j, e in enumerate(den):
+                    num[i + j] -= c * e
+            assert not any(num), "cyclotomic division must be exact"
+            num = quot
     return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(conductor: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is x^(phi+k) reduced mod Phi_N, for k = 0 .. phi-2.
+def _powers(conductor: int) -> tuple[tuple[int, ...], ...]:
+    """Row m is zeta^m reduced mod Phi_N, as phi(N) ints.
 
-    Phi_N is monic with integer coefficients, so the rows are integral.
+    Rows run m = 0 .. max(N, 2 phi - 1) - 1: every power of zeta, and every
+    degree a product of two reduced numerators reaches.
     """
     phi = euler_phi(conductor)
-    poly = [int(c) for c in cyclotomic_polynomial(conductor)]
     # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}) since Phi is monic
+    low = cyclotomic_polynomial(conductor)[:phi]
+    row = (1,) + (0,) * (phi - 1)
     rows = []
-    current = [-c for c in poly[:phi]]
-    rows.append(tuple(current))
-    for _ in range(phi - 2):
-        shifted = [0] + current[:-1]
-        top = current[-1]
+    for _ in range(max(conductor, 2 * phi - 1)):
+        rows.append(row)
+        top = row[-1]
+        row = (0,) + row[:-1]
         if top:
-            for j in range(phi):
-                shifted[j] += top * rows[0][j]
-        current = shifted
-        rows.append(tuple(current))
+            row = tuple(r - top * c for r, c in zip(row, low))
     return tuple(rows)
+
+
+def _product(conductor: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Integer numerators of a*b: the convolution, reduced by the power table."""
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+    powers = _powers(conductor)
+    out = conv[:phi]
+    for k in range(phi, 2 * phi - 1):
+        c = conv[k]
+        if c:
+            row = powers[k]
+            for j in range(phi):
+                out[j] += c * row[j]
+    return tuple(out)
 
 
 def _mismatch(a: "Scalar", b: "Scalar") -> ConductorMismatch:
@@ -184,48 +194,32 @@ class Scalar:
             raise _mismatch(self, other)
         a, b = self.num, other.num
         den = self.den * other.den
-        phi = len(a)
-        if phi == 1:
+        if len(a) == 1:
             return _make(conductor, (a[0] * b[0],), den)
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        table = _reduction_table(conductor)
-        out = conv[:phi]
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = table[k - phi]
-                for j in range(phi):
-                    out[j] += c * row[j]
-        return _make(conductor, tuple(out), den)
+        return _make(conductor, _product(conductor, a, b), den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ScalarDivisionError("division by zero scalar")
-        phi = len(self.num)
-        if phi == 1:
-            n = self.num[0]
-            return _make(self.conductor, (self.den if n > 0 else -self.den,), abs(n))
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial
-        modulus = list(cyclotomic_polynomial(self.conductor))
-        r0, r1 = modulus, list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        assert r1, "cyclotomic polynomial is irreducible over Q"
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        inv = inv[:phi] + [Fraction(0)] * max(0, phi - len(inv))
-        # degree of s1 stays below phi because deg(r1)=0 < deg(self) <= phi-1
-        return Scalar(self.conductor, inv[:phi])
+        # a^-1 = P / N(a) with P the product of the conjugates sigma_k(a),
+        # k != 1 a unit mod N; the Galois norm N(a) = a*P is rational
+        conductor, num = self.conductor, self.num
+        phi = len(num)
+        powers = _powers(conductor)
+        conj = (1,) + (0,) * (phi - 1)
+        for k in range(2, conductor):
+            if gcd(k, conductor) == 1:
+                sigma = [0] * phi
+                for j, n in enumerate(num):
+                    if n:
+                        row = powers[j * k % conductor]
+                        for i in range(phi):
+                            sigma[i] += n * row[i]
+                conj = _product(conductor, conj, tuple(sigma))
+        norm = _product(conductor, num, conj)
+        assert not any(norm[1:]), "the Galois norm is rational"
+        scale = self.den if norm[0] > 0 else -self.den
+        return _make(conductor, tuple(scale * c for c in conj), abs(norm[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -326,27 +320,6 @@ def _make(conductor: int, num: tuple[int, ...], den: int) -> Scalar:
     return s
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    out = [x - y for x, y in zip(a, b)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 class CycloField:
     """A fixed cyclotomic field Q(zeta_N); hands out scalars of that conductor."""
 
@@ -382,31 +355,18 @@ class CycloField:
             raise ConductorMismatch(
                 f"order {order} does not divide conductor {self.conductor}")
         exponent = (self.conductor // order) * power % self.conductor
-        if self.conductor <= 2:
-            return self.scalar(1 if exponent == 0 else -1)
-        phi = euler_phi(self.conductor)
-        coeffs = [Fraction(0)] * phi
-        if exponent < phi:
-            coeffs[exponent] = Fraction(1)
-            return Scalar(self.conductor, coeffs)
-        # reduce x^exponent mod Phi_N by repeated squaring on scalars
-        z = Scalar(self.conductor, [Fraction(0), Fraction(1)] + [Fraction(0)] * (phi - 2))
-        return z ** exponent
+        return _make(self.conductor, _powers(self.conductor)[exponent], 1)
 
     def roots_of_unity(self) -> list[Scalar]:
         """All roots of unity contained in the field: the group <zeta_M>
         with M = conductor for even conductors and 2*conductor otherwise."""
         m = self.conductor if self.conductor % 2 == 0 else 2 * self.conductor
-        minus_one = self.scalar(-1)
         out, seen = [], set()
-        z = self.zeta(self.conductor, 1)
-        current = self.one
-        for _ in range(self.conductor):
-            for s in (current, current * minus_one):
-                if s not in seen:
-                    seen.add(s)
-                    out.append(s)
-            current = current * z
+        for row in _powers(self.conductor)[:self.conductor]:
+            for num in (row, tuple(-c for c in row)):
+                if num not in seen:
+                    seen.add(num)
+                    out.append(_make(self.conductor, num, 1))
         assert len(out) == m
         return out
 

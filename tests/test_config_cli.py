@@ -261,6 +261,8 @@ T = Subgroup(G, (a, b))
 beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
 Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)
             for tau in all_quadratic_forms(beta)[:2])
+D = Dx1.inner
+real_phi, real_double = c.phi_matrix, c.exchange_double
 
 
 def z_graded(dim, degrees, products, involution):
@@ -276,6 +278,27 @@ def failing(*args, **kw):
     return VerificationReport("forced", ["forced"])
 
 
+def no_ratio(self, other):
+    return None
+
+
+def two_entry_phi(*args):
+    phi = real_phi(*args)
+    (i, j), entry = next(iter(phi.items()))
+    return {**phi, (i, -1): entry}
+
+
+def one_degree(*args):
+    alg, gr = real_double(*args)
+    return alg, type("Flat", (), {"degmap": (gr.degmap[0],) * alg.dim})
+
+
+def shifted(alg, op):
+    return dict(alg.tensors, **{op: {
+        idx: {(k + 1) % alg.dim: x for k, x in row.items()}
+        for idx, row in alg.tensors[op].items()}})
+
+
 real_morphism = tr.check_morphism
 unpatched = (tr, "check_morphism", real_morphism)
 
@@ -288,6 +311,11 @@ def failing_with_involution(f, ops=None, gradings=None):
 # {x, y, z} = x phi(y) z leaves degree -1; phi(e2) stays in degree +1
 leaky = z_graded(2, (-1, 1), {(0, 1): 0, (0, 0): 1}, {0: 1, 1: 0})
 unflipped = z_graded(3, (-1, 1, 1), {}, {0: 1, 1: 0, 2: 2})
+# e_i e_j = e_i is associative, but e_0 e_1 and e_1 e_0 differ in degree
+left_zero = z_graded(2, (0, 1), {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1},
+                     {0: 0, 1: 1})
+two_terms = dict(D.algebra.tensors, product={
+    **D.algebra.tensors[PRODUCT], (0, 0): {0: one, 1: one}})
 W3 = tr.TripleSystem(OmegaAlgebra(F, 2, {TRIPLE: 3}))
 W3.grading = Grading(W3.algebra, Z3, (Z3.element((0,)), Z3.element((1,))))
 swap = [[F.zero, one], [one, F.zero]]
@@ -314,6 +342,21 @@ cases = [
      dict(Dx2.algebra.tensors, involution=Dx1.algebra.tensors[INVOLUTION]),
      lambda: c.removal_twist(Dx1, Dx2)),
     (*unpatched, lambda: cl._cross_case_certificate(label, label, F)),
+    (D.algebra, "tensors", two_terms, lambda: D.mu(0, 0)),
+    (D, "index", dict.fromkeys(D.elements, 1), lambda: D.basis_inverse(0)),
+    (c.MonoMatrix, "scalar_ratio", no_ratio,
+     lambda: c.standard_realization(T, beta, F)),
+    (c.MonoMatrix, "scalar_ratio", no_ratio, lambda: c.transpose_form(D)),
+    (c, "exchange_double", one_degree,
+     lambda: c.exchange_double_division(D, t)),
+    (c, "phi_matrix", two_entry_phi, lambda: c.build_M_inv(inv_params, F)),
+    (Dx1.algebra, "tensors", shifted(Dx1.algebra, INVOLUTION),
+     lambda: c.exchange_subgroup_transfer(Dx1, Subgroup(G, (a + t, b)))),
+    (*unpatched, lambda: cl.intrinsic_invariants(*left_zero,
+                                                 extract_division=True)),
+    (D.algebra, "tensors", shifted(D.algebra, INVOLUTION),
+     lambda: cl.intrinsic_invariants(D.algebra, D.grading,
+                                     extract_division=True)),
 ]
 for owner, name, fake, call in cases:
     real = getattr(owner, name)
@@ -325,8 +368,17 @@ for owner, name, fake, call in cases:
         print(str(err).split()[0])
     setattr(owner, name, real)
 print(issubclass(cl.WitnessError, VerificationError))
+job, division, doubled = sys.argv[1:]
+for owner, name, fake, argv in [
+        (c.MonoMatrix, "scalar_ratio", no_ratio, ["verify", division]),
+        (c, "exchange_double", one_degree, ["verify", doubled]),
+        (c, "phi_matrix", two_entry_phi, ["construct", job])]:
+    real = getattr(owner, name)
+    setattr(owner, name, fake)
+    print("exit", cli.main(argv))
+    setattr(owner, name, real)
 c.check_t4_flip = failing
-print("exit", cli.main(["construct", sys.argv[1]]), "debug", __debug__)
+print("exit", cli.main(["construct", job]), "debug", __debug__)
 """
 
 
@@ -336,16 +388,21 @@ def test_verified_claims_survive_optimize_flag(tmp_path):
     # the command line turns it into exit status 3
     cfg = tmp_path / "job.cfg"
     cfg.write_text(MINIMAL)
+    division, doubled = tmp_path / "division.cfg", tmp_path / "doubled.cfg"
+    division.write_text(DIVISION_CFG)
+    doubled.write_text(DOUBLED_CFG)
     src = str(Path(atsbench.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS,
-                          str(cfg)], env=env, capture_output=True, text=True,
-                         check=True)
+                          str(cfg), str(division), str(doubled)], env=env,
+                         capture_output=True, text=True, check=True)
     assert out.stdout.split() == [
         "forced", "forced", "reconstruction", "reconstruction", "involution",
         "extension", "triple", "L", "Y-basis", "no", "Int(Y_t')",
-        "cross-case", "True", "exit", "3", "debug", "False"]
+        "cross-case", "product", "inverse:", "realization:", "transpose",
+        "degree", "Phi", "transported", "commutation:", "involution", "True",
+        "exit", "3", "exit", "3", "exit", "3", "exit", "3", "debug", "False"]
 
 
 def test_console_script_installed():
@@ -363,6 +420,16 @@ G = Z/2 x Z/2
 T = (1,0) (0,1)
 beta = [[0,1],[1,0]]
 tau = 1 1 1 -1
+"""
+DOUBLED_CFG = """
+[group]
+G = Z/2 x Z/2 x Z/2
+
+[division]
+T = (1,0,0) (0,1,0)
+beta = [[0,1],[1,0]]
+tau = 1 1 1 -1
+t = (0,0,1)
 """
 
 
@@ -445,6 +512,25 @@ def _edit(text, old, new):
                  {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(
                      dict(GRADED_TRIPLE, group={"free_rank": 0}))},
                  "'group.torsion'", id="json-without-torsion"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DIVISION_CFG, "beta = [[0,1],[1,0]]",
+                                 "beta = [[0]]")}, "line 7: beta",
+                 id="beta-too-small"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DIVISION_CFG, "beta = [[0,1],[1,0]]",
+                                 "beta = [[0,1],[1]]")}, "line 7: beta",
+                 id="beta-ragged"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DIVISION_CFG, "beta = [[0,1],[1,0]]",
+                                 "beta = 5")}, "line 7: beta",
+                 id="beta-not-a-matrix"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DIVISION_CFG, "beta = [[0,1],[1,0]]",
+                                 'beta = [[0,"1"],[1,0]]')}, "line 7: beta",
+                 id="beta-not-ints"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": b"\xff\xfe" + DIVISION_CFG.encode("utf-16-le")},
+                 "j.cfg", id="not-utf8"),
 ])
 def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
                                             argv, files, named):
@@ -452,7 +538,10 @@ def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
     # error naming the file, key or line, never a traceback
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

@@ -1,5 +1,6 @@
 """Standard realizations, involutions, doubles, matrix algebras, Phi."""
 
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 import atsbench.constructions
 from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     InvolutionParams, MonoMatrix,
-                                    build_exchange_pair, build_M_inv, d_inv,
+                                    build_exchange_pair, build_M_inv,
+                                    check_commutation, d_inv,
                                     d_inv_transpose, exchange_double,
                                     exchange_double_division,
                                     exchange_subgroup_transfer,
@@ -21,10 +23,10 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     transpose_form)
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
                              QuadraticForm, Subgroup, all_quadratic_forms,
-                             trivial_subgroup)
-from atsbench.omega import (INVOLUTION, PRODUCT, LinearMap, check_grading,
-                            check_involution, check_morphism, check_t4_flip,
-                            is_simple)
+                             extend_bicharacter, trivial_subgroup)
+from atsbench.omega import (INVOLUTION, PRODUCT, LinearMap, VerificationError,
+                            check_grading, check_involution, check_morphism,
+                            check_t4_flip, is_simple)
 from atsbench.scalars import CycloField
 from helpers import dense_eq, dense_mul, dense_scale, dense_transpose
 
@@ -94,6 +96,9 @@ def test_commutation_relation_and_powers(torsion, matrix, conductor):
             cj, kj = D.mu(j, i)
             assert ki == kj
             assert ci == beta.eval(ti, tj, field) * cj
+    rep = check_commutation(D)
+    assert rep.name == "commutation-relation"
+    assert rep.passed and rep.checked == D.dim ** 2
     # X_(a_i)^(l_i) = 1 = X_(b_i)^(l_i) for the hyperbolic pair generators
     from atsbench.groups import symplectic_decomposition
     for (a, b, l) in symplectic_decomposition(T, beta):
@@ -212,6 +217,28 @@ def test_double_of_z2_squared():
     tau_ext = D.sign_form.extend(t)
     for i, s in enumerate(Dx.elements):
         assert Dx.algebra.row(INVOLUTION, (i,)) == {i: F2.scalar(tau_ext(s))}
+
+
+def test_commutation_check_catches_wrong_bicharacter(monkeypatch):
+    # against the commuting bicharacter, the six anticommuting pairs of
+    # distinct non-identity elements of V4 are violations
+    T, beta = symplectic_v4()
+    D = standard_realization(T, beta, F2)
+    commuting = Bicharacter.from_generator_matrix(T, (A_, B_), [[0, 0], [0, 0]])
+    rep = check_commutation(dataclasses.replace(D, bicharacter=commuting))
+    assert rep.checked == 16 and len(rep.violations) == 6
+    assert "Z1 Z2 != beta * Z2 Z1" in rep.violations
+    # the double refuses an extended bicharacter its products do not follow
+    G = AbelianGroup(0, (2, 2, 2))
+    a, b, t = G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 1))
+    T3 = Subgroup(G, (a, b))
+    beta3 = Bicharacter.from_generator_matrix(T3, (a, b), [[0, 1], [1, 0]])
+    flat = Bicharacter.from_generator_matrix(T3, (a, b), [[0, 0], [0, 0]])
+    D3 = d_inv_transpose(T3, beta3, F2)
+    monkeypatch.setattr(atsbench.constructions, "extend_bicharacter",
+                        lambda _, s: extend_bicharacter(flat, s))
+    with pytest.raises(VerificationError, match="commutation factor"):
+        exchange_double_division(D3, t)
 
 
 def test_double_preconditions():

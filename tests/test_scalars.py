@@ -11,9 +11,11 @@ from atsbench.scalars import (ConductorMismatch, CycloField, Scalar,
                               ScalarDivisionError, cyclotomic_polynomial,
                               euler_phi, parse_scalar)
 from helpers import (close, numeric, random_scalar, ref_add, ref_inverse,
-                     ref_mul, ref_sub)
+                     ref_mul, ref_reduce, ref_sub)
 
-PROPERTY_CONDUCTORS = (1, 3, 4, 8, 12)
+# at 5 and 7, 2 phi - 1 > N: products reach powers of zeta beyond zeta^(N-1)
+PROPERTY_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16)
+TABLE_CONDUCTORS = PROPERTY_CONDUCTORS + (2, 6, 10, 20, 24)
 
 
 def random_scalars(conductor, rng, n):
@@ -204,6 +206,43 @@ def test_canonical_integer_form(conductor, monkeypatch):
 
     def no_fraction(*args):
         raise AssertionError("Fraction built")
+    F = CycloField(conductor)
     monkeypatch.setattr(scalars, "Fraction", no_fraction)
     for a, b in zip(xs, xs[1:]):
         a + b, a - b, a * b, -a, a.is_zero(), a == b
+        if not a.is_zero():
+            a.inverse()
+    for k in range(-1, conductor + 1):
+        F.zeta(conductor, k)
+    F.roots_of_unity()
+
+
+@pytest.mark.parametrize("conductor", TABLE_CONDUCTORS)
+def test_power_table_rows(conductor):
+    # row m of the table is x^m reduced mod Phi_N, for every power of zeta
+    # and every degree a product of two reduced numerators reaches
+    phi = euler_phi(conductor)
+    rows = scalars._powers(conductor)
+    assert len(rows) == max(conductor, 2 * phi - 1)
+    assert all(type(c) is int for c in cyclotomic_polynomial(conductor))
+    for m, row in enumerate(rows):
+        assert all(type(c) is int for c in row)
+        assert row == ref_reduce([0] * m + [1], conductor)
+        assert Scalar(conductor, row) == CycloField(conductor).zeta(
+            conductor, m)
+
+
+@pytest.mark.parametrize("conductor", TABLE_CONDUCTORS)
+def test_roots_of_unity_order(conductor):
+    # zeta^0, -zeta^0, zeta^1, -zeta^1, ... with repeats dropped: the order
+    # the witness searches try their candidates in
+    F = CycloField(conductor)
+    z, current, expected = F.zeta(conductor, 1), F.one, []
+    for _ in range(conductor):
+        for s in (current, -current):
+            if s not in expected:
+                expected.append(s)
+        current = current * z
+    roots = F.roots_of_unity()
+    assert roots == expected
+    assert len(roots) == (conductor if conductor % 2 == 0 else 2 * conductor)
