@@ -103,6 +103,9 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
         if kind == "scalar":
             return scalar_triple(field)
         if kind == "zero":
+            if dim < 1:
+                raise ConfigError(f"builtin zero triple needs dim >= 1, "
+                                  f"got dim = {dim}")
             return zero_triple(field, dim)
         if kind == "direct_sum":
             return direct_sum_triple(field, max(dim, 2))
@@ -237,9 +240,12 @@ def _run_decide(path1: str, path2: str, verify: bool, report: Report):
 def _run_census(cfg: JobConfig, report: Report):
     if cfg.group is None:
         raise ConfigError("census needs a [group] section")
-    max_dim = cfg.max_dim or 8
+    max_dim = 8 if cfg.max_dim is None else cfg.max_dim
     res = run_census(cfg.group, max_dim, cases=cfg.census_cases,
                      max_support=cfg.max_support)
+    if not res.labels:
+        raise ConfigError(f"census over {cfg.group} with max_dim = {max_dim} "
+                          "enumerates no label")
     report.artifacts["census"] = res.to_dict()
     report.add_check("all-yes-witnessed",
                      res.verified_witnesses == res.yes_count,

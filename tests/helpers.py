@@ -8,17 +8,21 @@ the `ref_*` routines redo Q(zeta_N) arithmetic on tuples of `Fraction`s
 (schoolbook convolution, long division by the cyclotomic polynomial,
 Gauss-Jordan for inverses) to cross-check `Scalar`, and
 `ref_antimap_candidates` is the standalone propagation loop that
-`classify._antimap_candidates` is checked against; the float embedding
+`classify._antimap_candidates` is checked against, and the
+`ref_check_*` scans evaluate every basis tuple one by one, the oracle
+for the scans that skip tuples whose sides are zero; the float embedding
 sends z_N to exp(2 pi i / N) and is used as a sanity oracle next to the
 exact assertions, never instead of them.
 """
 
 import cmath
 import itertools
+import random
 from fractions import Fraction
 
 from atsbench.classify import xi_shift_candidates
-from atsbench.omega import PRODUCT, LinearMap, _unit_in
+from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap, _unit_in,
+                            scan)
 from atsbench.scalars import Scalar, cyclotomic_polynomial, euler_phi
 
 
@@ -176,3 +180,83 @@ def ref_antimap_candidates(D, roots, cap: int = 4096):
         if ok and values not in out:
             out.append(values)
     return out
+
+
+def ref_check_associative(alg):
+    """(e_i e_j) e_k = e_i (e_j e_k), evaluated on every basis triple."""
+    def sides(t):
+        i, j, k = t
+        yield (alg.apply_slot(PRODUCT, 0, alg.row(PRODUCT, (i, j)), (k,)),
+               alg.apply_slot(PRODUCT, 1, alg.row(PRODUCT, (j, k)), (i,)),
+               lambda: f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
+    return scan("associativity", itertools.product(range(alg.dim), repeat=3),
+                sides)
+
+
+def ref_check_at2(W, seed=0, exhaustive_limit=12, samples=10000):
+    """The AT2 identities, evaluated on every basis 5-tuple (or on the
+    same seeded draws above exhaustive_limit)."""
+    alg = W.algebra
+    d = alg.dim
+    if d <= exhaustive_limit:
+        tuples = itertools.product(range(d), repeat=5)
+    else:
+        rng = random.Random(seed)
+        tuples = (tuple(rng.randrange(d) for _ in range(5))
+                  for _ in range(samples))
+
+    def sides(t):
+        u, v, x, y, z = t
+        lhs = alg.apply_slot(TRIPLE, 0, W.row(u, v, x), (y, z))
+        yield (lhs, alg.apply_slot(TRIPLE, 1, W.row(y, x, v), (u, z)),
+               lambda: f"{{{{u,v,x}},y,z}} != {{u,{{y,x,v}},z}} at {t}")
+        yield (lhs, alg.apply_slot(TRIPLE, 2, W.row(x, y, z), (u, v)),
+               lambda: f"{{{{u,v,x}},y,z}} != {{u,v,{{x,y,z}}}} at {t}")
+    return scan("at2-axiom", tuples, sides)
+
+
+def ref_check_morphism(f, ops=None, gradings=None):
+    """f(omega(x1..xn)) = omega(f(x1)..f(xn)), evaluated on every basis
+    tuple, plus the graded-map condition."""
+    src, tgt = f.source, f.target
+    names = sorted(ops if ops is not None else src.operators)
+    tuples = itertools.chain(
+        ((op, idx) for op in names if src.operators[op]
+         for idx in itertools.product(range(src.dim),
+                                      repeat=src.operators[op])),
+        ((None, i) for i in range(src.dim) if gradings is not None))
+
+    def sides(t):
+        op, idx = t
+        if op is None:
+            source, target = gradings
+            deg = source.degmap[idx]
+            yield (all(target.degmap[j] == deg for j in f.columns[idx]), True,
+                   lambda: f"f(e{idx}) leaves component {deg}")
+        else:
+            yield (f.apply(src.row(op, idx)),
+                   tgt.apply(op, *(f.columns[i] for i in idx)),
+                   lambda: f"{op}{idx}: f(op(x)) != op(f(x))")
+    return scan("morphism", tuples, sides)
+
+
+def ref_check_involution(alg):
+    """phi^2 = id and phi(xy) = phi(y)phi(x), evaluated on every basis
+    tuple."""
+    one = alg.field.one
+    squares = ((i,) for i in range(alg.dim))
+    pairs = itertools.product(range(alg.dim), repeat=2) \
+        if PRODUCT in alg.operators else ()
+
+    def sides(t):
+        if len(t) == 1:
+            i, = t
+            yield (alg.apply_slot(INVOLUTION, 0, alg.row(INVOLUTION, t)),
+                   {i: one}, lambda: f"phi^2(e{i}) != e{i}")
+        else:
+            i, j = t
+            yield (alg.apply_slot(INVOLUTION, 0, alg.row(PRODUCT, t)),
+                   alg.apply(PRODUCT, alg.row(INVOLUTION, (j,)),
+                             alg.row(INVOLUTION, (i,))),
+                   lambda: f"phi(e{i} e{j}) != phi(e{j}) phi(e{i})")
+    return scan("involution", itertools.chain(squares, pairs), sides)

@@ -461,7 +461,21 @@ max_dim = 4
     assert census["yes"] == census["verified_witnesses"]
 
 
-GRADED_TRIPLE = {"conductor": 1, "dim": 1, "operators": {"triple": 3},
+def test_census_max_dim_defaults_to_8_only_when_absent():
+    default = parse_config("[group]\nG = Z/2\n")
+    default.command = "census"
+    eight = parse_config("[group]\nG = Z/2\n[census]\nmax_dim = 8\n")
+    eight.command = "census"
+    census = run(default).artifacts["census"]
+    assert census == run(eight).artifacts["census"]
+    assert census["labels"]
+    zero = parse_config("[group]\nG = Z/2\n[census]\nmax_dim = 0\n")
+    zero.command = "census"
+    with pytest.raises(ConfigError, match="max_dim = 0"):
+        run(zero)
+
+
+GRADED_TRIPLE ={"conductor": 1, "dim": 1, "operators": {"triple": 3},
                  "basis": ["w"], "tensor": [["triple", [0, 0, 0], 0, "1"]],
                  "group": {"free_rank": 0, "torsion": [2]}, "degrees": [[0]],
                  "graded_ops": ["triple"]}
@@ -497,6 +511,22 @@ def _edit(text, old, new):
     pytest.param(["envelope", "t.cfg"],
                  {"t.cfg": "[triple]\nsource = builtin\nbuiltin = zero\n"
                            "dim = two\n"}, "dim", id="triple-dim"),
+    pytest.param(["envelope", "t.cfg"],
+                 {"t.cfg": "[triple]\nsource = builtin\nbuiltin = zero\n"
+                           "dim = 0\n"}, "dim = 0", id="zero-triple-dim-0"),
+    pytest.param(["envelope", "t.cfg"],
+                 {"t.cfg": "[triple]\nsource = builtin\nbuiltin = zero\n"
+                           "dim = -1\n"}, "dim = -1",
+                 id="zero-triple-dim-negative"),
+    pytest.param(["census", "j.cfg"],
+                 {"j.cfg": "[job]\nmax_dim = 1\n[group]\nG = Z/2\n"},
+                 "Z/2 with max_dim = 1", id="census-max-dim-1"),
+    pytest.param(["census", "j.cfg"],
+                 {"j.cfg": "[job]\nmax_dim = 0\n[group]\nG = Z/2\n"},
+                 "Z/2 with max_dim = 0", id="census-max-dim-0"),
+    pytest.param(["census", "j.cfg", "--max-dim", "-1"],
+                 {"j.cfg": "[group]\nG = Z/2\n"},
+                 "Z/2 with max_dim = -1", id="census-max-dim-flag"),
     pytest.param(["construct", "j.cfg"],
                  {"j.cfg": _edit(MINIMAL, "gamma0 = (0)", "gamma0 = (a)")},
                  "coordinate", id="element"),

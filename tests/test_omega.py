@@ -1,16 +1,19 @@
 """Structure-tensor algebras: gradings, morphisms, ideals, simplicity."""
 
 import json
+import random
 
 import pytest
 
 from atsbench.groups import AbelianGroup
+from atsbench.linalg import rref
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, SimplicityUndecided,
                             algebra_from_dict, algebra_to_dict, center_basis,
                             check_grading, check_involution, check_morphism,
                             check_t4_flip, coarsen, graded_is_simple,
-                            ideal_closure, is_simple, pi1_coarsening)
+                            ideal_closure, is_simple, pi1_coarsening,
+                            to_dense)
 from atsbench.scalars import CycloField
 from helpers import unit
 
@@ -110,6 +113,32 @@ def test_swap_is_not_automorphism():
     assert (rep.checked, rep.violations) == (
         20, products + ["f(e1) leaves component (-1)",
                         "f(e2) leaves component (1)"])
+
+
+def test_monomial_is_bijective_matches_rref():
+    # a map with one term per column takes the distinct-targets path;
+    # every verdict must equal the rank test by row reduction
+    rng = random.Random(11)
+    alg = OmegaAlgebra(FQ, 5, {PRODUCT: 2})
+    maps = []
+    for _ in range(40):
+        targets = rng.sample(range(5), 5)
+        values = [FQ.scalar(rng.choice([1, -1, 2, 3])) for _ in range(5)]
+        if rng.random() < 0.5:
+            targets[rng.randrange(5)] = targets[rng.randrange(5)]
+        if rng.random() < 0.3:
+            values[rng.randrange(5)] = FQ.zero      # a stored zero
+        maps.append(LinearMap(alg, alg, [{t: c} for t, c in
+                                         zip(targets, values)]))
+    verdicts = [f.is_bijective() for f in maps]
+    assert verdicts == [len(rref(FQ, [to_dense(FQ, c, 5) for c in f.columns]))
+                        == 5 for f in maps]
+    assert True in verdicts and False in verdicts
+    cols = [{0: FQ.one}, {0: FQ.scalar(2)}, {2: FQ.one}, {3: FQ.one},
+            {4: FQ.one}]
+    assert not LinearMap(alg, alg, cols).is_bijective()    # repeated target
+    cols[1] = {1: FQ.zero}
+    assert not LinearMap(alg, alg, cols).is_bijective()    # zero coefficient
 
 
 def test_apply_rejects_wrong_arity():

@@ -1,0 +1,186 @@
+"""The identity scans skip the basis tuples whose sides are all zero; they
+must report exactly what the per-tuple reference scans in helpers do:
+the same `checked` count and the same violations in the same order, on
+the corpus and on seeded corruptions of it."""
+
+import itertools
+import random
+
+import pytest
+
+from atsbench.constructions import InvolutionParams, build_M_inv
+from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
+from atsbench.groups import AbelianGroup, Bicharacter, trivial_subgroup, z_part
+from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
+                            OmegaAlgebra, check_involution, check_morphism,
+                            combine)
+from atsbench.scalars import CycloField
+from atsbench.triples import (TripleSystem, check_associative, check_at2,
+                              extend_automorphism, loos_envelope,
+                              reconstruct_iso, triple_from)
+from helpers import (ref_check_associative, ref_check_at2,
+                     ref_check_involution, ref_check_morphism)
+
+
+def same(new, ref):
+    return (new.to_dict(), new.violations) == (ref.to_dict(), ref.violations)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """(triple, envelope) for every corpus triple and the dim-9 triple."""
+    Z2 = AbelianGroup(0, (2,))
+    T = trivial_subgroup(Z2)
+    e, z = Z2.identity, Z2.element((1,))
+    big = build_M_inv(InvolutionParams(
+        group=Z2, T=T, beta=Bicharacter.from_generator_matrix(T, (), []),
+        kappa0=(1, 2), gamma0=(e, z), kappa1=(1, 2), gamma1=(e, z),
+        delta=1, g=e, S_signs0=(1,), S_signs1=(1,)), CycloField(2))
+    W9, _ = triple_from(big.algebra, big.grading)
+    triples = [entry.triple for entry in triple_corpus()] + [W9]
+    return [(W, loos_envelope(W)) for W in triples]
+
+
+def corrupt(alg, op, kind, rng):
+    """A copy of alg with one entry of op's tensor scaled, deleted, or
+    stray: stored where no row was when there is such a place (then its
+    side of some tuples turns nonzero while the partner side stays zero),
+    else added to a stored row."""
+    bad = OmegaAlgebra(alg.field, alg.dim, alg.operators, alg.basis_labels)
+    bad.tensors = {name: {idx: dict(row) for idx, row in t.items()}
+                   for name, t in alg.tensors.items()}
+    table = bad.tensors[op]
+    if kind == "scaled":
+        idx = rng.choice(sorted(table))
+        k = rng.choice(sorted(table[idx]))
+        table[idx][k] = table[idx][k] * alg.field.scalar(2)
+    elif kind == "deleted":
+        del table[rng.choice(sorted(table))]
+    else:
+        empty = [idx for idx in itertools.product(
+            range(alg.dim), repeat=alg.operators[op]) if idx not in table]
+        row = table.setdefault(
+            rng.choice(empty) if empty else rng.choice(sorted(table)), {})
+        row[rng.choice([k for k in range(alg.dim) if k not in row])] = \
+            alg.field.one
+    return bad
+
+
+def test_scans_match_reference_on_corpus(corpus):
+    for W, env in corpus:
+        assert same(check_at2(W, exhaustive_limit=8, samples=2000),
+                    ref_check_at2(W, exhaustive_limit=8, samples=2000))
+        assert same(check_associative(env.algebra),
+                    ref_check_associative(env.algebra))
+        assert same(check_involution(env.algebra),
+                    ref_check_involution(env.algebra))
+
+
+@pytest.mark.parametrize("kind", ["scaled", "deleted", "stray"])
+def test_scans_match_reference_on_corruptions(corpus, kind):
+    rng = random.Random(f"corrupt-{kind}")
+    # envelopes up to dim 24 keep the per-tuple reference quick
+    small = [(W, env) for W, env in corpus
+             if env.algebra.dim <= 24 and W.dim > 1]
+    failed = 0
+    for _ in range(12):
+        W, env = rng.choice(small)
+        bad = corrupt(env.algebra, PRODUCT, kind, rng)
+        for new, ref in ((check_associative(bad), ref_check_associative(bad)),
+                         (check_involution(bad), ref_check_involution(bad))):
+            assert same(new, ref)
+            failed += not ref.passed
+        bad = corrupt(env.algebra, INVOLUTION, kind, rng)
+        new, ref = check_involution(bad), ref_check_involution(bad)
+        assert same(new, ref)
+        failed += not ref.passed
+        bad_W = TripleSystem(corrupt(W.algebra, TRIPLE, kind, rng))
+        new, ref = check_at2(bad_W, exhaustive_limit=6), \
+            ref_check_at2(bad_W, exhaustive_limit=6)
+        assert same(new, ref)
+        failed += not ref.passed
+    # the comparisons above are between failing reports, mostly
+    assert failed >= 40
+
+
+def broken(f: LinearMap, rng) -> list:
+    """f with one column scaled by 2, and f with a stray term added to
+    one column."""
+    k = rng.randrange(f.source.dim)
+    scaled = [dict(c) for c in f.columns]
+    scaled[k] = {i: c * f.target.field.scalar(2) for i, c in scaled[k].items()}
+    stray = [dict(c) for c in f.columns]
+    stray[k][rng.randrange(f.target.dim)] = f.target.field.one
+    return [LinearMap(f.source, f.target, cols) for cols in (scaled, stray)]
+
+
+def sheared(ca):
+    """(B, grading, f): B is ca.algebra transported along the shear
+    f(e_b) = e_b + e_a, for two basis vectors a != b of one degree-0
+    component, so f: A -> B is a graded isomorphism that is not
+    monomial."""
+    A, deg, one = ca.algebra, ca.grading.degmap, ca.algebra.field.one
+    a, b = next((a, b) for a in range(A.dim) for b in range(A.dim)
+                if a != b and deg[a] == deg[b] and z_part(deg[a]) == 0)
+    cols = [{i: one} for i in range(A.dim)]
+    inverse = [dict(c) for c in cols]
+    cols[b], inverse[b] = {b: one, a: one}, {b: one, a: -one}
+    B = OmegaAlgebra(A.field, A.dim, A.operators)
+    for op, arity in A.operators.items():
+        for idx in itertools.product(range(A.dim), repeat=arity):
+            image = A.apply(op, *(inverse[i] for i in idx))
+            B.set_entry(op, idx, combine((c, cols[i])
+                                         for i, c in image.items()))
+    grading = Grading(B, ca.grading.group, deg, ca.grading.graded_ops)
+    return B, grading, LinearMap(A, B, cols)
+
+
+def broken(f: LinearMap, rng) -> list:
+    """f with one column scaled by 2, and f with a stray term added to
+    one column."""
+    k = rng.randrange(f.source.dim)
+    scaled = [dict(c) for c in f.columns]
+    scaled[k] = {i: c * f.target.field.scalar(2) for i, c in scaled[k].items()}
+    stray = [dict(c) for c in f.columns]
+    stray[k][rng.randrange(f.target.dim)] = f.target.field.one
+    return [LinearMap(f.source, f.target, cols) for cols in (scaled, stray)]
+
+
+def test_morphism_scan_matches_reference():
+    rng = random.Random(7)
+    both = [PRODUCT, INVOLUTION]
+    entries = triple_corpus()
+    maps = []
+    # monomial triple automorphisms and their envelope extensions
+    for entry, psi in seeded_automorphisms(entries, seed=0, want=6):
+        maps.append((psi, [TRIPLE], None))
+        maps.append((extend_automorphism(entry.triple, psi), both, None))
+    # a rotation of the dim-2 triple of M3 and its extension
+    W = next(e.triple for e in entries if e.name.startswith("GrW M3"))
+    F = W.field
+    rotation = LinearMap(W.algebra, W.algebra, [
+        {0: F.scalar(3) / F.scalar(5), 1: F.scalar(4) / F.scalar(5)},
+        {0: F.scalar(-4) / F.scalar(5), 1: F.scalar(3) / F.scalar(5)}])
+    maps.append((rotation, [TRIPLE], None))
+    maps.append((extend_automorphism(W, rotation), both, None))
+    # reconstruction maps of corpus algebras, as built and sheared
+    for entry in algebra_corpus()[::8]:
+        ca = entry.build()
+        psi, env, _ = reconstruct_iso(ca.algebra, ca.grading)
+        maps.append((psi, both, (ca.grading, env.grading)))
+        B, grading, shear = sheared(ca)
+        psi, env, _ = reconstruct_iso(B, grading)
+        maps.append((psi, both, (grading, env.grading)))
+        maps.append((shear, both, (ca.grading, grading)))
+    monomial = [all(len(c) == 1 for c in f.columns) for f, _, _ in maps]
+    assert any(monomial) and not all(monomial)
+    failed = 0
+    for f, ops, gradings in maps:
+        assert same(check_morphism(f, ops, gradings),
+                    ref_check_morphism(f, ops, gradings))
+        for g in broken(f, rng):
+            new, ref = (check_morphism(g, ops, gradings),
+                        ref_check_morphism(g, ops, gradings))
+            assert same(new, ref)
+            failed += not ref.passed
+    assert failed >= len(maps)
