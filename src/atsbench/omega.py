@@ -17,13 +17,12 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .groups import AbelianGroup, GroupElement, z_part
+from .linalg import SparseVec, combine
 from .scalars import CycloField, Scalar, parse_scalar
 
 PRODUCT = "product"
 INVOLUTION = "involution"
 TRIPLE = "triple"
-
-SparseVec = dict
 
 
 def vec_add(a: SparseVec, b: SparseVec) -> SparseVec:
@@ -44,33 +43,12 @@ def vec_scale(c: Scalar, a: SparseVec) -> SparseVec:
     return {i: c * x for i, x in a.items()}
 
 
-def combine(terms) -> SparseVec:
-    """sum of c * row over the (c, row) pairs, stored zeros dropped."""
-    out: SparseVec = {}
-    for c, row in terms:
-        for i, x in row.items():
-            s = out.get(i)
-            out[i] = c * x if s is None else s + c * x
-    return {i: s for i, s in out.items() if not s.is_zero()}
-
-
 def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
     return vec_add(a, {i: -c for i, c in b.items()})
 
 
 def vec_eq(a: SparseVec, b: SparseVec) -> bool:
     return vec_sub(a, b) == {}
-
-
-def to_dense(field: CycloField, v: SparseVec, dim: int) -> list[Scalar]:
-    out = [field.zero] * dim
-    for i, c in v.items():
-        out[i] = c
-    return out
-
-
-def to_sparse(v) -> SparseVec:
-    return {i: c for i, c in enumerate(v) if not c.is_zero()}
 
 
 class OmegaAlgebra:
@@ -214,8 +192,8 @@ class LinearMap:
                for col in self.columns):
             targets = {i for col in self.columns for i in col}
             return len(targets) == self.source.dim
-        rows = [to_dense(self.target.field, col, self.target.dim) for col in self.columns]
-        return len(linalg.rref(self.target.field, rows)) == self.source.dim
+        return len(linalg.rref(self.target.field, self.columns,
+                               self.target.dim)) == self.source.dim
 
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and
@@ -386,11 +364,11 @@ def ideal_closure(alg: OmegaAlgebra, seeds, grading: Grading = None,
             return
         pieces = grading.split_homogeneous(v) if grading is not None else [v]
         for piece in pieces:
-            if space.insert(to_dense(alg.field, piece, alg.dim)):
+            if space.insert(piece):
                 work.append(piece)
 
     for s in seeds:
-        push(dict(s) if isinstance(s, dict) else to_sparse(s))
+        push(dict(s))
     while work and space.rank < alg.dim:
         v = work.pop()
         for op, arity in active.items():
@@ -425,11 +403,10 @@ def center_basis(alg: OmegaAlgebra, indices, symmetric: bool = False) -> list:
             terms += [(k, c) for k, c in alg.row(INVOLUTION, (i,)).items()]
             terms.append((i, -alg.field.one))
         for key, c in terms:
-            row = equations.setdefault(key, [alg.field.zero] * len(indices))
-            row[col] = row[col] + c
-    kernel = linalg.kernel(alg.field, list(equations.values()), len(indices))
-    return [{indices[col]: c for col, c in enumerate(v) if not c.is_zero()}
-            for v in kernel]
+            row = equations.setdefault(key, {})
+            row[col] = row[col] + c if col in row else c
+    kernel = linalg.kernel(alg.field, equations.values(), len(indices))
+    return [{indices[col]: c for col, c in v.items()} for v in kernel]
 
 
 def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
@@ -473,14 +450,16 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
                    for i in range(alg.dim))
     field, dim = alg.field, alg.dim
     products = alg.tensors[PRODUCT]
-    trace = [field.zero] * dim                      # t_k = tr L_{e_k}
+    trace = {}                                      # t_k = tr L_{e_k}
     for (k, j), out in products.items():
         if j in out:
-            trace[k] = trace[k] + out[j]
-    form = [[field.zero] * dim for _ in range(dim)]
+            trace[k] = trace[k] + out[j] if k in trace else out[j]
+    form = [{} for _ in range(dim)]                 # zeros: dropped by kernel
     for (i, j), out in products.items():
         for k, c in out.items():
-            form[i][j] = form[i][j] + c * trace[k]
+            if k in trace:
+                t = c * trace[k]
+                form[i][j] = form[i][j] + t if j in form[i] else t
     radical = len(linalg.kernel(field, form, dim))
     if radical:
         if radical < dim or products:
@@ -515,11 +494,12 @@ def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:
     """The element u of the span with u c = c for every c in it ({} when
     there is none; a semisimple A has its unit in every center part):
     one solve with an unknown per element of the span."""
-    field, dim = alg.field, alg.dim
-    columns = [[x for c in span for x in to_dense(field, alg.mul(b, c), dim)]
-               for b in span]
-    target = [x for c in span for x in to_dense(field, c, dim)]
-    return combine(zip(linalg.solve(field, columns, target) or [], span))
+    dim = alg.dim
+    columns = [{n * dim + i: x for n, c in enumerate(span)
+                for i, x in alg.mul(b, c).items()} for b in span]
+    target = {n * dim + i: x for n, c in enumerate(span) for i, x in c.items()}
+    sol = linalg.solve(alg.field, columns, target, len(span) * dim) or {}
+    return combine((x, span[j]) for j, x in sol.items())
 
 
 def graded_is_simple(alg: OmegaAlgebra, grading: Grading) -> bool:

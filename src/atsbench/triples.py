@@ -23,7 +23,7 @@ from .groups import AbelianGroup, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
                     VerificationReport, check_morphism, combine, is_simple,
-                    scan, to_dense)
+                    scan)
 from .scalars import CycloField
 
 
@@ -153,17 +153,30 @@ class Envelope:
         return self.dim_L + 2 * self.triple.dim
 
 
-def _flatten(f, g):
-    out = []
-    for m in (f, g):
-        for row in m:
-            out.extend(row)
+def _flatten(f, g) -> SparseVec:
+    """The pair of d x d matrices (lists of d sparse rows) as one sparse
+    vector of width 2 d^2: f[r][c] at r d + c, g[r][c] at d^2 + r d + c."""
+    d = len(f)
+    return {off + r * d + c: x for off, m in ((0, f), (d * d, g))
+            for r, row in enumerate(m) for c, x in row.items()}
+
+
+def _transpose(vectors, d: int, off: int = 0) -> list[SparseVec]:
+    """The transpose of sparse vectors over [0, d): vector k of the result
+    holds entry k of vectors[i] at index off + i."""
+    out = [{} for _ in range(d)]
+    for i, v in enumerate(vectors):
+        for k, c in v.items():
+            out[k][off + i] = c
     return out
 
 
-def _split(flat, d):
-    f = [flat[r * d:(r + 1) * d] for r in range(d)]
-    g = [flat[d * d + r * d:d * d + (r + 1) * d] for r in range(d)]
+def _split(flat: SparseVec, d: int):
+    f, g = [{} for _ in range(d)], [{} for _ in range(d)]
+    for key, x in flat.items():
+        half, rc = divmod(key, d * d)
+        r, c = divmod(rc, d)
+        (g if half else f)[r][c] = x
     return f, g
 
 
@@ -173,7 +186,7 @@ def _coords(space: linalg.RowSpace, offset: int, flat, what: str) -> SparseVec:
     coords = space.coordinates(flat)
     if coords is None:
         raise VerificationError(what)
-    return {offset + k: c for k, c in enumerate(coords) if not c.is_zero()}
+    return {offset + k: c for k, c in coords.items()}
 
 
 def loos_envelope(W: TripleSystem) -> Envelope:
@@ -189,11 +202,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
 
     def operator(index):
         # the d x d matrix whose column k is W.row(*index(k))
-        m = [[field.zero] * d for _ in range(d)]
-        for k in range(d):
-            for out, c in W.row(*index(k)).items():
-                m[out][k] = c
-        return m
+        return _transpose([W.row(*index(k)) for k in range(d)], d)
 
     pairs = list(itertools.product(range(d), repeat=2))
     l_ops = {(i, j): operator(lambda k: (i, j, k)) for i, j in pairs}
@@ -202,7 +211,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
     lams = [_flatten(l_ops[i, j], l_ops[j, i]) for i, j in pairs]
     rhos = [_flatten(r_ops[j, i], r_ops[i, j]) for i, j in pairs]
 
-    ident = linalg.identity_matrix(field, d)
+    ident = [{i: field.one} for i in range(d)]
     e1_flat = _flatten(ident, ident)   # also e2 = (id, id) in E^op + E
     L_space = linalg.RowSpace(field, 2 * d * d)
     R_space = linalg.RowSpace(field, 2 * d * d)
@@ -239,18 +248,16 @@ def loos_envelope(W: TripleSystem) -> Envelope:
             alg.set_entry(PRODUCT, (r_off + a, r_off + b), R_coords(prod, "R*R"))
     # L x W -> W: a x = f(x);   Wbar x L -> Wbar: y a = g(y)
     for a, (f, g) in enumerate(L_rows):
-        for k in range(d):
-            alg.set_entry(PRODUCT, (a, w_off + k),
-                          {w_off + i: f[i][k] for i in range(d) if not f[i][k].is_zero()})
-            alg.set_entry(PRODUCT, (wbar_off + k, a),
-                          {wbar_off + i: g[i][k] for i in range(d) if not g[i][k].is_zero()})
+        for k, (fk, gk) in enumerate(zip(_transpose(f, d, w_off),
+                                         _transpose(g, d, wbar_off))):
+            alg.set_entry(PRODUCT, (a, w_off + k), fk)
+            alg.set_entry(PRODUCT, (wbar_off + k, a), gk)
     # W x R -> W: x b = b1(x);   R x Wbar -> Wbar: b y = b2(y)
     for a, (b1, b2) in enumerate(R_rows):
-        for k in range(d):
-            alg.set_entry(PRODUCT, (w_off + k, r_off + a),
-                          {w_off + i: b1[i][k] for i in range(d) if not b1[i][k].is_zero()})
-            alg.set_entry(PRODUCT, (r_off + a, wbar_off + k),
-                          {wbar_off + i: b2[i][k] for i in range(d) if not b2[i][k].is_zero()})
+        for k, (b1k, b2k) in enumerate(zip(_transpose(b1, d, w_off),
+                                           _transpose(b2, d, wbar_off))):
+            alg.set_entry(PRODUCT, (w_off + k, r_off + a), b1k)
+            alg.set_entry(PRODUCT, (r_off + a, wbar_off + k), b2k)
     # W x Wbar -> L and Wbar x W -> R
     for (i, j), lam, rho in zip(pairs, lams, rhos):
         alg.set_entry(PRODUCT, (w_off + i, wbar_off + j),
@@ -292,13 +299,12 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
     def operator_shift(pair, what):
         shift = None
         for m in pair:
-            for i in range(d):
-                for k in range(d):
-                    if not m[i][k].is_zero():
-                        s = wdeg[i] - wdeg[k]
-                        if shift not in (None, s):
-                            raise VerificationError(f"{what} mixes G-degrees")
-                        shift = s
+            for i, row in enumerate(m):
+                for k in row:
+                    s = wdeg[i] - wdeg[k]
+                    if shift not in (None, s):
+                        raise VerificationError(f"{what} mixes G-degrees")
+                    shift = s
         return shift if shift is not None else G.identity
 
     degmap = []
@@ -376,12 +382,12 @@ def pierce_split(algebra: OmegaAlgebra, grading: Grading):
         for m in minus:
             v = algebra.row(PRODUCT, (p, m))
             pm_products.append(((p, m), v))
-            pm.insert(to_dense(field, v, algebra.dim))
+            pm.insert(v)
     for m in minus:
         for p in plus:
             v = algebra.row(PRODUCT, (m, p))
             mp_products.append(((m, p), v))
-            mp.insert(to_dense(field, v, algebra.dim))
+            mp.insert(v)
     return minus, zero, plus, pm, mp, pm_products, mp_products
 
 
@@ -414,16 +420,16 @@ def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
         cols[b] = {env.wbar_offset + pos[j]: c for j, c in img.items()}
 
     products = pm_products + mp_products
-    prod_cols = [to_dense(field, v, algebra.dim) for _, v in products]
+    prod_cols = [v for _, v in products]
     env_products = []
     for (x, y), _ in products:
         env_products.append(env.algebra.mul(cols[x], cols[y]))
     for x in zero:
-        target = to_dense(field, algebra.basis_vec(x), algebra.dim)
-        sol = linalg.solve(field, prod_cols, target)
+        sol = linalg.solve(field, prod_cols, algebra.basis_vec(x),
+                           algebra.dim)
         if sol is None:
             raise VerificationError("A_0 is not spanned by A_1 A_-1 + A_-1 A_1")
-        cols[x] = combine(zip(sol, env_products))
+        cols[x] = combine((c, env_products[j]) for j, c in sol.items())
 
     psi = LinearMap(algebra, env.algebra, cols)
     if not psi.is_bijective():
@@ -455,7 +461,7 @@ def extend_automorphism(W: TripleSystem, psi: LinearMap,
     d = W.dim
     alg = env.algebra
     psi_cols = psi.columns
-    P = [[psi_cols[k].get(i, field.zero) for k in range(d)] for i in range(d)]
+    P = _transpose(psi_cols, d)
     P_inv = linalg.invert_matrix(field, P)
 
     def conjugate(m):

@@ -10,11 +10,14 @@ Gauss-Jordan for inverses) to cross-check `Scalar`, and
 `ref_antimap_candidates` is the standalone propagation loop that
 `classify._antimap_candidates` is checked against, and the
 `ref_check_*` scans evaluate every basis tuple one by one, the oracle
-for the scans that skip tuples whose sides are zero; the float embedding
+for the scans that skip tuples whose sides are zero; `RefRowSpace` and
+`ref_solve`/`ref_invert_matrix`/`ref_kernel` are the dense elimination
+kernel that the sparse `linalg` is checked against; the float embedding
 sends z_N to exp(2 pi i / N) and is used as a sanity oracle next to the
 exact assertions, never instead of them.
 """
 
+import bisect
 import cmath
 import itertools
 import random
@@ -106,11 +109,110 @@ def dense_scale(c, m):
     return [[c * x for x in row] for row in m]
 
 
-def sparse_of_algebra_elem(alg, vec, dim):
-    out = [alg.field.zero] * dim
-    for i, c in vec.items():
+def to_dense(field, v, dim):
+    """A sparse vector {index: Scalar} as a list of dim scalars."""
+    out = [field.zero] * dim
+    for i, c in v.items():
         out[i] = c
     return out
+
+
+def to_sparse(v):
+    """A list of scalars as a sparse vector, zeros dropped; the one way
+    dense test inputs reach the sparse linear algebra."""
+    return {i: c for i, c in enumerate(v) if not c.is_zero()}
+
+
+class RefRowSpace:
+    """The dense reference for linalg.RowSpace: rows are lists of width
+    scalars, every reduction walks all of them."""
+
+    def __init__(self, field, width):
+        self.field = field
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        v = list(vec)
+        combo = [self.field.zero] * len(self.rows)
+        for idx, (row, p) in enumerate(zip(self.rows, self.pivots)):
+            c = v[p]
+            if c.is_zero():
+                continue
+            combo[idx] = c
+            for j in range(p, self.width):
+                if not row[j].is_zero():
+                    v[j] = v[j] - c * row[j]
+        return v, combo
+
+    def insert(self, vec):
+        v, _ = self.reduce(vec)
+        pivot = next((j for j in range(self.width) if not v[j].is_zero()),
+                     None)
+        if pivot is None:
+            return False
+        inv = v[pivot].inverse()
+        v = [x * inv for x in v]
+        for row in self.rows:
+            c = row[pivot]
+            if c.is_zero():
+                continue
+            for j in range(pivot, self.width):
+                if not v[j].is_zero():
+                    row[j] = row[j] - c * v[j]
+        pos = bisect.bisect(self.pivots, pivot)
+        self.rows.insert(pos, v)
+        self.pivots.insert(pos, pivot)
+        return True
+
+    def coordinates(self, vec):
+        v, combo = self.reduce(vec)
+        if any(not x.is_zero() for x in v):
+            return None
+        return combo
+
+
+def ref_solve(field, columns, target):
+    """Dense solve of sum_j x_j columns[j] = target, free variables zero."""
+    n = len(columns)
+    space = RefRowSpace(field, n + 1)
+    for i, t in enumerate(target):
+        space.insert([col[i] for col in columns] + [t])
+    if space.pivots and space.pivots[-1] == n:
+        return None
+    x = [field.zero] * n
+    for row, p in zip(space.rows, space.pivots):
+        x[p] = row[n]
+    return x
+
+
+def ref_invert_matrix(field, m):
+    n = len(m)
+    space = RefRowSpace(field, 2 * n)
+    for i, row in enumerate(m):
+        space.insert(list(row) + [field.one if k == i else field.zero
+                                  for k in range(n)])
+    if space.pivots != list(range(n)):
+        return None
+    return [row[n:] for row in space.rows]
+
+
+def ref_kernel(field, rows, width):
+    space = RefRowSpace(field, width)
+    for v in rows:
+        space.insert(v)
+    basis = []
+    for f in range(width):
+        if f in space.pivots:
+            continue
+        v = [field.zero] * width
+        v[f] = field.one
+        for row, p in zip(space.rows, space.pivots):
+            if not row[f].is_zero():
+                v[p] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def random_scalar(F, rng, lo: int = -3, hi: int = 3) -> Scalar:

@@ -188,7 +188,7 @@ def test_criterion_6_pierce_decomposition():
         from atsbench import linalg
         joint = linalg.RowSpace(ca.field, ca.algebra.dim)
         for row in pm.rows + mp.rows:
-            assert joint.insert(list(row)), entry.name
+            assert joint.insert(dict(row)), entry.name
     print(f"ACCEPTANCE 6: PASS  Pierce 0-component split on {len(_corpus)} "
           f"corpus algebras")
 

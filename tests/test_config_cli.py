@@ -318,8 +318,8 @@ two_terms = dict(D.algebra.tensors, product={
     **D.algebra.tensors[PRODUCT], (0, 0): {0: one, 1: one}})
 W3 = tr.TripleSystem(OmegaAlgebra(F, 2, {TRIPLE: 3}))
 W3.grading = Grading(W3.algebra, Z3, (Z3.element((0,)), Z3.element((1,))))
-swap = [[F.zero, one], [one, F.zero]]
-zero2 = [[F.zero] * 2 for _ in range(2)]
+swap = [{1: one}, {0: one}]
+zero2 = [{}, {}]
 cases = [
     (c, "check_t4_flip", failing, lambda: c.build_M_inv(inv_params, F)),
     (c, "check_t4_flip", failing,
