@@ -23,7 +23,7 @@ from math import gcd, lcm
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
                             InvolutionParams, build_exchange_pair, build_M_inv,
                             diagonal_solutions, kappa_expand, opposite)
-from .groups import AbelianGroup, GroupElement, Subgroup, extend_bicharacter
+from .groups import AbelianGroup, GroupElement, Subgroup
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, center_basis, check_morphism,
                     graded_is_simple, is_simple)
@@ -110,14 +110,24 @@ def classify_conductor(*labels) -> int:
         lab.params.full_support.exponent, lab.params.beta.exponent)))
 
 
+def _cache():
+    return dc_field(default_factory=dict, compare=False, repr=False)
+
+
 @dataclass
 class ClassLabel:
-    """One isomorphism-class candidate: a case tag plus its parameters."""
+    """One isomorphism-class candidate: a case tag plus its parameters.
+
+    The remaining fields are caches, keyed by conductor (`_xi` by part
+    and inversion); `_divisions` is the division-part table shared by
+    the labels of one enumeration (see build_division_part)."""
     case: str
     params: object                 # ExchangePairParams | InvolutionParams
     name: str = ""
-    _built: dict = dc_field(default_factory=dict, repr=False)
-    _intrinsics: dict = dc_field(default_factory=dict, repr=False)
+    _built: dict = _cache()
+    _intrinsics: dict = _cache()
+    _xi: dict = _cache()
+    _divisions: dict = _cache()
 
     def __post_init__(self):
         if self.case == EXCHANGE_PAIR:
@@ -149,12 +159,15 @@ class ClassLabel:
         return self.params.full_support
 
     def xi(self, which: int, inverted: bool = False) -> XiMultiset:
-        p = self.params
-        kappa = p.kappa0 if which == 0 else p.kappa1
-        gamma = p.gamma0 if which == 0 else p.gamma1
-        if inverted:
-            gamma = tuple(-g for g in gamma)
-        return xi_multiset(kappa, gamma, self.full_support)
+        key = (which, inverted)
+        if key not in self._xi:
+            p = self.params
+            kappa = p.kappa0 if which == 0 else p.kappa1
+            gamma = p.gamma0 if which == 0 else p.gamma1
+            if inverted:
+                gamma = tuple(-g for g in gamma)
+            self._xi[key] = xi_multiset(kappa, gamma, self.full_support)
+        return self._xi[key]
 
     def dimension(self) -> int:
         p = self.params
@@ -168,7 +181,8 @@ class ClassLabel:
             if self.case == EXCHANGE_PAIR:
                 self._built[key] = build_exchange_pair(self.params, field)
             else:
-                self._built[key] = build_M_inv(self.params, field)
+                self._built[key] = build_M_inv(self.params, field,
+                                               self._divisions)
         return self._built[key]
 
     def intrinsics(self, field: CycloField) -> "IntrinsicInvariants":
@@ -232,9 +246,7 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
             return Decision("NO", {"violated": "t != t'"})
         if set(l1.full_support.elements) != set(l2.full_support.elements):
             return Decision("NO", {"violated": "T<t> != T'<t'>"})
-        b1 = extend_bicharacter(p1.beta, p1.t)
-        b2 = extend_bicharacter(p2.beta, p2.t)
-        if b1 != b2:
+        if p1.full_beta != p2.full_beta:
             return Decision("NO", {"violated": "beta^[t] != beta'^[t']"})
     # shifting the module grading by g'' multiplies the gamma classes by
     # g'' and the form degree by g''^{-2}, so g = g' g''^{-2}: candidate
@@ -290,6 +302,14 @@ class IntrinsicInvariants:
     is_division: bool
     commutation: dict = None      # (coords, coords) -> Scalar (division only)
     involution_signs: dict = None # coords -> Scalar (division with involution)
+    _text: dict = _cache()
+
+    def text(self, attr: str) -> str:
+        """str of one invariant, formed once: a census quotes the same
+        label's invariant in many refutations."""
+        if attr not in self._text:
+            self._text[attr] = str(getattr(self, attr))
+        return self._text[attr]
 
 
 def graded_center_support(alg: OmegaAlgebra, grading: Grading):
@@ -694,9 +714,8 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
                  "graded_simple"):
         if getattr(inv1, attr) != getattr(inv2, attr):
             return Refutation(True, "intrinsic",
-                              {"invariant": attr,
-                               "left": str(getattr(inv1, attr)),
-                               "right": str(getattr(inv2, attr))})
+                              {"invariant": attr, "left": inv1.text(attr),
+                               "right": inv2.text(attr)})
     if l1.case != l2.case:
         return Refutation(False, "INCONCLUSIVE",
                           {"reason": "cross-case pair with identical "
@@ -795,11 +814,12 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
     census wants to decide about."""
     elements = G.elements()
     labels = {}
+    divisions = {}
 
     def add(case, params_factory):
         try:
             params = params_factory()
-            lab = ClassLabel(case, params)
+            lab = ClassLabel(case, params, _divisions=divisions)
             # full validation (the sign constraints need the division part)
             lab.build(CycloField(classify_conductor(lab)))
         except ConstraintError:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
                      QuadraticForm, Subgroup, extend_bicharacter, prepend_z,
@@ -488,9 +489,14 @@ class InvolutionParams:
                 raise ConstraintError(
                     f"gamma{which} entries must be distinct modulo the support")
 
-    @property
+    @cached_property
     def full_support(self) -> Subgroup:
         return self.T.extended_by(self.t) if self.t is not None else self.T
+
+    @cached_property
+    def full_beta(self) -> Bicharacter:
+        """beta on the full support: beta^[t] in the exchange-double case."""
+        return self.beta if self.t is None else extend_bicharacter(self.beta, self.t)
 
     def part(self, which: int):
         if which == 0:
@@ -568,10 +574,19 @@ def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
     return blocks
 
 
-def build_division_part(params: InvolutionParams,
-                        field: CycloField) -> GradedDivision:
-    D = d_inv_transpose(params.T, params.beta, field)
-    return D if params.t is None else exchange_double_division(D, params.t)
+def build_division_part(params: InvolutionParams, field: CycloField,
+                        divisions: dict = None) -> GradedDivision:
+    """D(T, beta) with transposition, doubled at t in the exchange-division
+    case.  `divisions` holds the parts one run has built, keyed by (T, beta,
+    t, conductor): a built part is never changed, so labels share it."""
+    divisions = {} if divisions is None else divisions
+    key = (params.T, params.beta.exponent, params.beta, params.t,
+           field.conductor)
+    if key not in divisions:
+        D = d_inv_transpose(params.T, params.beta, field)
+        divisions[key] = (D if params.t is None
+                          else exchange_double_division(D, params.t))
+    return divisions[key]
 
 
 @dataclass
@@ -645,13 +660,15 @@ def validate_params(params: InvolutionParams):
     # delta/t shape constraints are enforced at parameter construction
 
 
-def build_M_inv(params: InvolutionParams, field: CycloField) -> ConstructedAlgebra:
+def build_M_inv(params: InvolutionParams, field: CycloField,
+                divisions: dict = None) -> ConstructedAlgebra:
     """M(G, T, beta, kappa0, kappa1, gamma0, gamma1, delta, g) or its
     exchange-double variant: the 3-graded matrix algebra over the
     division part with the involution X -> Phi^{-1} X^* Phi, where *
-    is the entrywise-phi0 transpose."""
+    is the entrywise-phi0 transpose.  `divisions` is the division-part
+    table of build_division_part."""
     validate_params(params)
-    D = build_division_part(params, field)
+    D = build_division_part(params, field, divisions)
     phi = phi_matrix(params, D, D.sign_form)
     phi_inv = _phi_inverse(phi, D)
 

@@ -50,7 +50,7 @@ class AbelianGroup:
 
     @property
     def identity(self) -> "GroupElement":
-        return self.element((0,) * self.ncoords)
+        return GroupElement(self, (0,) * self.ncoords)
 
     def is_finite(self) -> bool:
         return self.free_rank == 0
@@ -74,12 +74,22 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        if other.group != self.group:
+        """On a torsion-only group the sum is reduced in one pass: both
+        operands are valid elements, so AbelianGroup.element's checks
+        would add nothing (likewise for __neg__)."""
+        group = self.group
+        if other.group is not group and other.group != group:
             raise GroupError("elements of different groups")
-        return self.group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if group.free_rank:
+            return group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return GroupElement(group, tuple(
+            (a + b) % m for a, b, m in zip(self.coords, other.coords, group.torsion)))
 
     def __neg__(self) -> "GroupElement":
-        return self.group.element(tuple(-a for a in self.coords))
+        group = self.group
+        if group.free_rank:
+            return group.element(tuple(-a for a in self.coords))
+        return GroupElement(group, tuple(-a % m for a, m in zip(self.coords, group.torsion)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
@@ -136,6 +146,7 @@ class Subgroup:
                     frontier.append(nxt)
         self.elements = tuple(sorted(elems, key=lambda e: e.coords))
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._coset_reps = {}   # element -> coset_rep, filled a coset at a time
 
     def __contains__(self, e: GroupElement) -> bool:
         return e in self._index
@@ -160,7 +171,12 @@ class Subgroup:
 
     def coset_rep(self, g: GroupElement) -> GroupElement:
         """Lexicographically smallest representative of g + T."""
-        return min((g + t for t in self.elements), key=lambda e: e.coords)
+        rep = self._coset_reps.get(g)
+        if rep is None:
+            coset = [g + t for t in self.elements]
+            rep = min(coset, key=lambda e: e.coords)
+            self._coset_reps.update(dict.fromkeys(coset, rep))
+        return rep
 
     def basis(self) -> list[GroupElement]:
         """A minimal generating set (greedy, deterministic)."""

@@ -144,7 +144,8 @@ def solve(field: CycloField, columns: list[SparseVec], target: SparseVec,
             rows[i][j] = c
     space = RowSpace(field, n + 1)
     for row in rows:
-        space.insert(row)
+        if row:     # an empty equation cannot raise the rank
+            space.insert(row)
     if space.pivots and space.pivots[-1] == n:
         return None
     return {p: row[n] for row, p in zip(space.rows, space.pivots) if n in row}

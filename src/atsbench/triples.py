@@ -218,7 +218,8 @@ def loos_envelope(W: TripleSystem) -> Envelope:
     for space, generators in ((L_space, lams), (R_space, rhos)):
         space.insert(e1_flat)
         for gen in generators:
-            space.insert(gen)
+            if gen:     # a zero operator pair cannot raise the rank
+                space.insert(gen)
 
     nL, nR = L_space.rank, R_space.rank
     dim = nL + 2 * d + nR

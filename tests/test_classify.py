@@ -2,10 +2,11 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from atsbench import classify
+from atsbench import classify, constructions
 from atsbench.classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR,
                                SIMPLE_ALGEBRA, ClassLabel, Refutation,
                                WitnessError, _antimap_candidates,
@@ -20,7 +21,8 @@ from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     standard_realization)
 from atsbench.corpus import classification_supports, involuted_division_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
-                             Subgroup, all_quadratic_forms, trivial_subgroup)
+                             Subgroup, all_quadratic_forms, extend_bicharacter,
+                             trivial_subgroup)
 from atsbench.scalars import CycloField
 from helpers import ref_antimap_candidates, xi_shift_equal
 
@@ -28,6 +30,7 @@ Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
 V4 = AbelianGroup(0, (2, 2))
 F2 = CycloField(2)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def trivial_pair(G):
@@ -221,6 +224,10 @@ def test_refute_by_dimension_function():
     ref = refute_isomorphism(l1, l2)
     assert ref.refuted and ref.method == "intrinsic"
     assert ref.details["invariant"] == "dims"
+    F = CycloField(classify_conductor(l1, l2))
+    assert ref.details["left"] == str(l1.intrinsics(F).dims)
+    assert ref.details["right"] == str(l2.intrinsics(F).dims)
+    assert refute_isomorphism(l1, l2).details == ref.details
 
 
 def test_witness_search_failure_raises():
@@ -444,3 +451,87 @@ def test_antimap_candidates_match_reference_loop():
         roots = D.field.roots_of_unity()
         got = _antimap_candidates(D, roots)
         assert got and got == ref_antimap_candidates(D, roots)
+
+
+# ---------------------------------------------------------------------------
+# per-run and per-label caches
+# ---------------------------------------------------------------------------
+
+def _census_group(name):
+    return parse_config((CONFIGS / name).read_text()).group
+
+
+def test_census_builds_each_division_part_once(monkeypatch):
+    # census_z4 has two distinct division parts (T trivial, t absent or
+    # (2), conductor 4); a second census in the same process builds its
+    # own, so nothing is carried over between runs
+    built = []
+    real = constructions.d_inv_transpose
+
+    def counting(T, beta, field):
+        built.append((frozenset(T.elements), field.conductor))
+        return real(T, beta, field)
+    monkeypatch.setattr(constructions, "d_inv_transpose", counting)
+    G = _census_group("census_z4.cfg")
+    first = classify.run_census(G, 8)
+    assert len(built) == 2 and len(first.labels) == 32
+    second = classify.run_census(G, 8)
+    assert len(built) == 4 and second.to_dict() == first.to_dict()
+
+
+def _tensors(D):
+    return {op: {idx: dict(row) for idx, row in t.items()}
+            for op, t in D.algebra.tensors.items()}
+
+
+def test_shared_division_parts_are_not_changed_by_a_census(monkeypatch):
+    # a division part is shared by every label of its (T, beta, t,
+    # conductor); no construction, decision or search may change it
+    seen = {}
+    real = constructions.build_division_part
+
+    def recording(params, field, divisions=None):
+        D = real(params, field, divisions)
+        seen.setdefault(id(D), (D, _tensors(D), dict(D.algebra.operators)))
+        return D
+    monkeypatch.setattr(constructions, "build_division_part", recording)
+    res = classify.run_census(_census_group("census_z4.cfg"), 8)
+    assert res.inconclusive == 0 and len(seen) == 2
+    for D, tensors, operators in seen.values():
+        assert _tensors(D) == tensors and D.algebra.operators == operators
+
+
+def test_label_caches_match_fresh_values():
+    # cached xi, full_support and coset_rep equal their uncached
+    # definitions on every label of census_v4
+    G = _census_group("census_v4.cfg")
+    labels = enumerate_labels(G, 8)
+    assert len(labels) == 80
+    for lab in labels:
+        p = lab.params
+        fresh = p.T.extended_by(p.t) if getattr(p, "t", None) else p.T
+        assert lab.full_support is p.full_support is lab.full_support
+        assert set(lab.full_support.elements) == set(fresh.elements)
+        if lab.case != EXCHANGE_PAIR:
+            assert p.full_beta is p.full_beta and p.full_beta == (
+                extend_bicharacter(p.beta, p.t) if p.t else p.beta)
+        for g in G.elements():
+            assert lab.full_support.coset_rep(g) == min(
+                (g + t for t in fresh.elements), key=lambda e: e.coords)
+        for which, (kappa, gamma) in enumerate(((p.kappa0, p.gamma0),
+                                                (p.kappa1, p.gamma1))):
+            for inverted in (False, True):
+                gam = tuple(-x for x in gamma) if inverted else gamma
+                want = xi_multiset(kappa, gam, fresh)
+                assert lab.xi(which, inverted).counts == want.counts
+                assert lab.xi(which, inverted) is lab.xi(which, inverted)
+
+
+def test_equal_labels_compare_equal_after_build():
+    # the build and intrinsics caches take no part in equality
+    a, b = enumerate_labels(Z4, 8), enumerate_labels(Z4, 8)
+    assert a[0]._built and b[0]._built
+    assert a == b and a[0] == b[0]
+    F = CycloField(classify_conductor(a[0]))
+    a[0].intrinsics(F)
+    assert a[0] == b[0] and a[0] != a[1]

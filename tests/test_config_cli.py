@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import atsbench
-from atsbench.cli import main, run
+from atsbench.cli import main, report_json, run
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
 from atsbench.groups import AbelianGroup
@@ -583,3 +583,28 @@ def test_well_formed_json_triple_is_accepted(tmp_path, monkeypatch):
     (tmp_path / "w.json").write_text(json.dumps(GRADED_TRIPLE))
     (tmp_path / "t.cfg").write_text(JSON_TRIPLE_CFG)
     assert main(["check-at2", "t.cfg"]) == 0
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_report_json_matches_indented_dump(name):
+    # the spliced census records give the bytes of the indented encoder
+    cfg = parse_config((CONFIGS / name).read_text())
+    cfg.command = cfg.command or "verify"
+    data = run(cfg).to_dict()
+    assert report_json(data) == json.dumps(data, indent=2, sort_keys=True)
+
+
+def test_report_json_escapes_like_the_indented_dump():
+    decisions = [{"left": 0, "right": k, "verdict": "NO",
+                  "detail": detail} for k, detail in enumerate(
+                      ['say "no"', "tab\there\nnewline", "\u00e9\u2260",
+                       "\0decisions", "back\\slash", ""])]
+    data = {"artifacts": {"census": {"decisions": decisions, "labels": ["x"]},
+                          "other": [1, {"a": None}]},
+            "checks": [], "notes": ["\0decisions"]}
+    for d in (data, {**data, "notes": []},
+              {"artifacts": {"census": {"decisions": []}}}, {"artifacts": {}}):
+        assert report_json(d) == json.dumps(d, indent=2, sort_keys=True)

@@ -1,6 +1,7 @@
 """Groups, bicharacters, quadratic forms: spec examples and invariants."""
 
 import itertools
+import random
 
 import pytest
 
@@ -195,6 +196,37 @@ def test_coset_reps_and_subgroups():
     assert len(T) == 2 and T.is_elementary_2()
     with pytest.raises(GroupError):
         Subgroup(AbelianGroup(1), (AbelianGroup(1).element((1,)),))
+
+
+@pytest.mark.parametrize("G", [AbelianGroup(0, (4,)), AbelianGroup(0, (2, 4)),
+                               AbelianGroup(0, (2, 2, 2)), AbelianGroup(1, (2,))])
+def test_add_neg_match_element_reduction(G):
+    # the one-pass torsion reduction (and the free-rank path) agree with
+    # AbelianGroup.element on the unreduced coordinate sums
+    rng = random.Random(7)
+    draws = [G.element([rng.randrange(-9, 10) for _ in range(G.ncoords)])
+             for _ in range(40)]
+    for x, y in itertools.product(draws, repeat=2):
+        total = x + y
+        assert total == G.element([a + b for a, b in zip(x.coords, y.coords)])
+        assert total.group is G and type(total.coords[0]) is int
+    for x in draws:
+        assert -x == G.element([-a for a in x.coords])
+        assert x - x == G.identity
+    other = AbelianGroup(G.free_rank, G.torsion + (3,))
+    with pytest.raises(GroupError, match="different groups"):
+        draws[0] + other.identity
+
+
+def test_coset_rep_table_matches_min_scan():
+    G = AbelianGroup(0, (2, 4))
+    for T in (Subgroup(G, ()), Subgroup(G, (G.element((0, 2)),)),
+              Subgroup(G, (G.element((1, 2)),)), Subgroup(G, (G.element((1, 1)),))):
+        for g in G.elements() * 2:      # second pass reads the table
+            assert T.coset_rep(g) == min((g + t for t in T.elements),
+                                         key=lambda e: e.coords)
+    with pytest.raises(GroupError):
+        Subgroup(G, ()).coset_rep(V4.identity)
 
 
 def test_prepend_z():

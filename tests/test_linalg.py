@@ -317,6 +317,31 @@ def test_sparse_kernel_matches_reference_on_envelope_spaces(monkeypatch):
         assert env.L_space.rank == env.dim_L and env.R_space.rank == env.dim_R
 
 
+def test_solve_and_envelope_insert_no_empty_rows(monkeypatch):
+    # an empty equation or a zero operator pair cannot raise the rank, so
+    # solve and loos_envelope leave it out; the answers stay the same
+    empty = []
+    real = RowSpace.insert
+
+    def insert(self, vec):
+        empty.append(not vec)
+        return real(self, vec)
+    monkeypatch.setattr(RowSpace, "insert", insert)
+    for F, rng in _cases():
+        height, n = rng.randint(2, 7), rng.randint(1, 6)
+        m = _low_rank_rows(F, rng, height, n, rng.randint(1, n))
+        m[rng.randrange(height)] = [F.zero] * n
+        target = [row[0] for row in dense_mul(
+            F, m, [[_scalar(F, rng)] for _ in range(n)])]
+        x = solve(F, _sparse_rows(dense_transpose(m)), to_sparse(target),
+                  height)
+        assert x is not None and dense_eq(
+            [target], [to_dense(F, mat_vec(_sparse_rows(m), x), height)])
+    for entry in triple_corpus():
+        loos_envelope(entry.triple)
+    assert empty and not any(empty)
+
+
 def test_exchange_double_rejects_non_involution():
     # phi(e0) = 2 e0 squares to 4, not the identity
     F = CycloField(1)
