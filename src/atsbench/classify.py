@@ -21,7 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
-                            InvolutionParams, build_exchange_pair, build_M_inv,
+                            InvolutionParams, _conjugation_columns,
+                            build_exchange_pair, build_M_inv,
                             diagonal_solutions, kappa_expand, opposite)
 from .groups import AbelianGroup, GroupElement, Subgroup
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
@@ -130,14 +131,20 @@ class ClassLabel:
     _divisions: dict = _cache()
 
     def __post_init__(self):
-        if self.case == EXCHANGE_PAIR:
-            assert isinstance(self.params, ExchangePairParams)
-        elif self.case == SIMPLE_ALGEBRA:
-            assert isinstance(self.params, InvolutionParams) and self.params.t is None
-        elif self.case == EXCHANGE_DIVISION:
-            assert isinstance(self.params, InvolutionParams) and self.params.t is not None
-        else:
+        p = self.params
+        involution = isinstance(p, InvolutionParams)
+        fits = {EXCHANGE_PAIR: (isinstance(p, ExchangePairParams),
+                                "ExchangePairParams"),
+                SIMPLE_ALGEBRA: (involution and p.t is None,
+                                 "InvolutionParams without t"),
+                EXCHANGE_DIVISION: (involution and p.t is not None,
+                                    "InvolutionParams with t")}
+        if self.case not in fits:
             raise ValueError(f"unknown case {self.case}")
+        fit, wanted = fits[self.case]
+        if not fit:
+            raise ValueError(f"case {self.case} needs {wanted}, "
+                             f"got {type(p).__name__}")
         if not self.name:
             self.name = self._default_name()
 
@@ -368,9 +375,11 @@ def intrinsic_invariants(alg: OmegaAlgebra, grading: Grading,
 # structured morphism search (witnesses and refutations)
 # ---------------------------------------------------------------------------
 
-def _module_positions(ca: ConstructedAlgebra):
-    mk = ca.matrix
-    return [(0 if i < mk.k0 else 1, mk.gamma[i]) for i in range(mk.N)]
+def _module_positions(mk, negate: bool = False):
+    """(part, degree) of each module basis vector; `negate` inverts the
+    degrees, for matchings onto an opposite."""
+    return [(0 if i < mk.k0 else 1, -g if negate else g)
+            for i, g in enumerate(mk.gamma)]
 
 
 def _matchings(pos1, pos2, shift, T: Subgroup):
@@ -410,65 +419,38 @@ def _matchings(pos1, pos2, shift, T: Subgroup):
 
 
 def _division_characters(ca: ConstructedAlgebra):
-    """Graded automorphisms of the division part modulo inner ones:
-    trivial for simple D (nondegeneracy makes every character inner);
-    for exchange doubles also the sign character detecting the doubling
-    element, which is not inner because t radicalizes beta^[t]."""
-    D = ca.D
-    chars = [{e: 1 for e in D.elements}]
+    """Graded automorphisms of the division part modulo inner ones, as
+    scalars per D basis index: trivial for simple D (nondegeneracy makes
+    every character inner); for exchange doubles also the sign character
+    detecting the doubling element, which is not inner because t
+    radicalizes beta^[t]."""
+    D, field = ca.D, ca.field
+    chars = [[field.one] * D.dim]
     if D.flavor == "exchange":
         inner_support = set(D.inner.support.elements)
-        chars.append({e: (1 if e in inner_support else -1)
-                      for e in D.elements})
+        chars.append([field.scalar(1 if e in inner_support else -1)
+                      for e in D.elements])
     return chars
 
 
-def _build_monomial_map(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
-                        pi, s_list, c_list, chi) -> LinearMap:
-    """f(b E_ij) = c_i/c_j * chi(b) * Z_(s_i) b Z_(s_j)^{-1} at position
-    (pi(i), pi(j)): conjugation by the monomial module map composed with
-    the character twist chi on the division part."""
-    D = ca1.D
-    field = ca1.field
-    mk1, mk2 = ca1.matrix, ca2.matrix
-    cols = [None] * ca1.algebra.dim
-    inv_data = [D.basis_inverse(D.index[s]) for s in s_list]
-    for i in range(mk1.N):
-        si = D.index[s_list[i]]
-        for j in range(mk1.N):
-            inv_c, inv_idx = inv_data[j]
-            for b in range(D.dim):
-                c1, k1 = D.mu(si, b)
-                c2, k2 = D.mu(k1, inv_idx)
-                coeff = (c_list[i] * c_list[j].inverse() * inv_c * c1 * c2
-                         * field.scalar(chi[D.elements[b]]))
-                cols[mk1.bidx(b, i, j)] = {mk2.bidx(k2, pi[i], pi[j]): coeff}
-    return LinearMap(ca1.algebra, ca2.algebra, cols)
-
-
-def _phi_pairing(phi: dict):
-    """For a monomial Phi: the column paired to each row."""
-    return {i: j for (i, j) in phi}
-
-
 def _solve_scalars(ca1, ca2, pi, s_list, chi, roots):
-    """Scalar vectors c making the Phi identity Q^* Phi_2 Q = c Phi_1 hold.
+    """A scalar vector c making the Phi identity Q^* Phi_2 Q = c Phi_1 hold,
+    or None when the patterns are incompatible.
 
     Phi is monomial, so each row i pairs with one column p(i); the
     identity decouples into one multiplicative equation per pair, with a
-    global scalar and one free scalar per dual pair.  Returns a list of
-    candidate c-vectors (empty when the patterns are incompatible)."""
+    global scalar and one free scalar per dual pair."""
     D = ca1.D
     field = ca1.field
     phi1, phi2 = ca1.phi, ca2.phi
-    p1 = _phi_pairing(phi1)
-    p2 = _phi_pairing(phi2)
+    p1 = {i: j for (i, j) in phi1}
+    p2 = {i: j for (i, j) in phi2}
     n = len(pi)
     sigma = D.sign_form
     # pattern compatibility: pi must transport the Phi_2 pairing to Phi_1
     for i in range(n):
         if p2.get(pi[i]) != pi[p1[i]]:
-            return []
+            return None
     # k_i: Q^*Phi2Q at (i, p1(i)) equals k_i * (c_i c_{p1(i)}) * Z-part;
     # require the same division-basis element as Phi1[i, p1(i)] and
     # collect the scalar ratio.
@@ -476,27 +458,23 @@ def _solve_scalars(ca1, ca2, pi, s_list, chi, roots):
     for i in range(n):
         j = p1[i]
         b2, c2v = phi2[(pi[i], pi[j])]
-        si, sj = D.index[s_list[i]], D.index[s_list[j]]
-        m1, k1 = D.mu(si, b2)
-        m2, k2 = D.mu(k1, sj)
+        m, k = D.sandwich(D.index[s_list[i]], b2, D.index[s_list[j]])
         b1, c1v = phi1[(i, j)]
-        if k2 != b1:
-            return []
+        if k != b1:
+            return None
         star_sign = field.scalar(sigma(s_list[i]))
         # condition: (Q^* Phi2 Q)_{ij} = c * chi(Phi1)_{ij}, and
-        # (Q^* Phi2 Q)_{ij} = c_i c_j sigma(s_i) m1 m2 c2v Z_{b1}
-        chi_factor = field.scalar(chi[D.elements[b1]])
-        ratios[(i, j)] = (star_sign * m1 * m2 * c2v) / (chi_factor * c1v)
+        # (Q^* Phi2 Q)_{ij} = c_i c_j sigma(s_i) m c2v Z_{b1}
+        ratios[(i, j)] = (star_sign * m * c2v) / (chi[b1] * c1v)
     # solve c_i c_j * ratios = global scalar across all pairs
-    root_set = roots
-    for global_c in root_set:
+    for global_c in roots:
         c = [None] * n
         ok = True
         for i in range(n):
             j = p1[i]
             if i == j:
                 want = global_c / ratios[(i, i)]       # c_i^2 = want
-                sol = next((r for r in root_set if r * r == want), None)
+                sol = next((r for r in roots if r * r == want), None)
                 if sol is None:
                     ok = False
                     break
@@ -512,43 +490,67 @@ def _solve_scalars(ca1, ca2, pi, s_list, chi, roots):
             continue
         # consistency across both orders of each dual pair
         if all(c[i] * c[p1[i]] * ratios[(i, p1[i])] == global_c for i in range(n)):
-            return [c]
-    return []
+            return c
+    return None
+
+
+def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
+    """The structured search behind witnesses and refutations: block
+    permutations x monomial division scalars x twists of D x shift
+    relabelings.  For each shift, module matching (pi, s) and twist it
+    counts one attempt, asks `scalars(pi, s, twist)` for the module
+    scalars c (None: no candidate), and checks the map
+
+        b E_ij -> c_i/c_j twist(b) Z_(s_i) b Z_(s_j)^{-1} E_(pi(i), pi(j)),
+
+    or with `op` the anti-map b E_ij -> twist(b) Z_(s_j) b Z_(s_i)^{-1}
+    E_(pi(j), pi(i)) onto the opposite, as a graded isomorphism between
+    the two gradings' algebras.  Returns (map, meta) or (None, attempts);
+    gives up after SEARCH_CAP attempts."""
+    D = mk1.D
+    source, target = gradings
+    pos1, pos2 = _module_positions(mk1), _module_positions(mk2, negate=op)
+    attempts = 0
+    for shift in shifts:
+        for pi, s_list in _matchings(pos1, pos2, shift, D.support):
+            for twist in twists:
+                attempts += 1
+                if attempts > SEARCH_CAP:
+                    return None, attempts
+                c = scalars(pi, s_list, twist)
+                if c is None:
+                    continue
+                s_idx = [D.index[s] for s in s_list]
+                inverses = [D.basis_inverse(k) for k in s_idx]
+                left = [(pi[i], s_idx[i], c[i]) for i in range(len(pi))]
+                right = [(pi[i], k, x / c[i])
+                         for i, (x, k) in enumerate(inverses)]
+                f = LinearMap(source.algebra, target.algebra,
+                              _conjugation_columns(mk1, mk2, left, right,
+                                                   twist, transpose=op))
+                if (check_morphism(f, gradings=gradings).passed
+                        and f.is_bijective()):
+                    return f, {"shift": shift, "pi": pi, "attempts": attempts}
+    return None, attempts
 
 
 def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
                         shifts):
-    """Search the structured family (block permutations x monomial
-    division scalars x character twists x shift relabelings) for a
-    verified isomorphism of graded algebras with involution.
-
-    Returns (map, meta) or (None, attempts); gives up after SEARCH_CAP
-    attempts."""
+    """A verified isomorphism of graded algebras with involution in the
+    structured family (see _search), the module scalars solved from the
+    Phi identity.  Returns (map, meta) or (None, attempts)."""
     field = ca1.field
     if (ca1.algebra.dim != ca2.algebra.dim
             or ca1.D.elements != ca2.D.elements):
         return None, 0
     roots = field.roots_of_unity()
-    pos1 = _module_positions(ca1)
-    pos2 = _module_positions(ca2)
-    attempts = 0
-    for shift in shifts:
-        for pi, s_list in _matchings(pos1, pos2, shift, ca1.D.support):
-            for chi in _division_characters(ca1):
-                attempts += 1
-                if attempts > SEARCH_CAP:
-                    return None, attempts
-                if ca1.phi is not None:
-                    c_candidates = _solve_scalars(ca1, ca2, pi, s_list, chi, roots)
-                else:
-                    c_candidates = [[field.one] * len(pi)]
-                for c_list in c_candidates:
-                    f = _build_monomial_map(ca1, ca2, pi, s_list, c_list, chi)
-                    rep = check_morphism(f, gradings=(ca1.grading, ca2.grading))
-                    if rep.passed and f.is_bijective():
-                        return f, {"shift": shift, "pi": pi,
-                                   "attempts": attempts}
-    return None, attempts
+
+    def scalars(pi, s_list, chi):
+        if ca1.phi is None:
+            return [field.one] * len(pi)
+        return _solve_scalars(ca1, ca2, pi, s_list, chi, roots)
+    return _search(ca1.matrix, ca2.matrix, (ca1.grading, ca2.grading),
+                   _division_characters(ca1), shifts, scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -563,55 +565,19 @@ def _antimap_candidates(D, roots):
         D, lambda s, t: D.mu(D.index[t], D.index[s])[0], roots))
 
 
-def _build_anti_map(m1, m2, D, pi, s_list, nu, field) -> LinearMap:
-    """f(b E_ij) = d_j nu(b) d_i^{-1} at position (pi(j), pi(i)): an
-    anti-multiplicative graded map m1 -> m2 flipping the Z-degree, i.e.
-    a graded isomorphism onto the opposite of m2."""
-    cols = [None] * m1.algebra.dim
-    inv_data = [D.basis_inverse(D.index[s]) for s in s_list]
-    for i in range(m1.N):
-        inv_c, inv_idx = inv_data[i]
-        for j in range(m1.N):
-            sj = D.index[s_list[j]]
-            for b in range(D.dim):
-                c1, k1 = D.mu(sj, b)
-                c2, k2 = D.mu(k1, inv_idx)
-                coeff = inv_c * c1 * c2 * nu[D.elements[b]]
-                cols[m1.bidx(b, i, j)] = {m2.bidx(k2, pi[j], pi[i]): coeff}
-    return LinearMap(m1.algebra, m2.algebra, cols)
-
-
-def _anti_matchings(m1, m2, shift, T):
-    """Part-preserving bijections with gamma_i + gamma'_(pi(i)) + s_i =
-    shift, s_i in T (the opposite-branch degree condition)."""
-    pos1 = [(0 if i < m1.k0 else 1, m1.gamma[i]) for i in range(m1.N)]
-    pos2 = [(0 if i < m2.k0 else 1, -m2.gamma[i]) for i in range(m2.N)]
-    yield from _matchings(pos1, pos2, shift, T)
-
-
 def find_component_anti_iso(m1, m2, D, shifts, field):
     """Graded isomorphism (component of label 1) -> (component of label 2)^op
-    within the monomial family; returns (map into m2 coordinates, meta) or
-    (None, attempts), giving up after SEARCH_CAP attempts."""
+    within the monomial family (see _search, with the nu of
+    _antimap_candidates as twists); returns (map onto the opposite of m2,
+    meta) or (None, attempts)."""
     roots = field.roots_of_unity()
-    op_alg, op_grading = opposite(m2.algebra, m2.grading)
-    nus = _antimap_candidates(D, roots)
+    _, op_grading = opposite(m2.algebra, m2.grading)
+    nus = [[nu[e] for e in D.elements] for nu in _antimap_candidates(D, roots)]
     if not nus:     # no candidate map: the family is empty
         return None, 0
-    attempts = 0
-    for shift in shifts:
-        for pi, s_list in _anti_matchings(m1, m2, shift, D.support):
-            for nu in nus:
-                attempts += 1
-                if attempts > SEARCH_CAP:
-                    return None, attempts
-                f = _build_anti_map(m1, m2, D, pi, s_list, nu, field)
-                f_op = LinearMap(m1.algebra, op_alg, f.columns)
-                rep = check_morphism(f_op, ops=[PRODUCT],
-                                     gradings=(m1.grading, op_grading))
-                if rep.passed and f_op.is_bijective():
-                    return f, {"shift": shift, "pi": pi, "attempts": attempts}
-    return None, attempts
+    ones = [field.one] * m1.N
+    return _search(m1, m2, (m1.grading, op_grading), nus, shifts,
+                   lambda *_: ones, op=True)
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +782,10 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
     labels = {}
     divisions = {}
 
-    def add(case, params_factory):
+    def add(case, params_cls, **fields):
         try:
-            params = params_factory()
-            lab = ClassLabel(case, params, _divisions=divisions)
+            lab = ClassLabel(case, params_cls(group=G, **fields),
+                             _divisions=divisions)
             # full validation (the sign constraints need the division part)
             lab.build(CycloField(classify_conductor(lab)))
         except ConstraintError:
@@ -843,20 +809,20 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
                             for kappa1 in _compositions(k1):
                                 for g0 in itertools.product(elements, repeat=len(kappa0)):
                                     for g1 in itertools.product(elements, repeat=len(kappa1)):
-                                        add(EXCHANGE_PAIR, lambda T=T, beta=beta,
-                                            kappa0=kappa0, g0=g0, kappa1=kappa1, g1=g1:
-                                            ExchangePairParams(G, T, beta, kappa0, g0,
-                                                               kappa1, g1))
+                                        add(EXCHANGE_PAIR, ExchangePairParams,
+                                            T=T, beta=beta, kappa0=kappa0,
+                                            gamma0=g0, kappa1=kappa1,
+                                            gamma1=g1)
                     n += 1
             if not T.is_elementary_2():
                 continue
             # simple algebras (Phi involution): dim = n^2 |T|
             if SIMPLE_ALGEBRA in cases:
-                _enumerate_phi(G, T, beta, None, max_dim, add)
+                _enumerate_phi(elements, T, beta, None, max_dim, add)
             if EXCHANGE_DIVISION in cases:
                 for t in elements:
                     if t.order() == 2 and t not in T:
-                        _enumerate_phi(G, T, beta, t, max_dim, add)
+                        _enumerate_phi(elements, T, beta, t, max_dim, add)
     return sorted(labels.values(), key=lambda lab: lab.name)
 
 
@@ -869,8 +835,7 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
-def _enumerate_phi(G, T, beta, t, max_dim, add):
-    elements = G.elements()
+def _enumerate_phi(elements, T, beta, t, max_dim, add):
     tdim = len(T) * (2 if t is not None else 1)
     deltas = (1,) if t is not None else (1, -1)
     n = 2
@@ -883,8 +848,8 @@ def _enumerate_phi(G, T, beta, t, max_dim, add):
                 for shape1 in _part_shapes(n1):
                     if not shape1:
                         continue
-                    _enumerate_gammas(G, T, beta, t, shape0, shape1,
-                                      deltas, elements, add)
+                    _enumerate_gammas(T, beta, t, shape0, shape1, deltas,
+                                      elements, add)
         n += 1
 
 
@@ -903,7 +868,7 @@ def _shape_to_kappa(shape):
     return tuple(kappa), m
 
 
-def _enumerate_gammas(G, T, beta, t, shape0, shape1, deltas, elements, add):
+def _enumerate_gammas(T, beta, t, shape0, shape1, deltas, elements, add):
     kappa0, m0 = _shape_to_kappa(shape0)
     kappa1, m1 = _shape_to_kappa(shape1)
     len0 = len(kappa0)
@@ -913,14 +878,9 @@ def _enumerate_gammas(G, T, beta, t, shape0, shape1, deltas, elements, add):
             for gam1 in itertools.product(elements, repeat=len1):
                 for delta in deltas:
                     add(SIMPLE_ALGEBRA if t is None else EXCHANGE_DIVISION,
-                        lambda G=G, T=T, beta=beta, kappa0=kappa0, gam0=gam0,
-                        kappa1=kappa1, gam1=gam1, delta=delta, g=g, t=t,
-                        m0=m0, m1=m1:
-                        InvolutionParams(group=G, T=T, beta=beta,
-                                         kappa0=kappa0, gamma0=gam0,
-                                         kappa1=kappa1, gamma1=gam1,
-                                         delta=delta, g=g, t=t,
-                                         m0=m0, m1=m1))
+                        InvolutionParams, T=T, beta=beta, kappa0=kappa0,
+                        gamma0=gam0, kappa1=kappa1, gamma1=gam1, delta=delta,
+                        g=g, t=t, m0=m0, m1=m1)
 
 
 @dataclass

@@ -240,12 +240,13 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
     delta = _int(delta_text, delta_line, "delta")
     g_text, g_line = _get(section, "g")
     g = _parse_element(G, g_text, g_line) if g_text else G.identity
-    t_el = None
-    if case == EXCHANGE_DIVISION:
-        tt, t_line2 = _get(section, "t")
-        if tt is None:
-            raise ConfigError("exchange_division needs the order-2 element t")
-        t_el = _parse_element(G, tt, t_line2)
+    tt, t_line2 = _get(section, "t")
+    if case == SIMPLE_ALGEBRA and tt is not None:
+        raise ConfigError(f"line {t_line2}: t does not apply to the "
+                          "simple_algebra case")
+    if case == EXCHANGE_DIVISION and tt is None:
+        raise ConfigError("exchange_division needs the order-2 element t")
+    t_el = _parse_element(G, tt, t_line2) if tt is not None else None
     kwargs = {}
     for which in ("0", "1"):
         m_text, m_line = _get(section, f"m{which}")

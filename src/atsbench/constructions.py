@@ -24,7 +24,7 @@ from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, VerificationReport, check_grading,
                     check_involution, check_morphism, check_t4_flip, combine,
-                    scan, vec_scale)
+                    scan)
 from .scalars import CycloField, Scalar
 
 
@@ -138,6 +138,12 @@ class GradedDivision:
             raise VerificationError(f"product Z{i} Z{j} must be monomial")
         ((k, c),) = row.items()
         return c, k
+
+    def sandwich(self, a: int, b: int, c: int):
+        """(s, k) with Z_a Z_b Z_c = s * Z_k."""
+        c1, k1 = self.mu(a, b)
+        c2, k2 = self.mu(k1, c)
+        return c1 * c2, k2
 
     def basis_inverse(self, i: int):
         """(c, j) with Z_i^{-1} = c * Z_j."""
@@ -303,7 +309,8 @@ def exchange_double(alg: OmegaAlgebra, grading: Grading,
                        [f"u{k}" for k in range(d)] + [f"v{k}" for k in range(d)])
     minus_one = field.scalar(-1)
     cols = ([(alg.basis_vec(k), phi_cols[k]) for k in range(d)] +
-            [(alg.basis_vec(k), vec_scale(minus_one, phi_cols[k])) for k in range(d)])
+            [(alg.basis_vec(k), combine([(minus_one, phi_cols[k])]))
+             for k in range(d)])
     for i, (p, q) in enumerate(cols):
         for j, (p2, q2) in enumerate(cols):
             # (p, q)(p', q') = (p p', q' q)
@@ -643,14 +650,6 @@ def phi_matrix(params: InvolutionParams, D: GradedDivision,
     return phi
 
 
-def _phi_inverse(phi: dict, D: GradedDivision):
-    inv = {}
-    for (i, j), (b, c) in phi.items():
-        ci, bi = D.basis_inverse(b)
-        inv[(j, i)] = (bi, ci * c.inverse())
-    return inv
-
-
 def validate_params(params: InvolutionParams):
     """Checks that do not need the built division algebra."""
     if not params.T.is_elementary_2():
@@ -670,38 +669,56 @@ def build_M_inv(params: InvolutionParams, field: CycloField,
     validate_params(params)
     D = build_division_part(params, field, divisions)
     phi = phi_matrix(params, D, D.sign_form)
-    phi_inv = _phi_inverse(phi, D)
 
     g0 = kappa_expand(params.kappa0, params.gamma0)
     g1 = kappa_expand(params.kappa1, params.gamma1)
     mk = matrix_grading(D, g0, g1)
     alg, N = mk.algebra, mk.N
 
-    col_of_row = {}
-    for (i, j) in phi:
-        if i in col_of_row:
+    # phi(b E_ij) = Phi^{-1} (sigma(b) b E_ji) Phi: conjugation by the
+    # monomial Phi, row r of Phi = (col, Z_b, c) on the right and its
+    # inverse (col, Z_b^{-1} c^{-1}) on the left
+    left, right = [None] * N, [None] * N
+    for (i, j), (b, c) in phi.items():
+        if right[i] is not None:
             raise VerificationError(f"Phi must be monomial: row {i} has two entries")
-        col_of_row[i] = j
-
-    # phi(b E_ij) = Phi^{-1} (sigma(b) b E_ji) Phi lands at a single
-    # position (p, q) because Phi is monomial over D
-    sign_of = D.sign_form
+        ci, bi = D.basis_inverse(b)
+        left[i] = (j, bi, ci * c.inverse())
+        right[i] = (j, b, c)
+    signs = [field.scalar(D.sign_form(e)) for e in D.elements]
     alg.add_operator(INVOLUTION, 1)
-    for i in range(N):
-        q = col_of_row[i]
-        b_r, c_r = phi[(i, q)]
-        for j in range(N):
-            p = col_of_row[j]
-            b_l, c_l = phi_inv[(p, j)]
-            for b in range(D.dim):
-                sgn = field.scalar(sign_of(D.elements[b]))
-                c1, k1 = D.mu(b_l, b)
-                c2, k2 = D.mu(k1, b_r)
-                coeff = sgn * c_l * c1 * c2 * c_r
-                alg.set_entry(INVOLUTION, (mk.bidx(b, i, j),),
-                              {mk.bidx(k2, p, q): coeff})
+    for idx, col in enumerate(_conjugation_columns(mk, mk, left, right, signs,
+                                                   transpose=True)):
+        alg.set_entry(INVOLUTION, (idx,), col)
     return _verified(ConstructedAlgebra(field, params.group, D, mk, alg,
                                         mk.grading, params, phi))
+
+
+def _conjugation_columns(mk: MatrixOverDivision, target: MatrixOverDivision,
+                         left, right, twist, transpose: bool = False):
+    """Columns of the monomial map over D
+
+        b E_ij -> x_u y_v twist[b] Z_a Z_b Z_c E_(p, q),
+
+    with left[u] = (p, a, x), right[v] = (q, c, y) and (u, v) = (i, j),
+    or (j, i) when `transpose` is set.  Every graded isomorphism between
+    matrix algebras over D has this form: conjugation by a monomial
+    matrix over D composed with an automorphism of D (the twist, given
+    per D basis index); with `transpose` it is an anti-isomorphism, such
+    as the Phi-involution X -> Phi^{-1} X^* Phi."""
+    D = mk.D
+    cols = [None] * mk.algebra.dim
+    for i in range(mk.N):
+        for j in range(mk.N):
+            u, v = (j, i) if transpose else (i, j)
+            p, a, x = left[u]
+            q, c, y = right[v]
+            xy = x * y
+            for b in range(D.dim):
+                s, k = D.sandwich(a, b, c)
+                cols[mk.bidx(b, i, j)] = {target.bidx(k, p, q):
+                                          xy * twist[b] * s}
+    return cols
 
 
 def _verified(ca: ConstructedAlgebra) -> ConstructedAlgebra:
@@ -959,9 +976,8 @@ def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
     inv_c, inv_idx = Dx1.basis_inverse(i_tp)
     for i in range(alg1.dim):
         ((k, c),) = alg1.row(INVOLUTION, (i,)).items()
-        c1, k1 = Dx1.mu(i_tp, k)
-        c2, k2 = Dx1.mu(k1, inv_idx)
-        twisted = {k2: c * c1 * c2 * inv_c}
+        s, k2 = Dx1.sandwich(i_tp, k, inv_idx)
+        twisted = {k2: c * s * inv_c}
         expected = Dx2.algebra.row(INVOLUTION, (i,))
         if twisted != expected:
             raise VerificationError(f"Int(Y_t') o phi_1 != phi_2 at basis {i}")

@@ -283,14 +283,10 @@ def seeded_automorphisms(entries: list[TripleEntry], seed: int = 0,
             cols = [{perm[k]: vals[k]} for k in range(d)]
             psi = LinearMap(W.algebra, W.algebra, cols)
             if check_morphism(psi, ops=[TRIPLE]).passed:
-                if not any(e is entry and _same_map(p, psi)
-                           for e, p in found):
+                if not any(e is entry and p == psi for e, p in found):
                     found.append((entry, psi))
                     here += 1
         if len(found) >= want:
             break
     return found
 
-
-def _same_map(p: LinearMap, q: LinearMap) -> bool:
-    return all(a == b for a, b in zip(p.columns, q.columns))

@@ -18,37 +18,11 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .groups import AbelianGroup, GroupElement, z_part
 from .linalg import SparseVec, combine
-from .scalars import CycloField, Scalar, parse_scalar
+from .scalars import CycloField, parse_scalar
 
 PRODUCT = "product"
 INVOLUTION = "involution"
 TRIPLE = "triple"
-
-
-def vec_add(a: SparseVec, b: SparseVec) -> SparseVec:
-    out = dict(a)
-    for i, c in b.items():
-        s = out.get(i)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
-
-
-def vec_scale(c: Scalar, a: SparseVec) -> SparseVec:
-    if c.is_zero():
-        return {}
-    return {i: c * x for i, x in a.items()}
-
-
-def vec_sub(a: SparseVec, b: SparseVec) -> SparseVec:
-    return vec_add(a, {i: -c for i, c in b.items()})
-
-
-def vec_eq(a: SparseVec, b: SparseVec) -> bool:
-    return vec_sub(a, b) == {}
 
 
 class OmegaAlgebra:
@@ -171,12 +145,14 @@ class VerificationReport:
 
 
 class LinearMap:
-    """A linear map between algebras, stored as images of basis vectors."""
+    """A linear map between algebras, stored as images of basis vectors
+    (sparse, with no stored zeros)."""
 
     def __init__(self, source: OmegaAlgebra, target: OmegaAlgebra, columns):
         self.source = source
         self.target = target
-        self.columns = [dict(c) for c in columns]
+        self.columns = [{i: c for i, c in col.items() if not c.is_zero()}
+                        for col in columns]
         if len(self.columns) != source.dim:
             raise ValueError("one image per source basis vector required")
 
@@ -188,16 +164,14 @@ class LinearMap:
         bijective iff its columns hit pairwise distinct basis vectors."""
         if self.source.dim != self.target.dim:
             return False
-        if all(len(col) == 1 and not next(iter(col.values())).is_zero()
-               for col in self.columns):
+        if all(len(col) == 1 for col in self.columns):
             targets = {i for col in self.columns for i in col}
             return len(targets) == self.source.dim
         return len(linalg.rref(self.target.field, self.columns,
                                self.target.dim)) == self.source.dim
 
     def __eq__(self, other):
-        return (isinstance(other, LinearMap) and
-                all(vec_eq(a, b) for a, b in zip(self.columns, other.columns)))
+        return isinstance(other, LinearMap) and self.columns == other.columns
 
     @staticmethod
     def identity(alg: OmegaAlgebra) -> "LinearMap":
@@ -210,9 +184,10 @@ class LinearMap:
 
 def scan(name: str, tuples, sides) -> VerificationReport:
     """One exact identity scan: `sides(t)` yields (lhs, rhs, message) for
-    each basis tuple t.  Every tuple counts one check and every unequal
-    pair one violation, with the text message() (formatted only then).
-    Vectors compare exactly as dicts because combine stores no zeros."""
+    each tuple t (of basis indices, or of stored tensor entries).  Every
+    tuple counts one check and every unequal pair one violation, with the
+    text message() (formatted only then).  Vectors compare exactly as
+    dicts because combine stores no zeros."""
     report = VerificationReport(name)
     for t in tuples:
         report.checked += 1
@@ -224,23 +199,20 @@ def scan(name: str, tuples, sides) -> VerificationReport:
 
 def check_grading(grading: Grading) -> VerificationReport:
     """Every stored tensor entry must land in the predicted component."""
-    report = VerificationReport("grading")
-    alg = grading.algebra
-    for op in sorted(grading.graded_ops):
-        arity = alg.operators[op]
-        if arity == 0:
-            continue
-        for idx, out in alg.tensors[op].items():
-            report.checked += 1
-            predicted = grading.group.identity
-            for i in idx:
-                predicted = predicted + grading.degmap[i]
-            for j in out:
-                if grading.degmap[j] != predicted:
-                    report.violations.append(
-                        f"{op}{idx} -> index {j}: degree {grading.degmap[j]}"
-                        f" != predicted {predicted}")
-    return report
+    alg, degmap = grading.algebra, grading.degmap
+    tuples = ((op, idx, out) for op in sorted(grading.graded_ops)
+              if alg.operators[op] for idx, out in alg.tensors[op].items())
+
+    def sides(t):
+        op, idx, out = t
+        predicted = grading.group.identity
+        for i in idx:
+            predicted = predicted + degmap[i]
+        for j in out:
+            yield (degmap[j], predicted,
+                   lambda: f"{op}{idx} -> index {j}: degree {degmap[j]}"
+                           f" != predicted {predicted}")
+    return scan("grading", tuples, sides)
 
 
 def _meets(table: dict, vecs) -> bool:
@@ -314,17 +286,16 @@ def check_t4_flip(grading: Grading) -> VerificationReport:
 
     Assumes the grading group is Z x G with the Z slot in coordinate 0.
     """
-    report = VerificationReport("t4-degree-flip")
-    alg = grading.algebra
-    for i in range(alg.dim):
-        report.checked += 1
-        d = grading.degmap[i]
+    alg, degmap = grading.algebra, grading.degmap
+
+    def sides(i):
+        d = degmap[i]
         flipped = grading.group.element((-d.coords[0],) + d.coords[1:])
         for j in alg.row(INVOLUTION, (i,)):
-            if grading.degmap[j] != flipped:
-                report.violations.append(
-                    f"phi(e{i}) [{d}] meets component {grading.degmap[j]} != {flipped}")
-    return report
+            yield (degmap[j], flipped,
+                   lambda: f"phi(e{i}) [{d}] meets component {degmap[j]}"
+                           f" != {flipped}")
+    return scan("t4-degree-flip", range(alg.dim), sides)
 
 
 def coarsen(grading: Grading, alpha, target_group: AbelianGroup) -> Grading:
@@ -474,10 +445,10 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
     if len(center) == 1:
         return True
     unit = _unit_in(alg, center)
-    lambdas = [field.zero] + field.roots_of_unity()
+    one, lambdas = field.one, [field.zero] + field.roots_of_unity()
     for z in center:
         for lam in lambdas:
-            w = vec_sub(z, vec_scale(lam, unit))
+            w = combine([(one, z), (-lam, unit)])
             if w and ideal_closure(alg, [w], grading, ops=active).rank < dim:
                 return False
     raise SimplicityUndecided(f"no zero divisor found in a center part of "

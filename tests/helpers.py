@@ -8,9 +8,10 @@ the `ref_*` routines redo Q(zeta_N) arithmetic on tuples of `Fraction`s
 (schoolbook convolution, long division by the cyclotomic polynomial,
 Gauss-Jordan for inverses) to cross-check `Scalar`, and
 `ref_antimap_candidates` is the standalone propagation loop that
-`classify._antimap_candidates` is checked against, and the
-`ref_check_*` scans evaluate every basis tuple one by one, the oracle
-for the scans that skip tuples whose sides are zero; `RefRowSpace` and
+`classify._antimap_candidates` is checked against, `ref_phi_involution`
+the entrywise Phi^{-1} X^* Phi loop the built involutions are checked
+against, and the `ref_check_*` scans evaluate every basis tuple one by
+one, the oracle for the scans that skip tuples whose sides are zero; `RefRowSpace` and
 `ref_solve`/`ref_invert_matrix`/`ref_kernel` are the dense elimination
 kernel that the sparse `linalg` is checked against; the float embedding
 sends z_N to exp(2 pi i / N) and is used as a sanity oracle next to the
@@ -362,3 +363,31 @@ def ref_check_involution(alg):
                              alg.row(INVOLUTION, (i,))),
                    lambda: f"phi(e{i} e{j}) != phi(e{j}) phi(e{i})")
     return scan("involution", itertools.chain(squares, pairs), sides)
+
+
+def ref_phi_involution(ca):
+    """The involution X -> Phi^{-1} X^* Phi of a built M_inv algebra, as
+    its structure tensor {(basis index,): image row}: the loop over
+    (i, j, b) with Phi^{-1} formed entrywise and one structure-constant
+    lookup per factor of Z_l Z_b Z_r, the sign of * read off the
+    division part."""
+    D, mk, phi, field = ca.D, ca.matrix, ca.phi, ca.field
+    phi_inv = {}
+    for (i, j), (b, c) in phi.items():
+        ci, bi = D.basis_inverse(b)
+        phi_inv[(j, i)] = (bi, ci * c.inverse())
+    col_of_row = {i: j for (i, j) in phi}
+    out = {}
+    for i in range(mk.N):
+        q = col_of_row[i]
+        b_r, c_r = phi[(i, q)]
+        for j in range(mk.N):
+            p = col_of_row[j]
+            b_l, c_l = phi_inv[(p, j)]
+            for b in range(D.dim):
+                sgn = field.scalar(D.sign_form(D.elements[b]))
+                c1, k1 = D.mu(b_l, b)
+                c2, k2 = D.mu(k1, b_r)
+                out[(mk.bidx(b, i, j),)] = {mk.bidx(k2, p, q):
+                                            sgn * c_l * c1 * c2 * c_r}
+    return out

@@ -19,7 +19,8 @@ from atsbench.config import parse_config
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     d_inv, exchange_double_division,
                                     standard_realization)
-from atsbench.corpus import classification_supports, involuted_division_corpus
+from atsbench.corpus import (algebra_corpus, classification_supports,
+                             involuted_division_corpus)
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              Subgroup, all_quadratic_forms, extend_bicharacter,
                              trivial_subgroup)
@@ -535,3 +536,81 @@ def test_equal_labels_compare_equal_after_build():
     F = CycloField(classify_conductor(a[0]))
     a[0].intrinsics(F)
     assert a[0] == b[0] and a[0] != a[1]
+
+
+# ---------------------------------------------------------------------------
+# the structured search: pinned enumeration order
+# ---------------------------------------------------------------------------
+
+def _pair_label(G, gamma0, gamma1, kappa0=(1,), kappa1=(1,)):
+    T, beta = trivial_pair(G)
+    return ClassLabel(EXCHANGE_PAIR, ExchangePairParams(
+        group=G, T=T, beta=beta, kappa0=kappa0, gamma0=gamma0, kappa1=kappa1,
+        gamma1=gamma1))
+
+
+def _paired_division_label(g0, g1, g):
+    # Z/4, t = (2), one dual pair of blocks in each part (dim 32)
+    T, beta = trivial_pair(Z4)
+    return ClassLabel(EXCHANGE_DIVISION, InvolutionParams(
+        group=Z4, T=T, beta=beta, kappa0=(1, 1), gamma0=g0, m0=0,
+        kappa1=(1, 1), gamma1=g1, m1=0, delta=1, g=g, t=Z4.element((2,))))
+
+
+def _search_pins():
+    v, z = V4.element, Z4.element
+    corpus = {e.name: e.label for e in algebra_corpus()}
+    return [
+        # census_v4 labels, exchange pair, direct branch
+        ("direct", _pair_label(V4, (v((0, 0)),), (v((0, 0)),)),
+         _pair_label(V4, (v((0, 1)),), (v((0, 1)),)), ((0, 1), [0, 1], 1)),
+        # census_z4 labels, exchange pair, opposite branch
+        ("op", _pair_label(Z4, (z((0,)),), (z((1,)),)),
+         _pair_label(Z4, (z((0,)),), (z((3,)),)), ((0,), [0, 1], 1)),
+        # exchange pair over Z/4 with a block permutation, opposite branch
+        ("op", _pair_label(Z4, (z((0,)), z((1,))), (z((2,)),), kappa0=(1, 1)),
+         _pair_label(Z4, (z((0,)), z((1,))), (z((3,)),), kappa0=(1, 1)),
+         ((1,), [1, 0, 2], 1)),
+        # simple_algebra over D(Z2^2) (census_v4's group)
+        (None, corpus["M2(D(Z2^2)) g1=(0,0) g=(0,0)"],
+         corpus["M2(D(Z2^2)) g1=(1,0) g=(0,0)"], ((0, 0), [0, 1], 1)),
+        # exchange_division over Z/4: shift (0) fails under the trivial
+        # and the sign character before shift (1) succeeds
+        (None, _paired_division_label((z((0,)), z((3,))), (z((2,)), z((1,))),
+                                      z((1,))),
+         _paired_division_label((z((0,)), z((1,))), (z((0,)), z((1,))),
+                                z((3,))), ((1,), [1, 0, 3, 2], 3)),
+    ]
+
+
+def test_search_enumeration_order_is_pinned():
+    # every shift of G in order: the (shift, pi, attempts) each search
+    # shape returns fixes the order of shifts, matchings and twists
+    for branch, l1, l2, want in _search_pins():
+        field = CycloField(classify_conductor(l1, l2))
+        ca1, ca2 = l1.build(field), l2.build(field)
+        shifts = l1.params.group.elements()
+        f, meta = (classify.find_structured_iso(ca1, ca2, shifts)
+                   if branch is None
+                   else classify._pair_search(ca1, ca2, branch, shifts))
+        assert f is not None and f.is_bijective()
+        assert (meta["shift"].coords, meta["pi"], meta["attempts"]) == want
+
+
+def test_label_rejects_params_of_another_case():
+    T, beta = trivial_pair(Z2)
+    e, t = Z2.identity, Z2.element((1,))
+    pair = ExchangePairParams(group=Z2, T=T, beta=beta, kappa0=(1,),
+                              gamma0=(e,), kappa1=(1,), gamma1=(e,))
+    plain = InvolutionParams(group=Z2, T=T, beta=beta, kappa0=(1,),
+                             gamma0=(e,), kappa1=(1,), gamma1=(e,), delta=1,
+                             g=e)
+    doubled = InvolutionParams(group=Z2, T=T, beta=beta, kappa0=(1,),
+                               gamma0=(e,), kappa1=(1,), gamma1=(e,),
+                               delta=1, g=e, t=t)
+    for case, params in ((SIMPLE_ALGEBRA, pair), (SIMPLE_ALGEBRA, doubled),
+                         (EXCHANGE_DIVISION, plain), (EXCHANGE_PAIR, plain)):
+        with pytest.raises(ValueError, match=f"case {case} needs"):
+            ClassLabel(case, params)
+    with pytest.raises(ValueError, match="unknown case"):
+        ClassLabel("no_such_case", pair)

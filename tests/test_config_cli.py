@@ -368,6 +368,11 @@ for owner, name, fake, call in cases:
         print(str(err).split()[0])
     setattr(owner, name, real)
 print(issubclass(cl.WitnessError, VerificationError))
+try:
+    cl.ClassLabel(cl.SIMPLE_ALGEBRA, pair_params)
+    print("accepted")
+except ValueError as err:
+    print(type(err).__name__, str(err).split()[1])
 job, division, doubled = sys.argv[1:]
 for owner, name, fake, argv in [
         (c.MonoMatrix, "scalar_ratio", no_ratio, ["verify", division]),
@@ -385,7 +390,8 @@ print("exit", cli.main(["construct", job]), "debug", __debug__)
 def test_verified_claims_survive_optimize_flag(tmp_path):
     # every verification loop and verified-claim check raises
     # VerificationError when forced to fail, also under python -O, and
-    # the command line turns it into exit status 3
+    # the command line turns it into exit status 3; a label whose
+    # parameters do not fit its case raises ValueError
     cfg = tmp_path / "job.cfg"
     cfg.write_text(MINIMAL)
     division, doubled = tmp_path / "division.cfg", tmp_path / "doubled.cfg"
@@ -402,7 +408,8 @@ def test_verified_claims_survive_optimize_flag(tmp_path):
         "extension", "triple", "L", "Y-basis", "no", "Int(Y_t')",
         "cross-case", "product", "inverse:", "realization:", "transpose",
         "degree", "Phi", "transported", "commutation:", "involution", "True",
-        "exit", "3", "exit", "3", "exit", "3", "exit", "3", "debug", "False"]
+        "ValueError", "simple_algebra", "exit", "3", "exit", "3", "exit", "3",
+        "exit", "3", "debug", "False"]
 
 
 def test_console_script_installed():
@@ -505,6 +512,8 @@ def _edit(text, old, new):
                  "max_support", id="max-support"),
     pytest.param(["construct", "j.cfg"], {"j.cfg": MINIMAL + "m0 = x\n"},
                  "m0", id="m0"),
+    pytest.param(["construct", "j.cfg"], {"j.cfg": MINIMAL + "t = (1)\n"},
+                 "line 17: t does not apply", id="simple-algebra-t"),
     pytest.param(["construct", "j.cfg"],
                  {"j.cfg": _edit(DIVISION_CFG, "tau = 1 1 1 -1",
                                  "tau = 1 1 x 1")}, "tau", id="tau"),

@@ -28,7 +28,9 @@ from atsbench.omega import (INVOLUTION, PRODUCT, LinearMap, VerificationError,
                             check_grading, check_involution, check_morphism,
                             check_t4_flip, is_simple)
 from atsbench.scalars import CycloField
-from helpers import dense_eq, dense_mul, dense_scale, dense_transpose
+from atsbench.corpus import algebra_corpus, classification_supports
+from helpers import (dense_eq, dense_mul, dense_scale, dense_transpose,
+                     ref_phi_involution)
 
 F2 = CycloField(2)
 V4 = AbelianGroup(0, (2, 2))
@@ -657,3 +659,25 @@ def test_double_isomorphism_criterion_on_divisions():
     Dxa = exchange_double_division(d_inv(T1, beta1, distinct[0], F2), t)
     Dxb = exchange_double_division(d_inv(T1, beta1, distinct[1], F2), t)
     assert graded_division_iso(Dxa, Dxb) is None
+
+
+def test_sandwich_matches_the_realization_matrices():
+    # Z_a Z_b Z_c = s Z_k, read off the monomial matrices of the realization
+    for name, T, beta, conductor in classification_supports():
+        if len(T) > 9:
+            continue
+        D = standard_realization(T, beta, CycloField(conductor))
+        mats = D.matrices
+        for a, b, c in itertools.product(range(D.dim), repeat=3):
+            s, k = D.sandwich(a, b, c)
+            assert (mats[a] @ mats[b] @ mats[c]).scalar_ratio(mats[k]) == s
+
+
+def test_involutions_match_the_entrywise_phi_loop():
+    # the conjugation kernel gives every built involution of the corpus
+    # entry by entry as the loop over (i, j, b) of Phi^{-1} X^* Phi
+    entries = [e for e in algebra_corpus() if e.label.case != "exchange_pair"]
+    assert len(entries) > 20
+    for entry in entries:
+        ca = entry.build()
+        assert ca.algebra.tensors[INVOLUTION] == ref_phi_involution(ca)

@@ -137,6 +137,10 @@ def test_monomial_is_bijective_matches_rref():
     assert not LinearMap(alg, alg, cols).is_bijective()    # repeated target
     cols[1] = {1: FQ.zero}
     assert not LinearMap(alg, alg, cols).is_bijective()    # zero coefficient
+    # a stored zero is dropped, so maps compare as plain column lists
+    assert LinearMap(alg, alg, cols).columns[1] == {}
+    assert LinearMap(alg, alg, cols) == LinearMap(alg, alg, cols[:1] + [{}]
+                                                  + cols[2:])
 
 
 def test_apply_rejects_wrong_arity():
