@@ -9,6 +9,12 @@ algebras (witness_isomorphism) and every NO by an intrinsic-invariant
 mismatch or an exhausted bounded search over structured candidate maps
 (refute_isomorphism).  Nothing is ever concluded from the labels alone.
 
+A census (run_census) pays this per isomorphism class: each label is
+witnessed once, against its class representative, and a YES pair is
+certified by the composition of two such verified maps.  A NO pair is
+certified by the refutation of its two classes' representatives when
+that one is intrinsic; otherwise the pair is refuted on its own.
+
 Classification sessions work over a doubled cyclotomic conductor: the
 witness maps need square roots of bicharacter values, which exist in
 Q(zeta_2M) whenever the values lie in Q(zeta_M).
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from math import gcd, lcm
 
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
@@ -60,8 +67,11 @@ class XiMultiset:
         return "{" + ", ".join(f"{r}T:{m}" for r, m in items) + "}"
 
 
+@lru_cache(maxsize=4096)
 def halvings(G: AbelianGroup, r: GroupElement) -> list[GroupElement]:
-    """All x in G with 2x = r, coordinate by coordinate."""
+    """All x in G with 2x = r, coordinate by coordinate.  A census asks
+    for the same few r pair after pair, so the lists are kept (the most
+    recent 4096 pairs (G, r)) and shared: callers must not change them."""
     per_coord = []
     for k, c in enumerate(r.coords):
         if k < G.free_rank:
@@ -119,8 +129,8 @@ def _cache():
 class ClassLabel:
     """One isomorphism-class candidate: a case tag plus its parameters.
 
-    The remaining fields are caches, keyed by conductor (`_xi` by part
-    and inversion); `_divisions` is the division-part table shared by
+    The remaining fields are caches, keyed by conductor (`_xi` by part,
+    inversion and shift); `_divisions` is the division-part table shared by
     the labels of one enumeration (see build_division_part)."""
     case: str
     params: object                 # ExchangePairParams | InvolutionParams
@@ -165,9 +175,17 @@ class ClassLabel:
     def full_support(self) -> Subgroup:
         return self.params.full_support
 
-    def xi(self, which: int, inverted: bool = False) -> XiMultiset:
-        key = (which, inverted)
-        if key not in self._xi:
+    def xi(self, which: int, inverted: bool = False,
+           shift: GroupElement = None) -> XiMultiset:
+        """Xi(kappa_which, gamma_which), gamma inverted on request, shifted
+        by `shift` if given; a census compares the same shifted multisets
+        of one label against many others."""
+        key = (which, inverted, shift)
+        if key in self._xi:
+            return self._xi[key]
+        if shift is not None:
+            self._xi[key] = self.xi(which, inverted).shifted(shift)
+        else:
             p = self.params
             kappa = p.kappa0 if which == 0 else p.kappa1
             gamma = p.gamma0 if which == 0 else p.gamma1
@@ -259,7 +277,7 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
     # g'' and the form degree by g''^{-2}, so g = g' g''^{-2}: candidate
     # shifts are the solutions of 2 g'' = g' - g
     for g2 in halvings(p1.group, p2.g - p1.g):
-        if all(l1.xi(w) == l2.xi(w).shifted(g2) for w in (0, 1)):
+        if all(l1.xi(w) == l2.xi(w, shift=g2) for w in (0, 1)):
             return Decision("YES", {"branch": "direct", "shift": g2})
     return Decision("NO", {
         "violated": "no g'' with 2g'' = g' - g matches both coset "
@@ -269,9 +287,8 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
 def _common_shift(l1: ClassLabel, l2: ClassLabel, inverted: bool):
     """A single g with Xi_i(l1) = g Xi_i(l2[, gamma inverted]) for both i."""
     a0, a1 = l1.xi(0), l1.xi(1)
-    b0, b1 = l2.xi(0, inverted), l2.xi(1, inverted)
-    for g in xi_shift_candidates(a0, b0):
-        if a0 == b0.shifted(g) and a1 == b1.shifted(g):
+    for g in xi_shift_candidates(a0, l2.xi(0, inverted)):
+        if a0 == l2.xi(0, inverted, g) and a1 == l2.xi(1, inverted, g):
             return g
     return None
 
@@ -319,6 +336,18 @@ class IntrinsicInvariants:
         return self._text[attr]
 
 
+# the invariants a refutation compares, in order; equal inside a class
+INTRINSIC_ATTRS = ("dims", "support", "center_support", "simple",
+                   "graded_simple")
+
+
+def _intrinsic_mismatch(inv1: IntrinsicInvariants,
+                        inv2: IntrinsicInvariants):
+    """The first of INTRINSIC_ATTRS on which the two differ, or None."""
+    return next((attr for attr in INTRINSIC_ATTRS
+                 if getattr(inv1, attr) != getattr(inv2, attr)), None)
+
+
 def graded_center_support(alg: OmegaAlgebra, grading: Grading):
     """Degrees g with a nonzero central element in A_g.  The center of a
     graded algebra is graded, so one kernel per homogeneous component."""
@@ -334,18 +363,19 @@ def intrinsic_invariants(alg: OmegaAlgebra, grading: Grading,
     For graded-division inputs the commutation bicharacter is read off
     from xy (yx)^{-1} on homogeneous basis pairs and the involution sign
     from phi(Z_s) = +-Z_s."""
-    dims = {}
+    counts = {}
     for d in grading.degmap:
-        dims[d.coords] = dims.get(d.coords, 0) + 1
-    support = tuple(sorted(dims))
+        counts[d.coords] = counts.get(d.coords, 0) + 1
+    support = tuple(sorted(counts))
     inv = IntrinsicInvariants(
-        dims=dims,
+        # in support order, so that equal dimension functions print alike
+        dims={g: counts[g] for g in support},
         support=support,
         center_support=tuple(e.coords for e in
                              graded_center_support(alg, grading)),
         simple=is_simple(alg, ops={PRODUCT}),
         graded_simple=graded_is_simple(alg, grading),
-        is_division=all(v == 1 for v in dims.values()),
+        is_division=all(v == 1 for v in counts.values()),
     )
     if extract_division:
         if not inv.is_division:
@@ -676,12 +706,11 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
     ca1, ca2 = l1.build(field), l2.build(field)
     inv1 = l1.intrinsics(field)
     inv2 = l2.intrinsics(field)
-    for attr in ("dims", "support", "center_support", "simple",
-                 "graded_simple"):
-        if getattr(inv1, attr) != getattr(inv2, attr):
-            return Refutation(True, "intrinsic",
-                              {"invariant": attr, "left": inv1.text(attr),
-                               "right": inv2.text(attr)})
+    attr = _intrinsic_mismatch(inv1, inv2)
+    if attr is not None:
+        return Refutation(True, "intrinsic",
+                          {"invariant": attr, "left": inv1.text(attr),
+                           "right": inv2.text(attr)})
     if l1.case != l2.case:
         return Refutation(False, "INCONCLUSIVE",
                           {"reason": "cross-case pair with identical "
@@ -894,6 +923,10 @@ class CensusResult:
     inconclusive: int = 0
     verified_witnesses: int = 0
     refutations: int = 0
+    # label index -> class index, and the label index of each class's
+    # representative; not part of the report
+    classes: list = dc_field(default_factory=list)
+    representatives: list = dc_field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -914,26 +947,70 @@ class CensusResult:
 def run_census(G: AbelianGroup, max_dim: int,
                cases=(EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION),
                max_support: int = None) -> CensusResult:
-    """Enumerate labels, decide all pairs, and verify every YES with a
-    witness and every NO with a refutation."""
+    """Enumerate labels, sort them into isomorphism classes, decide all
+    pairs, and certify every YES and every NO through the classes.
+
+    Each label is decided against the class representatives in order.
+    On the first YES, witness_isomorphism verifies psi_i: A_rep -> A_i and
+    the label joins that class, whose intrinsic invariants it must share;
+    with no YES it becomes a new representative (psi the identity).  Only
+    the class index is kept, never the maps.  A YES pair (i, j) is then
+    certified by psi_j o psi_i^{-1}.  A NO pair is certified by the
+    refutation of its two classes, made once on their representatives,
+    when that one is intrinsic (intrinsic invariants are isomorphism
+    invariants); otherwise the pair gets its own refute_isomorphism, since
+    a composed map can leave the searched family.  Every pair is decided
+    once, and a verdict against the classes (YES across two classes, NO
+    inside one) raises WitnessError."""
     labels = enumerate_labels(G, max_dim, cases=cases, max_support=max_support)
     if not labels:
         return CensusResult(G, max_dim, [], [])
     field = CycloField(classify_conductor(*labels))
     result = CensusResult(G, max_dim, labels, [])
+    classes, reps = result.classes, result.representatives
+    decided = {}               # (representative, label) -> Decision
+    for j, lab in enumerate(labels):
+        for c, r in enumerate(reps):
+            decision = decided[(r, j)] = decide_iso(labels[r], lab, field)
+            if decision.is_yes:
+                witness_isomorphism(labels[r], lab, decision.certificate,
+                                    field)
+                attr = _intrinsic_mismatch(labels[r].intrinsics(field),
+                                           lab.intrinsics(field))
+                if attr is not None:
+                    raise VerificationError(
+                        f"{lab.name} is isomorphic to {labels[r].name} "
+                        f"but differs in the intrinsic invariant {attr}")
+                classes.append(c)
+                break
+        else:
+            classes.append(len(reps))
+            reps.append(j)
+
+    refuted = {}               # (class, class) -> Refutation of the reps
     for i, l1 in enumerate(labels):
         for j in range(i, len(labels)):
             l2 = labels[j]
-            decision = decide_iso(l1, l2, field)
+            decision = decided.pop((i, j), None) or decide_iso(l1, l2, field)
+            a, b = sorted((classes[i], classes[j]))
+            if decision.is_yes != (a == b):
+                raise WitnessError(
+                    f"decided {decision.verdict} against the classes: "
+                    f"{l1.name} (class {classes[i]}) ~ {l2.name} "
+                    f"(class {classes[j]})")
             if decision.is_yes:
                 result.yes_count += 1
                 detail = str(decision.certificate.get("branch", "direct"))
-                witness_isomorphism(l1, l2, decision.certificate, field)
                 result.verified_witnesses += 1
             else:
                 result.no_count += 1
                 detail = decision.certificate.get("violated", "")
-                ref = refute_isomorphism(l1, l2, field)
+                ref = refuted.get((a, b))
+                if ref is None:
+                    ref = refuted[(a, b)] = refute_isomorphism(
+                        labels[reps[a]], labels[reps[b]], field)
+                if ref.method != "intrinsic" and (i, j) != (reps[a], reps[b]):
+                    ref = refute_isomorphism(l1, l2, field)
                 if not ref.refuted:
                     result.inconclusive += 1
                     detail += " [INCONCLUSIVE]"

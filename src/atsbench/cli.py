@@ -76,9 +76,12 @@ def report_json(data: dict) -> str:
 
     With an indent, json encodes in pure Python, which takes a large
     census a noticeable share of its time.  So the census's decision
-    records (flat dicts of strings and ints) are each encoded in one
-    C-encoder call, with separators that reproduce the indented layout,
-    and spliced in at the indent of their list."""
+    records (flat dicts of strings and ints) are encoded in one C-encoder
+    call, with separators that reproduce the indented layout inside a
+    record, and spliced in at the indent of their list.  The record
+    boundaries are then rewritten in one pass: a boundary is "}" +
+    separator + "{", which cannot occur inside a flat record, because
+    an encoded string escapes its newlines."""
     census = data["artifacts"].get("census")
     if not census or not census["decisions"]:
         return json.dumps(data, indent=2, sort_keys=True)
@@ -94,11 +97,12 @@ def report_json(data: dict) -> str:
     line = text[text.rindex("\n", 0, at) + 1:at]
     pad = line[:len(line) - len(line.lstrip(" "))]
     item, field = pad + "  ", pad + "    "
-    encode = json.JSONEncoder(sort_keys=True,
-                              separators=(",\n" + field, ": ")).encode
-    records = ",\n".join(f"{item}{{\n{field}{encode(rec)[1:-1]}\n{item}}}"
-                         for rec in census["decisions"])
-    return f"{text[:at]}[\n{records}\n{pad}]{text[at + len(token):]}"
+    sep = ",\n" + field
+    body = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(
+        census["decisions"])[2:-2]
+    records = body.replace("}" + sep + "{", f"\n{item}}},\n{item}{{\n{field}")
+    return (f"{text[:at]}[\n{item}{{\n{field}{records}\n{item}}}\n{pad}]"
+            f"{text[at + len(token):]}")
 
 
 def _field_for(label: ClassLabel) -> CycloField:
@@ -270,6 +274,9 @@ def _run_decide(path1: str, path2: str, verify: bool, report: Report):
 def _run_census(cfg: JobConfig, report: Report):
     if cfg.group is None:
         raise ConfigError("census needs a [group] section")
+    if not cfg.group.is_finite():
+        raise ConfigError(f"census over {cfg.group} needs a finite group, "
+                          f"but it has free rank {cfg.group.free_rank}")
     max_dim = 8 if cfg.max_dim is None else cfg.max_dim
     res = run_census(cfg.group, max_dim, cases=cfg.census_cases,
                      max_support=cfg.max_support)

@@ -10,7 +10,9 @@ Gauss-Jordan for inverses) to cross-check `Scalar`, and
 `ref_antimap_candidates` is the standalone propagation loop that
 `classify._antimap_candidates` is checked against, `ref_phi_involution`
 the entrywise Phi^{-1} X^* Phi loop the built involutions are checked
-against, and the `ref_check_*` scans evaluate every basis tuple one by
+against, `ref_pairwise_census` the census that witnesses and refutes
+every pair on its own, the oracle for the census through isomorphism
+classes, and the `ref_check_*` scans evaluate every basis tuple one by
 one, the oracle for the scans that skip tuples whose sides are zero; `RefRowSpace` and
 `ref_solve`/`ref_invert_matrix`/`ref_kernel` are the dense elimination
 kernel that the sparse `linalg` is checked against; the float embedding
@@ -24,10 +26,12 @@ import itertools
 import random
 from fractions import Fraction
 
+from atsbench import classify
 from atsbench.classify import xi_shift_candidates
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap, _unit_in,
                             scan)
-from atsbench.scalars import Scalar, cyclotomic_polynomial, euler_phi
+from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
+                              euler_phi)
 
 
 def numeric(s: Scalar) -> complex:
@@ -391,3 +395,39 @@ def ref_phi_involution(ca):
                 out[(mk.bidx(b, i, j),)] = {mk.bidx(k2, p, q):
                                             sgn * c_l * c1 * c2 * c_r}
     return out
+
+
+def ref_pairwise_census(G, max_dim, cases=(classify.EXCHANGE_PAIR,
+                                           classify.SIMPLE_ALGEBRA,
+                                           classify.EXCHANGE_DIVISION),
+                        max_support=None):
+    """classify.run_census pair by pair: decide every pair, then verify
+    each YES with its own witness and each NO with its own refutation."""
+    labels = classify.enumerate_labels(G, max_dim, cases=cases,
+                                       max_support=max_support)
+    if not labels:
+        return classify.CensusResult(G, max_dim, [], [])
+    field = CycloField(classify.classify_conductor(*labels))
+    result = classify.CensusResult(G, max_dim, labels, [])
+    for i, l1 in enumerate(labels):
+        for j in range(i, len(labels)):
+            l2 = labels[j]
+            decision = classify.decide_iso(l1, l2, field)
+            if decision.is_yes:
+                result.yes_count += 1
+                detail = str(decision.certificate.get("branch", "direct"))
+                classify.witness_isomorphism(l1, l2, decision.certificate,
+                                             field)
+                result.verified_witnesses += 1
+            else:
+                result.no_count += 1
+                detail = decision.certificate.get("violated", "")
+                ref = classify.refute_isomorphism(l1, l2, field)
+                if not ref.refuted:
+                    result.inconclusive += 1
+                    detail += " [INCONCLUSIVE]"
+                else:
+                    result.refutations += 1
+                    detail += f" [{ref.method}]"
+            result.decisions.append((i, j, decision.verdict, detail))
+    return result

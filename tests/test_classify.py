@@ -1,20 +1,21 @@
 """Decision procedures: Xi multisets, decide/witness/refute, intrinsics."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from atsbench import classify, constructions
+from atsbench import classify, cli, constructions
 from atsbench.classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR,
-                               SIMPLE_ALGEBRA, ClassLabel, Refutation,
-                               WitnessError, _antimap_candidates,
-                               classify_conductor, decide_iso,
-                               enumerate_labels, halvings,
+                               INTRINSIC_ATTRS, SIMPLE_ALGEBRA, ClassLabel,
+                               Decision, Refutation, WitnessError,
+                               _antimap_candidates, classify_conductor,
+                               decide_iso, enumerate_labels, halvings,
                                intrinsic_invariants, refute_isomorphism,
                                witness_isomorphism, xi_multiset)
-from atsbench.cli import main
+from atsbench.cli import main, report_json
 from atsbench.config import parse_config
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     d_inv, exchange_double_division,
@@ -24,8 +25,11 @@ from atsbench.corpus import (algebra_corpus, classification_supports,
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              Subgroup, all_quadratic_forms, extend_bicharacter,
                              trivial_subgroup)
+from atsbench.linalg import invert_matrix
+from atsbench.omega import LinearMap, VerificationError, check_morphism
 from atsbench.scalars import CycloField
-from helpers import ref_antimap_candidates, xi_shift_equal
+from helpers import (compose, ref_antimap_candidates, ref_pairwise_census,
+                     xi_shift_equal)
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
@@ -528,6 +532,27 @@ def test_label_caches_match_fresh_values():
                 assert lab.xi(which, inverted) is lab.xi(which, inverted)
 
 
+def test_shifted_xi_and_halvings_match_fresh_values():
+    # the per-label shift table and the per-(G, r) halvings equal their
+    # uncached definitions on every label of census_v4, every shift
+    G = _census_group("census_v4.cfg")
+    for lab in enumerate_labels(G, 8):
+        p = lab.params
+        fresh = p.T.extended_by(p.t) if getattr(p, "t", None) else p.T
+        for which, (kappa, gamma) in enumerate(((p.kappa0, p.gamma0),
+                                                (p.kappa1, p.gamma1))):
+            for inverted in (False, True):
+                gam = tuple(-x for x in gamma) if inverted else gamma
+                base = xi_multiset(kappa, gam, fresh)
+                for g in G.elements():
+                    got = lab.xi(which, inverted, g)
+                    assert got.counts == base.shifted(g).counts
+                    assert got is lab.xi(which, inverted, g)
+    for r in G.elements():
+        assert halvings(G, r) is halvings(G, r)
+        assert halvings(G, r) == halvings.__wrapped__(G, r)
+
+
 def test_equal_labels_compare_equal_after_build():
     # the build and intrinsics caches take no part in equality
     a, b = enumerate_labels(Z4, 8), enumerate_labels(Z4, 8)
@@ -614,3 +639,118 @@ def test_label_rejects_params_of_another_case():
             ClassLabel(case, params)
     with pytest.raises(ValueError, match="unknown case"):
         ClassLabel("no_such_case", pair)
+
+
+# ---------------------------------------------------------------------------
+# census through isomorphism classes
+# ---------------------------------------------------------------------------
+
+CLASS_CENSUSES = ("census_z2.cfg", "census_z4.cfg", "census_v4.cfg")
+
+
+def _census_report(name):
+    return report_json(cli.run(parse_config((CONFIGS / name).read_text()))
+                       .to_dict())
+
+
+@pytest.mark.parametrize("name", CLASS_CENSUSES)
+def test_class_census_report_matches_pairwise_census(name, monkeypatch):
+    got = _census_report(name)
+    monkeypatch.setattr(cli, "run_census", ref_pairwise_census)
+    assert got == _census_report(name)
+
+
+def _class_map(res, k, field):
+    """psi_k: A_rep -> A_k for label k and its class representative."""
+    rep, lab = res.labels[res.representatives[res.classes[k]]], res.labels[k]
+    if rep is lab:
+        return LinearMap.identity(lab.build(field).algebra)
+    return witness_isomorphism(rep, lab, decide_iso(rep, lab, field)
+                               .certificate, field)
+
+
+@pytest.mark.parametrize("name, n_classes, n_yes", [
+    ("census_z2.cfg", None, 22), ("census_z4.cfg", 6, 112),
+    ("census_v4.cfg", 14, 296)])
+def test_composed_class_maps_certify_every_yes_pair(name, n_classes, n_yes):
+    # every YES pair (i, j) is the graded isomorphism psi_j o psi_i^{-1}
+    # with involution, and intrinsic invariants agree inside a class
+    res = classify.run_census(_census_group(name), 8)
+    field = CycloField(classify_conductor(*res.labels))
+    assert len(res.classes) == len(res.labels)
+    assert sorted(set(res.classes)) == list(range(len(res.representatives)))
+    assert [res.classes[r] for r in res.representatives] == list(
+        range(len(res.representatives)))
+    assert n_classes in (None, len(res.representatives))
+    assert not {"classes", "representatives"} & set(res.to_dict())
+    psi = [_class_map(res, k, field) for k in range(len(res.labels))]
+    yes = [(i, j) for i, j, verdict, _ in res.decisions if verdict == "YES"]
+    assert len(yes) == n_yes == res.yes_count == res.verified_witnesses
+    for i, j in yes:
+        assert res.classes[i] == res.classes[j]
+        ca_i, ca_j = res.labels[i].build(field), res.labels[j].build(field)
+        inverse = LinearMap(ca_i.algebra, psi[i].source,
+                            invert_matrix(field, psi[i].columns))
+        f = compose(psi[j], inverse)
+        assert check_morphism(f, gradings=(ca_i.grading, ca_j.grading)).passed
+        assert f.is_bijective()
+    for k, lab in enumerate(res.labels):
+        rep = res.labels[res.representatives[res.classes[k]]]
+        for attr in INTRINSIC_ATTRS:
+            assert (lab.intrinsics(field).text(attr)
+                    == rep.intrinsics(field).text(attr))
+
+
+def _flipped_pairs():
+    """Two members (not representatives) of one census_z4 class, and two
+    of different classes, by label name."""
+    res = classify.run_census(_census_group("census_z4.cfg"), 8)
+    members = {}
+    for k, c in enumerate(res.classes):
+        if k not in res.representatives:
+            members.setdefault(c, []).append(k)
+    inside = next(m[:2] for m in members.values() if len(m) >= 2)
+    a, b = list(members)[:2]
+    across = sorted((members[a][0], members[b][0]))
+    return [tuple(res.labels[k].name for k in pair)
+            for pair in (inside, across)]
+
+
+@pytest.mark.parametrize("flip", ["NO", "YES"])
+def test_verdict_against_the_classes_raises(monkeypatch, capsys, flip):
+    # a NO inside a class or a YES across two classes contradicts the
+    # witnessed classes: WitnessError, and `ats census` exits 3
+    inside, across = _flipped_pairs()
+    names = inside if flip == "NO" else across
+    real = classify.decide_iso
+
+    def flipped(l1, l2, field=None):
+        if (l1.name, l2.name) != names:
+            return real(l1, l2, field)
+        if flip == "NO":
+            return Decision("NO", {"violated": "flipped"})
+        return Decision("YES", {"branch": "direct",
+                                "shift": l1.params.group.identity})
+    monkeypatch.setattr(classify, "decide_iso", flipped)
+    with pytest.raises(WitnessError, match=f"decided {flip} against"):
+        classify.run_census(_census_group("census_z4.cfg"), 8)
+    assert main(["census", str(CONFIGS / "census_z4.cfg")]) == 3
+    assert f"decided {flip} against the classes" in capsys.readouterr().err
+
+
+def test_class_member_with_other_intrinsics_raises(monkeypatch):
+    # a label witnessed into a class must share its representative's
+    # intrinsic invariants; one that does not contradicts the program
+    (_, member), _ = _flipped_pairs()
+    real = ClassLabel.intrinsics
+
+    def altered(lab, field):
+        inv = real(lab, field)
+        if lab.name != member:
+            return inv
+        return dataclasses.replace(inv, center_support=())
+    monkeypatch.setattr(ClassLabel, "intrinsics", altered)
+    with pytest.raises(VerificationError,
+                       match="differs in the intrinsic invariant "
+                             "center_support"):
+        classify.run_census(_census_group("census_z4.cfg"), 8)

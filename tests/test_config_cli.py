@@ -536,6 +536,10 @@ def _edit(text, old, new):
     pytest.param(["census", "j.cfg", "--max-dim", "-1"],
                  {"j.cfg": "[group]\nG = Z/2\n"},
                  "Z/2 with max_dim = -1", id="census-max-dim-flag"),
+    pytest.param(["census", "j.cfg"],
+                 {"j.cfg": "[job]\ncommand = census\n[group]\nG = Z\n"},
+                 "census over Z needs a finite group, but it has free "
+                 "rank 1", id="census-infinite-group"),
     pytest.param(["construct", "j.cfg"],
                  {"j.cfg": _edit(MINIMAL, "gamma0 = (0)", "gamma0 = (a)")},
                  "coordinate", id="element"),
