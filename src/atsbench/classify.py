@@ -32,7 +32,7 @@ from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairPar
                             build_exchange_pair, build_M_inv,
                             diagonal_solutions, kappa_expand, opposite)
 from .groups import AbelianGroup, GroupElement, Subgroup
-from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
+from .omega import (PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, center_basis, check_morphism,
                     graded_is_simple, is_simple)
 from .scalars import CycloField
@@ -127,14 +127,16 @@ def _cache():
 
 @dataclass
 class ClassLabel:
-    """One isomorphism-class candidate: a case tag plus its parameters.
+    """One isomorphism-class candidate: the parameters of one construction.
+    Its case is set from them: exchange pair, or Phi-involution without
+    (simple algebra) or with (exchange division) the doubling element t.
 
-    The remaining fields are caches, keyed by conductor (`_xi` by part,
+    The fields after `case` are caches, keyed by conductor (`_xi` by part,
     inversion and shift); `_divisions` is the division-part table shared by
     the labels of one enumeration (see build_division_part)."""
-    case: str
     params: object                 # ExchangePairParams | InvolutionParams
     name: str = ""
+    case: str = dc_field(init=False)
     _built: dict = _cache()
     _intrinsics: dict = _cache()
     _xi: dict = _cache()
@@ -142,19 +144,8 @@ class ClassLabel:
 
     def __post_init__(self):
         p = self.params
-        involution = isinstance(p, InvolutionParams)
-        fits = {EXCHANGE_PAIR: (isinstance(p, ExchangePairParams),
-                                "ExchangePairParams"),
-                SIMPLE_ALGEBRA: (involution and p.t is None,
-                                 "InvolutionParams without t"),
-                EXCHANGE_DIVISION: (involution and p.t is not None,
-                                    "InvolutionParams with t")}
-        if self.case not in fits:
-            raise ValueError(f"unknown case {self.case}")
-        fit, wanted = fits[self.case]
-        if not fit:
-            raise ValueError(f"case {self.case} needs {wanted}, "
-                             f"got {type(p).__name__}")
+        self.case = (EXCHANGE_PAIR if isinstance(p, ExchangePairParams)
+                     else SIMPLE_ALGEBRA if p.t is None else EXCHANGE_DIVISION)
         if not self.name:
             self.name = self._default_name()
 
@@ -319,26 +310,13 @@ def _cross_case_certificate(l1, l2, field):
 @dataclass
 class IntrinsicInvariants:
     dims: dict                    # degree coords -> component dimension
-    support: tuple
     center_support: tuple
     simple: bool
     graded_simple: bool
-    is_division: bool
-    commutation: dict = None      # (coords, coords) -> Scalar (division only)
-    involution_signs: dict = None # coords -> Scalar (division with involution)
-    _text: dict = _cache()
-
-    def text(self, attr: str) -> str:
-        """str of one invariant, formed once: a census quotes the same
-        label's invariant in many refutations."""
-        if attr not in self._text:
-            self._text[attr] = str(getattr(self, attr))
-        return self._text[attr]
 
 
 # the invariants a refutation compares, in order; equal inside a class
-INTRINSIC_ATTRS = ("dims", "support", "center_support", "simple",
-                   "graded_simple")
+INTRINSIC_ATTRS = ("dims", "center_support", "simple", "graded_simple")
 
 
 def _intrinsic_mismatch(inv1: IntrinsicInvariants,
@@ -356,49 +334,20 @@ def graded_center_support(alg: OmegaAlgebra, grading: Grading):
                                        if d == g]))
 
 
-def intrinsic_invariants(alg: OmegaAlgebra, grading: Grading,
-                         extract_division: bool = False) -> IntrinsicInvariants:
-    """Invariants computable from the structure tensors alone.
-
-    For graded-division inputs the commutation bicharacter is read off
-    from xy (yx)^{-1} on homogeneous basis pairs and the involution sign
-    from phi(Z_s) = +-Z_s."""
+def intrinsic_invariants(alg: OmegaAlgebra,
+                         grading: Grading) -> IntrinsicInvariants:
+    """Invariants computable from the structure tensors alone."""
     counts = {}
     for d in grading.degmap:
         counts[d.coords] = counts.get(d.coords, 0) + 1
-    support = tuple(sorted(counts))
-    inv = IntrinsicInvariants(
+    return IntrinsicInvariants(
         # in support order, so that equal dimension functions print alike
-        dims={g: counts[g] for g in support},
-        support=support,
+        dims={g: counts[g] for g in sorted(counts)},
         center_support=tuple(e.coords for e in
                              graded_center_support(alg, grading)),
         simple=is_simple(alg, ops={PRODUCT}),
         graded_simple=graded_is_simple(alg, grading),
-        is_division=all(v == 1 for v in counts.values()),
     )
-    if extract_division:
-        if not inv.is_division:
-            raise ValueError("bicharacter extraction needs one-dimensional "
-                             "homogeneous components")
-        comm = {}
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                ((k1, c1),) = alg.row(PRODUCT, (i, j)).items()
-                ((k2, c2),) = alg.row(PRODUCT, (j, i)).items()
-                if k1 != k2:
-                    raise VerificationError(f"commutation: Z{i} Z{j} leaves a component")
-                comm[(grading.degmap[i].coords, grading.degmap[j].coords)] = c1 / c2
-        inv.commutation = comm
-        if INVOLUTION in alg.operators:
-            signs = {}
-            for i in range(alg.dim):
-                ((k, c),) = alg.row(INVOLUTION, (i,)).items()
-                if k != i:
-                    raise VerificationError("involution is not diagonal on a division basis")
-                signs[grading.degmap[i].coords] = c
-            inv.involution_signs = signs
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +658,8 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
     attr = _intrinsic_mismatch(inv1, inv2)
     if attr is not None:
         return Refutation(True, "intrinsic",
-                          {"invariant": attr, "left": inv1.text(attr),
-                           "right": inv2.text(attr)})
+                          {"invariant": attr, "left": str(getattr(inv1, attr)),
+                           "right": str(getattr(inv2, attr))})
     if l1.case != l2.case:
         return Refutation(False, "INCONCLUSIVE",
                           {"reason": "cross-case pair with identical "
@@ -784,8 +733,9 @@ def nondegenerate_alternating_bicharacters(T: Subgroup):
 
 
 def _part_shapes(n: int):
-    """Block shape lists (kind, payload) filling one module part of total
-    dimension n: odd/even self-dual blocks and dual pairs."""
+    """Block shape lists filling one module part of total dimension n: a
+    self-dual block of q dimensions is ("odd" or "even", q), a dual pair
+    of two q-dimensional blocks ("paired", q)."""
     if n == 0:
         yield []
         return
@@ -811,9 +761,9 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
     labels = {}
     divisions = {}
 
-    def add(case, params_cls, **fields):
+    def add(params_cls, **fields):
         try:
-            lab = ClassLabel(case, params_cls(group=G, **fields),
+            lab = ClassLabel(params_cls(group=G, **fields),
                              _divisions=divisions)
             # full validation (the sign constraints need the division part)
             lab.build(CycloField(classify_conductor(lab)))
@@ -838,8 +788,8 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
                             for kappa1 in _compositions(k1):
                                 for g0 in itertools.product(elements, repeat=len(kappa0)):
                                     for g1 in itertools.product(elements, repeat=len(kappa1)):
-                                        add(EXCHANGE_PAIR, ExchangePairParams,
-                                            T=T, beta=beta, kappa0=kappa0,
+                                        add(ExchangePairParams, T=T,
+                                            beta=beta, kappa0=kappa0,
                                             gamma0=g0, kappa1=kappa1,
                                             gamma1=g1)
                     n += 1
@@ -886,14 +836,11 @@ def _shape_to_kappa(shape):
     kappa, m = [], 0
     for kind, q in sorted(shape, key=lambda b: {"odd": 0, "even": 1,
                                                 "paired": 2}[b[0]]):
-        if kind == "odd":
+        if kind == "paired":
+            kappa.extend([q, q])
+        else:
             kappa.append(q)
             m += 1
-        elif kind == "even":
-            kappa.append(2 * q)
-            m += 1
-        else:
-            kappa.extend([q, q])
     return tuple(kappa), m
 
 
@@ -906,8 +853,7 @@ def _enumerate_gammas(T, beta, t, shape0, shape1, deltas, elements, add):
         for gam0 in itertools.product(elements, repeat=len0):
             for gam1 in itertools.product(elements, repeat=len1):
                 for delta in deltas:
-                    add(SIMPLE_ALGEBRA if t is None else EXCHANGE_DIVISION,
-                        InvolutionParams, T=T, beta=beta, kappa0=kappa0,
+                    add(InvolutionParams, T=T, beta=beta, kappa0=kappa0,
                         gamma0=gam0, kappa1=kappa1, gamma1=gam1, delta=delta,
                         g=g, t=t, m0=m0, m1=m1)
 

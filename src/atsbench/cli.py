@@ -4,8 +4,9 @@ One job per invocation: parse a config, run the pipeline, print a
 human-readable summary, optionally write a machine-readable JSON report
 (byte-identical across runs with the same config and seed), and exit 0
 exactly when every check passed.  Exit status 1 means a check failed, 2
-bad input, and 3 an internal verification error (a VerificationError or
-WitnessError: the program contradicted itself, not the input).
+bad input (an unwritable report path included), and 3 an internal
+verification error (a VerificationError or WitnessError: the program
+contradicted itself, not the input).
 """
 
 from __future__ import annotations
@@ -152,6 +153,10 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
             alg, grading = algebra_from_dict(json.loads(text))
         except ValueError as err:
             raise ConfigError(f"{spec['file']}: {err}") from err
+        if alg.operators != {TRIPLE: 3}:
+            raise ConfigError(f"{spec['file']}: a triple system has exactly "
+                              f"the operator {{'triple': 3}}, not "
+                              f"{alg.operators}")
         return TripleSystem(alg, grading, label=spec["file"])
     raise ConfigError(f"unknown triple source {source!r}")
 
@@ -360,8 +365,12 @@ def main(argv=None) -> int:
     print(f"(wall time {time.time() - t0:.2f}s; not part of the JSON report)")
     out_path = args.json_out or cfg.output
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report.to_dict()) + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(report_json(report.to_dict()) + "\n")
+        except OSError as err:
+            print(f"error: {out_path}: {err.strerror}", file=sys.stderr)
+            return 2
     return 0 if report.status == "pass" else 1
 
 

@@ -234,7 +234,7 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
                     "the exchange_pair case")
         params = ExchangePairParams(group=G, T=T, beta=beta, kappa0=kappa0,
                                     gamma0=gamma0, kappa1=kappa1, gamma1=gamma1)
-        return ClassLabel(case, params)
+        return ClassLabel(params)
 
     delta_text, delta_line = _get(section, "delta", "1")
     delta = _int(delta_text, delta_line, "delta")
@@ -262,7 +262,7 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
     params = InvolutionParams(group=G, T=T, beta=beta, kappa0=kappa0,
                               gamma0=gamma0, kappa1=kappa1, gamma1=gamma1,
                               delta=delta, g=g, t=t_el, **kwargs)
-    return ClassLabel(case, params)
+    return ClassLabel(params)
 
 
 def parse_division(G: AbelianGroup, section: dict) -> dict:

@@ -153,6 +153,22 @@ class GradedDivision:
             raise VerificationError(f"inverse: Z{i} Z{j} is not in degree 0")
         return c.inverse(), j
 
+    def commutation(self, i: int, j: int) -> Scalar | None:
+        """c with Z_i Z_j = c Z_j Z_i, read off the product tensor; None
+        when the two products lie in different components."""
+        ci, ki = self.mu(i, j)
+        cj, kj = self.mu(j, i)
+        return ci / cj if ki == kj else None
+
+    def involution_sign(self, i: int) -> Scalar:
+        """c with phi(Z_i) = c Z_i, read off the involution tensor;
+        VerificationError when phi(Z_i) is no multiple of Z_i."""
+        row = self.algebra.row(INVOLUTION, (i,))
+        if list(row) != [i]:
+            raise VerificationError(
+                f"involution: phi(Z{i}) is no multiple of Z{i}")
+        return row[i]
+
     def has_involution(self) -> bool:
         return INVOLUTION in self.algebra.operators
 
@@ -163,9 +179,8 @@ def check_commutation(D: GradedDivision) -> VerificationReport:
 
     def sides(ij):
         i, j = ij
-        ci, ki = D.mu(i, j)
-        cj, kj = D.mu(j, i)
-        yield ((ki, ci), (kj, beta.eval(elements[i], elements[j], field) * cj),
+        yield (D.commutation(i, j),
+               beta.eval(elements[i], elements[j], field),
                lambda: f"Z{i} Z{j} != beta * Z{j} Z{i}")
     return scan("commutation-relation",
                 itertools.product(range(D.dim), repeat=2), sides)
@@ -357,10 +372,7 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
                          beta_ext, flavor="exchange", sign_form=sign_ext,
                          t=t, inner=D)
     for i in range(alg.dim):
-        row = alg.row(INVOLUTION, (i,))
-        if list(row) != [i]:
-            raise VerificationError("exchange involution must be diagonal on Y_s")
-        if row[i] != D.field.scalar(sign_ext(elements[i])):
+        if out.involution_sign(i) != D.field.scalar(sign_ext(elements[i])):
             raise VerificationError(
                 "involution signs must follow the extended quadratic form")
     if not check_commutation(out).passed:
@@ -918,24 +930,14 @@ def exchange_subgroup_transfer(Dx: GradedDivision, T2: Subgroup):
                 raise VerificationError(
                     "projection is not multiplicative on the T2 part")
     # transported commutation bicharacter and involution signs
-    signs = {}
-    exponent = 2
     table = {}
     for h1 in T2.elements:
         for h2 in T2.elements:
-            c1, k1 = Dx.mu(Dx.index[h1], Dx.index[h2])
-            c2, k2 = Dx.mu(Dx.index[h2], Dx.index[h1])
-            ratio = c1 / c2
-            table[(h1, h2)] = 0 if ratio == field.one else 1
-    for h in T2.elements:
-        row = Dx.algebra.row(INVOLUTION, (Dx.index[h],))
-        ((k, c),) = row.items()
-        if k != Dx.index[h]:
-            raise VerificationError(f"transported involution moves Y{h} to index {k}")
-        signs[h] = 1 if c == field.one else -1
-    beta2 = Bicharacter(T2, exponent, table)
-    tau2 = QuadraticForm(T2, signs)
-    return beta2, tau2, proj_cols
+            c = Dx.commutation(Dx.index[h1], Dx.index[h2])
+            table[(h1, h2)] = 0 if c == field.one else 1
+    signs = {h: 1 if Dx.involution_sign(Dx.index[h]) == field.one else -1
+             for h in T2.elements}
+    return Bicharacter(T2, 2, table), QuadraticForm(T2, signs), proj_cols
 
 
 def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
@@ -975,9 +977,8 @@ def removal_twist(Dx1: GradedDivision, Dx2: GradedDivision):
     i_tp = Dx1.index[t_prime]
     inv_c, inv_idx = Dx1.basis_inverse(i_tp)
     for i in range(alg1.dim):
-        ((k, c),) = alg1.row(INVOLUTION, (i,)).items()
-        s, k2 = Dx1.sandwich(i_tp, k, inv_idx)
-        twisted = {k2: c * s * inv_c}
+        s, k2 = Dx1.sandwich(i_tp, i, inv_idx)
+        twisted = {k2: Dx1.involution_sign(i) * s * inv_c}
         expected = Dx2.algebra.row(INVOLUTION, (i,))
         if twisted != expected:
             raise VerificationError(f"Int(Y_t') o phi_1 != phi_2 at basis {i}")

@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR, SIMPLE_ALGEBRA,
-                       ClassLabel, classify_conductor)
+from .classify import ClassLabel, classify_conductor
 from .constructions import (ExchangePairParams, GradedDivision,
                             InvolutionParams, d_inv, exchange_double_division)
 from .groups import (AbelianGroup, Bicharacter, QuadraticForm, Subgroup,
@@ -115,8 +114,8 @@ class CorpusEntry:
         return self.label.build(self.field)
 
 
-def _entry(name, case, params):
-    label = ClassLabel(case, params, name=name)
+def _entry(name, params):
+    label = ClassLabel(params, name=name)
     return CorpusEntry(name, label, CycloField(classify_conductor(label)))
 
 
@@ -128,7 +127,7 @@ def algebra_corpus() -> list[CorpusEntry]:
     for g0 in (e, u):
         for g1 in (e, u):
             out.append(_entry(
-                f"M2 Z2 g0={g0} g1={g1}", SIMPLE_ALGEBRA,
+                f"M2 Z2 g0={g0} g1={g1}",
                 InvolutionParams(group=Z2, T=Tt, beta=bt, kappa0=(1,),
                                  gamma0=(g0,), kappa1=(1,), gamma1=(g1,),
                                  delta=1, g=e)))
@@ -137,33 +136,33 @@ def algebra_corpus() -> list[CorpusEntry]:
         g0, g1 = Z4.element((g0c,)), Z4.element((g1c,))
         g = Z4.element((-2 * g0c,))
         out.append(_entry(
-            f"M2 Z4 g0={g0} g1={g1}", SIMPLE_ALGEBRA,
+            f"M2 Z4 g0={g0} g1={g1}",
             InvolutionParams(group=Z4, T=T4, beta=b4, kappa0=(1,),
                              gamma0=(g0,), kappa1=(1,), gamma1=(g1,),
                              delta=1, g=g)))
     # M3: even self-dual block (S = I) next to an odd one
     for g1 in (e, u):
         out.append(_entry(
-            f"M3 Z2 even+odd g1={g1}", SIMPLE_ALGEBRA,
+            f"M3 Z2 even+odd g1={g1}",
             InvolutionParams(group=Z2, T=Tt, beta=bt, kappa0=(2,),
                              gamma0=(e,), kappa1=(1,), gamma1=(g1,),
                              delta=1, g=e, S_signs0=(1,))))
     # M3: two odd blocks with distinct degrees
     out.append(_entry(
-        "M3 Z2 split", SIMPLE_ALGEBRA,
+        "M3 Z2 split",
         InvolutionParams(group=Z2, T=Tt, beta=bt, kappa0=(1, 1),
                          gamma0=(e, u), kappa1=(1,), gamma1=(e,),
                          delta=1, g=e)))
     # M4: symplectic-type involution (S-blocks with sign -1, delta = -1)
     for g1 in (e, u):
         out.append(_entry(
-            f"M4 Z2 symplectic g1={g1}", SIMPLE_ALGEBRA,
+            f"M4 Z2 symplectic g1={g1}",
             InvolutionParams(group=Z2, T=Tt, beta=bt, kappa0=(2,),
                              gamma0=(e,), kappa1=(2,), gamma1=(g1,),
                              delta=-1, g=e,
                              S_signs0=(-1,), S_signs1=(-1,))))
     out.append(_entry(
-        "M4 Z2 orthogonal", SIMPLE_ALGEBRA,
+        "M4 Z2 orthogonal",
         InvolutionParams(group=Z2, T=Tt, beta=bt, kappa0=(2,), gamma0=(e,),
                          kappa1=(2,), gamma1=(u,), delta=1, g=e,
                          S_signs0=(1,), S_signs1=(1,))))
@@ -172,7 +171,7 @@ def algebra_corpus() -> list[CorpusEntry]:
     Tv, bvt = _trivial(V4)
     for delta in (1, -1):
         out.append(_entry(
-            f"M4 V4 paired delta={delta}", SIMPLE_ALGEBRA,
+            f"M4 V4 paired delta={delta}",
             InvolutionParams(group=V4, T=Tv, beta=bvt, kappa0=(1, 1),
                              gamma0=(av, bv), m0=0, kappa1=(1, 1),
                              gamma1=(V4.identity, av + bv), m1=0,
@@ -183,7 +182,7 @@ def algebra_corpus() -> list[CorpusEntry]:
                   (V4.identity, av + bv), (av, av)):
         delta = 1 if g in (V4.identity, av, bv) else -1
         out.append(_entry(
-            f"M2(D(Z2^2)) g1={g1} g={g}", SIMPLE_ALGEBRA,
+            f"M2(D(Z2^2)) g1={g1} g={g}",
             InvolutionParams(group=V4, T=Ts, beta=bs, kappa0=(1,),
                              gamma0=(V4.identity,), kappa1=(1,),
                              gamma1=(g1,), delta=delta, g=g)))
@@ -192,7 +191,7 @@ def algebra_corpus() -> list[CorpusEntry]:
     for g0 in (e, u):
         for g1 in (e, u):
             out.append(_entry(
-                f"M2ex Z2 g0={g0} g1={g1}", EXCHANGE_DIVISION,
+                f"M2ex Z2 g0={g0} g1={g1}",
                 InvolutionParams(group=Z2, T=Tt, beta=bt, kappa0=(1,),
                                  gamma0=(g0,), kappa1=(1,), gamma1=(g1,),
                                  delta=1, g=e, t=tz)))
@@ -201,14 +200,14 @@ def algebra_corpus() -> list[CorpusEntry]:
         g0, g1 = Z4.element((g0c,)), Z4.element((g1c,))
         g = Z4.element((-2 * g0c,))
         out.append(_entry(
-            f"M2ex Z4 g0={g0} g1={g1}", EXCHANGE_DIVISION,
+            f"M2ex Z4 g0={g0} g1={g1}",
             InvolutionParams(group=Z4, T=T4, beta=b4, kappa0=(1,),
                              gamma0=(g0,), kappa1=(1,), gamma1=(g1,),
                              delta=1, g=g, t=T4t)))
     tv = V4.element((0, 1))
     for g1 in (V4.identity, av):
         out.append(_entry(
-            f"M2ex V4 g1={g1}", EXCHANGE_DIVISION,
+            f"M2ex V4 g1={g1}",
             InvolutionParams(group=V4, T=Tv, beta=bvt, kappa0=(1,),
                              gamma0=(V4.identity,), kappa1=(1,),
                              gamma1=(g1,), delta=1, g=V4.identity, t=tv)))
@@ -216,17 +215,17 @@ def algebra_corpus() -> list[CorpusEntry]:
     for g0 in (e, u):
         for g1 in (e, u):
             out.append(_entry(
-                f"M2pair Z2 g0={g0} g1={g1}", EXCHANGE_PAIR,
+                f"M2pair Z2 g0={g0} g1={g1}",
                 ExchangePairParams(group=Z2, T=Tt, beta=bt, kappa0=(1,),
                                    gamma0=(g0,), kappa1=(1,), gamma1=(g1,))))
     for g0c, g1c in ((0, 0), (1, 0), (1, 2), (3, 1)):
         out.append(_entry(
-            f"M2pair Z4 g0=({g0c}) g1=({g1c})", EXCHANGE_PAIR,
+            f"M2pair Z4 g0=({g0c}) g1=({g1c})",
             ExchangePairParams(group=Z4, T=T4, beta=b4, kappa0=(1,),
                                gamma0=(Z4.element((g0c,)),), kappa1=(1,),
                                gamma1=(Z4.element((g1c,)),))))
     out.append(_entry(
-        "M2pair V4", EXCHANGE_PAIR,
+        "M2pair V4",
         ExchangePairParams(group=V4, T=Tv, beta=bvt, kappa0=(1,),
                            gamma0=(av,), kappa1=(1,), gamma1=(bv,))))
     return out

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .groups import AbelianGroup, GroupElement, z_part
 from .linalg import SparseVec, combine
-from .scalars import CycloField, parse_scalar
+# VerificationError is defined in the lowest layer that raises it and
+# taken from here by the layers above
+from .scalars import CycloField, VerificationError, parse_scalar
 
 PRODUCT = "product"
 INVOLUTION = "involution"
@@ -118,11 +120,6 @@ class Grading:
         for i, c in v.items():
             parts.setdefault(self.degmap[i], {})[i] = c
         return [parts[g] for g in sorted(parts, key=lambda e: e.coords)]
-
-
-class VerificationError(RuntimeError):
-    """Two exact computations that must agree did not: a bug in the
-    workbench, not a property of the input."""
 
 
 @dataclass
@@ -513,13 +510,25 @@ def _require(data, *path):
     return data
 
 
+def _require_int(data, key):
+    value = _require(data, key)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an int, got {value!r}")
+    return value
+
+
 def algebra_from_dict(data: dict):
-    """Inverse of algebra_to_dict; a missing key, a malformed tensor entry
+    """Inverse of algebra_to_dict; a missing or malformed key, tensor entry
     or degree list raises ValueError naming it."""
-    field = CycloField(_require(data, "conductor"))
-    dim = _require(data, "dim")
-    alg = OmegaAlgebra(field, dim, _require(data, "operators"),
-                       data.get("basis"))
+    field = CycloField(_require_int(data, "conductor"))
+    dim = _require_int(data, "dim")
+    operators = _require(data, "operators")
+    if not (isinstance(operators, dict) and all(
+            type(arity) is int and arity >= 1
+            for arity in operators.values())):
+        raise ValueError(f"'operators' must map names to positive int "
+                         f"arities, got {operators!r}")
+    alg = OmegaAlgebra(field, dim, operators, data.get("basis"))
     for entry in _require(data, "tensor"):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"tensor entry {entry}: expected "
@@ -552,7 +561,12 @@ def algebra_from_dict(data: dict):
         group = AbelianGroup(_require(data, "group", "free_rank"),
                              tuple(_require(data, "group", "torsion")))
         degmap = tuple(group.element(tuple(c)) for c in data["degrees"])
-        grading = Grading(alg, group, degmap,
-                          graded_ops=frozenset(_require(data, "graded_ops")))
+        graded_ops = _require(data, "graded_ops")
+        if not (isinstance(graded_ops, list) and all(
+                isinstance(op, str) and op in alg.operators
+                for op in graded_ops)):
+            raise ValueError(f"'graded_ops' must list operators of the "
+                             f"algebra, got {graded_ops!r}")
+        grading = Grading(alg, group, degmap, graded_ops=frozenset(graded_ops))
     return alg, grading
 

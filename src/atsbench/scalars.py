@@ -35,6 +35,11 @@ class ScalarDivisionError(ZeroDivisionError):
     """Raised on division by the zero scalar."""
 
 
+class VerificationError(RuntimeError):
+    """Two exact computations that must agree did not: a bug in the
+    workbench, not a property of the input."""
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
@@ -72,7 +77,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
                 c = quot[i] = num[i + k]
                 for j, e in enumerate(den):
                     num[i + j] -= c * e
-            assert not any(num), "cyclotomic division must be exact"
+            if any(num):
+                raise VerificationError("cyclotomic division must be exact")
             num = quot
     return tuple(num)
 
@@ -217,7 +223,8 @@ class Scalar:
                             sigma[i] += n * row[i]
                 conj = _product(conductor, conj, tuple(sigma))
         norm = _product(conductor, num, conj)
-        assert not any(norm[1:]), "the Galois norm is rational"
+        if any(norm[1:]):
+            raise VerificationError("the Galois norm must be rational")
         scale = self.den if norm[0] > 0 else -self.den
         return _make(conductor, tuple(scale * c for c in conj), abs(norm[0]))
 
@@ -367,7 +374,9 @@ class CycloField:
                 if num not in seen:
                     seen.add(num)
                     out.append(_make(self.conductor, num, 1))
-        assert len(out) == m
+        if len(out) != m:
+            raise VerificationError(f"found {len(out)} roots of unity, "
+                                    f"not {m}")
         return out
 
     def parse(self, text: str) -> Scalar:

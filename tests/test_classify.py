@@ -45,7 +45,7 @@ def trivial_pair(G):
 
 def simple_label(G, g0, g1, g, delta=1, kappa0=(1,), kappa1=(1,), **kw):
     T, beta = trivial_pair(G)
-    return ClassLabel(SIMPLE_ALGEBRA, InvolutionParams(
+    return ClassLabel(InvolutionParams(
         group=G, T=T, beta=beta, kappa0=kappa0, gamma0=g0, kappa1=kappa1,
         gamma1=g1, delta=delta, g=g, **kw))
 
@@ -129,10 +129,10 @@ def test_delta_mismatch_is_no():
     T = Subgroup(V4, (V4.element((1, 0)), V4.element((0, 1))))
     beta = Bicharacter.from_generator_matrix(
         T, (V4.element((1, 0)), V4.element((0, 1))), [[0, 1], [1, 0]])
-    lab1 = ClassLabel(SIMPLE_ALGEBRA, InvolutionParams(
+    lab1 = ClassLabel(InvolutionParams(
         group=V4, T=T, beta=beta, kappa0=(1,), gamma0=(e,), kappa1=(1,),
         gamma1=(e,), delta=1, g=e))
-    lab2 = ClassLabel(SIMPLE_ALGEBRA, InvolutionParams(
+    lab2 = ClassLabel(InvolutionParams(
         group=V4, T=T, beta=beta, kappa0=(1,), gamma0=(e,), kappa1=(1,),
         gamma1=(e,), delta=-1, g=ab))
     d = decide_iso(lab1, lab2)
@@ -155,7 +155,7 @@ def test_cross_case_is_no():
     T, beta = trivial_pair(Z2)
     e, u = Z2.identity, Z2.element((1,))
     lab1 = simple_label(Z2, (e,), (e,), e)
-    lab2 = ClassLabel(EXCHANGE_PAIR, ExchangePairParams(
+    lab2 = ClassLabel(ExchangePairParams(
         group=Z2, T=T, beta=beta, kappa0=(1,), gamma0=(e,), kappa1=(1,),
         gamma1=(u,)))
     d = decide_iso(lab1, lab2)
@@ -193,7 +193,7 @@ def test_exchange_pair_opposite_branch():
     # over Z4 the labels (1),(0) and (3),(0) relate only by the opposite map
     T, beta = trivial_pair(Z4)
     def pair(g0c, g1c):
-        return ClassLabel(EXCHANGE_PAIR, ExchangePairParams(
+        return ClassLabel(ExchangePairParams(
             group=Z4, T=T, beta=beta, kappa0=(1,),
             gamma0=(Z4.element((g0c,)),), kappa1=(1,),
             gamma1=(Z4.element((g1c,)),)))
@@ -247,17 +247,20 @@ def test_witness_search_failure_raises():
 # intrinsic invariants
 # ---------------------------------------------------------------------------
 
+def commutation_table(D):
+    return {(s1, s2): D.commutation(i, j)
+            for i, s1 in enumerate(D.elements)
+            for j, s2 in enumerate(D.elements)}
+
+
 def test_intrinsic_extraction_recovers_bicharacter():
     a, b = V4.element((1, 0)), V4.element((0, 1))
     T = Subgroup(V4, (a, b))
     beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
     D = standard_realization(T, beta, F2)
-    inv = intrinsic_invariants(D.algebra, D.grading, extract_division=True)
-    assert inv.is_division
-    for t1 in T.elements:
-        for t2 in T.elements:
-            assert inv.commutation[(t1.coords, t2.coords)] == \
-                beta.eval(t1, t2, F2)
+    assert commutation_table(D) == {(t1, t2): beta.eval(t1, t2, F2)
+                                    for t1 in T.elements
+                                    for t2 in T.elements}
 
 
 def test_intrinsic_signs_recover_quadratic_form():
@@ -266,9 +269,8 @@ def test_intrinsic_signs_recover_quadratic_form():
     beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
     for tau in all_quadratic_forms(beta):
         D = d_inv(T, beta, tau, F2)
-        inv = intrinsic_invariants(D.algebra, D.grading, extract_division=True)
-        for t in T.elements:
-            assert inv.involution_signs[t.coords] == F2.scalar(tau(t))
+        for i, t in enumerate(D.elements):
+            assert D.involution_sign(i) == F2.scalar(tau(t))
 
 
 def test_center_support_of_double():
@@ -297,9 +299,7 @@ def test_distinct_bicharacters_refuted_intrinsically():
     assert b2.is_nondegenerate_alternating()
     D1 = standard_realization(T, b1, F2)
     D2 = standard_realization(T, b2, F2)
-    i1 = intrinsic_invariants(D1.algebra, D1.grading, extract_division=True)
-    i2 = intrinsic_invariants(D2.algebra, D2.grading, extract_division=True)
-    assert i1.commutation != i2.commutation
+    assert commutation_table(D1) != commutation_table(D2)
 
 
 def test_dims_of_standard_matrix_label():
@@ -320,13 +320,31 @@ def test_census_z2_tiny_bound():
     assert res.refutations == res.no_count
 
 
+@pytest.mark.parametrize("G, classes", [(Z2, 11), (Z4, 14)],
+                         ids=["Z2", "Z4"])
+def test_enumerated_labels_keep_the_dimension_bound(G, classes):
+    # an even self-dual block of q dimensions has multiplicity q: every
+    # label built fits max_dim = 9, and the labels with a kappa = (2,)
+    # part (M3 with an even block) are listed
+    labels = enumerate_labels(G, 9)
+    for lab in labels:
+        ca = lab.build(CycloField(classify_conductor(lab)))
+        assert ca.algebra.dim == lab.dimension() <= 9
+    assert any((2,) in (lab.params.kappa0, lab.params.kappa1)
+               for lab in labels)
+    res = classify.run_census(G, 9)
+    assert res.inconclusive == 0
+    assert (len(res.labels), len(res.representatives)) == (len(labels),
+                                                           classes)
+
+
 def test_exchange_division_pairs_over_v4():
     T, beta = trivial_pair(V4)
     e, a = V4.identity, V4.element((1, 0))
     t1, t2 = V4.element((0, 1)), V4.element((1, 1))
 
     def label(g1, t):
-        return ClassLabel(EXCHANGE_DIVISION, InvolutionParams(
+        return ClassLabel(InvolutionParams(
             group=V4, T=T, beta=beta, kappa0=(1,), gamma0=(e,), kappa1=(1,),
             gamma1=(g1,), delta=1, g=e, t=t))
 
@@ -364,7 +382,7 @@ def test_refute_distinct_bicharacters_matrix_level():
         T, gens, [[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0]])
     e = G.identity
     def lab(beta):
-        return ClassLabel(SIMPLE_ALGEBRA, InvolutionParams(
+        return ClassLabel(InvolutionParams(
             group=G, T=T, beta=beta, kappa0=(1,), gamma0=(e,), kappa1=(1,),
             gamma1=(e,), delta=1, g=e))
     l1, l2 = lab(b1), lab(b2)
@@ -396,7 +414,7 @@ def test_witness_with_division_support_shift():
     beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
     e = V4.identity
     def lab(g0, g1):
-        return ClassLabel(SIMPLE_ALGEBRA, InvolutionParams(
+        return ClassLabel(InvolutionParams(
             group=V4, T=T, beta=beta, kappa0=(1,), gamma0=(g0,),
             kappa1=(1,), gamma1=(g1,), delta=1, g=e))
     l1, l2 = lab(e, e), lab(a, b)
@@ -569,7 +587,7 @@ def test_equal_labels_compare_equal_after_build():
 
 def _pair_label(G, gamma0, gamma1, kappa0=(1,), kappa1=(1,)):
     T, beta = trivial_pair(G)
-    return ClassLabel(EXCHANGE_PAIR, ExchangePairParams(
+    return ClassLabel(ExchangePairParams(
         group=G, T=T, beta=beta, kappa0=kappa0, gamma0=gamma0, kappa1=kappa1,
         gamma1=gamma1))
 
@@ -577,7 +595,7 @@ def _pair_label(G, gamma0, gamma1, kappa0=(1,), kappa1=(1,)):
 def _paired_division_label(g0, g1, g):
     # Z/4, t = (2), one dual pair of blocks in each part (dim 32)
     T, beta = trivial_pair(Z4)
-    return ClassLabel(EXCHANGE_DIVISION, InvolutionParams(
+    return ClassLabel(InvolutionParams(
         group=Z4, T=T, beta=beta, kappa0=(1, 1), gamma0=g0, m0=0,
         kappa1=(1, 1), gamma1=g1, m1=0, delta=1, g=g, t=Z4.element((2,))))
 
@@ -622,23 +640,18 @@ def test_search_enumeration_order_is_pinned():
         assert (meta["shift"].coords, meta["pi"], meta["attempts"]) == want
 
 
-def test_label_rejects_params_of_another_case():
+def test_label_case_follows_from_its_parameters():
     T, beta = trivial_pair(Z2)
     e, t = Z2.identity, Z2.element((1,))
-    pair = ExchangePairParams(group=Z2, T=T, beta=beta, kappa0=(1,),
-                              gamma0=(e,), kappa1=(1,), gamma1=(e,))
-    plain = InvolutionParams(group=Z2, T=T, beta=beta, kappa0=(1,),
-                             gamma0=(e,), kappa1=(1,), gamma1=(e,), delta=1,
-                             g=e)
-    doubled = InvolutionParams(group=Z2, T=T, beta=beta, kappa0=(1,),
-                               gamma0=(e,), kappa1=(1,), gamma1=(e,),
-                               delta=1, g=e, t=t)
-    for case, params in ((SIMPLE_ALGEBRA, pair), (SIMPLE_ALGEBRA, doubled),
-                         (EXCHANGE_DIVISION, plain), (EXCHANGE_PAIR, plain)):
-        with pytest.raises(ValueError, match=f"case {case} needs"):
-            ClassLabel(case, params)
-    with pytest.raises(ValueError, match="unknown case"):
-        ClassLabel("no_such_case", pair)
+    common = dict(group=Z2, T=T, beta=beta, kappa0=(1,), gamma0=(e,),
+                  kappa1=(1,), gamma1=(e,))
+    for params, case in (
+            (ExchangePairParams(**common), EXCHANGE_PAIR),
+            (InvolutionParams(**common, delta=1, g=e), SIMPLE_ALGEBRA),
+            (InvolutionParams(**common, delta=1, g=e, t=t),
+             EXCHANGE_DIVISION)):
+        label = ClassLabel(params)
+        assert label.case == case and label.name.startswith(case + " ")
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +710,8 @@ def test_composed_class_maps_certify_every_yes_pair(name, n_classes, n_yes):
     for k, lab in enumerate(res.labels):
         rep = res.labels[res.representatives[res.classes[k]]]
         for attr in INTRINSIC_ATTRS:
-            assert (lab.intrinsics(field).text(attr)
-                    == rep.intrinsics(field).text(attr))
+            assert (str(getattr(lab.intrinsics(field), attr))
+                    == str(getattr(rep.intrinsics(field), attr)))
 
 
 def _flipped_pairs():

@@ -236,6 +236,7 @@ import sys
 import atsbench.classify as cl
 import atsbench.cli as cli
 import atsbench.constructions as c
+import atsbench.scalars as sc
 import atsbench.triples as tr
 from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
                              all_quadratic_forms, trivial_subgroup)
@@ -254,7 +255,7 @@ inv_params = c.InvolutionParams(group=Z2, T=T1, beta=b1, kappa0=(1,),
 pair_params = c.ExchangePairParams(group=Z2, T=T1, beta=b1, kappa0=(1,),
                                    gamma0=(e,), kappa1=(1,), gamma1=(e,))
 m2 = c.build_M_inv(inv_params, F)
-label = cl.ClassLabel(cl.SIMPLE_ALGEBRA, inv_params)
+label = cl.ClassLabel(inv_params)
 G = AbelianGroup(0, (2, 2, 2))
 a, b, t = (G.element(x) for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 T = Subgroup(G, (a, b))
@@ -263,6 +264,7 @@ Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)
             for tau in all_quadratic_forms(beta)[:2])
 D = Dx1.inner
 real_phi, real_double = c.phi_matrix, c.exchange_double
+cyclotomic = sc.cyclotomic_polynomial.__wrapped__
 
 
 def z_graded(dim, degrees, products, involution):
@@ -311,9 +313,6 @@ def failing_with_involution(f, ops=None, gradings=None):
 # {x, y, z} = x phi(y) z leaves degree -1; phi(e2) stays in degree +1
 leaky = z_graded(2, (-1, 1), {(0, 1): 0, (0, 0): 1}, {0: 1, 1: 0})
 unflipped = z_graded(3, (-1, 1, 1), {}, {0: 1, 1: 0, 2: 2})
-# e_i e_j = e_i is associative, but e_0 e_1 and e_1 e_0 differ in degree
-left_zero = z_graded(2, (0, 1), {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1},
-                     {0: 0, 1: 1})
 two_terms = dict(D.algebra.tensors, product={
     **D.algebra.tensors[PRODUCT], (0, 0): {0: one, 1: one}})
 W3 = tr.TripleSystem(OmegaAlgebra(F, 2, {TRIPLE: 3}))
@@ -352,11 +351,11 @@ cases = [
     (c, "phi_matrix", two_entry_phi, lambda: c.build_M_inv(inv_params, F)),
     (Dx1.algebra, "tensors", shifted(Dx1.algebra, INVOLUTION),
      lambda: c.exchange_subgroup_transfer(Dx1, Subgroup(G, (a + t, b)))),
-    (*unpatched, lambda: cl.intrinsic_invariants(*left_zero,
-                                                 extract_division=True)),
+    (c.GradedDivision, "commutation", lambda self, i, j: None,
+     lambda: c.exchange_double_division(D, t)),
     (D.algebra, "tensors", shifted(D.algebra, INVOLUTION),
-     lambda: cl.intrinsic_invariants(D.algebra, D.grading,
-                                     extract_division=True)),
+     lambda: D.involution_sign(0)),
+    (sc, "cyclotomic_polynomial", lambda n: (1, 1), lambda: cyclotomic(6)),
 ]
 for owner, name, fake, call in cases:
     real = getattr(owner, name)
@@ -368,11 +367,6 @@ for owner, name, fake, call in cases:
         print(str(err).split()[0])
     setattr(owner, name, real)
 print(issubclass(cl.WitnessError, VerificationError))
-try:
-    cl.ClassLabel(cl.SIMPLE_ALGEBRA, pair_params)
-    print("accepted")
-except ValueError as err:
-    print(type(err).__name__, str(err).split()[1])
 job, division, doubled = sys.argv[1:]
 for owner, name, fake, argv in [
         (c.MonoMatrix, "scalar_ratio", no_ratio, ["verify", division]),
@@ -390,8 +384,7 @@ print("exit", cli.main(["construct", job]), "debug", __debug__)
 def test_verified_claims_survive_optimize_flag(tmp_path):
     # every verification loop and verified-claim check raises
     # VerificationError when forced to fail, also under python -O, and
-    # the command line turns it into exit status 3; a label whose
-    # parameters do not fit its case raises ValueError
+    # the command line turns it into exit status 3
     cfg = tmp_path / "job.cfg"
     cfg.write_text(MINIMAL)
     division, doubled = tmp_path / "division.cfg", tmp_path / "doubled.cfg"
@@ -407,8 +400,8 @@ def test_verified_claims_survive_optimize_flag(tmp_path):
         "forced", "forced", "reconstruction", "reconstruction", "involution",
         "extension", "triple", "L", "Y-basis", "no", "Int(Y_t')",
         "cross-case", "product", "inverse:", "realization:", "transpose",
-        "degree", "Phi", "transported", "commutation:", "involution", "True",
-        "ValueError", "simple_algebra", "exit", "3", "exit", "3", "exit", "3",
+        "degree", "Phi", "involution:", "commutation", "involution:",
+        "cyclotomic", "True", "exit", "3", "exit", "3", "exit", "3",
         "exit", "3", "debug", "False"]
 
 
@@ -574,6 +567,29 @@ def _edit(text, old, new):
     pytest.param(["verify", "j.cfg"],
                  {"j.cfg": b"\xff\xfe" + DIVISION_CFG.encode("utf-16-le")},
                  "j.cfg", id="not-utf8"),
+    pytest.param(["verify", "j.cfg", "--json", "missing/x.json"],
+                 {"j.cfg": MINIMAL}, "missing/x.json: No such file",
+                 id="json-out-unwritable"),
+    *(pytest.param(["triple", "t.cfg"],
+                   {"t.cfg": JSON_TRIPLE_CFG,
+                    "w.json": json.dumps(dict(GRADED_TRIPLE, **{key: value}))},
+                   f"'{key}'", id=f"json-{key}-{value!r}")
+      for key, value in (("conductor", "abc"), ("conductor", 2.5),
+                         ("conductor", "2"), ("dim", "1"), ("dim", 1.0),
+                         ("operators", {"triple": "x"}),
+                         ("graded_ops", "triple"),
+                         ("graded_ops", ["product"]))),
+    pytest.param(["triple", "t.cfg"],
+                 {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(dict(
+                     GRADED_TRIPLE, operators={"product": 2},
+                     tensor=[["product", [0, 0], 0, "1"]],
+                     graded_ops=["product"]))},
+                 "exactly the operator {'triple': 3}", id="json-no-triple"),
+    pytest.param(["triple", "t.cfg"],
+                 {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(dict(
+                     GRADED_TRIPLE, operators={"triple": 3, "product": 2}))},
+                 "exactly the operator {'triple': 3}",
+                 id="json-extra-product"),
 ])
 def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
                                             argv, files, named):

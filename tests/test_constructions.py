@@ -618,7 +618,7 @@ def test_elimination_checks_survive_optimize_flag():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["exchange", "involution", "commutation",
+    assert out.stdout.split() == ["involution:", "involution", "commutation",
                                   "L*L", "A_0", "debug", "False"]
 
 

@@ -378,7 +378,7 @@ def test_matrix_triple_formula_with_nontrivial_phi():
 
 def test_decide_and_reconstruct_over_infinite_group():
     # grading by Z x Z: free grading groups work end to end
-    from atsbench.classify import SIMPLE_ALGEBRA, ClassLabel, decide_iso, \
+    from atsbench.classify import ClassLabel, decide_iso, \
         refute_isomorphism, witness_isomorphism
     Zfree = AbelianGroup(1)
     T = trivial_subgroup(Zfree)
@@ -386,7 +386,7 @@ def test_decide_and_reconstruct_over_infinite_group():
 
     def label(c):
         g = Zfree.element((c,))
-        return ClassLabel(SIMPLE_ALGEBRA, InvolutionParams(
+        return ClassLabel(InvolutionParams(
             group=Zfree, T=T, beta=beta, kappa0=(1,), gamma0=(g,),
             kappa1=(1,), gamma1=(g,), delta=1, g=Zfree.element((-2 * c,))))
 
