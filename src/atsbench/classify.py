@@ -28,9 +28,10 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
-                            InvolutionParams, _conjugation_columns,
-                            build_exchange_pair, build_M_inv,
-                            diagonal_solutions, kappa_expand, opposite)
+                            InvolutionParams, _compositions,
+                            _conjugation_columns, build_exchange_pair,
+                            build_M_inv, diagonal_solutions, kappa_expand,
+                            opposite, part_layouts)
 from .groups import AbelianGroup, GroupElement, Subgroup
 from .omega import (PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, center_basis, check_morphism,
@@ -223,11 +224,6 @@ class Decision:
         return self.verdict == "YES"
 
 
-def _same_beta(l1: ClassLabel, l2: ClassLabel) -> bool:
-    return (set(l1.params.T.elements) == set(l2.params.T.elements)
-            and l1.params.beta == l2.params.beta)
-
-
 def decide_iso(l1: ClassLabel, l2: ClassLabel,
                field: CycloField = None) -> Decision:
     """Evaluate the classification conditions; the certificate carries the
@@ -236,22 +232,22 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
         field = field or CycloField(classify_conductor(l1, l2))
         return Decision("NO", _cross_case_certificate(l1, l2, field))
 
+    p1, p2 = l1.params, l2.params
     if l1.case == EXCHANGE_PAIR:
-        if _same_beta(l1, l2):
+        # a bicharacter's == compares its domain T as well
+        if p1.beta == p2.beta:
             g = _common_shift(l1, l2, inverted=False)
             if g is not None:
                 return Decision("YES", {"branch": "direct", "shift": g})
-        if (set(l1.params.T.elements) == set(l2.params.T.elements)
-                and l1.params.beta == l2.params.beta.swapped()):
+        if p1.beta == p2.beta.swapped():
             g = _common_shift(l1, l2, inverted=True)
             if g is not None:
                 return Decision("YES", {"branch": "op", "shift": g})
         return Decision("NO", {"violated": "no shift matches the coset "
                                            "multisets (directly or opposite)"})
 
-    p1, p2 = l1.params, l2.params
     if l1.case == SIMPLE_ALGEBRA:
-        if set(p1.T.elements) != set(p2.T.elements):
+        if p1.T != p2.T:
             return Decision("NO", {"violated": "T != T'"})
         if p1.beta != p2.beta:
             return Decision("NO", {"violated": "beta != beta'"})
@@ -260,7 +256,7 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
     else:
         if p1.t != p2.t:
             return Decision("NO", {"violated": "t != t'"})
-        if set(l1.full_support.elements) != set(l2.full_support.elements):
+        if l1.full_support != l2.full_support:
             return Decision("NO", {"violated": "T<t> != T'<t'>"})
         if p1.full_beta != p2.full_beta:
             return Decision("NO", {"violated": "beta^[t] != beta'^[t']"})
@@ -567,8 +563,7 @@ def _component_wrapper(ca: ConstructedAlgebra) -> ConstructedAlgebra:
     """The underlying matrix component of an exchange pair, viewed as a
     searchable construction without involution."""
     mk = ca.matrix
-    return ConstructedAlgebra(ca.field, ca.group, ca.D, mk, mk.algebra,
-                              mk.grading, ca.params, None)
+    return ConstructedAlgebra(ca.field, ca.D, mk, mk.algebra, mk.grading)
 
 
 def _assemble_pair_map(ca1, ca2, f_cols, branch) -> LinearMap:
@@ -732,22 +727,6 @@ def nondegenerate_alternating_bicharacters(T: Subgroup):
     return out
 
 
-def _part_shapes(n: int):
-    """Block shape lists filling one module part of total dimension n: a
-    self-dual block of q dimensions is ("odd" or "even", q), a dual pair
-    of two q-dimensional blocks ("paired", q)."""
-    if n == 0:
-        yield []
-        return
-    for q in range(1, n + 1):
-        kind = "odd" if q % 2 else "even"
-        for rest in _part_shapes(n - q):
-            yield [(kind, q)] + rest
-    for q in range(1, n // 2 + 1):
-        for rest in _part_shapes(n - 2 * q):
-            yield [("paired", q)] + rest
-
-
 def enumerate_labels(G: AbelianGroup, max_dim: int,
                      cases=(EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION),
                      max_support: int = None) -> list[ClassLabel]:
@@ -805,57 +784,27 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
     return sorted(labels.values(), key=lambda lab: lab.name)
 
 
-def _compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
 def _enumerate_phi(elements, T, beta, t, max_dim, add):
+    """The Phi-involution labels over (T, beta, t) within the dimension
+    bound.  A kappa that admits several m gives labels of one name, and
+    `add` keeps the first that builds: part_layouts lists the larger m
+    first."""
     tdim = len(T) * (2 if t is not None else 1)
     deltas = (1,) if t is not None else (1, -1)
     n = 2
     while n * n * tdim <= max_dim:
         for n0 in range(1, n):
-            n1 = n - n0
-            for shape0 in _part_shapes(n0):
-                if not shape0:
-                    continue
-                for shape1 in _part_shapes(n1):
-                    if not shape1:
-                        continue
-                    _enumerate_gammas(T, beta, t, shape0, shape1, deltas,
-                                      elements, add)
-        n += 1
-
-
-def _shape_to_kappa(shape):
-    kappa, m = [], 0
-    for kind, q in sorted(shape, key=lambda b: {"odd": 0, "even": 1,
-                                                "paired": 2}[b[0]]):
-        if kind == "paired":
-            kappa.extend([q, q])
-        else:
-            kappa.append(q)
-            m += 1
-    return tuple(kappa), m
-
-
-def _enumerate_gammas(T, beta, t, shape0, shape1, deltas, elements, add):
-    kappa0, m0 = _shape_to_kappa(shape0)
-    kappa1, m1 = _shape_to_kappa(shape1)
-    len0 = len(kappa0)
-    len1 = len(kappa1)
-    for g in elements:
-        for gam0 in itertools.product(elements, repeat=len0):
-            for gam1 in itertools.product(elements, repeat=len1):
-                for delta in deltas:
+            for (kappa0, m0), (kappa1, m1) in itertools.product(
+                    part_layouts(n0), part_layouts(n - n0)):
+                for g, gam0, gam1, delta in itertools.product(
+                        elements,
+                        itertools.product(elements, repeat=len(kappa0)),
+                        itertools.product(elements, repeat=len(kappa1)),
+                        deltas):
                     add(InvolutionParams, T=T, beta=beta, kappa0=kappa0,
                         gamma0=gam0, kappa1=kappa1, gamma1=gam1, delta=delta,
                         g=g, t=t, m0=m0, m1=m1)
+        n += 1
 
 
 @dataclass

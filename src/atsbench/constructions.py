@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
-                     QuadraticForm, Subgroup, extend_bicharacter, prepend_z,
-                     symplectic_decomposition, zg_element)
+                     QuadraticForm, Subgroup, extend_bicharacter, flip_z,
+                     prepend_z, symplectic_decomposition, zg_element)
 from .omega import (INVOLUTION, PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, VerificationReport, check_grading,
                     check_involution, check_morphism, check_t4_flip, combine,
@@ -118,7 +118,6 @@ class GradedDivision:
     grading: Grading
     elements: tuple                  # basis index -> support element
     bicharacter: Bicharacter         # commutation bicharacter on the support
-    flavor: str = "simple"           # "simple" | "exchange"
     sign_form: QuadraticForm = None  # phi0(Z_s) = sign_form(s) Z_s, if involution
     t: GroupElement = None           # doubling element (exchange flavor)
     matrices: list = None            # monomial realizations (simple flavor)
@@ -126,6 +125,12 @@ class GradedDivision:
 
     def __post_init__(self):
         self.index = {e: i for i, e in enumerate(self.elements)}
+
+    @property
+    def flavor(self) -> str:
+        """The kind of division algebra: "exchange" for an exchange
+        double, else "simple"."""
+        return "simple" if self.inner is None else "exchange"
 
     @property
     def dim(self) -> int:
@@ -369,8 +374,7 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
     beta_ext = extend_bicharacter(D.bicharacter, t)
     sign_ext = D.sign_form.extend(t)
     out = GradedDivision(D.field, D.group, Tt, alg, grading, elements,
-                         beta_ext, flavor="exchange", sign_form=sign_ext,
-                         t=t, inner=D)
+                         beta_ext, sign_form=sign_ext, t=t, inner=D)
     for i in range(alg.dim):
         if out.involution_sign(i) != D.field.scalar(sign_ext(elements[i])):
             raise VerificationError(
@@ -453,11 +457,90 @@ def matrix_grading(D: GradedDivision, gamma0, gamma1) -> MatrixOverDivision:
 
 
 # ---------------------------------------------------------------------------
+# label parameters and the part layout
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _ModuleParams:
+    """The parameters both label types share: the division part D(T, beta)
+    and, per module part, multiplicities kappa with one degree per entry.
+    The part checks run against `full_support`, the support of the
+    division part."""
+    group: AbelianGroup
+    T: Subgroup
+    beta: Bicharacter
+    kappa0: tuple
+    gamma0: tuple
+    kappa1: tuple
+    gamma1: tuple
+
+    def __post_init__(self):
+        self.kappa0, self.gamma0 = tuple(self.kappa0), tuple(self.gamma0)
+        self.kappa1, self.gamma1 = tuple(self.kappa1), tuple(self.gamma1)
+        for which, kappa, gamma in ((0, self.kappa0, self.gamma0),
+                                    (1, self.kappa1, self.gamma1)):
+            if len(kappa) == 0:
+                raise ConstraintError(
+                    f"kappa{which} must be nonempty (supp pi1 = -1,0,1)")
+            if len(kappa) != len(gamma):
+                raise ConstraintError(f"kappa{which}/gamma{which} length mismatch")
+            if any(k <= 0 for k in kappa):
+                raise ConstraintError(f"kappa{which} entries must be positive")
+            reps = [self.full_support.coset_rep(g) for g in gamma]
+            if len(set(reps)) != len(reps):
+                raise ConstraintError(
+                    f"gamma{which} entries must be distinct modulo the support")
+
+    @property
+    def full_support(self) -> Subgroup:
+        return self.T
+
+
+class ExchangePairParams(_ModuleParams):
+    """Parameters of M(G, D, kappa0, kappa1, gamma0, gamma1)^ex."""
+
+
+def _layout_error(kappa, m, which: int = 0):
+    """The shape rule of a part layout (kappa, m) that it breaks, as the
+    message to raise, or None.  The layout: m self-dual blocks, odd
+    multiplicities before even ones, then dual pairs that repeat their
+    multiplicity."""
+    if not 0 <= m <= len(kappa) or (len(kappa) - m) % 2:
+        return (f"kappa{which}: entries beyond the first m{which}={m} "
+                f"must pair up")
+    if any(a % 2 < b % 2 for a, b in zip(kappa[:m], kappa[1:m])):
+        return (f"kappa{which}: odd multiplicities must form a prefix "
+                f"of the self-dual blocks (odd, even, paired layout)")
+    if any(kappa[r] != kappa[r + 1] for r in range(m, len(kappa), 2)):
+        return f"kappa{which}: paired blocks must repeat the multiplicity"
+    return None
+
+
+def _compositions(total: int):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def part_layouts(n: int):
+    """Every layout (kappa, m) of a module part of dimension n that the
+    shape rules accept: kappa over the compositions of n, and for each
+    kappa the larger m first."""
+    for kappa in _compositions(n):
+        for m in range(len(kappa), -1, -1):
+            if _layout_error(kappa, m) is None:
+                yield kappa, m
+
+
+# ---------------------------------------------------------------------------
 # the Phi-matrix involutions
 # ---------------------------------------------------------------------------
 
 @dataclass
-class InvolutionParams:
+class InvolutionParams(_ModuleParams):
     """Parameters of a 3-graded matrix algebra with involution.
 
     The exchange-double case is selected by a non-None t.  Per part
@@ -466,13 +549,6 @@ class InvolutionParams:
     S-block sign), the remaining entries come in consecutive dual pairs
     (q, q) with degrees (g', g'').
     """
-    group: AbelianGroup
-    T: Subgroup
-    beta: Bicharacter
-    kappa0: tuple
-    gamma0: tuple
-    kappa1: tuple
-    gamma1: tuple
     delta: int
     g: GroupElement
     t: GroupElement = None
@@ -484,14 +560,7 @@ class InvolutionParams:
     t_values1: tuple = None
 
     def __post_init__(self):
-        self.kappa0 = tuple(self.kappa0)
-        self.kappa1 = tuple(self.kappa1)
-        self.gamma0 = tuple(self.gamma0)
-        self.gamma1 = tuple(self.gamma1)
-        if self.m0 is None:
-            self.m0 = len(self.kappa0)
-        if self.m1 is None:
-            self.m1 = len(self.kappa1)
+        # t first: the part checks run against the support T<t>
         if self.delta not in (1, -1):
             raise ConstraintError("delta must be +1 or -1")
         if self.t is not None:
@@ -502,11 +571,13 @@ class InvolutionParams:
             if self.delta != 1:
                 raise ConstraintError(
                     "exchange-double case forces delta = +1 (sgn(B)=1)")
-        for which, gamma in ((0, self.gamma0), (1, self.gamma1)):
-            reps = [self.full_support.coset_rep(g) for g in gamma]
-            if len(set(reps)) != len(reps):
-                raise ConstraintError(
-                    f"gamma{which} entries must be distinct modulo the support")
+        if not self.T.is_elementary_2():
+            raise ConstraintError("the support T must be an elementary 2-group")
+        super().__post_init__()
+        if self.m0 is None:
+            self.m0 = len(self.kappa0)
+        if self.m1 is None:
+            self.m1 = len(self.kappa1)
 
     @cached_property
     def full_support(self) -> Subgroup:
@@ -524,28 +595,16 @@ class InvolutionParams:
 
 
 def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
-    """Validate one part's shape and constraints; returns the block list
+    """Check one part's layout and constraints; returns the block list
     [(kind, q, t_value or None, sign or None), ...] in layout order."""
     kappa, gamma, m, s_signs, t_values = params.part(which)
     signname = ("sign constraint delta = beta^[t](t_i)" if params.t is not None
                 else "sign constraint delta = beta(t_i)")
-    if len(kappa) == 0:
-        raise ConstraintError(f"kappa{which} must be nonempty (supp pi1 = -1,0,1)")
-    if len(kappa) != len(gamma):
-        raise ConstraintError(f"kappa{which}/gamma{which} length mismatch")
-    if any(k <= 0 for k in kappa):
-        raise ConstraintError(f"kappa{which} entries must be positive")
-    if not 0 <= m <= len(kappa) or (len(kappa) - m) % 2:
-        raise ConstraintError(
-            f"kappa{which}: entries beyond the first m{which}={m} must pair up")
+    error = _layout_error(kappa, m, which)
+    if error is not None:
+        raise ConstraintError(error)
     T_full = params.full_support
-    l = 0
-    while l < m and kappa[l] % 2 == 1:
-        l += 1
-    if any(kappa[i] % 2 for i in range(l, m)):
-        raise ConstraintError(
-            f"kappa{which}: odd multiplicities must form a prefix "
-            f"of the self-dual blocks (odd, even, paired layout)")
+    l = sum(k % 2 for k in kappa[:m])     # the odd blocks lead
     signs = tuple(s_signs) if s_signs is not None else None
     if signs is not None and len(signs) != m - l:
         raise ConstraintError(
@@ -582,9 +641,6 @@ def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
                     f"sgn(S) beta(t) != delta")
             blocks.append(("even", kappa[i] // 2, t_i, got))
     for r in range(m, len(kappa), 2):
-        if kappa[r] != kappa[r + 1]:
-            raise ConstraintError(
-                f"kappa{which}: paired blocks must repeat the multiplicity")
         if not (gamma[r] + gamma[r + 1] + params.g).is_identity():
             raise ConstraintError(
                 f"degree constraint fails at paired block {which}.{r}: "
@@ -613,12 +669,10 @@ class ConstructedAlgebra:
     """A fully assembled algebra with involution and Z x G grading,
     together with the construction data classify needs."""
     field: CycloField
-    group: AbelianGroup          # the G of the Z x G grading
     D: GradedDivision
     matrix: MatrixOverDivision
     algebra: OmegaAlgebra
     grading: Grading
-    params: object
     phi: dict = None             # (i, j) -> (b, Scalar); None for exchange pairs
 
     def verify(self):
@@ -662,15 +716,6 @@ def phi_matrix(params: InvolutionParams, D: GradedDivision,
     return phi
 
 
-def validate_params(params: InvolutionParams):
-    """Checks that do not need the built division algebra."""
-    if not params.T.is_elementary_2():
-        raise ConstraintError("the support T must be an elementary 2-group")
-    if not params.beta.is_nondegenerate_alternating():
-        raise ConstraintError("beta must be nondegenerate alternating")
-    # delta/t shape constraints are enforced at parameter construction
-
-
 def build_M_inv(params: InvolutionParams, field: CycloField,
                 divisions: dict = None) -> ConstructedAlgebra:
     """M(G, T, beta, kappa0, kappa1, gamma0, gamma1, delta, g) or its
@@ -678,7 +723,6 @@ def build_M_inv(params: InvolutionParams, field: CycloField,
     division part with the involution X -> Phi^{-1} X^* Phi, where *
     is the entrywise-phi0 transpose.  `divisions` is the division-part
     table of build_division_part."""
-    validate_params(params)
     D = build_division_part(params, field, divisions)
     phi = phi_matrix(params, D, D.sign_form)
 
@@ -702,8 +746,7 @@ def build_M_inv(params: InvolutionParams, field: CycloField,
     for idx, col in enumerate(_conjugation_columns(mk, mk, left, right, signs,
                                                    transpose=True)):
         alg.set_entry(INVOLUTION, (idx,), col)
-    return _verified(ConstructedAlgebra(field, params.group, D, mk, alg,
-                                        mk.grading, params, phi))
+    return _verified(ConstructedAlgebra(field, D, mk, alg, mk.grading, phi))
 
 
 def _conjugation_columns(mk: MatrixOverDivision, target: MatrixOverDivision,
@@ -752,47 +795,10 @@ def opposite(alg: OmegaAlgebra, grading: Grading,
                        [f"{lbl}^op" for lbl in alg.basis_labels])
     for (i, j), row in alg.tensors[PRODUCT].items():
         out.set_entry(PRODUCT, (j, i), dict(row))
-    if negate_z:
-        degmap = tuple(grading.group.element((-d.coords[0],) + d.coords[1:])
-                       for d in grading.degmap)
-    else:
-        degmap = grading.degmap
+    degmap = (tuple(flip_z(d) for d in grading.degmap) if negate_z
+              else grading.degmap)
     return out, Grading(out, grading.group, degmap,
                         graded_ops=frozenset({PRODUCT}))
-
-
-@dataclass
-class ExchangePairParams:
-    """Parameters of M(G, D, kappa0, kappa1, gamma0, gamma1)^ex."""
-    group: AbelianGroup
-    T: Subgroup
-    beta: Bicharacter
-    kappa0: tuple
-    gamma0: tuple
-    kappa1: tuple
-    gamma1: tuple
-
-    def __post_init__(self):
-        self.kappa0 = tuple(self.kappa0)
-        self.kappa1 = tuple(self.kappa1)
-        self.gamma0 = tuple(self.gamma0)
-        self.gamma1 = tuple(self.gamma1)
-        for which, (kappa, gamma) in enumerate(
-                [(self.kappa0, self.gamma0), (self.kappa1, self.gamma1)]):
-            if len(kappa) == 0:
-                raise ConstraintError(f"kappa{which} must be nonempty")
-            if len(kappa) != len(gamma):
-                raise ConstraintError(f"kappa{which}/gamma{which} length mismatch")
-            if any(k <= 0 for k in kappa):
-                raise ConstraintError(f"kappa{which} entries must be positive")
-            reps = [self.T.coset_rep(g) for g in gamma]
-            if len(set(reps)) != len(reps):
-                raise ConstraintError(
-                    f"gamma{which} entries must be distinct modulo the support")
-
-    @property
-    def full_support(self) -> Subgroup:
-        return self.T
 
 
 def exchange_of_graded(alg: OmegaAlgebra,
@@ -809,10 +815,8 @@ def exchange_of_graded(alg: OmegaAlgebra,
     for i in range(d):
         out.set_entry(INVOLUTION, (i,), {i + d: field.one})
         out.set_entry(INVOLUTION, (i + d,), {i: field.one})
-    degmap = list(grading.degmap)
-    for dg in grading.degmap:
-        degmap.append(grading.group.element((-dg.coords[0],) + dg.coords[1:]))
-    new_grading = Grading(out, grading.group, tuple(degmap),
+    degmap = tuple(grading.degmap) + tuple(flip_z(d) for d in grading.degmap)
+    new_grading = Grading(out, grading.group, degmap,
                           graded_ops=frozenset({PRODUCT}))
     return out, new_grading
 
@@ -825,8 +829,7 @@ def build_exchange_pair(params: ExchangePairParams,
     g1 = kappa_expand(params.kappa1, params.gamma1)
     mk = matrix_grading(D, g0, g1)
     alg, grading = exchange_of_graded(mk.algebra, mk.grading)
-    return _verified(ConstructedAlgebra(field, params.group, D, mk, alg,
-                                        grading, params))
+    return _verified(ConstructedAlgebra(field, D, mk, alg, grading))
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,9 @@ class Subgroup:
         return len(self.elements)
 
     def __eq__(self, other):
-        return (isinstance(other, Subgroup) and other.group == self.group
-                and set(other.elements) == set(self.elements))
+        # elements are sorted by coordinates and carry their group
+        return self is other or (isinstance(other, Subgroup)
+                                 and other.elements == self.elements)
 
     def __hash__(self):
         return hash((self.group, self.elements))
@@ -322,7 +323,7 @@ class Bicharacter:
     def __eq__(self, other):
         if not isinstance(other, Bicharacter):
             return NotImplemented
-        if set(self.domain.elements) != set(other.domain.elements):
+        if self.domain != other.domain:
             return False
         # compare values, not raw exponents (exponents may use different M)
         lcm = self.exponent * other.exponent // gcd(self.exponent, other.exponent)
@@ -482,3 +483,8 @@ def z_part(e: GroupElement) -> int:
 
 def g_part(G: AbelianGroup, e: GroupElement) -> GroupElement:
     return G.element(e.coords[1:])
+
+
+def flip_z(e: GroupElement) -> GroupElement:
+    """(z, g) -> (-z, g) on Z x G."""
+    return e.group.element((-e.coords[0],) + e.coords[1:])

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .groups import AbelianGroup, GroupElement, z_part
+from .groups import AbelianGroup, GroupElement, flip_z, z_part
 from .linalg import SparseVec, combine
 # VerificationError is defined in the lowest layer that raises it and
 # taken from here by the layers above
@@ -287,7 +287,7 @@ def check_t4_flip(grading: Grading) -> VerificationReport:
 
     def sides(i):
         d = degmap[i]
-        flipped = grading.group.element((-d.coords[0],) + d.coords[1:])
+        flipped = flip_z(d)
         for j in alg.row(INVOLUTION, (i,)):
             yield (degmap[j], flipped,
                    lambda: f"phi(e{i}) [{d}] meets component {degmap[j]}"
@@ -510,10 +510,20 @@ def _require(data, *path):
     return data
 
 
-def _require_int(data, key):
-    value = _require(data, key)
+def _require_int(data, *path):
+    value = _require(data, *path)
     if type(value) is not int:
-        raise ValueError(f"{key!r} must be an int, got {value!r}")
+        raise ValueError(f"{'.'.join(path)!r} must be an int, got {value!r}")
+    return value
+
+
+def _require_list(data, *path, item=None):
+    """data[path...] as a list, of entries of type `item` if given."""
+    value = _require(data, *path)
+    if not isinstance(value, list) or item and not all(
+            type(v) is item for v in value):
+        what = f"a list of {item.__name__}s" if item else "a list"
+        raise ValueError(f"{'.'.join(path)!r} must be {what}, got {value!r}")
     return value
 
 
@@ -528,8 +538,9 @@ def algebra_from_dict(data: dict):
             for arity in operators.values())):
         raise ValueError(f"'operators' must map names to positive int "
                          f"arities, got {operators!r}")
-    alg = OmegaAlgebra(field, dim, operators, data.get("basis"))
-    for entry in _require(data, "tensor"):
+    basis = _require_list(data, "basis", item=str) if "basis" in data else None
+    alg = OmegaAlgebra(field, dim, operators, basis)
+    for entry in _require_list(data, "tensor"):
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ValueError(f"tensor entry {entry}: expected "
                              "[operator, index list, slot, scalar text]")
@@ -555,12 +566,17 @@ def algebra_from_dict(data: dict):
         alg.set_entry(op, tuple(idx), row)
     grading = None
     if "degrees" in data:
-        if len(data["degrees"]) != dim:
-            raise ValueError(f"degrees lists {len(data['degrees'])} entries "
+        degrees = _require_list(data, "degrees", item=list)
+        if len(degrees) != dim:
+            raise ValueError(f"degrees lists {len(degrees)} entries "
                              f"for dimension {dim}")
-        group = AbelianGroup(_require(data, "group", "free_rank"),
-                             tuple(_require(data, "group", "torsion")))
-        degmap = tuple(group.element(tuple(c)) for c in data["degrees"])
+        if not all(type(c) is int for d in degrees for c in d):
+            raise ValueError(f"'degrees' must list int coordinates, "
+                             f"got {degrees!r}")
+        group = AbelianGroup(_require_int(data, "group", "free_rank"),
+                             tuple(_require_list(data, "group", "torsion",
+                                                 item=int)))
+        degmap = tuple(group.element(c) for c in degrees)
         graded_ops = _require(data, "graded_ops")
         if not (isinstance(graded_ops, list) and all(
                 isinstance(op, str) and op in alg.operators

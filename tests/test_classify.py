@@ -1,6 +1,7 @@
 """Decision procedures: Xi multisets, decide/witness/refute, intrinsics."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -336,6 +337,35 @@ def test_enumerated_labels_keep_the_dimension_bound(G, classes):
     assert res.inconclusive == 0
     assert (len(res.labels), len(res.representatives)) == (len(labels),
                                                            classes)
+
+
+# sha256 over [name, m0, m1] of every label, in order, as the enumeration
+# over ordered block-shape lists listed them; the names omit m, so the
+# digest also pins which m a label with several admissible ones keeps
+@pytest.mark.parametrize("torsion, max_dim, count, digest", [
+    ((2,), 9, 28,
+     "f966535b37fb62d48d98b8c278a8e01839a7a14ded31cb0facf0e1c945f1adef"),
+    ((2,), 16, 72,
+     "b35c9a33f6445d6f36f7d04ff495851b12703516c9c9811127af2102c077cafd"),
+    ((4,), 9, 80,
+     "011188e534fd66b286aeaf5703efa073d77e6c236a4fe2171688bdb454616280"),
+    ((4,), 16, 312,
+     "0e4834250b9481e4cd73f0b81cd50b155b8cc23e278d440605e70ca465af626b"),
+    ((2, 2), 8, 80,
+     "47e169d78481d200d8b3c5430b1cbbdaaed691290c3fb00f2d587f5a9bcfb2be"),
+    ((2, 2), 9, 208,
+     "8d93824bc3c05ee44ca831fb8801f65a6fab4cf780873e086fc25455f9b8bc4a"),
+    ((2, 4), 8, 192,
+     "aa2819ccf1e4464d27bda3a447134aa01f259ebf2e54cd19dad0fb1a5fe42010"),
+    ((2, 2, 2), 8, 576,
+     "62d3a1ff0d09f0876958ce5b02118d9934dcbd8f85db0236e7601ed9255e6369"),
+])
+def test_enumerated_labels_are_pinned(torsion, max_dim, count, digest):
+    labels = enumerate_labels(AbelianGroup(0, torsion), max_dim)
+    rows = [[lab.name, getattr(lab.params, "m0", None),
+             getattr(lab.params, "m1", None)] for lab in labels]
+    assert len(rows) == count
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_exchange_division_pairs_over_v4():

@@ -579,6 +579,16 @@ def _edit(text, old, new):
                          ("operators", {"triple": "x"}),
                          ("graded_ops", "triple"),
                          ("graded_ops", ["product"]))),
+    # malformed values that once escaped as a TypeError traceback
+    *(pytest.param(["check-at2", "t.cfg"],
+                   {"t.cfg": JSON_TRIPLE_CFG,
+                    "w.json": json.dumps(dict(GRADED_TRIPLE, **{key: value}))},
+                   named, id=f"json-{key}-{value!r}")
+      for key, value, named in (
+          ("degrees", [0], "'degrees'"), ("degrees", 5, "'degrees'"),
+          ("group", {"free_rank": "0", "torsion": [2]}, "'group.free_rank'"),
+          ("group", {"free_rank": 0, "torsion": 2}, "'group.torsion'"),
+          ("basis", 5, "'basis'"), ("tensor", 5, "'tensor'"))),
     pytest.param(["triple", "t.cfg"],
                  {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(dict(
                      GRADED_TRIPLE, operators={"product": 2},

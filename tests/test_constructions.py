@@ -12,15 +12,15 @@ import pytest
 import atsbench.constructions
 from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     InvolutionParams, MonoMatrix,
-                                    build_exchange_pair, build_M_inv,
-                                    check_commutation, d_inv,
+                                    _resolve_part, build_exchange_pair,
+                                    build_M_inv, check_commutation, d_inv,
                                     d_inv_transpose, exchange_double,
                                     exchange_double_division,
                                     exchange_subgroup_transfer,
                                     graded_division_iso, kappa_expand,
-                                    matrix_grading, opposite, phi_matrix,
-                                    removal_twist, standard_realization,
-                                    transpose_form)
+                                    matrix_grading, opposite, part_layouts,
+                                    phi_matrix, removal_twist,
+                                    standard_realization, transpose_form)
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
                              QuadraticForm, Subgroup, all_quadratic_forms,
                              extend_bicharacter, trivial_subgroup)
@@ -406,6 +406,36 @@ def test_gamma_distinct_mod_support():
         InvolutionParams(group=V4, T=T, beta=beta, kappa0=(1, 1),
                          gamma0=(e, A_), kappa1=(1,), gamma1=(e,),
                          delta=1, g=e)
+
+
+def test_part_layouts_are_the_layouts_the_part_check_accepts():
+    # _resolve_part checks the layout's shape before any degree or sign
+    # constraint, and each shape message starts with "kappa0:"
+    G = AbelianGroup(0, (8,))
+    T, beta = trivial_pair(G)
+    sigma = QuadraticForm(T, {G.identity: 1})
+    elements = G.elements()
+
+    def shape_ok(kappa, m):
+        p = InvolutionParams(group=G, T=T, beta=beta, kappa0=kappa,
+                             gamma0=elements[:len(kappa)], kappa1=(1,),
+                             gamma1=(G.identity,), delta=1, g=G.identity,
+                             m0=m)
+        try:
+            _resolve_part(p, 0, sigma)
+        except ConstraintError as err:
+            return not str(err).startswith("kappa0:")
+        return True
+
+    for n in range(1, 6):
+        layouts = list(part_layouts(n))
+        assert len(layouts) == len(set(layouts))
+        kappas = [k for r in range(1, n + 1)
+                  for k in itertools.product(range(1, n + 1), repeat=r)
+                  if sum(k) == n]
+        assert set(layouts) == {(k, m) for k in kappas
+                                for m in range(-1, len(k) + 2)
+                                if shape_ok(k, m)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: spec examples and field axioms."""
 
+import doctest
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,13 @@ from helpers import (close, numeric, random_scalar, ref_add, ref_inverse,
 # at 5 and 7, 2 phi - 1 > N: products reach powers of zeta beyond zeta^(N-1)
 PROPERTY_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16)
 TABLE_CONDUCTORS = PROPERTY_CONDUCTORS + (2, 6, 10, 20, 24)
+
+
+def test_module_doctests_pass():
+    # the suite collects tests/ only, so the examples in scalars' docstrings
+    # run here
+    result = doctest.testmod(scalars)
+    assert result.failed == 0 and result.attempted >= 6
 
 
 def random_scalars(conductor, rng, n):
