@@ -323,16 +323,19 @@ def _intrinsic_mismatch(inv1: IntrinsicInvariants,
 
 
 def graded_center_support(alg: OmegaAlgebra, grading: Grading):
-    """Degrees g with a nonzero central element in A_g.  The center of a
-    graded algebra is graded, so one kernel per homogeneous component."""
-    return tuple(g for g in grading.support()
-                 if center_basis(alg, [i for i, d in enumerate(grading.degmap)
-                                       if d == g]))
+    """Degrees g with a nonzero central element in A_g.  The center of an
+    algebra graded by its product is graded, the sum of its intersections
+    with the A_g, so these are the degrees met by the supports of any basis
+    of it: one kernel over all of A."""
+    met = {grading.degmap[i] for v in center_basis(alg, range(alg.dim))
+           for i in v}
+    return tuple(g for g in grading.support() if g in met)
 
 
 def intrinsic_invariants(alg: OmegaAlgebra,
                          grading: Grading) -> IntrinsicInvariants:
     """Invariants computable from the structure tensors alone."""
+    simple = is_simple(alg, ops={PRODUCT})
     counts = {}
     for d in grading.degmap:
         counts[d.coords] = counts.get(d.coords, 0) + 1
@@ -341,8 +344,9 @@ def intrinsic_invariants(alg: OmegaAlgebra,
         dims={g: counts[g] for g in sorted(counts)},
         center_support=tuple(e.coords for e in
                              graded_center_support(alg, grading)),
-        simple=is_simple(alg, ops={PRODUCT}),
-        graded_simple=graded_is_simple(alg, grading),
+        simple=simple,
+        # a graded ideal is an ideal: a simple algebra is graded-simple
+        graded_simple=simple or graded_is_simple(alg, grading),
     )
 
 

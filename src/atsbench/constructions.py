@@ -390,11 +390,8 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
 # ---------------------------------------------------------------------------
 
 def kappa_expand(kappa, gamma):
-    """Repeat gamma[j] kappa[j] times."""
-    if len(kappa) != len(gamma):
-        raise ConstraintError("kappa and gamma lengths must match")
-    if any(k <= 0 for k in kappa):
-        raise ConstraintError("kappa entries must be positive")
+    """Repeat gamma[j] kappa[j] times (the part checks of the label
+    parameters have run)."""
     out = []
     for k, g in zip(kappa, gamma):
         out.extend([g] * k)

@@ -359,20 +359,30 @@ def center_basis(alg: OmegaAlgebra, indices, symmetric: bool = False) -> list:
     `symmetric` only those the involution fixes.
 
     One kernel over len(indices) unknowns, one equation per coordinate of
-    x e_j - e_j x (and of phi(x) - x).
+    x e_j - e_j x (and of phi(x) - x), built in one pass over the stored
+    product entries.
     """
+    col_of = {i: col for col, i in enumerate(indices)}
     equations = {}
-    for col, i in enumerate(indices):
-        terms = [((j, k), c) for j in range(alg.dim)
-                 for k, c in alg.row(PRODUCT, (i, j)).items()]
-        terms += [((j, k), -c) for j in range(alg.dim)
-                  for k, c in alg.row(PRODUCT, (j, i)).items()]
-        if symmetric:
-            terms += [(k, c) for k, c in alg.row(INVOLUTION, (i,)).items()]
-            terms.append((i, -alg.field.one))
-        for key, c in terms:
-            row = equations.setdefault(key, {})
-            row[col] = row[col] + c if col in row else c
+
+    def add(key, col, c):
+        row = equations.setdefault(key, {})
+        row[col] = row[col] + c if col in row else c
+
+    for (i, j), out in alg.tensors[PRODUCT].items():
+        if i in col_of:                     # a term of x e_j
+            for k, c in out.items():
+                add((j, k), col_of[i], c)
+        if j in col_of:                     # a term of e_i x
+            for k, c in out.items():
+                add((i, k), col_of[j], -c)
+    if symmetric:
+        for (i,), out in alg.tensors[INVOLUTION].items():
+            if i in col_of:
+                for k, c in out.items():
+                    add(k, col_of[i], c)
+        for col, i in enumerate(indices):
+            add(i, col, -alg.field.one)
     kernel = linalg.kernel(alg.field, equations.values(), len(indices))
     return [{indices[col]: c for col, c in v.items()} for v in kernel]
 
@@ -394,11 +404,16 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
       (b) A semisimple A is simple iff the center part C is a field: the
           central elements, of identity degree with a grading and fixed
           by the involution when it is active.
-      (c) dim C = 1 gives True.  Otherwise the candidates w = z - lambda
-          (z a basis vector of C, lambda 0 or a root of unity of the field)
-          are tried: w lies in C, so it is a zero divisor iff its ideal
-          closure is proper, which gives False.  When no candidate is one,
-          SimplicityUndecided is raised, never True.
+      (c) dim C = 1 gives True.  Otherwise the candidates w = z - lambda u
+          (z a basis vector of C, u the unit, lambda 0 or a root of unity
+          of the field) are tried.  A semisimple A is unital, and u lies
+          in C: it is central, of identity degree and fixed by the
+          involution.  So w lies in C, and the ideal it generates is Aw,
+          which the involution and the projections keep.  Aw is proper iff
+          w has no inverse in A; an inverse would lie in C too, so iff the
+          products w c (c in the basis of C) have rank < dim C, which gives
+          False.  When no candidate is a zero divisor, SimplicityUndecided
+          is raised, never True.
     A zero product under both a grading and an active involution also
     raises SimplicityUndecided.
 
@@ -446,7 +461,8 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
     for z in center:
         for lam in lambdas:
             w = combine([(one, z), (-lam, unit)])
-            if w and ideal_closure(alg, [w], grading, ops=active).rank < dim:
+            if w and len(linalg.rref(field, [alg.mul(w, c) for c in center],
+                                     dim)) < len(center):
                 return False
     raise SimplicityUndecided(f"no zero divisor found in a center part of "
                               f"dimension {len(center)}")

@@ -15,9 +15,12 @@ every pair on its own, the oracle for the census through isomorphism
 classes, and the `ref_check_*` scans evaluate every basis tuple one by
 one, the oracle for the scans that skip tuples whose sides are zero; `RefRowSpace` and
 `ref_solve`/`ref_invert_matrix`/`ref_kernel` are the dense elimination
-kernel that the sparse `linalg` is checked against; the float embedding
-sends z_N to exp(2 pi i / N) and is used as a sanity oracle next to the
-exact assertions, never instead of them.
+kernel that the sparse `linalg` is checked against; `ref_center_basis`,
+`ref_graded_center_support` and `ref_zero_divisor_candidates` are the
+structure decisions by row lookups, one kernel per component and ideal
+closures, the oracles for the center and zero-divisor tests; the float
+embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
+next to the exact assertions, never instead of them.
 """
 
 import bisect
@@ -28,8 +31,9 @@ from fractions import Fraction
 
 from atsbench import classify
 from atsbench.classify import xi_shift_candidates
-from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap, _unit_in,
-                            scan)
+from atsbench.linalg import combine, kernel
+from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
+                            _grades_product, _unit_in, ideal_closure, scan)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
 
@@ -201,6 +205,67 @@ def ref_invert_matrix(field, m):
     if space.pivots != list(range(n)):
         return None
     return [row[n:] for row in space.rows]
+
+
+def ref_center_basis(alg, indices, symmetric=False):
+    """omega.center_basis with its equations built by row lookups: for each
+    unknown, the rows of e_i e_j and e_j e_i for every j (and of phi(e_i))."""
+    equations = {}
+    for col, i in enumerate(indices):
+        terms = [((j, k), c) for j in range(alg.dim)
+                 for k, c in alg.row(PRODUCT, (i, j)).items()]
+        terms += [((j, k), -c) for j in range(alg.dim)
+                  for k, c in alg.row(PRODUCT, (j, i)).items()]
+        if symmetric:
+            terms += [(k, c) for k, c in alg.row(INVOLUTION, (i,)).items()]
+            terms.append((i, -alg.field.one))
+        for key, c in terms:
+            row = equations.setdefault(key, {})
+            row[col] = row[col] + c if col in row else c
+    basis = kernel(alg.field, equations.values(), len(indices))
+    return [{indices[col]: c for col, c in v.items()} for v in basis]
+
+
+def ref_graded_center_support(alg, grading):
+    """classify.graded_center_support with one kernel per homogeneous
+    component: the degrees g with a nonzero central element in A_g."""
+    return tuple(g for g in grading.support()
+                 if ref_center_basis(alg, [i for i, d in
+                                           enumerate(grading.degmap)
+                                           if d == g]))
+
+
+def ref_zero_divisor_candidates(alg, grading=None, ops=None):
+    """Step (c) of omega.is_simple by ideal closures: the center part C
+    (from `ref_center_basis`) and, when dim C > 1, each candidate
+    w = z - lambda u with True when its ideal closure is proper.  None
+    when is_simple does not reach step (c): not on its associative path,
+    or a nonzero radical (the kernel of the dense trace form)."""
+    active = set(ops if ops is not None else alg.operators)
+    if (PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}
+            or grading is not None and not _grades_product(grading)):
+        return None
+    F, dim = alg.field, alg.dim
+    trace = [sum((alg.row(PRODUCT, (k, j)).get(j, F.zero)
+                  for j in range(dim)), F.zero) for k in range(dim)]
+    form = [[sum((c * trace[k] for k, c in alg.row(PRODUCT, (i, j)).items()),
+                 F.zero) for j in range(dim)] for i in range(dim)]
+    if ref_kernel(F, form, dim):
+        return None
+    indices = list(range(dim)) if grading is None else [
+        i for i, d in enumerate(grading.degmap) if d == grading.group.identity]
+    center = ref_center_basis(alg, indices, symmetric=INVOLUTION in active)
+    if len(center) == 1:
+        return center, []
+    u = _unit_in(alg, center)
+    candidates = []
+    for z in center:
+        for lam in [F.zero] + F.roots_of_unity():
+            w = combine([(F.one, z), (-lam, u)])
+            if w:
+                candidates.append((w, ideal_closure(alg, [w], grading,
+                                                    ops=active).rank < dim))
+    return center, candidates
 
 
 def ref_kernel(field, rows, width):

@@ -259,13 +259,15 @@ def test_double_preconditions():
 # ---------------------------------------------------------------------------
 
 def test_kappa_expand():
-    G = AbelianGroup(0, (2, 2))
     g1, g2, e = A_, B_, V4.identity
     assert kappa_expand((1,), (g1,)) == (g1,)
     assert kappa_expand((2, 1), (g1, g2)) == (g1, g1, g2)
     assert kappa_expand((1, 1, 2), (g1, g2, e)) == (g1, g2, e, e)
-    with pytest.raises(ConstraintError):
-        kappa_expand((1, 2), (g1,))
+    # the lengths are checked once, when the label parameters are made
+    T, beta = trivial_pair(V4)
+    with pytest.raises(ConstraintError, match="kappa0/gamma0 length mismatch"):
+        ExchangePairParams(group=V4, T=T, beta=beta, kappa0=(1, 2),
+                           gamma0=(g1,), kappa1=(1,), gamma1=(e,))
 
 
 def test_matrix_grading_degrees():

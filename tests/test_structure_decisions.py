@@ -1,0 +1,160 @@
+"""The structure decisions of `omega` and `classify` against their
+references in `helpers`: the center equations built by row lookups, the
+center support by one kernel per homogeneous component, and the zero
+divisors of simplicity step (c) by ideal closures.
+
+The inputs are every label over Z/4, Z/2 x Z/2 and Z/2 x Z/4 up to
+dimension 8, the two dim-36 bench labels (read only), the envelopes of
+the triple corpus and three small commutative algebras whose center has
+dimension > 1.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import atsbench.omega
+from atsbench import linalg
+from atsbench.classify import (classify_conductor, enumerate_labels,
+                               graded_center_support, intrinsic_invariants)
+from atsbench.config import parse_config
+from atsbench.corpus import triple_corpus
+from atsbench.groups import AbelianGroup
+from atsbench.omega import (INVOLUTION, PRODUCT, OmegaAlgebra,
+                            SimplicityUndecided, center_basis, is_simple)
+from atsbench.scalars import CycloField
+from atsbench.triples import loos_envelope
+from helpers import (ref_center_basis, ref_graded_center_support,
+                     ref_zero_divisor_candidates)
+
+ROOT = Path(__file__).resolve().parents[1]
+WIDE36 = [ROOT / "bench" / "configs" / f"wide36_{sign}.cfg"
+          for sign in ("minus", "plus")]
+GROUPS = {"Z4": (4,), "Z2xZ2": (2, 2), "Z2xZ4": (2, 4)}
+GAUSSIAN = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
+
+
+def _labelled(labels):
+    field = CycloField(classify_conductor(*labels))
+    return [(lab.name, lab.build(field)) for lab in labels]
+
+
+def _envelopes():
+    return [(entry.name, loos_envelope(entry.triple))
+            for entry in triple_corpus()]
+
+
+def _verdict(alg, grading, ops):
+    try:
+        return is_simple(alg, grading, ops)
+    except SimplicityUndecided:
+        return None
+
+
+def _check_zero_divisors(alg, grading, ops, seen):
+    """Every candidate of step (c): the rank of w C below dim C exactly
+    when the ideal closure of w is proper; and the verdict that follows."""
+    verdict = _verdict(alg, grading, ops)
+    step = ref_zero_divisor_candidates(alg, grading, ops)
+    if step is None:
+        return verdict
+    center, candidates = step
+    for w, proper in candidates:
+        products = [alg.mul(w, c) for c in center]
+        assert (len(linalg.rref(alg.field, products, alg.dim))
+                < len(center)) == proper
+        seen.add(proper)
+    expected = (True if len(center) == 1 else
+                False if any(p for _, p in candidates) else None)
+    assert verdict == expected
+    return verdict
+
+
+def _check_centers(alg, grading):
+    identity = [i for i, d in enumerate(grading.degmap)
+                if d == grading.group.identity]
+    flags = (False, True) if INVOLUTION in alg.operators else (False,)
+    for indices in (identity, range(alg.dim)):
+        for symmetric in flags:
+            new = center_basis(alg, indices, symmetric)
+            old = ref_center_basis(alg, indices, symmetric)
+            # values and key order
+            assert [list(v.items()) for v in new] == \
+                [list(v.items()) for v in old]
+    assert graded_center_support(alg, grading) == \
+        ref_graded_center_support(alg, grading)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_structure_decisions_match_references_on_labels(group):
+    labels = enumerate_labels(AbelianGroup(0, GROUPS[group]), 8)
+    seen = set()
+    for name, ca in _labelled(labels):
+        alg, grading = ca.algebra, ca.grading
+        _check_centers(alg, grading)
+        for g in (None, grading):
+            for ops in ({PRODUCT}, None):
+                _check_zero_divisors(alg, g, ops, seen)
+    # exchange pairs have a zero divisor, the simple ones have none
+    assert seen == {True, False}
+
+
+def test_structure_decisions_match_references_on_wide36():
+    labels = [parse_config(path.read_text(encoding="utf-8")).label
+              for path in WIDE36]
+    for name, ca in _labelled(labels):
+        alg, grading = ca.algebra, ca.grading
+        _check_centers(alg, grading)
+        for g in (None, grading):
+            for ops in ({PRODUCT}, None):
+                _check_zero_divisors(alg, g, ops, set())
+
+
+def _table_algebra(n, table, conductor):
+    field = CycloField(conductor)
+    alg = OmegaAlgebra(field, n, {PRODUCT: 2})
+    for idx, out in table.items():
+        alg.set_entry(PRODUCT, idx, {k: field.scalar(c)
+                                     for k, c in out.items()})
+    return alg
+
+
+def test_zero_divisors_match_closures_on_commutative_centers():
+    """Centers of dimension > 1: Q(i) over Q, a field, gets no verdict;
+    Q(i) over Q(i) and Q(i) x Q over Q split."""
+    seen = set()
+    verdicts = [_check_zero_divisors(_table_algebra(n, table, conductor),
+                                     None, None, seen)
+                for n, table, conductor in (
+                    (2, GAUSSIAN, 1), (2, GAUSSIAN, 4),
+                    (3, {**GAUSSIAN, (2, 2): {2: 1}}, 1))]
+    assert verdicts == [None, False, False]
+    assert seen == {True, False}
+
+
+def test_structure_decisions_match_references_on_envelopes():
+    seen, verdicts = set(), set()
+    for name, env in _envelopes():
+        _check_centers(env.algebra, env.grading)
+        for ops in (None, {PRODUCT}):       # involution active, then not
+            verdicts.add(_check_zero_divisors(env.algebra, None, ops, seen))
+    assert verdicts == seen == {True, False}
+
+
+def test_associative_structure_decisions_run_no_closure(monkeypatch):
+    """The simplicity decisions of the census and of the corpus envelopes
+    find zero divisors by rank, without an ideal closure."""
+    def closure(*args, **kwargs):
+        raise AssertionError("ideal_closure on the associative path")
+    monkeypatch.setattr(atsbench.omega, "ideal_closure", closure)
+    cfg = parse_config((ROOT / "configs" / "census_z4.cfg")
+                       .read_text(encoding="utf-8"))
+    labels = enumerate_labels(cfg.group, cfg.max_dim,
+                              cases=cfg.census_cases,
+                              max_support=cfg.max_support)
+    assert len(labels) == 32
+    for name, ca in _labelled(labels):
+        intrinsic_invariants(ca.algebra, ca.grading)
+    for name, env in _envelopes():
+        for ops in (None, {PRODUCT}):
+            is_simple(env.algebra, ops=ops)
