@@ -9,11 +9,12 @@ algebras (witness_isomorphism) and every NO by an intrinsic-invariant
 mismatch or an exhausted bounded search over structured candidate maps
 (refute_isomorphism).  Nothing is ever concluded from the labels alone.
 
-A census (run_census) pays this per isomorphism class: each label is
-witnessed once, against its class representative, and a YES pair is
-certified by the composition of two such verified maps.  A NO pair is
-certified by the refutation of its two classes' representatives when
-that one is intrinsic; otherwise the pair is refuted on its own.
+A census (run_census) pays this per isomorphism class, named by a normal
+form of the labels (ClassLabel.key): each label is decided and witnessed
+once, against its class representative, and a YES pair is certified by
+the composition of two such verified maps.  Each pair of classes is
+decided and refuted once, on its representatives; a NO pair is certified
+by that refutation when it is intrinsic, otherwise by its own.
 
 Classification sessions work over a doubled cyclotomic conductor: the
 witness maps need square roots of bicharacter values, which exist in
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from math import gcd, lcm
 
 from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
@@ -63,16 +63,9 @@ class XiMultiset:
     def __eq__(self, other):
         return isinstance(other, XiMultiset) and self.counts == other.counts
 
-    def __str__(self):
-        items = sorted(self.counts.items(), key=lambda kv: kv[0].coords)
-        return "{" + ", ".join(f"{r}T:{m}" for r, m in items) + "}"
 
-
-@lru_cache(maxsize=4096)
 def halvings(G: AbelianGroup, r: GroupElement) -> list[GroupElement]:
-    """All x in G with 2x = r, coordinate by coordinate.  A census asks
-    for the same few r pair after pair, so the lists are kept (the most
-    recent 4096 pairs (G, r)) and shared: callers must not change them."""
+    """All x in G with 2x = r, coordinate by coordinate."""
     per_coord = []
     for k, c in enumerate(r.coords):
         if k < G.free_rank:
@@ -132,15 +125,14 @@ class ClassLabel:
     Its case is set from them: exchange pair, or Phi-involution without
     (simple algebra) or with (exchange division) the doubling element t.
 
-    The fields after `case` are caches, keyed by conductor (`_xi` by part,
-    inversion and shift); `_divisions` is the division-part table shared by
-    the labels of one enumeration (see build_division_part)."""
+    The fields after `case` are caches, keyed by conductor; `_divisions`
+    is the division-part table shared by the labels of one enumeration
+    (see build_division_part)."""
     params: object                 # ExchangePairParams | InvolutionParams
     name: str = ""
     case: str = dc_field(init=False)
     _built: dict = _cache()
     _intrinsics: dict = _cache()
-    _xi: dict = _cache()
     _divisions: dict = _cache()
 
     def __post_init__(self):
@@ -167,24 +159,31 @@ class ClassLabel:
     def full_support(self) -> Subgroup:
         return self.params.full_support
 
-    def xi(self, which: int, inverted: bool = False,
-           shift: GroupElement = None) -> XiMultiset:
-        """Xi(kappa_which, gamma_which), gamma inverted on request, shifted
-        by `shift` if given; a census compares the same shifted multisets
-        of one label against many others."""
-        key = (which, inverted, shift)
-        if key in self._xi:
-            return self._xi[key]
-        if shift is not None:
-            self._xi[key] = self.xi(which, inverted).shifted(shift)
-        else:
-            p = self.params
-            kappa = p.kappa0 if which == 0 else p.kappa1
-            gamma = p.gamma0 if which == 0 else p.gamma1
-            if inverted:
-                gamma = tuple(-g for g in gamma)
-            self._xi[key] = xi_multiset(kappa, gamma, self.full_support)
-        return self._xi[key]
+    def xi(self, which: int, inverted: bool = False) -> XiMultiset:
+        """Xi(kappa_which, gamma_which), gamma inverted on request."""
+        p = self.params
+        kappa, gamma = (p.kappa0, p.gamma0) if which == 0 else (p.kappa1, p.gamma1)
+        if inverted:
+            gamma = tuple(-g for g in gamma)
+        return xi_multiset(kappa, gamma, self.full_support)
+
+    def key(self, direct: bool = False):
+        """A normal form of the label: two keys are equal exactly when
+        decide_iso says YES, two direct keys exactly when it says YES by
+        its direct branch.  The shifts h in G act on the parameters as in
+        decide_iso; the least image under them names the orbit."""
+        p, coset_rep = self.params, self.full_support.coset_rep
+
+        def orbit(inverted, g=None):
+            xis = [self.xi(w, inverted).counts.items() for w in (0, 1)]
+            return min(((g - h - h).coords if g is not None else (),) + tuple(
+                tuple(sorted((coset_rep(h + r).coords, m) for r, m in xi))
+                for xi in xis) for h in p.group.elements())
+        if self.case != EXCHANGE_PAIR:
+            return (self.case, p.delta, p.t, p.full_beta, orbit(False, p.g))
+        end = (p.beta, orbit(False))
+        return (self.case, end if direct else
+                frozenset((end, (p.beta.swapped(), orbit(True)))))
 
     def dimension(self) -> int:
         p = self.params
@@ -264,7 +263,7 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
     # g'' and the form degree by g''^{-2}, so g = g' g''^{-2}: candidate
     # shifts are the solutions of 2 g'' = g' - g
     for g2 in halvings(p1.group, p2.g - p1.g):
-        if all(l1.xi(w) == l2.xi(w, shift=g2) for w in (0, 1)):
+        if all(l1.xi(w) == l2.xi(w).shifted(g2) for w in (0, 1)):
             return Decision("YES", {"branch": "direct", "shift": g2})
     return Decision("NO", {
         "violated": "no g'' with 2g'' = g' - g matches both coset "
@@ -274,8 +273,9 @@ def decide_iso(l1: ClassLabel, l2: ClassLabel,
 def _common_shift(l1: ClassLabel, l2: ClassLabel, inverted: bool):
     """A single g with Xi_i(l1) = g Xi_i(l2[, gamma inverted]) for both i."""
     a0, a1 = l1.xi(0), l1.xi(1)
-    for g in xi_shift_candidates(a0, l2.xi(0, inverted)):
-        if a0 == l2.xi(0, inverted, g) and a1 == l2.xi(1, inverted, g):
+    b0, b1 = l2.xi(0, inverted), l2.xi(1, inverted)
+    for g in xi_shift_candidates(a0, b0):
+        if a0 == b0.shifted(g) and a1 == b1.shifted(g):
             return g
     return None
 
@@ -846,75 +846,72 @@ class CensusResult:
 def run_census(G: AbelianGroup, max_dim: int,
                cases=(EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION),
                max_support: int = None) -> CensusResult:
-    """Enumerate labels, sort them into isomorphism classes, decide all
-    pairs, and certify every YES and every NO through the classes.
+    """Enumerate labels, sort them into isomorphism classes by their keys,
+    and certify every YES and every NO through the classes.
 
-    Each label is decided against the class representatives in order.
-    On the first YES, witness_isomorphism verifies psi_i: A_rep -> A_i and
-    the label joins that class, whose intrinsic invariants it must share;
-    with no YES it becomes a new representative (psi the identity).  Only
-    the class index is kept, never the maps.  A YES pair (i, j) is then
-    certified by psi_j o psi_i^{-1}.  A NO pair is certified by the
-    refutation of its two classes, made once on their representatives,
-    when that one is intrinsic (intrinsic invariants are isomorphism
-    invariants); otherwise the pair gets its own refute_isomorphism, since
-    a composed map can leave the searched family.  Every pair is decided
-    once, and a verdict against the classes (YES across two classes, NO
-    inside one) raises WitnessError."""
+    A label with a new key is a class representative (psi the identity);
+    any other is decided against its representative, witness_isomorphism
+    verifies psi_i: A_rep -> A_i, and the two must share their intrinsic
+    invariants.  A YES pair (i, j) is certified by psi_j o psi_i^{-1}
+    (the maps are not kept), its branch read off the direct keys.  Each
+    pair of classes is decided and refuted once, on its representatives;
+    a NO pair is certified by that refutation when it is intrinsic
+    (intrinsic invariants are isomorphism invariants), otherwise by its
+    own, since a composed map can leave the searched family.  A decision
+    against the keys (NO inside a class, YES across two) raises
+    WitnessError."""
     labels = enumerate_labels(G, max_dim, cases=cases, max_support=max_support)
     if not labels:
         return CensusResult(G, max_dim, [], [])
     field = CycloField(classify_conductor(*labels))
     result = CensusResult(G, max_dim, labels, [])
     classes, reps = result.classes, result.representatives
-    decided = {}               # (representative, label) -> Decision
-    for j, lab in enumerate(labels):
-        for c, r in enumerate(reps):
-            decision = decided[(r, j)] = decide_iso(labels[r], lab, field)
-            if decision.is_yes:
-                witness_isomorphism(labels[r], lab, decision.certificate,
-                                    field)
-                attr = _intrinsic_mismatch(labels[r].intrinsics(field),
-                                           lab.intrinsics(field))
-                if attr is not None:
-                    raise VerificationError(
-                        f"{lab.name} is isomorphic to {labels[r].name} "
-                        f"but differs in the intrinsic invariant {attr}")
-                classes.append(c)
-                break
-        else:
-            classes.append(len(reps))
-            reps.append(j)
 
-    refuted = {}               # (class, class) -> Refutation of the reps
-    for i, l1 in enumerate(labels):
-        for j in range(i, len(labels)):
-            l2 = labels[j]
-            decision = decided.pop((i, j), None) or decide_iso(l1, l2, field)
-            a, b = sorted((classes[i], classes[j]))
-            if decision.is_yes != (a == b):
-                raise WitnessError(
-                    f"decided {decision.verdict} against the classes: "
-                    f"{l1.name} (class {classes[i]}) ~ {l2.name} "
-                    f"(class {classes[j]})")
-            if decision.is_yes:
-                result.yes_count += 1
-                detail = str(decision.certificate.get("branch", "direct"))
-                result.verified_witnesses += 1
-            else:
-                result.no_count += 1
-                detail = decision.certificate.get("violated", "")
-                ref = refuted.get((a, b))
-                if ref is None:
-                    ref = refuted[(a, b)] = refute_isomorphism(
-                        labels[reps[a]], labels[reps[b]], field)
-                if ref.method != "intrinsic" and (i, j) != (reps[a], reps[b]):
-                    ref = refute_isomorphism(l1, l2, field)
-                if not ref.refuted:
-                    result.inconclusive += 1
-                    detail += " [INCONCLUSIVE]"
-                else:
-                    result.refutations += 1
-                    detail += f" [{ref.method}]"
-            result.decisions.append((i, j, decision.verdict, detail))
+    def decide(l1, l2, c1, c2):
+        decision = decide_iso(l1, l2, field)
+        if decision.is_yes != (c1 == c2):
+            raise WitnessError(
+                f"decided {decision.verdict} against the classes: "
+                f"{l1.name} (class {c1}) ~ {l2.name} (class {c2})")
+        return decision
+
+    class_of = {}              # key -> class
+    for j, lab in enumerate(labels):
+        c = class_of.setdefault(lab.key(), len(reps))
+        classes.append(c)
+        if c == len(reps):
+            reps.append(j)
+            continue
+        rep = labels[reps[c]]
+        witness_isomorphism(rep, lab, decide(rep, lab, c, c).certificate, field)
+        attr = _intrinsic_mismatch(rep.intrinsics(field), lab.intrinsics(field))
+        if attr is not None:
+            raise VerificationError(
+                f"{lab.name} is isomorphic to {rep.name} "
+                f"but differs in the intrinsic invariant {attr}")
+
+    nos = {}                   # (class, class) -> (violated, Refutation)
+    for (a, r), (b, s) in itertools.combinations(enumerate(reps), 2):
+        nos[(a, b)] = (decide(labels[r], labels[s], a, b).certificate["violated"],
+                       refute_isomorphism(labels[r], labels[s], field))
+    direct = [lab.key(direct=True) for lab in labels]
+    for i, j in itertools.combinations_with_replacement(range(len(labels)), 2):
+        a, b = sorted((classes[i], classes[j]))
+        if a == b:
+            result.yes_count += 1
+            result.verified_witnesses += 1
+            detail = "direct" if direct[i] == direct[j] else "op"
+            result.decisions.append((i, j, "YES", detail))
+            continue
+        result.no_count += 1
+        detail, ref = nos[(a, b)]
+        if ref.method != "intrinsic" and (i, j) != (reps[a], reps[b]):
+            ref = refute_isomorphism(labels[i], labels[j], field)
+        if not ref.refuted:
+            result.inconclusive += 1
+            detail += " [INCONCLUSIVE]"
+        else:
+            result.refutations += 1
+            detail += f" [{ref.method}]"
+        result.decisions.append((i, j, "NO", detail))
     return result

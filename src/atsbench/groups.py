@@ -333,8 +333,10 @@ class Bicharacter:
         return True
 
     def __hash__(self):
-        return hash(frozenset(
-            ((a.coords, b.coords), k % self.exponent) for (a, b), k in self.table.items()))
+        # exponents over the least common order, as __eq__ compares values
+        d = gcd(self.exponent, *self.table.values())
+        return hash(frozenset(((a.coords, b.coords), k % self.exponent // d)
+                              for (a, b), k in self.table.items()))
 
 
 class QuadraticForm:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -577,12 +578,11 @@ def test_label_caches_match_fresh_values():
                 gam = tuple(-x for x in gamma) if inverted else gamma
                 want = xi_multiset(kappa, gam, fresh)
                 assert lab.xi(which, inverted).counts == want.counts
-                assert lab.xi(which, inverted) is lab.xi(which, inverted)
 
 
 def test_shifted_xi_and_halvings_match_fresh_values():
-    # the per-label shift table and the per-(G, r) halvings equal their
-    # uncached definitions on every label of census_v4, every shift
+    # the shifted coset multisets and the halvings equal their
+    # definitions on every label of census_v4, every shift
     G = _census_group("census_v4.cfg")
     for lab in enumerate_labels(G, 8):
         p = lab.params
@@ -593,12 +593,10 @@ def test_shifted_xi_and_halvings_match_fresh_values():
                 gam = tuple(-x for x in gamma) if inverted else gamma
                 base = xi_multiset(kappa, gam, fresh)
                 for g in G.elements():
-                    got = lab.xi(which, inverted, g)
+                    got = lab.xi(which, inverted).shifted(g)
                     assert got.counts == base.shifted(g).counts
-                    assert got is lab.xi(which, inverted, g)
     for r in G.elements():
-        assert halvings(G, r) is halvings(G, r)
-        assert halvings(G, r) == halvings.__wrapped__(G, r)
+        assert halvings(G, r) == [x for x in G.elements() if x + x == r]
 
 
 def test_equal_labels_compare_equal_after_build():
@@ -691,6 +689,21 @@ def test_label_case_follows_from_its_parameters():
 CLASS_CENSUSES = ("census_z2.cfg", "census_z4.cfg", "census_v4.cfg")
 
 
+@pytest.mark.parametrize("G", [Z4, V4, AbelianGroup(0, (2, 4))], ids=str)
+def test_keys_agree_with_decide_iso(G):
+    # equal keys exactly on a YES, equal direct keys exactly on a YES by
+    # the direct branch, on every pair of labels
+    labels = enumerate_labels(G, 8)
+    field = CycloField(classify_conductor(*labels))
+    keyed = [(lab, lab.key(), lab.key(direct=True)) for lab in labels]
+    for (l1, k1, d1), (l2, k2, d2) in itertools.combinations_with_replacement(
+            keyed, 2):
+        decision = decide_iso(l1, l2, field)
+        assert (k1 == k2) == decision.is_yes
+        if decision.is_yes:
+            assert (d1 == d2) == (decision.certificate["branch"] == "direct")
+
+
 def _census_report(name):
     return report_json(cli.run(parse_config((CONFIGS / name).read_text()))
                        .to_dict())
@@ -745,24 +758,28 @@ def test_composed_class_maps_certify_every_yes_pair(name, n_classes, n_yes):
 
 
 def _flipped_pairs():
-    """Two members (not representatives) of one census_z4 class, and two
-    of different classes, by label name."""
+    """A representative and a member of one census_z4 class, and the
+    representatives of two classes, by label name."""
     res = classify.run_census(_census_group("census_z4.cfg"), 8)
-    members = {}
-    for k, c in enumerate(res.classes):
-        if k not in res.representatives:
-            members.setdefault(c, []).append(k)
-    inside = next(m[:2] for m in members.values() if len(m) >= 2)
-    a, b = list(members)[:2]
-    across = sorted((members[a][0], members[b][0]))
+    member = next(k for k in range(len(res.labels))
+                  if k not in res.representatives)
+    inside = (res.representatives[res.classes[member]], member)
     return [tuple(res.labels[k].name for k in pair)
-            for pair in (inside, across)]
+            for pair in (inside, res.representatives[:2])]
+
+
+def _census_raises(capsys, flip):
+    with pytest.raises(WitnessError, match=f"decided {flip} against"):
+        classify.run_census(_census_group("census_z4.cfg"), 8)
+    assert main(["census", str(CONFIGS / "census_z4.cfg")]) == 3
+    assert f"decided {flip} against the classes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flip", ["NO", "YES"])
 def test_verdict_against_the_classes_raises(monkeypatch, capsys, flip):
-    # a NO inside a class or a YES across two classes contradicts the
-    # witnessed classes: WitnessError, and `ats census` exits 3
+    # a NO from a representative to its member, or a YES across two
+    # representatives, contradicts the keys: WitnessError, and `ats
+    # census` exits 3
     inside, across = _flipped_pairs()
     names = inside if flip == "NO" else across
     real = classify.decide_iso
@@ -775,10 +792,25 @@ def test_verdict_against_the_classes_raises(monkeypatch, capsys, flip):
         return Decision("YES", {"branch": "direct",
                                 "shift": l1.params.group.identity})
     monkeypatch.setattr(classify, "decide_iso", flipped)
-    with pytest.raises(WitnessError, match=f"decided {flip} against"):
-        classify.run_census(_census_group("census_z4.cfg"), 8)
-    assert main(["census", str(CONFIGS / "census_z4.cfg")]) == 3
-    assert f"decided {flip} against the classes" in capsys.readouterr().err
+    _census_raises(capsys, flip)
+
+
+@pytest.mark.parametrize("flip", ["NO", "YES"])
+def test_key_against_the_classes_raises(monkeypatch, capsys, flip):
+    # a key that merges two classes puts a label under a representative
+    # decide_iso says NO to; one that splits a class makes two
+    # representatives it says YES to
+    (_, member), across = _flipped_pairs()
+    real = ClassLabel.key
+
+    def faulty(lab, direct=False):
+        if flip == "NO" and lab.name in across:
+            return "merged"
+        if flip == "YES" and lab.name == member:
+            return "split"
+        return real(lab, direct)
+    monkeypatch.setattr(ClassLabel, "key", faulty)
+    _census_raises(capsys, flip)
 
 
 def test_class_member_with_other_intrinsics_raises(monkeypatch):

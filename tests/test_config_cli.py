@@ -1,5 +1,6 @@
 """Config grammar and the ats command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -627,13 +628,31 @@ def test_well_formed_json_triple_is_accepted(tmp_path, monkeypatch):
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+# the sha256 of each shipped config's report: a change to any report's
+# bytes must change these on purpose
+REPORT_SHA256 = {
+    "census_v4.cfg": "857da1ef1164841e6f4d6607b2b03ac96f6d5c5eb977fc6b8efcb8d6676d0e63",
+    "census_z2.cfg": "1cdbb2d5bc6442de0c72c7c5d82d94a2dd617ba86f76eb618871119ff590b84e",
+    "census_z4.cfg": "ee9194a6b9ee7ffbf46afc4cfeb57948cac6354e94e7b90ce8c5b512fbc53725",
+    "division_z22.cfg": "4602c696389397b5509766a0fed189888dc46440304661ca21e7c93e7b0ceffa",
+    "envelope_scalar.cfg": "5a9385323a49149caba273bb42f6b9359f25705747924d5db9d7819be6723141",
+    "exchange_pair_z4.cfg": "bf918df7dcf8dec3797016bb046987fc375b2be989dcbb9b8873ba1630cb5b86",
+    "exdouble.cfg": "79da10459974b5331b647059ec0075caba32608bb547b823b01e4a0eb25c61e6",
+    "m2_delta_minus.cfg": "c2532c1a41c028c1683634317d552e5983f579b45317f4101be15a5774a243c2",
+    "m2_transpose.cfg": "e5da049461a8e2c6c645455e7df046578bb6354a6e2aa54e5e7cdc813fd54039",
+}
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
 def test_report_json_matches_indented_dump(name):
-    # the spliced census records give the bytes of the indented encoder
+    # the spliced census records give the bytes of the indented encoder,
+    # and the report's bytes are pinned
     cfg = parse_config((CONFIGS / name).read_text())
     cfg.command = cfg.command or "verify"
     data = run(cfg).to_dict()
     assert report_json(data) == json.dumps(data, indent=2, sort_keys=True)
+    assert hashlib.sha256(report_json(data).encode()).hexdigest() == \
+        REPORT_SHA256[name]
 
 
 def test_report_json_escapes_like_the_indented_dump():

@@ -52,6 +52,14 @@ def test_multiplicative_expansion():
     assert beta.eval(A + B, A, F2) == F2.scalar(-1)
 
 
+def test_equal_bicharacters_of_different_exponents_hash_alike():
+    # the same values stored as powers of zeta_4: equal, so one set element
+    T, beta = symplectic_v4()
+    wide = Bicharacter(T, 4, {key: 2 * k for key, k in beta.table.items()})
+    assert wide == beta and hash(wide) == hash(beta)
+    assert len({beta, wide}) == 1
+
+
 def test_multiplicativity_exhaustive():
     T, beta = symplectic_v4()
     assert beta.is_multiplicative()
