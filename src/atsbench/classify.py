@@ -125,14 +125,16 @@ class ClassLabel:
     Its case is set from them: exchange pair, or Phi-involution without
     (simple algebra) or with (exchange division) the doubling element t.
 
-    The fields after `case` are caches, keyed by conductor; `_divisions`
-    is the division-part table shared by the labels of one enumeration
+    The fields after `case` are caches: `_built` and `_intrinsics` keyed
+    by conductor, `_keys` by key()'s `direct` flag; `_divisions` is the
+    division-part table shared by the labels of one enumeration
     (see build_division_part)."""
     params: object                 # ExchangePairParams | InvolutionParams
     name: str = ""
     case: str = dc_field(init=False)
     _built: dict = _cache()
     _intrinsics: dict = _cache()
+    _keys: dict = _cache()
     _divisions: dict = _cache()
 
     def __post_init__(self):
@@ -171,19 +173,32 @@ class ClassLabel:
         """A normal form of the label: two keys are equal exactly when
         decide_iso says YES, two direct keys exactly when it says YES by
         its direct branch.  The shifts h in G act on the parameters as in
-        decide_iso; the least image under them names the orbit."""
-        p, coset_rep = self.params, self.full_support.coset_rep
+        decide_iso; the least image under them names the orbit.  The first
+        call takes each orbit once and keeps both keys: a Phi-involution
+        label's two are equal, and an exchange pair's direct key holds the
+        first of the two ends in its key."""
+        if not self._keys:
+            p = self.params
+            if self.case != EXCHANGE_PAIR:
+                key = (self.case, p.delta, p.t, p.full_beta,
+                       self._orbit(False, p.g))
+                self._keys.update({False: key, True: key})
+            else:
+                end = (p.beta, self._orbit(False))
+                opposite = (p.beta.swapped(), self._orbit(True))
+                self._keys.update({
+                    False: (self.case, frozenset((end, opposite))),
+                    True: (self.case, end)})
+        return self._keys[direct]
 
-        def orbit(inverted, g=None):
-            xis = [self.xi(w, inverted).counts.items() for w in (0, 1)]
-            return min(((g - h - h).coords if g is not None else (),) + tuple(
-                tuple(sorted((coset_rep(h + r).coords, m) for r, m in xi))
-                for xi in xis) for h in p.group.elements())
-        if self.case != EXCHANGE_PAIR:
-            return (self.case, p.delta, p.t, p.full_beta, orbit(False, p.g))
-        end = (p.beta, orbit(False))
-        return (self.case, end if direct else
-                frozenset((end, (p.beta.swapped(), orbit(True)))))
+    def _orbit(self, inverted: bool, g=None) -> tuple:
+        """The least image, over the shifts h in G, of g - 2h (with g) and
+        of the two xi multisets (gamma inverted on request) shifted by h."""
+        coset_rep = self.full_support.coset_rep
+        xis = [self.xi(w, inverted).counts.items() for w in (0, 1)]
+        return min(((g - h - h).coords if g is not None else (),) + tuple(
+            tuple(sorted((coset_rep(h + r).coords, m) for r, m in xi))
+            for xi in xis) for h in self.params.group.elements())
 
     def dimension(self) -> int:
         p = self.params
@@ -322,20 +337,25 @@ def _intrinsic_mismatch(inv1: IntrinsicInvariants,
                  if getattr(inv1, attr) != getattr(inv2, attr)), None)
 
 
-def graded_center_support(alg: OmegaAlgebra, grading: Grading):
+def graded_center_support(alg: OmegaAlgebra, grading: Grading,
+                          center: list = None):
     """Degrees g with a nonzero central element in A_g.  The center of an
     algebra graded by its product is graded, the sum of its intersections
     with the A_g, so these are the degrees met by the supports of any basis
-    of it: one kernel over all of A."""
-    met = {grading.degmap[i] for v in center_basis(alg, range(alg.dim))
-           for i in v}
+    of it (`center`, when the caller has it): one kernel over all of A."""
+    if center is None:
+        center = center_basis(alg, range(alg.dim))
+    met = {grading.degmap[i] for v in center for i in v}
     return tuple(g for g in grading.support() if g in met)
 
 
 def intrinsic_invariants(alg: OmegaAlgebra,
                          grading: Grading) -> IntrinsicInvariants:
-    """Invariants computable from the structure tensors alone."""
-    simple = is_simple(alg, ops={PRODUCT})
+    """Invariants computable from the structure tensors alone.  The
+    center kernel is solved once, for both the simplicity test and the
+    center support."""
+    center = center_basis(alg, range(alg.dim))
+    simple = is_simple(alg, ops={PRODUCT}, center=center)
     counts = {}
     for d in grading.degmap:
         counts[d.coords] = counts.get(d.coords, 0) + 1
@@ -343,7 +363,7 @@ def intrinsic_invariants(alg: OmegaAlgebra,
         # in support order, so that equal dimension functions print alike
         dims={g: counts[g] for g in sorted(counts)},
         center_support=tuple(e.coords for e in
-                             graded_center_support(alg, grading)),
+                             graded_center_support(alg, grading, center)),
         simple=simple,
         # a graded ideal is an ideal: a simple algebra is graded-simple
         graded_simple=simple or graded_is_simple(alg, grading),

@@ -387,7 +387,8 @@ def center_basis(alg: OmegaAlgebra, indices, symmetric: bool = False) -> list:
     return [{indices[col]: c for col, c in v.items()} for v in kernel]
 
 
-def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
+def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
+              center: list = None) -> bool:
     """Does A have no ideal other than 0 and A?
 
     An ideal is a subspace closed under every active operator (`ops`,
@@ -415,7 +416,9 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
           False.  When no candidate is a zero divisor, SimplicityUndecided
           is raised, never True.
     A zero product under both a grading and an active involution also
-    raises SimplicityUndecided.
+    raises SimplicityUndecided.  A caller that already holds step (b)'s
+    C may pass it as `center` (without a grading and an active
+    involution, C is center_basis(alg, range(alg.dim))).
 
     Other inputs (a triple product, no product, or a degree map that
     does not grade the product): closure from every basis vector, and a
@@ -453,7 +456,8 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None) -> bool:
         return dim == 1
     indices = list(range(dim)) if grading is None else [
         i for i, d in enumerate(grading.degmap) if d == grading.group.identity]
-    center = center_basis(alg, indices, symmetric=INVOLUTION in active)
+    if center is None:
+        center = center_basis(alg, indices, symmetric=INVOLUTION in active)
     if len(center) == 1:
         return True
     unit = _unit_in(alg, center)

@@ -199,6 +199,13 @@ class Scalar:
         if conductor != other.conductor:
             raise _mismatch(self, other)
         a, b = self.num, other.num
+        # +1 or -1 times x is x itself (scalars are immutable) or -x
+        if self.den == 1 and a[0] in (1, -1) and a.count(0) == len(a) - 1:
+            return other if a[0] == 1 else _make(
+                conductor, tuple(-n for n in b), other.den)
+        if other.den == 1 and b[0] in (1, -1) and b.count(0) == len(b) - 1:
+            return self if b[0] == 1 else _make(
+                conductor, tuple(-n for n in a), self.den)
         den = self.den * other.den
         if len(a) == 1:
             return _make(conductor, (a[0] * b[0],), den)

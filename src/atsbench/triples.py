@@ -91,23 +91,50 @@ def triple_from(algebra: OmegaAlgebra, grading: Grading,
     return TripleSystem(W, w_grading, label=label), minus
 
 
+# the violation texts of check_at2, formatted with the basis 5-tuple
+_AT2_MIDDLE = "{{{{u,v,x}},y,z}} != {{u,{{y,x,v}},z}} at {}"
+_AT2_RIGHT = "{{{{u,v,x}},y,z}} != {{u,v,{{x,y,z}}}} at {}"
+
+
 def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
               samples: int = 10000) -> VerificationReport:
     """The defining identities on basis 5-tuples: exhaustive up to
     exhaustive_limit (dim^5 tuples), seeded random tuples beyond.
 
-    Each side is one stored row {u,v,x}, {y,x,v} or {x,y,z} pushed through
-    a second product, so a tuple with all three rows zero has every side
-    zero: it is counted and not evaluated."""
+    The exhaustive scan is row-wise, one first index u at a time.  Each
+    side is a sum of stored rows pushed through a second product:
+    {{u,v,x},y,z} sums c {m,y,z} over the terms c e_m of the rows
+    {u,v,x}, {u,{y,x,v},z} sums c {u,m,z} over the rows {y,x,v} with a
+    term c e_m, and {u,v,{x,y,z}} sums c {u,v,m} over the rows {x,y,z}
+    likewise.  The three are accumulated over all (v, x, y, z) at once
+    and compared once; a u in the first slot of no row has every side
+    zero.  A sampled tuple is evaluated on its own, and skipped when its
+    three rows are zero.  Either way `checked` counts every tuple (dim^5,
+    or `samples`), and the violations come in tuple order, the
+    {u,{y,x,v},z} message before the {u,v,{x,y,z}} one for each tuple."""
     alg = W.algebra
     table = alg.tensors[TRIPLE]
     d = alg.dim
     if d <= exhaustive_limit:
-        tuples = itertools.product(range(d), repeat=5)
-    else:
-        rng = random.Random(seed)
-        tuples = (tuple(rng.randrange(d) for _ in range(5))
-                  for _ in range(samples))
+        report = VerificationReport("at2-axiom", checked=d ** 5)
+        rows, containing = _slot_views(table)
+        for u, urows in sorted(rows.items()):
+            lhs = (((v, x) + yz, c, out) for (v, x), row in urows
+                   for m, c in row.items() for yz, out in rows.get(m, ()))
+            mid = (((v, x, y, z), c, out) for (m, z), out in urows
+                   for (y, x, v), c in containing.get(m, ()))
+            rhs = (((v, x, y, z), c, out) for (v, m), out in urows
+                   for (x, y, z), c in containing.get(m, ()))
+            bad_mid, bad_rhs = _unequal_sums(lhs, mid, rhs)
+            for key in sorted(bad_mid | bad_rhs):
+                report.violations.extend(
+                    text.format((u,) + key) for text, bad in
+                    ((_AT2_MIDDLE, bad_mid), (_AT2_RIGHT, bad_rhs))
+                    if key in bad)
+        return report
+    rng = random.Random(seed)
+    tuples = (tuple(rng.randrange(d) for _ in range(5))
+              for _ in range(samples))
 
     def sides(t):
         u, v, x, y, z = t
@@ -117,10 +144,41 @@ def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
             return
         lhs = alg.apply_slot(TRIPLE, 0, uvx, (y, z))
         yield (lhs, alg.apply_slot(TRIPLE, 1, yxv, (u, z)),
-               lambda: f"{{{{u,v,x}},y,z}} != {{u,{{y,x,v}},z}} at {t}")
+               lambda: _AT2_MIDDLE.format(t))
         yield (lhs, alg.apply_slot(TRIPLE, 2, xyz, (u, v)),
-               lambda: f"{{{{u,v,x}},y,z}} != {{u,v,{{x,y,z}}}} at {t}")
+               lambda: _AT2_RIGHT.format(t))
     return scan("at2-axiom", tuples, sides)
+
+
+def _slot_views(table) -> tuple[dict, dict]:
+    """Two views of a structure tensor for the row-wise scans: rows[a]
+    lists (rest, row) for the rows table[(a,) + rest], and containing[m]
+    lists (idx, c) for the rows table[idx] with the term c e_m."""
+    rows, containing = {}, {}
+    for idx, row in table.items():
+        rows.setdefault(idx[0], []).append((idx[1:], row))
+        for m, c in row.items():
+            containing.setdefault(m, []).append((idx, c))
+    return rows, containing
+
+
+def _unequal_sums(first, *others) -> list[set]:
+    """The tensor-scan kernel of check_at2 and check_associative.  Each
+    side is an iterable of terms (key, c, row), standing for the vector
+    sum of c * row over the terms with that key; the result lists, for
+    each of `others`, the keys at which its sum differs from the one of
+    `first`.  A sum that cancels to zero equals an absent one."""
+    sums = []
+    for terms in (first, *others):
+        grouped = {}
+        for key, c, row in terms:
+            grouped.setdefault(key, []).append((c, row))
+        sums.append({key: vec for key, group in grouped.items()
+                     if (vec := combine(group))})
+    lhs = sums[0]
+    return [set() if lhs == rhs else {key for key in lhs.keys() | rhs.keys()
+                                      if lhs.get(key) != rhs.get(key)}
+            for rhs in sums[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +378,22 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
 
 def check_associative(alg: OmegaAlgebra) -> VerificationReport:
     """(e_i e_j) e_k = e_i (e_j e_k) on all dim^3 basis triples, row-wise
-    (Gustavson): with right[m] = {k: e_m e_k} over the stored rows, the
-    left side of (i, j) can be nonzero only for k in right[m], m in the
-    support of e_i e_j, and the right side only for k in right[j].  Every
-    other k has both sides zero; it is counted and not evaluated."""
-    table = alg.tensors[PRODUCT]
-    right = {}
-    for (m, k), out in table.items():
-        right.setdefault(m, {})[k] = out
+    (Gustavson), one i at a time: the left sides of all (j, k) are the
+    sums of c e_m e_k over the terms c e_m of the rows e_i e_j, and the
+    right sides the sums of c e_i e_m over the rows e_j e_k with a term
+    c e_m.  Both are accumulated at once and compared once; an i with
+    e_i A = 0 has both sides zero.  `checked` counts all dim^3 triples,
+    and the violations come in (i, j, k) order."""
     report = VerificationReport("associativity", checked=alg.dim ** 3)
-    for i in range(alg.dim):
-        left = right.get(i, {})
-        for j in range(alg.dim):
-            lhs = {}                        # k -> terms of (e_i e_j) e_k
-            for m, c in table.get((i, j), {}).items():
-                for k, out in right.get(m, {}).items():
-                    lhs.setdefault(k, []).append((c, out))
-            jk = right.get(j, {})
-            for k in sorted(lhs.keys() | jk.keys()):
-                rhs = ((c, left.get(m, {})) for m, c in jk.get(k, {}).items())
-                if combine(lhs.get(k, ())) != combine(rhs):
-                    report.violations.append(
-                        f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
+    rows, containing = _slot_views(alg.tensors[PRODUCT])
+    for i, irows in sorted(rows.items()):
+        lhs = (((j, k), c, out) for (j,), ij in irows
+               for m, c in ij.items() for (k,), out in rows.get(m, ()))
+        rhs = ((jk, c, out) for (m,), out in irows
+               for jk, c in containing.get(m, ()))
+        bad, = _unequal_sums(lhs, rhs)
+        report.violations.extend(f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+                                 for j, k in sorted(bad))
     return report
 
 

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -702,6 +703,32 @@ def test_keys_agree_with_decide_iso(G):
         assert (k1 == k2) == decision.is_yes
         if decision.is_yes:
             assert (d1 == d2) == (decision.certificate["branch"] == "direct")
+
+
+def test_census_takes_each_orbit_once(monkeypatch):
+    # run_census reads both keys of every label, and the orbits behind them
+    # are taken once per label: one for a Phi-involution label, two (the
+    # direct and the opposite branch) for an exchange pair; reading the
+    # keys again takes none
+    taken = []
+    real = ClassLabel._orbit
+
+    def counting(lab, inverted, g=None):
+        taken.append(id(lab))
+        return real(lab, inverted, g)
+    monkeypatch.setattr(ClassLabel, "_orbit", counting)
+    res = classify.run_census(_census_group("census_z4.cfg"), 8)
+    cases = {lab.case for lab in res.labels}
+    assert EXCHANGE_PAIR in cases and len(cases) > 1
+    for lab in res.labels:
+        key, direct = lab.key(), lab.key(direct=True)
+        if lab.case == EXCHANGE_PAIR:
+            assert direct[0] == key[0] and direct[1] in key[1]
+        else:
+            assert direct == key
+    assert Counter(taken) == Counter(
+        {id(lab): 2 if lab.case == EXCHANGE_PAIR else 1
+         for lab in res.labels})
 
 
 def _census_report(name):

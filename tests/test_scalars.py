@@ -184,6 +184,41 @@ def test_arithmetic_agrees_with_fraction_reference(conductor):
             assert a.inverse().coeffs == ref_inverse(a.coeffs, conductor)
 
 
+@pytest.mark.parametrize("conductor", (1, 2, 3, 4, 12))
+def test_products_with_plus_or_minus_one(conductor):
+    # +1 and -1, however they are made, times any scalar on either side:
+    # the reference product, in lowest terms; +1 hands back the other
+    # factor itself (either one, when both are +1 or -1).  Near-units
+    # (1/2, 2, zeta, 1 + zeta) take the full product and must agree too.
+    rng = random.Random(500 + conductor)
+    F = CycloField(conductor)
+    phi = euler_phi(conductor)
+    plus = [F.one, F.scalar(1), Scalar(conductor, [1] + [0] * (phi - 1)),
+            F.zeta(conductor, 0), -(-F.one)]
+    minus = [-F.one, F.scalar(-1), F.one * F.scalar(-1), F.zeta(2, 1)
+             if conductor % 2 == 0 else F.zero - F.one]
+    near = [F.scalar(Fraction(1, 2)), F.scalar(Fraction(-1, 2)),
+            F.scalar(2), F.scalar(-2)]
+    if phi > 1:
+        near += [F.zeta(conductor, 1), F.one + F.zeta(conductor, 1)]
+    partners = random_scalars(conductor, rng, 15) + [
+        random_scalar(F, rng) for _ in range(5)] + plus[:1] + minus[:1] + near
+    assert any(x.den != 1 for x in partners)
+    for unit in plus + minus + near:
+        for x in partners:
+            for product in (unit * x, x * unit):
+                assert product.coeffs == ref_mul(unit.coeffs, x.coeffs,
+                                                 conductor)
+                assert all(type(n) is int for n in product.num)
+                assert product.den >= 1
+                assert gcd(product.den, *product.num) == 1
+                assert product.den == 1 or not product.is_zero()
+                if unit in plus and x not in plus + minus:
+                    assert product is x
+                if unit in minus:
+                    assert product == -x
+
+
 @pytest.mark.parametrize("conductor", PROPERTY_CONDUCTORS)
 def test_hash_text_and_parse_round_trip(conductor):
     rng = random.Random(300 + conductor)

@@ -103,6 +103,48 @@ def test_scans_match_reference_on_corruptions(corpus, kind):
     assert failed >= 40
 
 
+def test_at2_matches_reference_on_multiple_corruptions(corpus):
+    # two to four corrupted entries in each dim-4 triple: reports with many
+    # violations, compared with the reference's in full and in order
+    rng = random.Random("corrupt-at2")
+    kinds = ("scaled", "deleted", "stray")
+    counts = []
+    for W, _ in corpus:
+        if W.dim != 4:
+            continue
+        for _ in range(3):
+            bad = W.algebra
+            for _ in range(rng.randint(2, 4)):
+                bad = corrupt(bad, TRIPLE, rng.choice(kinds), rng)
+            new = check_at2(TripleSystem(bad), exhaustive_limit=8)
+            ref = ref_check_at2(TripleSystem(bad), exhaustive_limit=8)
+            assert same(new, ref) and new.checked == 4 ** 5
+            counts.append(len(ref.violations))
+    assert len(counts) >= 24 and min(counts) > 0
+    assert sum(counts) >= 1000 and max(counts) >= 50
+
+
+def test_cancelling_side_equals_an_absent_one():
+    # {x,x,x} = p - q and {p,x,x} = {q,x,x} = y, all else zero: the terms of
+    # {{x,x,x},x,x} cancel, and the other two sides have no term at all.
+    # The product xx = p - q, px = qx = y is associative the same way:
+    # (xx)x = y - y while x(xx) has no term.
+    F = CycloField(1)
+    x, p, q, y = range(4)
+    W = OmegaAlgebra(F, 4, {TRIPLE: 3})
+    A = OmegaAlgebra(F, 4, {PRODUCT: 2})
+    for alg, op, head in ((W, TRIPLE, (x, x)), (A, PRODUCT, (x,))):
+        alg.set_entry(op, head + (x,), {p: F.one, q: -F.one})
+        alg.set_entry(op, (p,) + head, {y: F.one})
+        alg.set_entry(op, (q,) + head, {y: F.one})
+    assert W.apply(TRIPLE, {p: F.one, q: -F.one}, {x: F.one}, {x: F.one}) \
+        == A.mul({p: F.one, q: -F.one}, {x: F.one}) == {}
+    at2, ref = check_at2(TripleSystem(W)), ref_check_at2(TripleSystem(W))
+    assert same(at2, ref) and at2.passed and at2.checked == 4 ** 5
+    assoc, ref = check_associative(A), ref_check_associative(A)
+    assert same(assoc, ref) and assoc.passed and assoc.checked == 4 ** 3
+
+
 def broken(f: LinearMap, rng) -> list:
     """f with one column scaled by 2, and f with a stray term added to
     one column."""

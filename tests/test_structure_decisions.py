@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import atsbench.classify
 import atsbench.omega
 from atsbench import linalg
 from atsbench.classify import (classify_conductor, enumerate_labels,
@@ -158,3 +159,30 @@ def test_associative_structure_decisions_run_no_closure(monkeypatch):
     for name, env in _envelopes():
         for ops in (None, {PRODUCT}):
             is_simple(env.algebra, ops=ops)
+
+
+def test_intrinsic_invariants_solve_one_center_kernel(monkeypatch):
+    """The simplicity test and the center support of a label share one
+    center kernel, and give what each gives on its own."""
+    calls = []
+
+    def counting(alg, indices, symmetric=False):
+        calls.append((tuple(indices), symmetric))
+        return center_basis(alg, indices, symmetric)
+    labels = enumerate_labels(AbelianGroup(0, (4,)), 8)
+    shared = 0
+    for name, ca in _labelled(labels):
+        alg, grading = ca.algebra, ca.grading
+        simple = is_simple(alg, ops={PRODUCT})
+        support = tuple(e.coords for e in graded_center_support(alg, grading))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(atsbench.omega, "center_basis", counting)
+            m.setattr(atsbench.classify, "center_basis", counting)
+            inv = intrinsic_invariants(alg, grading)
+        assert (inv.simple, inv.center_support) == (simple, support), name
+        assert calls.count((tuple(range(alg.dim)), False)) == 1, name
+        assert len(calls) == len(set(calls)), name
+        shared += simple
+    # the simple labels reach step (b), which reads the shared kernel
+    assert shared
