@@ -386,9 +386,6 @@ class CycloField:
                                     f"not {m}")
         return out
 
-    def parse(self, text: str) -> Scalar:
-        return parse_scalar(text, self.conductor)
-
     def __repr__(self):
         return f"CycloField({self.conductor})"
 

@@ -22,8 +22,8 @@ from . import linalg
 from .groups import AbelianGroup, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
-                    VerificationReport, check_morphism, combine, is_simple,
-                    scan)
+                    VerificationReport, _slot_views, _unequal_sums,
+                    check_morphism, combine, is_simple, scan)
 from .scalars import CycloField
 
 
@@ -150,37 +150,6 @@ def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
     return scan("at2-axiom", tuples, sides)
 
 
-def _slot_views(table) -> tuple[dict, dict]:
-    """Two views of a structure tensor for the row-wise scans: rows[a]
-    lists (rest, row) for the rows table[(a,) + rest], and containing[m]
-    lists (idx, c) for the rows table[idx] with the term c e_m."""
-    rows, containing = {}, {}
-    for idx, row in table.items():
-        rows.setdefault(idx[0], []).append((idx[1:], row))
-        for m, c in row.items():
-            containing.setdefault(m, []).append((idx, c))
-    return rows, containing
-
-
-def _unequal_sums(first, *others) -> list[set]:
-    """The tensor-scan kernel of check_at2 and check_associative.  Each
-    side is an iterable of terms (key, c, row), standing for the vector
-    sum of c * row over the terms with that key; the result lists, for
-    each of `others`, the keys at which its sum differs from the one of
-    `first`.  A sum that cancels to zero equals an absent one."""
-    sums = []
-    for terms in (first, *others):
-        grouped = {}
-        for key, c, row in terms:
-            grouped.setdefault(key, []).append((c, row))
-        sums.append({key: vec for key, group in grouped.items()
-                     if (vec := combine(group))})
-    lhs = sums[0]
-    return [set() if lhs == rhs else {key for key in lhs.keys() | rhs.keys()
-                                      if lhs.get(key) != rhs.get(key)}
-            for rhs in sums[1:]]
-
-
 # ---------------------------------------------------------------------------
 # the envelope
 # ---------------------------------------------------------------------------
@@ -194,7 +163,6 @@ class Envelope:
     dim_R: int
     e1: SparseVec
     e2: SparseVec
-    embedding: LinearMap             # W into the envelope
     L_space: linalg.RowSpace         # flattened operator pairs (f, g)
     R_space: linalg.RowSpace
 
@@ -337,10 +305,7 @@ def loos_envelope(W: TripleSystem) -> Envelope:
     grading = _envelope_grading(W, alg, nL, nR, L_rows, R_rows, d)
     e1 = L_coords(e1_flat, "e1")
     e2 = R_coords(e1_flat, "e2")
-    embedding = LinearMap(W.algebra, alg,
-                          [{w_off + k: field.one} for k in range(d)])
-    return Envelope(W, alg, grading, nL, nR, e1, e2, embedding,
-                    L_space, R_space)
+    return Envelope(W, alg, grading, nL, nR, e1, e2, L_space, R_space)
 
 
 def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):

@@ -143,6 +143,34 @@ def test_cancelling_side_equals_an_absent_one():
     assert same(at2, ref) and at2.passed and at2.checked == 4 ** 5
     assoc, ref = check_associative(A), ref_check_associative(A)
     assert same(assoc, ref) and assoc.passed and assoc.checked == 4 ** 3
+    # f(e0) = a + b and f(e3) = a into B with aa = bb = y, ab = ba = -y:
+    # f(e0) f(e0), f(e0) f(e3) and f(e3) f(e0) cancel where A' has no
+    # product, and f(e3 e3) = f(e1) = y
+    a, b, w, y = range(4)
+    A2, B = OmegaAlgebra(F, 4, {PRODUCT: 2}), OmegaAlgebra(F, 4, {PRODUCT: 2})
+    A2.set_entry(PRODUCT, (3, 3), {1: F.one})
+    for idx, c in (((a, a), F.one), ((a, b), -F.one), ((b, a), -F.one),
+                   ((b, b), F.one)):
+        B.set_entry(PRODUCT, idx, {y: c})
+    f = LinearMap(A2, B, [{a: F.one, b: F.one}, {y: F.one}, {w: F.one},
+                          {a: F.one}])
+    a_b = f.columns[0]
+    assert B.mul(a_b, a_b) == B.mul(a_b, {a: F.one}) \
+        == B.mul({a: F.one}, a_b) == {}
+    morph, ref = check_morphism(f, [PRODUCT]), ref_check_morphism(f, [PRODUCT])
+    assert same(morph, ref) and morph.passed and morph.checked == 4 ** 2
+    # phi(e1) = e0 - e1 in C with e0 e0 = e0 e1 = y: phi(e1) phi(e1) and
+    # phi(e0) phi(e1) cancel where e1 e1 and e1 e0 are zero
+    C = OmegaAlgebra(F, 4, {PRODUCT: 2, INVOLUTION: 1})
+    C.set_entry(PRODUCT, (0, 0), {y: F.one})
+    C.set_entry(PRODUCT, (0, 1), {y: F.one})
+    for i, image in enumerate(({0: F.one}, {0: F.one, 1: -F.one},
+                               {w: F.one}, {y: F.one})):
+        C.set_entry(INVOLUTION, (i,), image)
+    phi1 = C.row(INVOLUTION, (1,))
+    assert C.mul(phi1, phi1) == C.mul({0: F.one}, phi1) == {}
+    inv, ref = check_involution(C), ref_check_involution(C)
+    assert same(inv, ref) and inv.passed and inv.checked == 4 + 4 ** 2
 
 
 def broken(f: LinearMap, rng) -> list:
@@ -175,17 +203,6 @@ def sheared(ca):
                                          for i, c in image.items()))
     grading = Grading(B, ca.grading.group, deg, ca.grading.graded_ops)
     return B, grading, LinearMap(A, B, cols)
-
-
-def broken(f: LinearMap, rng) -> list:
-    """f with one column scaled by 2, and f with a stray term added to
-    one column."""
-    k = rng.randrange(f.source.dim)
-    scaled = [dict(c) for c in f.columns]
-    scaled[k] = {i: c * f.target.field.scalar(2) for i, c in scaled[k].items()}
-    stray = [dict(c) for c in f.columns]
-    stray[k][rng.randrange(f.target.dim)] = f.target.field.one
-    return [LinearMap(f.source, f.target, cols) for cols in (scaled, stray)]
 
 
 def test_morphism_scan_matches_reference():
