@@ -136,6 +136,9 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
         dim = spec.get("dim", 1)
         field = CycloField(1)
         if kind == "scalar":
+            if "dim" in spec:
+                raise ConfigError(f"builtin scalar triple has dim 1 and "
+                                  f"takes no dim key, got dim = {dim}")
             return scalar_triple(field)
         if kind == "zero":
             if dim < 1:
@@ -143,7 +146,11 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
                                   f"got dim = {dim}")
             return zero_triple(field, dim)
         if kind == "direct_sum":
-            return direct_sum_triple(field, max(dim, 2))
+            dim = spec.get("dim", 2)
+            if dim < 2:
+                raise ConfigError(f"builtin direct_sum triple needs "
+                                  f"dim >= 2, got dim = {dim}")
+            return direct_sum_triple(field, dim)
         raise ConfigError(f"unknown builtin triple {kind!r}")
     if source == "json":
         if "file" not in spec:
@@ -228,6 +235,11 @@ def _run_envelope(cfg: JobConfig, report: Report):
     report.artifacts["triple_dim"] = W.dim
     rep = check_at2(W, seed=cfg.seed)
     report.add_report(rep)
+    if not rep.passed:
+        report.notes.append("no envelope built: the triple fails "
+                            f"{rep.name}, so it is no associative triple "
+                            "system")
+        return
     env = loos_envelope(W)
     report.artifacts["envelope_dim"] = env.algebra.dim
     report.add_report(check_associative(env.algebra))

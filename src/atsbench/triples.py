@@ -23,7 +23,7 @@ from .groups import AbelianGroup, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
                     VerificationReport, _slot_views, _unequal_sums,
-                    check_morphism, combine, is_simple, scan)
+                    check_morphism, combine, is_simple)
 from .scalars import CycloField
 
 
@@ -96,25 +96,35 @@ _AT2_MIDDLE = "{{{{u,v,x}},y,z}} != {{u,{{y,x,v}},z}} at {}"
 _AT2_RIGHT = "{{{{u,v,x}},y,z}} != {{u,v,{{x,y,z}}}} at {}"
 
 
+def _at2_violations(bad_mid: set, bad_rhs: set, at) -> list:
+    """The texts for the keys at which the middle or the right side
+    differs, in key order, the middle one first; at(key) is the key's
+    basis 5-tuple."""
+    return [text.format(at(key)) for key in sorted(bad_mid | bad_rhs)
+            for text, bad in ((_AT2_MIDDLE, bad_mid), (_AT2_RIGHT, bad_rhs))
+            if key in bad]
+
+
 def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
               samples: int = 10000) -> VerificationReport:
     """The defining identities on basis 5-tuples: exhaustive up to
     exhaustive_limit (dim^5 tuples), seeded random tuples beyond.
 
-    The exhaustive scan is row-wise, one first index u at a time.  Each
-    side is a sum of stored rows pushed through a second product:
-    {{u,v,x},y,z} sums c {m,y,z} over the terms c e_m of the rows
-    {u,v,x}, {u,{y,x,v},z} sums c {u,m,z} over the rows {y,x,v} with a
-    term c e_m, and {u,v,{x,y,z}} sums c {u,v,m} over the rows {x,y,z}
-    likewise.  The three are accumulated over all (v, x, y, z) at once
-    and compared once; a u in the first slot of no row has every side
-    zero.  A sampled tuple is evaluated on its own, and skipped when its
-    three rows are zero.  Either way `checked` counts every tuple (dim^5,
-    or `samples`), and the violations come in tuple order, the
+    Each side is a sum of stored rows pushed through a second product,
+    compared in one kernel (_unequal_sums): {{u,v,x},y,z} sums c {m,y,z}
+    over the terms c e_m of the row {u,v,x}, {u,{y,x,v},z} sums
+    c {u,m,z} over the terms of {y,x,v}, and {u,v,{x,y,z}} sums
+    c {u,v,m} over the terms of {x,y,z}.  The exhaustive scan is
+    row-wise, one first index u at a time: the sides of all (v, x, y, z)
+    are accumulated at once and compared once, and a u in the first slot
+    of no row has every side zero.  The sampled scan draws all `samples`
+    tuples first (five rng.randrange calls each) and keys each side's
+    terms by the tuple's position, so a tuple drawn twice is checked
+    twice.  Either way `checked` counts every tuple (dim^5, or
+    `samples`), and the violations come in tuple order, the
     {u,{y,x,v},z} message before the {u,v,{x,y,z}} one for each tuple."""
-    alg = W.algebra
-    table = alg.tensors[TRIPLE]
-    d = alg.dim
+    table = W.algebra.tensors[TRIPLE]
+    d = W.dim
     if d <= exhaustive_limit:
         report = VerificationReport("at2-axiom", checked=d ** 5)
         rows, containing = _slot_views(table)
@@ -126,28 +136,19 @@ def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
             rhs = (((v, x, y, z), c, out) for (v, m), out in urows
                    for (x, y, z), c in containing.get(m, ()))
             bad_mid, bad_rhs = _unequal_sums(lhs, mid, rhs)
-            for key in sorted(bad_mid | bad_rhs):
-                report.violations.extend(
-                    text.format((u,) + key) for text, bad in
-                    ((_AT2_MIDDLE, bad_mid), (_AT2_RIGHT, bad_rhs))
-                    if key in bad)
+            report.violations.extend(_at2_violations(
+                bad_mid, bad_rhs, lambda key: (u,) + key))
         return report
     rng = random.Random(seed)
-    tuples = (tuple(rng.randrange(d) for _ in range(5))
-              for _ in range(samples))
-
-    def sides(t):
-        u, v, x, y, z = t
-        uvx, yxv, xyz = (table.get((u, v, x), {}), table.get((y, x, v), {}),
-                         table.get((x, y, z), {}))
-        if not (uvx or yxv or xyz):
-            return
-        lhs = alg.apply_slot(TRIPLE, 0, uvx, (y, z))
-        yield (lhs, alg.apply_slot(TRIPLE, 1, yxv, (u, z)),
-               lambda: _AT2_MIDDLE.format(t))
-        yield (lhs, alg.apply_slot(TRIPLE, 2, xyz, (u, v)),
-               lambda: _AT2_RIGHT.format(t))
-    return scan("at2-axiom", tuples, sides)
+    drawn = [tuple(rng.randrange(d) for _ in range(5)) for _ in range(samples)]
+    lhs = ((n, c, table[m, y, z]) for n, (u, v, x, y, z) in enumerate(drawn)
+           for m, c in table.get((u, v, x), {}).items() if (m, y, z) in table)
+    mid = ((n, c, table[u, m, z]) for n, (u, v, x, y, z) in enumerate(drawn)
+           for m, c in table.get((y, x, v), {}).items() if (u, m, z) in table)
+    rhs = ((n, c, table[u, v, m]) for n, (u, v, x, y, z) in enumerate(drawn)
+           for m, c in table.get((x, y, z), {}).items() if (u, v, m) in table)
+    return VerificationReport("at2-axiom", checked=len(drawn), violations=(
+        _at2_violations(*_unequal_sums(lhs, mid, rhs), drawn.__getitem__)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Gauss-Jordan for inverses) to cross-check `Scalar`, and
 the entrywise Phi^{-1} X^* Phi loop the built involutions are checked
 against, `ref_pairwise_census` the census that witnesses and refutes
 every pair on its own, the oracle for the census through isomorphism
-classes, and the `ref_check_*` scans evaluate every basis tuple one by
-one, the oracle for the scans that skip tuples whose sides are zero; `RefRowSpace` and
+classes, and the `ref_check_*` scans, run by the per-tuple harness
+`scan`, evaluate every basis tuple (or stored entry) one by one, the
+oracle for the checks that compare summed rows or make one pass over the
+stored entries; `RefRowSpace` and
 `ref_solve`/`ref_invert_matrix`/`ref_kernel` are the dense elimination
 kernel that the sparse `linalg` is checked against; `ref_center_basis`,
 `ref_graded_center_support` and `ref_zero_divisor_candidates` are the
@@ -32,8 +34,10 @@ from fractions import Fraction
 from atsbench import classify
 from atsbench.classify import xi_shift_candidates
 from atsbench.linalg import combine, kernel
+from atsbench.groups import flip_z
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
-                            _grades_product, _unit_in, ideal_closure, scan)
+                            VerificationReport, _grades_product, _unit_in,
+                            ideal_closure)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
 
@@ -352,6 +356,67 @@ def ref_antimap_candidates(D, roots, cap: int = 4096):
         if ok and values not in out:
             out.append(values)
     return out
+
+
+def scan(name, tuples, sides):
+    """One exact identity scan, tuple by tuple: `sides(t)` yields (lhs,
+    rhs, message) for each tuple t (of basis indices, or of stored tensor
+    entries).  Every tuple counts one check and every unequal pair one
+    violation, with the text message() (formatted only then)."""
+    report = VerificationReport(name)
+    for t in tuples:
+        report.checked += 1
+        for lhs, rhs, message in sides(t):
+            if lhs != rhs:
+                report.violations.append(message())
+    return report
+
+
+def ref_check_grading(grading):
+    """Every stored tensor entry lands in the predicted component, entry
+    by entry and output index by output index."""
+    alg, degmap = grading.algebra, grading.degmap
+    tuples = ((op, idx, out) for op in sorted(grading.graded_ops)
+              if alg.operators[op] for idx, out in alg.tensors[op].items())
+
+    def sides(t):
+        op, idx, out = t
+        predicted = grading.group.identity
+        for i in idx:
+            predicted = predicted + degmap[i]
+        for j in out:
+            yield (degmap[j], predicted,
+                   lambda: f"{op}{idx} -> index {j}: degree {degmap[j]}"
+                           f" != predicted {predicted}")
+    return scan("grading", tuples, sides)
+
+
+def ref_check_t4_flip(grading):
+    """The involution maps the (i, g) component onto the (-i, g) one,
+    basis vector by basis vector."""
+    alg, degmap = grading.algebra, grading.degmap
+
+    def sides(i):
+        d = degmap[i]
+        flipped = flip_z(d)
+        for j in alg.row(INVOLUTION, (i,)):
+            yield (degmap[j], flipped,
+                   lambda: f"phi(e{i}) [{d}] meets component {degmap[j]}"
+                           f" != {flipped}")
+    return scan("t4-degree-flip", range(alg.dim), sides)
+
+
+def ref_check_commutation(D):
+    """Z_i Z_j = beta(s_i, s_j) Z_j Z_i, pair by pair."""
+    beta, elements, field = D.bicharacter, D.elements, D.field
+
+    def sides(ij):
+        i, j = ij
+        yield (D.commutation(i, j),
+               beta.eval(elements[i], elements[j], field),
+               lambda: f"Z{i} Z{j} != beta * Z{j} Z{i}")
+    return scan("commutation-relation",
+                itertools.product(range(D.dim), repeat=2), sides)
 
 
 def ref_check_associative(alg):

@@ -158,6 +158,41 @@ builtin = scalar
     assert main(["check-at2", str(cfg)]) == 0
 
 
+def test_direct_sum_without_dim_has_dim_2(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.cfg").write_text(
+        "[triple]\nsource = builtin\nbuiltin = direct_sum\n")
+    assert main(["triple", "t.cfg", "--json", "r.json"]) == 0
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["artifacts"]["triple_dim"] == 2
+
+
+def test_envelope_of_a_triple_failing_at2_is_a_failed_check(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # a triple that fails AT2 is bad input to the envelope, not an internal
+    # error: the envelope steps are skipped with a note, the report is
+    # written and the exit status is 1, as check-at2 gives on it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps(
+        {"conductor": 1, "dim": 2, "operators": {"triple": 3},
+         "tensor": [["triple", [0, 0, 0], 1, "1"],
+                    ["triple", [1, 1, 1], 0, "1"]]}))
+    (tmp_path / "t.cfg").write_text(JSON_TRIPLE_CFG)
+    assert main(["check-at2", "t.cfg"]) == 1
+    assert main(["envelope", "t.cfg", "--json", "r.json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "FAIL at2-axiom" in out
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["status"] == "fail"
+    assert [c["name"] for c in data["checks"]] == ["at2-axiom"]
+    assert not data["checks"][0]["passed"]
+    assert data["artifacts"] == {"triple_dim": 2}
+    assert data["notes"] == ["no envelope built: the triple fails "
+                             "at2-axiom, so it is no associative triple "
+                             "system"]
+
+
 def test_cli_failure_exit_code(tmp_path):
     # a broken triple tensor read back from JSON must fail check-at2 with
     # a nonzero exit status
@@ -521,6 +556,17 @@ def _edit(text, old, new):
                  {"t.cfg": "[triple]\nsource = builtin\nbuiltin = zero\n"
                            "dim = -1\n"}, "dim = -1",
                  id="zero-triple-dim-negative"),
+    *(pytest.param(["envelope", "t.cfg"],
+                   {"t.cfg": "[triple]\nsource = builtin\nbuiltin = "
+                             f"direct_sum\ndim = {dim}\n"},
+                   f"direct_sum triple needs dim >= 2, got dim = {dim}",
+                   id=f"direct-sum-dim-{dim}") for dim in (0, 1, -3)),
+    *(pytest.param([command, "t.cfg"],
+                   {"t.cfg": "[triple]\nsource = builtin\nbuiltin = "
+                             f"scalar\ndim = {dim}\n"},
+                   f"scalar triple has dim 1 and takes no dim key, "
+                   f"got dim = {dim}", id=f"scalar-dim-{dim}-{command}")
+      for dim, command in ((7, "envelope"), (1, "check-at2"))),
     pytest.param(["census", "j.cfg"],
                  {"j.cfg": "[job]\nmax_dim = 1\n[group]\nG = Z/2\n"},
                  "Z/2 with max_dim = 1", id="census-max-dim-1"),

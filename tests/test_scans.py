@@ -1,25 +1,31 @@
-"""The identity scans skip the basis tuples whose sides are all zero; they
-must report exactly what the per-tuple reference scans in helpers do:
-the same `checked` count and the same violations in the same order, on
-the corpus and on seeded corruptions of it."""
+"""The identity scans skip the basis tuples whose sides are all zero, and
+the per-entry checks make one pass over the stored entries; both must
+report exactly what the per-tuple reference scans in helpers do: the
+same `checked` count and the same violations in the same order, on the
+corpus and on seeded corruptions of it."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from atsbench.constructions import InvolutionParams, build_M_inv
+from atsbench.constructions import (InvolutionParams, build_M_inv,
+                                   check_commutation, standard_realization)
 from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
-from atsbench.groups import AbelianGroup, Bicharacter, trivial_subgroup, z_part
+from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
+                             trivial_subgroup, z_part)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
-                            OmegaAlgebra, check_involution, check_morphism,
-                            combine)
+                            OmegaAlgebra, check_grading, check_involution,
+                            check_morphism, check_t4_flip, combine)
 from atsbench.scalars import CycloField
 from atsbench.triples import (TripleSystem, check_associative, check_at2,
                               extend_automorphism, loos_envelope,
                               reconstruct_iso, triple_from)
 from helpers import (ref_check_associative, ref_check_at2,
-                     ref_check_involution, ref_check_morphism)
+                     ref_check_commutation, ref_check_grading,
+                     ref_check_involution, ref_check_morphism,
+                     ref_check_t4_flip)
 
 
 def same(new, ref):
@@ -41,14 +47,19 @@ def corpus():
     return [(W, loos_envelope(W)) for W in triples]
 
 
+def copied(alg):
+    out = OmegaAlgebra(alg.field, alg.dim, alg.operators, alg.basis_labels)
+    out.tensors = {name: {idx: dict(row) for idx, row in t.items()}
+                   for name, t in alg.tensors.items()}
+    return out
+
+
 def corrupt(alg, op, kind, rng):
     """A copy of alg with one entry of op's tensor scaled, deleted, or
     stray: stored where no row was when there is such a place (then its
     side of some tuples turns nonzero while the partner side stays zero),
     else added to a stored row."""
-    bad = OmegaAlgebra(alg.field, alg.dim, alg.operators, alg.basis_labels)
-    bad.tensors = {name: {idx: dict(row) for idx, row in t.items()}
-                   for name, t in alg.tensors.items()}
+    bad = copied(alg)
     table = bad.tensors[op]
     if kind == "scaled":
         idx = rng.choice(sorted(table))
@@ -122,6 +133,93 @@ def test_at2_matches_reference_on_multiple_corruptions(corpus):
             counts.append(len(ref.violations))
     assert len(counts) >= 24 and min(counts) > 0
     assert sum(counts) >= 1000 and max(counts) >= 50
+
+
+def test_sampled_at2_matches_reference_on_corruptions(corpus):
+    # the dim-9 triple above exhaustive_limit = 8: 10^4 seeded tuples
+    # each, on scaled, deleted and stray entries
+    W9 = corpus[-1][0]
+    assert W9.dim == 9
+    rng = random.Random("corrupt-sampled")
+    counts = []
+    for kind in ("scaled", "deleted", "stray") * 2:
+        bad = TripleSystem(corrupt(W9.algebra, TRIPLE, kind, rng))
+        new = check_at2(bad, seed=3, exhaustive_limit=8)
+        ref = ref_check_at2(bad, seed=3, exhaustive_limit=8)
+        assert same(new, ref) and new.checked == 10000
+        counts.append(len(ref.violations))
+    assert min(counts) > 0
+
+
+def test_sampled_at2_repeats_the_violations_of_a_tuple_drawn_twice():
+    # a dim-2 triple forced to sample: 10^4 draws from 32 tuples, so every
+    # failing tuple is drawn many times and reports its violations each
+    # time, in draw order
+    F = CycloField(1)
+    bad = OmegaAlgebra(F, 2, {TRIPLE: 3})
+    bad.set_entry(TRIPLE, (0, 0, 0), {1: F.one})
+    bad.set_entry(TRIPLE, (1, 1, 1), {0: F.one})
+    rng = random.Random("corrupt-dim-2")
+    for W in [TripleSystem(bad)] + [TripleSystem(corrupt(
+            bad, TRIPLE, kind, rng)) for kind in ("scaled", "stray")]:
+        new = check_at2(W, seed=5, exhaustive_limit=1)
+        ref = ref_check_at2(W, seed=5, exhaustive_limit=1)
+        assert same(new, ref) and new.checked == 10000
+        assert len(ref.violations) > len(set(ref.violations)) > 0
+
+
+def test_grading_and_flip_checks_match_reference():
+    # per corpus algebra: its grading with one basis vector's degree moved
+    # to another component, and its involution with a term phi(e_i) = e_i
+    # added at a vector of nonzero Z degree (one that does not flip Z)
+    rng = random.Random("per-entry")
+    entries = algebra_corpus()[::3]
+    failed = 0
+    for entry in entries:
+        ca = entry.build()
+        alg, grading = ca.algebra, ca.grading
+        deg = list(grading.degmap)
+        k = rng.randrange(alg.dim)
+        deg[k] = rng.choice([d for d in deg if d != deg[k]])
+        moved = Grading(alg, grading.group, tuple(deg), grading.graded_ops)
+        for gr in (grading, moved):
+            for check, ref in ((check_grading, ref_check_grading),
+                               (check_t4_flip, ref_check_t4_flip)):
+                new, old = check(gr), ref(gr)
+                assert same(new, old) and (new.passed or gr is moved)
+                failed += not old.passed
+        bad = copied(alg)
+        i = rng.choice([i for i, d in enumerate(grading.degmap) if z_part(d)])
+        bad.tensors[INVOLUTION][(i,)][i] = alg.field.one
+        unflipped = Grading(bad, grading.group, grading.degmap,
+                            grading.graded_ops)
+        new, old = check_t4_flip(unflipped), ref_check_t4_flip(unflipped)
+        assert same(new, old) and not old.passed
+        assert f"phi(e{i}) [{grading.degmap[i]}] meets component " \
+               f"{grading.degmap[i]}" in new.violations[0]
+    assert failed >= len(entries)
+
+
+def test_commutation_check_matches_reference():
+    # standard realizations checked against their own bicharacter and a
+    # wrong one: the commuting one on V4, and the inverse on Z/4 x Z/4
+    V4, Z44 = AbelianGroup(0, (2, 2)), AbelianGroup(0, (4, 4))
+    cases = []
+    for G, n, right, wrong in ((V4, 2, [[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+                               (Z44, 4, [[0, 1], [3, 0]], [[0, 3], [1, 0]])):
+        gens = (G.element((1, 0)), G.element((0, 1)))
+        T = Subgroup(G, gens)
+        D = standard_realization(
+            T, Bicharacter.from_generator_matrix(T, gens, right),
+            CycloField(n))
+        cases.append((D, True))
+        cases.append((dataclasses.replace(
+            D, bicharacter=Bicharacter.from_generator_matrix(T, gens, wrong)),
+            False))
+    for D, passes in cases:
+        new, ref = check_commutation(D), ref_check_commutation(D)
+        assert same(new, ref) and new.checked == D.dim ** 2
+        assert new.passed == passes
 
 
 def test_cancelling_side_equals_an_absent_one():
