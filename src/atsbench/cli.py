@@ -19,11 +19,11 @@ import time
 from .classify import (ClassLabel, CycloField, WitnessError,
                        classify_conductor, decide_iso, refute_isomorphism,
                        run_census, witness_isomorphism)
-from .config import ConfigError, JobConfig, parse_config
+from .config import TRIPLE_SOURCE_KEYS, ConfigError, JobConfig, parse_config
 from .constructions import ConstraintError
-from .omega import (PRODUCT, TRIPLE, VerificationError, algebra_from_dict,
-                    algebra_to_dict, check_grading, check_involution,
-                    graded_is_simple, is_simple)
+from .omega import (TRIPLE, SimplicityUndecided, VerificationError,
+                    algebra_from_dict, algebra_to_dict, check_grading,
+                    check_involution, is_simple)
 from .triples import (TripleSystem, check_associative, check_at2,
                       direct_sum_triple, loos_envelope, recover_triple,
                       scalar_triple, triple_from, triple_is_simple,
@@ -50,6 +50,16 @@ class Report:
     def add_report(self, rep):
         self.add_check(rep.name, rep.passed,
                        "; ".join(rep.violations[:5]), rep.checked)
+
+    def add_decision(self, name: str, decide, checked: int = 1):
+        """add_check(name, *decide(), checked) for a decide() returning
+        (passed, detail); an undecided simplicity verdict fails the check
+        as INCONCLUSIVE instead of escaping the job."""
+        try:
+            passed, detail = decide()
+        except SimplicityUndecided as err:
+            passed, detail = False, f"INCONCLUSIVE: {err}"
+        self.add_check(name, passed, detail, checked)
 
     @property
     def status(self) -> str:
@@ -125,6 +135,12 @@ def _read(path: str) -> str:
 def _build_triple(cfg: JobConfig) -> TripleSystem:
     spec = cfg.triple_spec
     source = spec.get("source", "grw" if cfg.label else "builtin")
+    if source not in TRIPLE_SOURCE_KEYS:
+        raise ConfigError(f"unknown triple source {source!r}")
+    unread = sorted(spec.keys() - {"source", *TRIPLE_SOURCE_KEYS[source]})
+    if unread:
+        raise ConfigError(f"triple source {source} does not read the "
+                          f"[triple] key(s) {', '.join(unread)}")
     if source == "grw":
         if cfg.label is None:
             raise ConfigError("triple source grw needs a [label] section")
@@ -152,20 +168,18 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
                                   f"dim >= 2, got dim = {dim}")
             return direct_sum_triple(field, dim)
         raise ConfigError(f"unknown builtin triple {kind!r}")
-    if source == "json":
-        if "file" not in spec:
-            raise ConfigError("triple source json needs a file")
-        text = _read(spec["file"])
-        try:
-            alg, grading = algebra_from_dict(json.loads(text))
-        except ValueError as err:
-            raise ConfigError(f"{spec['file']}: {err}") from err
-        if alg.operators != {TRIPLE: 3}:
-            raise ConfigError(f"{spec['file']}: a triple system has exactly "
-                              f"the operator {{'triple': 3}}, not "
-                              f"{alg.operators}")
-        return TripleSystem(alg, grading, label=spec["file"])
-    raise ConfigError(f"unknown triple source {source!r}")
+    if "file" not in spec:
+        raise ConfigError("triple source json needs a file")
+    text = _read(spec["file"])
+    try:
+        alg, grading = algebra_from_dict(json.loads(text))
+    except ValueError as err:
+        raise ConfigError(f"{spec['file']}: {err}") from err
+    if alg.operators != {TRIPLE: 3}:
+        raise ConfigError(f"{spec['file']}: a triple system has exactly "
+                          f"the operator {{'triple': 3}}, not "
+                          f"{alg.operators}")
+    return TripleSystem(alg, grading, label=spec["file"])
 
 
 def _run_division(cfg: JobConfig, report: Report, full: bool):
@@ -188,7 +202,7 @@ def _run_division(cfg: JobConfig, report: Report, full: bool):
     if D.has_involution():
         report.add_report(check_involution(D.algebra))
     if full:
-        report.add_check("simple", is_simple(D.algebra), "", 1)
+        report.add_decision("simple", lambda: (is_simple(D.algebra), ""))
         invertible = True
         for i in range(D.dim):
             try:
@@ -207,26 +221,28 @@ def _run_construct(cfg: JobConfig, report: Report, full: bool):
     label = cfg.label
     if label is None:
         raise ConfigError("construct/verify needs a [label] or [division] section")
-    ca = label.build(_field_for(label))
+    field = _field_for(label)
+    ca = label.build(field)
     report.artifacts["label"] = label.name
     report.artifacts["dimension"] = ca.algebra.dim
     report.artifacts["conductor"] = ca.field.conductor
     for rep in ca.verify():
         report.add_report(rep)
     if full:
-        simple = is_simple(ca.algebra, ops={PRODUCT})
-        gsimple = graded_is_simple(ca.algebra, ca.grading)
-        swi = is_simple(ca.algebra)
         expected = {
             "exchange_pair": (False, False),
             "simple_algebra": (True, True),
             "exchange_division": (False, True),
         }[label.case]
-        report.add_check("simple-with-involution", swi, "", 1)
-        report.add_check(
-            "simplicity-pattern",
-            (simple, gsimple) == expected,
-            f"simple={simple} graded_simple={gsimple}, expected {expected}", 2)
+
+        def pattern():
+            inv = label.intrinsics(field)
+            return ((inv.simple, inv.graded_simple) == expected,
+                    f"simple={inv.simple} graded_simple={inv.graded_simple}, "
+                    f"expected {expected}")
+        report.add_decision("simple-with-involution",
+                            lambda: (is_simple(ca.algebra), ""))
+        report.add_decision("simplicity-pattern", pattern, 2)
     report.artifacts["algebra"] = algebra_to_dict(ca.algebra, ca.grading)
 
 
@@ -249,9 +265,8 @@ def _run_envelope(cfg: JobConfig, report: Report):
     report.add_check("round-trip-recovers-triple",
                      W2.algebra.tensors[TRIPLE] == W.algebra.tensors[TRIPLE],
                      "", 1)
-    simple = triple_is_simple(W, env)
-    report.add_check("simplicity-transfer-agrees", True,
-                     f"triple simple = {simple}", 1)
+    report.add_decision("simplicity-transfer-agrees", lambda: (
+        True, f"triple simple = {triple_is_simple(W, env)}"))
     report.artifacts["envelope"] = algebra_to_dict(env.algebra, env.grading)
 
 

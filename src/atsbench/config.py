@@ -43,6 +43,10 @@ class ConfigError(ValueError):
     """Malformed config; message carries the offending line number."""
 
 
+# the [triple] keys each triple source reads besides `source`
+TRIPLE_SOURCE_KEYS = {"grw": (), "builtin": ("builtin", "dim"),
+                      "json": ("file",)}
+
 _SECTIONS = {
     "job": {"command", "seed", "output", "max_dim"},
     "group": {"G"},
@@ -50,7 +54,8 @@ _SECTIONS = {
               "gamma1", "delta", "g", "m0", "m1", "S_signs0", "S_signs1",
               "t_values0", "t_values1"},
     "division": {"T", "beta", "tau", "t"},
-    "triple": {"source", "builtin", "dim", "file"},
+    "triple": {"source", *(key for keys in TRIPLE_SOURCE_KEYS.values()
+                           for key in keys)},
     "census": {"max_dim", "max_support", "cases"},
 }
 

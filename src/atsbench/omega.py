@@ -414,9 +414,11 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
     default all) with the other slots ranging over A, and with a grading
     also under the homogeneous projections (a graded ideal).
 
-    Associative case (the active ops include an associative product and
-    lie in {product, involution}, and a grading, if given, grades the
-    product): an exact decision.
+    The decision is exact, and taken only in the associative case: the
+    active ops include an associative product and lie in {product,
+    involution}, and a grading, if given, grades the product.  Other
+    inputs raise ValueError; a triple system is decided through its
+    envelope, by triples.triple_is_simple.
       (a) The radical is the kernel of the trace form tr L_{e_i e_j}
           (Dickson's criterion, characteristic 0).  A radical other than
           0 and A is a proper ideal; when A is nilpotent, A^2 is one
@@ -438,21 +440,14 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
     raises SimplicityUndecided.  A caller that already holds step (b)'s
     C may pass it as `center` (without a grading and an active
     involution, C is center_basis(alg, range(alg.dim))).
-
-    Other inputs (a triple product, no product, or a degree map that
-    does not grade the product): closure from every basis vector, and a
-    triple system needs {W,W,W} != 0.  False always shows a proper ideal;
-    True shows only that no basis vector lies in one, and is cross-checked
-    against the envelope in triple_is_simple.
     """
     active = set(ops if ops is not None else alg.operators)
-    if (PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}
-            or grading is not None and not _grades_product(grading)):
-        if active == {TRIPLE} and not alg.tensors[TRIPLE]:
-            return False
-        return all(ideal_closure(alg, [alg.basis_vec(i)], grading,
-                                 ops=active).rank == alg.dim
-                   for i in range(alg.dim))
+    if PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}:
+        raise ValueError(f"is_simple takes a product and at most an "
+                         f"involution, not the operators {sorted(active)}")
+    if grading is not None and not _grades_product(grading):
+        raise ValueError("is_simple: the degree map does not grade the "
+                         "product")
     field, dim = alg.field, alg.dim
     products = alg.tensors[PRODUCT]
     trace = {}                                      # t_k = tr L_{e_k}

@@ -12,7 +12,9 @@ Gauss-Jordan for inverses) to cross-check `Scalar`, and
 the entrywise Phi^{-1} X^* Phi loop the built involutions are checked
 against, `ref_pairwise_census` the census that witnesses and refutes
 every pair on its own, the oracle for the census through isomorphism
-classes, and the `ref_check_*` scans, run by the per-tuple harness
+classes, `ROTATED_SPLIT_TRIPLE` and `GAUSSIAN_TRIPLE` two serialized
+triples kept out of the corpus (whose counts the benchmark pins), and
+the `ref_check_*` scans, run by the per-tuple harness
 `scan`, evaluate every basis tuple (or stored entry) one by one, the
 oracle for the checks that compare summed rows or make one pass over the
 stored entries; `RefRowSpace` and
@@ -40,6 +42,22 @@ from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
                             ideal_closure)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
+
+
+def _dim2_triple(image) -> dict:
+    """The algebra_to_dict data of a dim-2 triple over Q whose product of
+    basis vectors with n indices equal to 1 is image(n) = (slot, scalar)."""
+    return {"conductor": 1, "dim": 2, "operators": {"triple": 3},
+            "tensor": [["triple", list(idx), *image(sum(idx))]
+                       for idx in itertools.product(range(2), repeat=3)]}
+
+
+# F + F on the rotated basis f_0 = (1, 1), f_1 = (1, -1): {f_a, f_b, f_c}
+# = f_(a+b+c mod 2).  Not simple, though every basis vector generates W.
+ROTATED_SPLIT_TRIPLE = _dim2_triple(lambda n: (n % 2, "1"))
+# Q(i) with {x,y,z} = xyz on the basis 1, i: simple, but the center part
+# Q(i) of its envelope shows no zero divisor over Q, so no verdict.
+GAUSSIAN_TRIPLE = _dim2_triple(lambda n: (n % 2, "1" if n < 2 else "-1"))
 
 
 def numeric(s: Scalar) -> complex:

@@ -14,6 +14,8 @@ from atsbench.cli import main, report_json, run
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
 from atsbench.groups import AbelianGroup
+from atsbench.omega import SimplicityUndecided
+from helpers import GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE
 
 MINIMAL = """
 [job]
@@ -647,6 +649,21 @@ def _edit(text, old, new):
                      GRADED_TRIPLE, operators={"triple": 3, "product": 2}))},
                  "exactly the operator {'triple': 3}",
                  id="json-extra-product"),
+    # [triple] keys the source does not read, once silently ignored
+    pytest.param(["check-at2", "t.cfg"],
+                 {"t.cfg": JSON_TRIPLE_CFG + "dim = 7\n",
+                  "w.json": json.dumps(GRADED_TRIPLE)},
+                 "triple source json does not read the [triple] key(s) dim",
+                 id="json-with-dim"),
+    pytest.param(["check-at2", "t.cfg"],
+                 {"t.cfg": "[triple]\nsource = builtin\nfile = w.json\n",
+                  "w.json": json.dumps(GRADED_TRIPLE)},
+                 "triple source builtin does not read the [triple] key(s) "
+                 "file", id="builtin-with-file"),
+    pytest.param(["envelope", "j.cfg"],
+                 {"j.cfg": MINIMAL + "[triple]\nbuiltin = zero\ndim = 3\n"},
+                 "triple source grw does not read the [triple] key(s) "
+                 "builtin, dim", id="grw-with-builtin-keys"),
 ])
 def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
                                             argv, files, named):
@@ -712,3 +729,92 @@ def test_report_json_escapes_like_the_indented_dump():
     for d in (data, {**data, "notes": []},
               {"artifacts": {"census": {"decisions": []}}}, {"artifacts": {}}):
         assert report_json(d) == json.dumps(d, indent=2, sort_keys=True)
+
+
+def _write_triple(tmp_path, name, data):
+    (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(f"[triple]\nsource = json\nfile = {name}.json\n")
+    return cfg
+
+
+def test_envelope_decides_triple_simplicity_on_the_envelope(
+        tmp_path, monkeypatch, capsys):
+    # every basis vector of the rotated F + F generates W; the envelope's
+    # verdict stands, and no transfer contradiction is claimed
+    monkeypatch.chdir(tmp_path)
+    _write_triple(tmp_path, "rot", ROTATED_SPLIT_TRIPLE)
+    assert main(["envelope", "rot.cfg", "--json", "r.json"]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["checks"][-1] == {
+        "name": "simplicity-transfer-agrees", "passed": True, "checked": 1,
+        "detail": "triple simple = False"}
+
+
+def test_undecided_envelope_simplicity_is_inconclusive(tmp_path, monkeypatch,
+                                                       capsys):
+    # Q(i) over Q: a failed check with the undecided verdict quoted, the
+    # report written and exit 1, not a traceback
+    monkeypatch.chdir(tmp_path)
+    _write_triple(tmp_path, "qi", GAUSSIAN_TRIPLE)
+    assert main(["envelope", "qi.cfg", "--json", "r.json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["status"] == "fail"
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == [
+        "simplicity-transfer-agrees"]
+    assert data["checks"][-1]["detail"] == (
+        "INCONCLUSIVE: no zero divisor found in a center part of dimension 2")
+    assert "FAIL simplicity-transfer-agrees (1 checks) -- INCONCLUSIVE" in out
+
+
+@pytest.mark.parametrize("text, checks", [
+    pytest.param(DIVISION_CFG, ["simple"], id="division"),
+    pytest.param(MINIMAL, ["simple-with-involution", "simplicity-pattern"],
+                 id="label"),
+])
+def test_undecided_verify_simplicity_is_inconclusive(tmp_path, monkeypatch,
+                                                     capsys, text, checks):
+    from atsbench import classify, cli
+
+    def undecided(*args, **kwargs):
+        raise SimplicityUndecided("stub verdict")
+    monkeypatch.setattr(cli, "is_simple", undecided)
+    monkeypatch.setattr(classify, "is_simple", undecided)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "j.cfg").write_text(text)
+    assert main(["verify", "j.cfg", "--json", "r.json"]) == 1
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "r.json").read_text())
+    failed = {c["name"]: c["detail"] for c in data["checks"]
+              if not c["passed"]}
+    assert failed == {name: "INCONCLUSIVE: stub verdict" for name in checks}
+
+
+SWEEP_COMMANDS = ("construct", "verify", "envelope", "triple", "check-at2",
+                  "census")
+
+
+def test_no_config_command_escapes_with_a_traceback(tmp_path, monkeypatch,
+                                                    capsys):
+    # every config command on every shipped config and on the two JSON
+    # triples: main returns an exit status, and a 2 or a 3 says why
+    monkeypatch.chdir(tmp_path)
+    configs = sorted(CONFIGS.glob("*.cfg")) + [
+        _write_triple(tmp_path, name, data) for name, data in (
+            ("rot", ROTATED_SPLIT_TRIPLE), ("qi", GAUSSIAN_TRIPLE))]
+    statuses = {}
+    for cfg in configs:
+        for command in SWEEP_COMMANDS:
+            status = main([command, str(cfg), "--json", "r.json"])
+            err = capsys.readouterr().err
+            assert status in (0, 1, 2, 3), (cfg.name, command)
+            if status in (2, 3):
+                assert err.startswith(("error: ", "internal error: ")), \
+                    (cfg.name, command, err)
+            statuses[cfg.name, command] = status
+    assert len(statuses) == 6 * (len(REPORT_SHA256) + 2)
+    assert statuses["qi.cfg", "envelope"] == 1
+    assert statuses["rot.cfg", "envelope"] == 0

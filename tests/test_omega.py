@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -293,17 +294,36 @@ def test_coarsening_functoriality():
 def test_graded_simplicity_vs_plain():
     alg = make_f_plus_f(exchange=True)
     G = AbelianGroup(0, (2,))
-    gr = Grading(alg, G, (G.element((0,)), G.element((1,))),
+    gr = Grading(alg, G, (G.identity, G.identity),
                  graded_ops=frozenset({PRODUCT}))
     assert not graded_is_simple(alg, gr)      # each block is a graded ideal
     assert is_simple(alg)                     # but phi-stability saves it
+    # degrees 0, 1 do not grade the product (e1 e1 = e1): no verdict
+    odd = Grading(alg, G, (G.identity, G.element((1,))),
+                  graded_ops=frozenset({PRODUCT}))
+    with pytest.raises(ValueError, match="does not grade the product"):
+        graded_is_simple(alg, odd)
 
 
 def test_triple_nontriviality_requirement():
+    # a triple system is decided through its envelope
+    # (triples.triple_is_simple), never by is_simple on the triple
     W = OmegaAlgebra(FQ, 1, {TRIPLE: 3})
-    assert not is_simple(W)                   # zero product
     W.set_entry(TRIPLE, (0, 0, 0), {0: FQ.one})
-    assert is_simple(W)
+    with pytest.raises(ValueError, match="'triple'"):
+        is_simple(W)
+
+
+@pytest.mark.parametrize("operators, ops, named", [
+    ({INVOLUTION: 1}, None, "operators ['involution']"),
+    ({PRODUCT: 2}, set(), "operators []"),
+    ({PRODUCT: 2, "shift": 1}, None, "operators ['product', 'shift']"),
+])
+def test_is_simple_rejects_inputs_outside_the_associative_case(
+        operators, ops, named):
+    alg = OmegaAlgebra(FQ, 1, operators)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        is_simple(alg, ops=ops)
 
 
 def test_unit_detection():

@@ -15,15 +15,17 @@ from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
                              trivial_subgroup)
 from atsbench.linalg import combine
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
-                            OmegaAlgebra, VerificationError, check_grading,
-                            check_involution, check_morphism, is_simple)
+                            OmegaAlgebra, SimplicityUndecided,
+                            VerificationError, algebra_from_dict,
+                            check_grading, check_involution, check_morphism,
+                            is_simple)
 from atsbench.scalars import CycloField
-from atsbench.triples import (check_associative, check_at2,
+from atsbench.triples import (TripleSystem, check_associative, check_at2,
                               direct_sum_triple, extend_automorphism,
                               loos_envelope, pierce_split, reconstruct_iso,
                               recover_triple, scalar_triple, triple_from,
                               triple_is_simple, zero_triple)
-from helpers import compose, unit
+from helpers import GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE, compose, unit
 
 FQ = CycloField(1)
 F2 = CycloField(2)
@@ -168,25 +170,38 @@ def test_simplicity_examples():
     assert not triple_is_simple(zero_triple(FQ, 1))
 
 
-def _says_triple_only(alg, **kwargs):
-    """A stub simplicity test: True on the triple, False on its envelope."""
-    return TRIPLE in alg.operators
+def test_simplicity_is_decided_on_the_envelope():
+    # every basis vector of the rotated F + F generates W: only the
+    # envelope shows the proper ideal
+    W = TripleSystem(*algebra_from_dict(ROTATED_SPLIT_TRIPLE))
+    assert not triple_is_simple(W)
+    # Q(i) over Q: the envelope's undecided verdict passes through
+    with pytest.raises(SimplicityUndecided):
+        triple_is_simple(TripleSystem(*algebra_from_dict(GAUSSIAN_TRIPLE)))
+
+
+def _says_simple(alg, **kwargs):
+    """A stub simplicity test: True on every algebra."""
+    return True
 
 
 def test_transfer_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(atsbench.triples, "is_simple", _says_triple_only)
-    with pytest.raises(VerificationError, match="simplicity transfer"):
-        triple_is_simple(scalar_triple(FQ))
+    # the envelope's True against a basis vector in a proper ideal of W,
+    # and against a zero triple product
+    monkeypatch.setattr(atsbench.triples, "is_simple", _says_simple)
+    for W in (direct_sum_triple(FQ, 2), zero_triple(FQ, 1)):
+        with pytest.raises(VerificationError, match="simplicity transfer"):
+            triple_is_simple(W)
 
 
 def test_transfer_check_survives_optimize_flag():
     code = (
         "import atsbench.triples as tr\n"
-        "from atsbench.omega import TRIPLE, VerificationError\n"
+        "from atsbench.omega import VerificationError\n"
         "from atsbench.scalars import CycloField\n"
-        "tr.is_simple = lambda alg, **kw: TRIPLE in alg.operators\n"
+        "tr.is_simple = lambda alg, **kw: True\n"
         "try:\n"
-        "    tr.triple_is_simple(tr.scalar_triple(CycloField(1)))\n"
+        "    tr.triple_is_simple(tr.direct_sum_triple(CycloField(1), 2))\n"
         "except VerificationError:\n"
         "    print('debug', __debug__, 'raised')\n")
     src = str(Path(atsbench.triples.__file__).resolve().parents[1])
