@@ -14,7 +14,9 @@ form of the labels (ClassLabel.key): each label is decided and witnessed
 once, against its class representative, and a YES pair is certified by
 the composition of two such verified maps.  Each pair of classes is
 decided and refuted once, on its representatives; a NO pair is certified
-by that refutation when it is intrinsic, otherwise by its own.
+by that refutation when it is intrinsic, otherwise by its own.  The
+result (CensusResult) is this class table and nothing per pair: the
+pairwise decisions and the counts are read off it.
 
 Classification sessions work over a doubled cyclotomic conductor: the
 witness maps need square roots of bicharacter values, which exist in
@@ -24,6 +26,7 @@ Q(zeta_2M) whenever the values lie in Q(zeta_M).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
@@ -832,20 +835,76 @@ def _enumerate_phi(elements, T, beta, t, max_dim, add):
 
 
 @dataclass
+class NoPair:
+    """A NO decision's violated condition and its refutation, and the
+    detail of the report records they certify."""
+    violated: str
+    refutation: Refutation
+
+    def __post_init__(self):
+        ref = self.refutation
+        self.detail = (f"{self.violated} "
+                       f"[{ref.method if ref.refuted else 'INCONCLUSIVE'}]")
+
+
+@dataclass
 class CensusResult:
+    """A census as its class table: per label its class and its direct key
+    (the branch of its YES pairs), per class the label index of its
+    representative, per pair of classes (a, b) the NoPair of their
+    representatives, and per member pair (i, j) of a class pair whose
+    refutation is not intrinsic its own NoPair.  The per-pair decisions
+    and the counts are read off the table; none of it but the labels is
+    part of the report."""
     group: AbelianGroup
     max_dim: int
     labels: list
-    decisions: list            # (i, j, verdict, detail)
-    yes_count: int = 0
-    no_count: int = 0
-    inconclusive: int = 0
-    verified_witnesses: int = 0
-    refutations: int = 0
-    # label index -> class index, and the label index of each class's
-    # representative; not part of the report
     classes: list = dc_field(default_factory=list)
+    direct: list = dc_field(default_factory=list)
     representatives: list = dc_field(default_factory=list)
+    class_pairs: dict = dc_field(default_factory=dict)
+    member_pairs: dict = dc_field(default_factory=dict)
+
+    def decisions(self):
+        """(i, j, verdict, detail) for every label pair i <= j, in order."""
+        classes, direct, members = self.classes, self.direct, self.member_pairs
+        # detail[a][b]: the NO detail of classes a != b, None for a YES
+        detail = [[None if a == b else self.class_pairs[min(a, b), max(a, b)]
+                   .detail for b in range(len(self.representatives))]
+                  for a in range(len(self.representatives))]
+        for i, c in enumerate(classes):
+            row, d = detail[c], direct[i]
+            for j in range(i, len(classes)):
+                no = row[classes[j]]
+                if no is None:
+                    yield i, j, "YES", "direct" if direct[j] == d else "op"
+                elif members and (i, j) in members:
+                    yield i, j, "NO", members[i, j].detail
+                else:
+                    yield i, j, "NO", no
+
+    @property
+    def yes_count(self) -> int:
+        return sum(n * (n + 1) // 2 for n in Counter(self.classes).values())
+
+    # run_census verifies every member's witness or raises, and a YES pair
+    # is certified by the composition of its members' witnesses
+    verified_witnesses = yes_count
+
+    @property
+    def no_count(self) -> int:
+        return len(self.labels) * (len(self.labels) + 1) // 2 - self.yes_count
+
+    @property
+    def inconclusive(self) -> int:
+        # an intrinsic refutation never fails, and any other certifies
+        # only its own pair
+        return sum(not p.refutation.refuted for p in itertools.chain(
+            self.class_pairs.values(), self.member_pairs.values()))
+
+    @property
+    def refutations(self) -> int:
+        return self.no_count - self.inconclusive
 
     def to_dict(self):
         return {
@@ -854,7 +913,7 @@ class CensusResult:
             "labels": [lab.name for lab in self.labels],
             "decisions": [
                 {"left": i, "right": j, "verdict": v, "detail": d}
-                for (i, j, v, d) in self.decisions],
+                for (i, j, v, d) in self.decisions()],
             "yes": self.yes_count,
             "no": self.no_count,
             "inconclusive": self.inconclusive,
@@ -867,24 +926,25 @@ def run_census(G: AbelianGroup, max_dim: int,
                cases=(EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION),
                max_support: int = None) -> CensusResult:
     """Enumerate labels, sort them into isomorphism classes by their keys,
-    and certify every YES and every NO through the classes.
+    and certify every YES and every NO through the classes, filling the
+    class table.
 
     A label with a new key is a class representative (psi the identity);
     any other is decided against its representative, witness_isomorphism
     verifies psi_i: A_rep -> A_i, and the two must share their intrinsic
     invariants.  A YES pair (i, j) is certified by psi_j o psi_i^{-1}
     (the maps are not kept), its branch read off the direct keys.  Each
-    pair of classes is decided and refuted once, on its representatives;
-    a NO pair is certified by that refutation when it is intrinsic
-    (intrinsic invariants are isomorphism invariants), otherwise by its
-    own, since a composed map can leave the searched family.  A decision
-    against the keys (NO inside a class, YES across two) raises
-    WitnessError."""
+    pair of classes is decided and refuted once, on its representatives,
+    into one NoPair; its member pairs are certified by that refutation
+    when it is intrinsic (intrinsic invariants are isomorphism
+    invariants), otherwise each by its own, since a composed map can
+    leave the searched family.  A decision against the keys (NO inside a
+    class, YES across two) raises WitnessError."""
     labels = enumerate_labels(G, max_dim, cases=cases, max_support=max_support)
+    result = CensusResult(G, max_dim, labels)
     if not labels:
-        return CensusResult(G, max_dim, [], [])
+        return result
     field = CycloField(classify_conductor(*labels))
-    result = CensusResult(G, max_dim, labels, [])
     classes, reps = result.classes, result.representatives
 
     def decide(l1, l2, c1, c2):
@@ -909,29 +969,18 @@ def run_census(G: AbelianGroup, max_dim: int,
             raise VerificationError(
                 f"{lab.name} is isomorphic to {rep.name} "
                 f"but differs in the intrinsic invariant {attr}")
+    result.direct = [lab.key(direct=True) for lab in labels]
 
-    nos = {}                   # (class, class) -> (violated, Refutation)
     for (a, r), (b, s) in itertools.combinations(enumerate(reps), 2):
-        nos[(a, b)] = (decide(labels[r], labels[s], a, b).certificate["violated"],
-                       refute_isomorphism(labels[r], labels[s], field))
-    direct = [lab.key(direct=True) for lab in labels]
-    for i, j in itertools.combinations_with_replacement(range(len(labels)), 2):
-        a, b = sorted((classes[i], classes[j]))
-        if a == b:
-            result.yes_count += 1
-            result.verified_witnesses += 1
-            detail = "direct" if direct[i] == direct[j] else "op"
-            result.decisions.append((i, j, "YES", detail))
+        violated = decide(labels[r], labels[s], a, b).certificate["violated"]
+        pair = result.class_pairs[a, b] = NoPair(
+            violated, refute_isomorphism(labels[r], labels[s], field))
+        if pair.refutation.method == "intrinsic":
             continue
-        result.no_count += 1
-        detail, ref = nos[(a, b)]
-        if ref.method != "intrinsic" and (i, j) != (reps[a], reps[b]):
-            ref = refute_isomorphism(labels[i], labels[j], field)
-        if not ref.refuted:
-            result.inconclusive += 1
-            detail += " [INCONCLUSIVE]"
-        else:
-            result.refutations += 1
-            detail += f" [{ref.method}]"
-        result.decisions.append((i, j, "NO", detail))
+        members = [[k for k, c in enumerate(classes) if c == e] for e in (a, b)]
+        for i, j in itertools.product(*members):
+            i, j = min(i, j), max(i, j)
+            if (i, j) != (r, s):
+                result.member_pairs[i, j] = NoPair(
+                    violated, refute_isomorphism(labels[i], labels[j], field))
     return result

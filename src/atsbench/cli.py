@@ -82,38 +82,45 @@ class Report:
         return "\n".join(lines)
 
 
-def report_json(data: dict) -> str:
-    """json.dumps(data, indent=2, sort_keys=True), byte for byte.
+CHUNK = 4096     # census decision records per C-encoder call
+
+
+def write_report(fh, data: dict):
+    """Write json.dumps(data, indent=2, sort_keys=True) to fh, byte for
+    byte, without building the whole text.
 
     With an indent, json encodes in pure Python, which takes a large
     census a noticeable share of its time.  So the census's decision
-    records (flat dicts of strings and ints) are encoded in one C-encoder
-    call, with separators that reproduce the indented layout inside a
-    record, and spliced in at the indent of their list.  The record
-    boundaries are then rewritten in one pass: a boundary is "}" +
-    separator + "{", which cannot occur inside a flat record, because
-    an encoded string escapes its newlines."""
+    records (flat dicts of strings and ints) are encoded CHUNK at a time
+    by the C encoder, with separators that reproduce the indented layout
+    inside a record, and written at the indent of their list.  The record
+    boundaries are rewritten per chunk: a boundary is "}" + separator +
+    "{", which cannot occur inside a flat record, because an encoded
+    string escapes its newlines."""
     census = data["artifacts"].get("census")
-    if not census or not census["decisions"]:
-        return json.dumps(data, indent=2, sort_keys=True)
     marker = "\0decisions"
-    text = json.dumps(
+    token = json.dumps(marker)
+    text = census and census["decisions"] and json.dumps(
         {**data, "artifacts": {**data["artifacts"],
                                "census": {**census, "decisions": marker}}},
         indent=2, sort_keys=True)
-    token = json.dumps(marker)
-    if text.count(token) != 1:
-        return json.dumps(data, indent=2, sort_keys=True)
+    if not text or text.count(token) != 1:
+        fh.write(json.dumps(data, indent=2, sort_keys=True))
+        return
     at = text.index(token)
     line = text[text.rindex("\n", 0, at) + 1:at]
     pad = line[:len(line) - len(line.lstrip(" "))]
     item, field = pad + "  ", pad + "    "
     sep = ",\n" + field
-    body = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(
-        census["decisions"])[2:-2]
-    records = body.replace("}" + sep + "{", f"\n{item}}},\n{item}{{\n{field}")
-    return (f"{text[:at]}[\n{item}{{\n{field}{records}\n{item}}}\n{pad}]"
-            f"{text[at + len(token):]}")
+    boundary = f"\n{item}}},\n{item}{{\n{field}"
+    encode = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+    records = census["decisions"]
+    fh.write(f"{text[:at]}[\n{item}{{\n{field}")
+    for k in range(0, len(records), CHUNK):
+        body = encode(records[k:k + CHUNK])[2:-2].replace(
+            "}" + sep + "{", boundary)
+        fh.write(boundary + body if k else body)
+    fh.write(f"\n{item}}}\n{pad}]{text[at + len(token):]}")
 
 
 def _field_for(label: ClassLabel) -> CycloField:
@@ -394,7 +401,8 @@ def main(argv=None) -> int:
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(report_json(report.to_dict()) + "\n")
+                write_report(fh, report.to_dict())
+                fh.write("\n")
         except OSError as err:
             print(f"error: {out_path}: {err.strerror}", file=sys.stderr)
             return 2

@@ -11,7 +11,8 @@ Gauss-Jordan for inverses) to cross-check `Scalar`, and
 `classify._antimap_candidates` is checked against, `ref_phi_involution`
 the entrywise Phi^{-1} X^* Phi loop the built involutions are checked
 against, `ref_pairwise_census` the census that witnesses and refutes
-every pair on its own, the oracle for the census through isomorphism
+every pair on its own and stores every pair's record in a
+`PairwiseCensus`, the oracle for the census through isomorphism
 classes, `ROTATED_SPLIT_TRIPLE` and `GAUSSIAN_TRIPLE` two serialized
 triples kept out of the corpus (whose counts the benchmark pins), and
 the `ref_check_*` scans, run by the per-tuple harness
@@ -31,6 +32,7 @@ import bisect
 import cmath
 import itertools
 import random
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from atsbench import classify
@@ -545,6 +547,36 @@ def ref_phi_involution(ca):
     return out
 
 
+@dataclass
+class PairwiseCensus:
+    """ref_pairwise_census's result: every pair's record and the counts,
+    stored as they are made; to_dict is CensusResult.to_dict's report."""
+    group: object
+    max_dim: int
+    labels: list
+    decisions: list = dc_field(default_factory=list)  # (i, j, verdict, detail)
+    yes_count: int = 0
+    no_count: int = 0
+    inconclusive: int = 0
+    verified_witnesses: int = 0
+    refutations: int = 0
+
+    def to_dict(self):
+        return {
+            "group": str(self.group),
+            "max_dim": self.max_dim,
+            "labels": [lab.name for lab in self.labels],
+            "decisions": [
+                {"left": i, "right": j, "verdict": v, "detail": d}
+                for (i, j, v, d) in self.decisions],
+            "yes": self.yes_count,
+            "no": self.no_count,
+            "inconclusive": self.inconclusive,
+            "verified_witnesses": self.verified_witnesses,
+            "refutations": self.refutations,
+        }
+
+
 def ref_pairwise_census(G, max_dim, cases=(classify.EXCHANGE_PAIR,
                                            classify.SIMPLE_ALGEBRA,
                                            classify.EXCHANGE_DIVISION),
@@ -553,10 +585,10 @@ def ref_pairwise_census(G, max_dim, cases=(classify.EXCHANGE_PAIR,
     each YES with its own witness and each NO with its own refutation."""
     labels = classify.enumerate_labels(G, max_dim, cases=cases,
                                        max_support=max_support)
+    result = PairwiseCensus(G, max_dim, labels)
     if not labels:
-        return classify.CensusResult(G, max_dim, [], [])
+        return result
     field = CycloField(classify.classify_conductor(*labels))
-    result = classify.CensusResult(G, max_dim, labels, [])
     for i, l1 in enumerate(labels):
         for j in range(i, len(labels)):
             l2 = labels[j]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import random
@@ -18,7 +19,7 @@ from atsbench.classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR,
                                decide_iso, enumerate_labels, halvings,
                                intrinsic_invariants, refute_isomorphism,
                                witness_isomorphism, xi_multiset)
-from atsbench.cli import main, report_json
+from atsbench.cli import main, write_report
 from atsbench.config import parse_config
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     d_inv, exchange_double_division,
@@ -731,16 +732,44 @@ def test_census_takes_each_orbit_once(monkeypatch):
          for lab in res.labels})
 
 
-def _census_report(name):
-    return report_json(cli.run(parse_config((CONFIGS / name).read_text()))
-                       .to_dict())
+def _census_report(name, max_dim=None):
+    cfg = parse_config((CONFIGS / name).read_text())
+    cfg.max_dim = max_dim or cfg.max_dim
+    report = cli.run(cfg)
+    out = io.StringIO()
+    write_report(out, report.to_dict())
+    return out.getvalue(), report
 
 
-@pytest.mark.parametrize("name", CLASS_CENSUSES)
-def test_class_census_report_matches_pairwise_census(name, monkeypatch):
-    got = _census_report(name)
+def _inconclusive_unless_intrinsic(real):
+    def wrapped(l1, l2, field=None):
+        ref = real(l1, l2, field)
+        if ref.method == "intrinsic":
+            return ref
+        return Refutation(False, "INCONCLUSIVE", {"reason": "wrapped"})
+    return wrapped
+
+
+# Z/2 at max_dim 12 has 24 NO pairs whose class refutation is an
+# exhausted search, so each member pair is refuted on its own; made
+# INCONCLUSIVE, each of them is counted and the census fails
+@pytest.mark.parametrize("name, max_dim, inconclusive", [
+    *(pytest.param(name, None, 0, id=name) for name in CLASS_CENSUSES),
+    pytest.param("census_z2.cfg", 12, 0, id="census_z2.cfg-12"),
+    pytest.param("census_z2.cfg", 12, 24, id="census_z2.cfg-12-inconclusive")])
+def test_class_census_report_matches_pairwise_census(name, max_dim,
+                                                     inconclusive,
+                                                     monkeypatch):
+    if inconclusive:
+        monkeypatch.setattr(classify, "refute_isomorphism",
+                            _inconclusive_unless_intrinsic(
+                                classify.refute_isomorphism))
+    got, report = _census_report(name, max_dim)
+    assert report.artifacts["census"]["inconclusive"] == inconclusive
+    assert {c["name"] for c in report.checks if not c["passed"]} == (
+        {"all-no-refuted", "zero-inconclusive"} if inconclusive else set())
     monkeypatch.setattr(cli, "run_census", ref_pairwise_census)
-    assert got == _census_report(name)
+    assert got == _census_report(name, max_dim)[0]
 
 
 def _class_map(res, k, field):
@@ -765,9 +794,11 @@ def test_composed_class_maps_certify_every_yes_pair(name, n_classes, n_yes):
     assert [res.classes[r] for r in res.representatives] == list(
         range(len(res.representatives)))
     assert n_classes in (None, len(res.representatives))
-    assert not {"classes", "representatives"} & set(res.to_dict())
+    table = {f.name for f in dataclasses.fields(res)} - {
+        "group", "max_dim", "labels"}
+    assert len(table) == 5 and not table & set(res.to_dict())
     psi = [_class_map(res, k, field) for k in range(len(res.labels))]
-    yes = [(i, j) for i, j, verdict, _ in res.decisions if verdict == "YES"]
+    yes = [(i, j) for i, j, verdict, _ in res.decisions() if verdict == "YES"]
     assert len(yes) == n_yes == res.yes_count == res.verified_witnesses
     for i, j in yes:
         assert res.classes[i] == res.classes[j]

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import atsbench
-from atsbench.cli import main, report_json, run
+from atsbench.cli import CHUNK, main, run, write_report
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
 from atsbench.groups import AbelianGroup
@@ -707,18 +708,26 @@ REPORT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.cfg")))
-def test_report_json_matches_indented_dump(name):
-    # the spliced census records give the bytes of the indented encoder,
-    # and the report's bytes are pinned
-    cfg = parse_config((CONFIGS / name).read_text())
-    cfg.command = cfg.command or "verify"
-    data = run(cfg).to_dict()
-    assert report_json(data) == json.dumps(data, indent=2, sort_keys=True)
-    assert hashlib.sha256(report_json(data).encode()).hexdigest() == \
-        REPORT_SHA256[name]
+def test_report_json_matches_indented_dump(name, tmp_path):
+    # the file main writes, chunked census records included, is the
+    # indented dump of its data and a newline, and its bytes are pinned
+    command = parse_config((CONFIGS / name).read_text()).command or "verify"
+    out = tmp_path / "r.json"
+    assert main([command, str(CONFIGS / name), "--json", str(out)]) == 0
+    raw = out.read_bytes()
+    assert raw.decode() == json.dumps(json.loads(raw), indent=2,
+                                      sort_keys=True) + "\n"
+    assert hashlib.sha256(raw[:-1]).hexdigest() == REPORT_SHA256[name]
+
+
+def _writes(data):
+    writes = []
+    write_report(SimpleNamespace(write=writes.append), data)
+    return writes
 
 
 def test_report_json_escapes_like_the_indented_dump():
+    # the census records are written CHUNK at a time, never all at once
     decisions = [{"left": 0, "right": k, "verdict": "NO",
                   "detail": detail} for k, detail in enumerate(
                       ['say "no"', "tab\there\nnewline", "\u00e9\u2260",
@@ -726,9 +735,14 @@ def test_report_json_escapes_like_the_indented_dump():
     data = {"artifacts": {"census": {"decisions": decisions, "labels": ["x"]},
                           "other": [1, {"a": None}]},
             "checks": [], "notes": ["\0decisions"]}
-    for d in (data, {**data, "notes": []},
+    chunked = {"artifacts": {"census": {"decisions": [
+        {"left": k, "right": k, "verdict": "YES", "detail": "direct"}
+        for k in range(2 * CHUNK + 1)]}}}
+    for d in (data, {**data, "notes": []}, chunked,
               {"artifacts": {"census": {"decisions": []}}}, {"artifacts": {}}):
-        assert report_json(d) == json.dumps(d, indent=2, sort_keys=True)
+        assert "".join(_writes(d)) == json.dumps(d, indent=2, sort_keys=True)
+    assert not any('"left": 0,' in w and f'"left": {2 * CHUNK},' in w
+                   for w in _writes(chunked))
 
 
 def _write_triple(tmp_path, name, data):
