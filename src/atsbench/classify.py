@@ -203,12 +203,6 @@ class ClassLabel:
             tuple(sorted((coset_rep(h + r).coords, m) for r, m in xi))
             for xi in xis) for h in self.params.group.elements())
 
-    def dimension(self) -> int:
-        p = self.params
-        n = sum(p.kappa0) + sum(p.kappa1)
-        doubled = 1 if self.case == SIMPLE_ALGEBRA else 2
-        return doubled * n * n * len(p.T)
-
     def build(self, field: CycloField) -> ConstructedAlgebra:
         key = field.conductor
         if key not in self._built:
@@ -851,7 +845,8 @@ class NoPair:
 class CensusResult:
     """A census as its class table: per label its class and its direct key
     (the branch of its YES pairs), per class the label index of its
-    representative, per pair of classes (a, b) the NoPair of their
+    representative and the number of its members whose witness map was
+    returned, per pair of classes (a, b) the NoPair of their
     representatives, and per member pair (i, j) of a class pair whose
     refutation is not intrinsic its own NoPair.  The per-pair decisions
     and the counts are read off the table; none of it but the labels is
@@ -862,6 +857,7 @@ class CensusResult:
     classes: list = dc_field(default_factory=list)
     direct: list = dc_field(default_factory=list)
     representatives: list = dc_field(default_factory=list)
+    witnessed: list = dc_field(default_factory=list)
     class_pairs: dict = dc_field(default_factory=dict)
     member_pairs: dict = dc_field(default_factory=dict)
 
@@ -887,9 +883,11 @@ class CensusResult:
     def yes_count(self) -> int:
         return sum(n * (n + 1) // 2 for n in Counter(self.classes).values())
 
-    # run_census verifies every member's witness or raises, and a YES pair
-    # is certified by the composition of its members' witnesses
-    verified_witnesses = yes_count
+    @property
+    def verified_witnesses(self) -> int:
+        # a YES pair is certified by the composition of its members'
+        # witnesses (the representative's is the identity)
+        return sum((k + 1) * (k + 2) // 2 for k in self.witnessed)
 
     @property
     def no_count(self) -> int:
@@ -961,9 +959,12 @@ def run_census(G: AbelianGroup, max_dim: int,
         classes.append(c)
         if c == len(reps):
             reps.append(j)
+            result.witnessed.append(0)
             continue
         rep = labels[reps[c]]
-        witness_isomorphism(rep, lab, decide(rep, lab, c, c).certificate, field)
+        if witness_isomorphism(rep, lab, decide(rep, lab, c, c).certificate,
+                               field) is not None:
+            result.witnessed[c] += 1
         attr = _intrinsic_mismatch(rep.intrinsics(field), lab.intrinsics(field))
         if attr is not None:
             raise VerificationError(

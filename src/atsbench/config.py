@@ -51,8 +51,7 @@ _SECTIONS = {
     "job": {"command", "seed", "output", "max_dim"},
     "group": {"G"},
     "label": {"case", "T", "beta", "t", "kappa0", "gamma0", "kappa1",
-              "gamma1", "delta", "g", "m0", "m1", "S_signs0", "S_signs1",
-              "t_values0", "t_values1"},
+              "gamma1", "delta", "g", "m0", "m1", "S_signs0", "S_signs1"},
     "division": {"T", "beta", "tau", "t"},
     "triple": {"source", *(key for keys in TRIPLE_SOURCE_KEYS.values()
                            for key in keys)},
@@ -231,8 +230,7 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
     gamma1 = _parse_elements(G, gamma1, g1_line)
 
     if case == EXCHANGE_PAIR:
-        for key in ("delta", "g", "t", "m0", "m1", "S_signs0", "S_signs1",
-                    "t_values0", "t_values1"):
+        for key in ("delta", "g", "t", "m0", "m1", "S_signs0", "S_signs1"):
             if key in section:
                 raise ConfigError(
                     f"line {section[key][1]}: {key} does not apply to "
@@ -261,9 +259,6 @@ def parse_label(G: AbelianGroup, section: dict) -> ClassLabel:
         if s_text is not None:
             kwargs[f"S_signs{which}"] = _parse_ints(s_text, s_line,
                                                     f"S_signs{which}")
-        tv_text, tv_line = _get(section, f"t_values{which}")
-        if tv_text is not None:
-            kwargs[f"t_values{which}"] = _parse_elements(G, tv_text, tv_line)
     params = InvolutionParams(group=G, T=T, beta=beta, kappa0=kappa0,
                               gamma0=gamma0, kappa1=kappa1, gamma1=gamma1,
                               delta=delta, g=g, t=t_el, **kwargs)

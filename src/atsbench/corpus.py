@@ -1,10 +1,9 @@
 """The shipped instance corpus.
 
-Everything the verification suite sweeps lives here: the graded division
-algebras of the classification theorem, thirty-plus matrix-algebra
-configurations spanning the three classified families at dimension at
-most 16, their induced graded triples, a few engineered non-simple
-triples, and seeded triple automorphisms.
+The instances the benchmark and the tests sweep: thirty-plus
+matrix-algebra configurations spanning the three classified families at
+dimension at most 16, their induced graded triples (the triple corpus),
+a few engineered non-simple triples, and seeded triple automorphisms.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .classify import ClassLabel, classify_conductor
-from .constructions import (ExchangePairParams, GradedDivision,
-                            InvolutionParams, d_inv, exchange_double_division)
-from .groups import (AbelianGroup, Bicharacter, QuadraticForm, Subgroup,
-                     all_quadratic_forms, trivial_subgroup)
+from .constructions import ExchangePairParams, InvolutionParams
+from .groups import AbelianGroup, Bicharacter, Subgroup, trivial_subgroup
 from .omega import TRIPLE, LinearMap, check_morphism
 from .scalars import CycloField
 from .triples import (TripleSystem, direct_sum_triple, scalar_triple,
@@ -25,7 +22,6 @@ from .triples import (TripleSystem, direct_sum_triple, scalar_triple,
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
 V4 = AbelianGroup(0, (2, 2))
-Z2_3 = AbelianGroup(0, (2, 2, 2))
 
 
 def _trivial(G):
@@ -41,63 +37,6 @@ def symplectic_subgroup(G, gens):
         matrix[2 * k][2 * k + 1] = 1
         matrix[2 * k + 1][2 * k] = -1
     return T, Bicharacter.from_generator_matrix(T, gens, matrix)
-
-
-# ---------------------------------------------------------------------------
-# graded division algebras (standard realizations and doubles)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DivisionEntry:
-    name: str
-    D: GradedDivision
-    T: Subgroup
-    beta: Bicharacter
-
-
-def classification_supports():
-    """(name, T, beta, conductor) for the supports the realization
-    theorem is exercised on."""
-    out = []
-    T, beta = symplectic_subgroup(
-        V4, (V4.element((1, 0)), V4.element((0, 1))))
-    out.append(("Z2^2", T, beta, 2))
-    G = AbelianGroup(0, (2, 2, 2, 2))
-    gens = tuple(G.element(tuple(1 if i == k else 0 for i in range(4)))
-                 for k in range(4))
-    T, beta = symplectic_subgroup(G, gens)
-    out.append(("Z2^4", T, beta, 2))
-    G = AbelianGroup(0, (3, 3))
-    T, beta = symplectic_subgroup(G, (G.element((1, 0)), G.element((0, 1))))
-    out.append(("Z3^2", T, beta, 3))
-    G = AbelianGroup(0, (4, 4))
-    T, beta = symplectic_subgroup(G, (G.element((1, 0)), G.element((0, 1))))
-    out.append(("Z4^2", T, beta, 4))
-    return out
-
-
-def involuted_division_corpus() -> list[DivisionEntry]:
-    """Every d_inv over Z2^2 (all four quadratic forms) and exchange
-    doubles over supports of rank <= 3."""
-    field = CycloField(2)
-    out = []
-    T, beta = symplectic_subgroup(
-        V4, (V4.element((1, 0)), V4.element((0, 1))))
-    for k, tau in enumerate(all_quadratic_forms(beta)):
-        D = d_inv(T, beta, tau, field)
-        out.append(DivisionEntry(f"D_inv(Z2^2, tau{k})", D, T, beta))
-    a, b, t = (Z2_3.element(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    T1 = Subgroup(Z2_3, (a, b))
-    beta1 = Bicharacter.from_generator_matrix(T1, (a, b), [[0, 1], [1, 0]])
-    for k, tau in enumerate(all_quadratic_forms(beta1)):
-        Dx = exchange_double_division(d_inv(T1, beta1, tau, field), t)
-        out.append(DivisionEntry(f"D_inv(Z2^2, tau{k})^ex", Dx, T1, beta1))
-    Tt, bt = _trivial(Z2)
-    Dx = exchange_double_division(
-        d_inv(Tt, bt, QuadraticForm(Tt, {Z2.identity: 1}), field),
-        Z2.element((1,)))
-    out.append(DivisionEntry("(F+F^op)_t", Dx, Tt, bt))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -407,26 +407,6 @@ def extend_bicharacter(beta: Bicharacter, t: GroupElement) -> Bicharacter:
     return Bicharacter(big, beta.exponent, table)
 
 
-def all_quadratic_forms(beta: Bicharacter) -> list[QuadraticForm]:
-    """Every quadratic form whose polar form is beta (finite: 2^rank choices
-    of signs on a basis determine the rest)."""
-    T = beta.domain
-    basis = T.basis()
-    forms = []
-    for mask in range(1 << len(basis)):
-        values = {T.group.identity: 1}
-        for i, b in enumerate(basis):
-            sb = -1 if (mask >> i) & 1 else 1
-            new_values = dict(values)
-            for u, vu in values.items():
-                # forced by the polar identity: tau(u+b) = tau(u) tau(b) beta(u, b)
-                sign_beta = 1 if beta.table[(u, b)] % beta.exponent == 0 else -1
-                new_values[u + b] = vu * sb * sign_beta
-            values = new_values
-        forms.append(QuadraticForm(T, values))
-    return forms
-
-
 def symplectic_decomposition(T: Subgroup, beta: Bicharacter):
     """Split (T, beta) into hyperbolic pairs.
 

@@ -314,17 +314,12 @@ def check_t4_flip(grading: Grading) -> VerificationReport:
         if degmap[j] != flipped[i]])
 
 
-def coarsen(grading: Grading, alpha, target_group: AbelianGroup) -> Grading:
-    """Push the grading along a homomorphism alpha: G -> H."""
-    degmap = tuple(alpha(d) for d in grading.degmap)
-    return Grading(grading.algebra, target_group, degmap,
-                   graded_ops=grading.graded_ops)
-
-
 def pi1_coarsening(grading: Grading) -> Grading:
     """Project a Z x G grading to its Z part."""
     Z = AbelianGroup(1)
-    return coarsen(grading, lambda d: Z.element((z_part(d),)), Z)
+    return Grading(grading.algebra, Z,
+                   tuple(Z.element((z_part(d),)) for d in grading.degmap),
+                   graded_ops=grading.graded_ops)
 
 
 # ---------------------------------------------------------------------------

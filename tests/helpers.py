@@ -26,21 +26,37 @@ structure decisions by row lookups, one kernel per component and ideal
 closures, the oracles for the center and zero-divisor tests; the float
 embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
 next to the exact assertions, never instead of them.
+
+The last section holds the routines that only tests call, kept out of
+the package: `mono_dense`, `label_dimension` and the general `coarsen`,
+`all_quadratic_forms`, the division corpus (`classification_supports`,
+`involuted_division_corpus`) and the exchange-double theorems
+(`graded_division_iso`, `exchange_subgroup_transfer`, `removal_twist`).
 """
 
 import bisect
 import cmath
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from pathlib import Path
 
 from atsbench import classify
 from atsbench.classify import xi_shift_candidates
+from atsbench.constructions import (ConstraintError, GradedDivision, d_inv,
+                                    diagonal_solutions,
+                                    exchange_double_division)
+from atsbench.corpus import symplectic_subgroup
 from atsbench.linalg import combine, kernel
-from atsbench.groups import flip_z
-from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
-                            VerificationReport, _grades_product, _unit_in,
+from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
+                             Subgroup, flip_z, trivial_subgroup)
+from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
+                            VerificationError, VerificationReport,
+                            _grades_product, _unit_in, check_morphism,
                             ideal_closure)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
@@ -307,6 +323,19 @@ def ref_kernel(field, rows, width):
                 v[p] = -row[f]
         basis.append(v)
     return basis
+
+
+def run_optimized(code: str, *args) -> list:
+    """The words `code` prints when run under `python -O` with `args`, the
+    imported package and this directory (for `import helpers`) first on
+    the path."""
+    src = str(Path(classify.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, here] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-O", "-c", code, *args], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.split()
 
 
 def random_scalar(F, rng, lo: int = -3, hi: int = 3) -> Scalar:
@@ -611,3 +640,223 @@ def ref_pairwise_census(G, max_dim, cases=(classify.EXCHANGE_PAIR,
                     detail += f" [{ref.method}]"
             result.decisions.append((i, j, decision.verdict, detail))
     return result
+
+
+# ---------------------------------------------------------------------------
+# routines only the tests call: dense views, the division corpus and the
+# exchange-double theorems, checked on instances
+# ---------------------------------------------------------------------------
+
+def mono_dense(m, field):
+    """A MonoMatrix as a dense list of rows."""
+    out = [[field.zero] * m.n for _ in range(m.n)]
+    for j in range(m.n):
+        out[m.perm[j]][j] = m.vals[j]
+    return out
+
+
+def label_dimension(label) -> int:
+    """The dimension of a label's algebra, read off its parameters."""
+    p = label.params
+    n = sum(p.kappa0) + sum(p.kappa1)
+    doubled = 1 if label.case == classify.SIMPLE_ALGEBRA else 2
+    return doubled * n * n * len(p.T)
+
+
+def coarsen(grading, alpha, target_group) -> Grading:
+    """Push the grading along a homomorphism alpha: G -> H."""
+    return Grading(grading.algebra, target_group,
+                   tuple(alpha(d) for d in grading.degmap),
+                   graded_ops=grading.graded_ops)
+
+
+def all_quadratic_forms(beta):
+    """Every quadratic form whose polar form is beta (finite: 2^rank choices
+    of signs on a basis determine the rest)."""
+    T = beta.domain
+    basis = T.basis()
+    forms = []
+    for mask in range(1 << len(basis)):
+        values = {T.group.identity: 1}
+        for i, b in enumerate(basis):
+            sb = -1 if (mask >> i) & 1 else 1
+            new_values = dict(values)
+            for u, vu in values.items():
+                # forced by the polar identity: tau(u+b) = tau(u) tau(b) beta(u, b)
+                sign_beta = 1 if beta.table[(u, b)] % beta.exponent == 0 else -1
+                new_values[u + b] = vu * sb * sign_beta
+            values = new_values
+        forms.append(QuadraticForm(T, values))
+    return forms
+
+
+@dataclass
+class DivisionEntry:
+    name: str
+    D: GradedDivision
+    T: Subgroup
+    beta: Bicharacter
+
+
+def classification_supports():
+    """(name, T, beta, conductor) for the supports the realization
+    theorem is exercised on."""
+    out = []
+    for name, torsion, conductor in (("Z2^2", (2, 2), 2),
+                                     ("Z2^4", (2, 2, 2, 2), 2),
+                                     ("Z3^2", (3, 3), 3),
+                                     ("Z4^2", (4, 4), 4)):
+        G = AbelianGroup(0, torsion)
+        gens = tuple(G.element(tuple(int(i == k) for i in range(len(torsion))))
+                     for k in range(len(torsion)))
+        out.append((name, *symplectic_subgroup(G, gens), conductor))
+    return out
+
+
+def involuted_division_corpus():
+    """Every d_inv over Z2^2 (all four quadratic forms) and exchange
+    doubles over supports of rank <= 3."""
+    field = CycloField(2)
+    out = []
+    V4 = AbelianGroup(0, (2, 2))
+    T, beta = symplectic_subgroup(
+        V4, (V4.element((1, 0)), V4.element((0, 1))))
+    for k, tau in enumerate(all_quadratic_forms(beta)):
+        D = d_inv(T, beta, tau, field)
+        out.append(DivisionEntry(f"D_inv(Z2^2, tau{k})", D, T, beta))
+    Z2_3 = AbelianGroup(0, (2, 2, 2))
+    a, b, t = (Z2_3.element(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    T1 = Subgroup(Z2_3, (a, b))
+    beta1 = Bicharacter.from_generator_matrix(T1, (a, b), [[0, 1], [1, 0]])
+    for k, tau in enumerate(all_quadratic_forms(beta1)):
+        Dx = exchange_double_division(d_inv(T1, beta1, tau, field), t)
+        out.append(DivisionEntry(f"D_inv(Z2^2, tau{k})^ex", Dx, T1, beta1))
+    Z2 = AbelianGroup(0, (2,))
+    Tt = trivial_subgroup(Z2)
+    bt = Bicharacter.from_generator_matrix(Tt, (), [])
+    Dx = exchange_double_division(
+        d_inv(Tt, bt, QuadraticForm(Tt, {Z2.identity: 1}), field),
+        Z2.element((1,)))
+    out.append(DivisionEntry("(F+F^op)_t", Dx, Tt, bt))
+    return out
+
+
+def graded_division_iso(Da, Db):
+    """A graded isomorphism between two graded division algebras with the
+    same support, as a diagonal map Z_s -> c_s Z_s (diagonal_solutions
+    with mu_b the structure constants of Db).  Involutions (when present)
+    must carry identical sign functions, which the diagonal map preserves.
+    Returns a verified LinearMap or None.
+    """
+    if set(Da.support.elements) != set(Db.support.elements):
+        return None
+    ops = [PRODUCT] + ([INVOLUTION] if Da.has_involution()
+                       and Db.has_involution() else [])
+    for c in diagonal_solutions(
+            Da, lambda s, t: Db.mu(Db.index[s], Db.index[t])[0],
+            Da.field.roots_of_unity()):
+        f = LinearMap(Da.algebra, Db.algebra,
+                      [{Db.index[s]: c[s]} for s in Da.elements])
+        if check_morphism(f, ops=ops, gradings=(Da.grading, Db.grading)).passed:
+            return f
+    return None
+
+
+def exchange_subgroup_transfer(Dx, T2):
+    """Restrict an exchange double to the part graded by an index-2
+    subgroup T2 (not containing the doubling element) and read off the
+    transported division structure.
+
+    Returns (bicharacter on T2, sign form on T2, projection map), after
+    verifying that the projection (x, y) -> x onto the doubled algebra is
+    an algebra isomorphism of the T2-part."""
+    if Dx.flavor != "exchange":
+        raise ConstraintError("transfer needs an exchange double")
+    t = Dx.t
+    if t in T2:
+        raise ConstraintError("T2 must avoid the doubling element")
+    if 2 * len(T2) != len(Dx.support):
+        raise ConstraintError("T2 must have index 2 in the full support")
+    D1 = Dx.inner
+    field = Dx.field
+    # psi(Y_(h t^k)) = X_(h t^k) in the inner algebra: projection to the
+    # first pair component, up to the normalization of Y
+    proj_cols = {}
+    for h in T2.elements:
+        inner_elt = h if h in D1.support else h + t
+        proj_cols[Dx.index[h]] = {D1.index[inner_elt]: field.one}
+    # multiplicativity of the projection on the T2 part
+    for h1 in T2.elements:
+        for h2 in T2.elements:
+            i, j = Dx.index[h1], Dx.index[h2]
+            c, k = Dx.mu(i, j)
+            lhs = {kk: c * cc for kk, cc in proj_cols[k].items()}
+            (a1, c1), = proj_cols[i].items()
+            (a2, c2), = proj_cols[j].items()
+            cc, kk = D1.mu(a1, a2)
+            rhs = {kk: c1 * c2 * cc}
+            if lhs != rhs:
+                raise VerificationError(
+                    "projection is not multiplicative on the T2 part")
+    # transported commutation bicharacter and involution signs
+    table = {}
+    for h1 in T2.elements:
+        for h2 in T2.elements:
+            c = Dx.commutation(Dx.index[h1], Dx.index[h2])
+            table[(h1, h2)] = 0 if c == field.one else 1
+    signs = {h: 1 if Dx.involution_sign(Dx.index[h]) == field.one else -1
+             for h in T2.elements}
+    return Bicharacter(T2, 2, table), QuadraticForm(T2, signs), proj_cols
+
+
+def removal_twist(Dx1, Dx2):
+    """For two exchange doubles of the same (T', beta) at the same t with
+    different quadratic forms: the element t' in T' and the verified
+    identity Int(Y_t') o phi_1 = phi_2.
+
+    Together with the degree-preserving pair map (x, 0) -> (x, 0),
+    (0, x) -> (0, tau_1 tau_2 x) (which is the identity in the Y basis),
+    this realizes the twist-removal statement; returns (t', twisted_map).
+    """
+    if Dx1.flavor != "exchange" or Dx2.flavor != "exchange":
+        raise ConstraintError("twist removal needs exchange doubles")
+    if Dx1.t != Dx2.t or set(Dx1.support.elements) != set(Dx2.support.elements):
+        raise ConstraintError("doubles must share the support and t")
+    if Dx1.bicharacter != Dx2.bicharacter:
+        raise ConstraintError("doubles must share the extended bicharacter")
+    field = Dx1.field
+    if Dx1.algebra.tensors[PRODUCT] != Dx2.algebra.tensors[PRODUCT]:
+        raise VerificationError(
+            "Y-basis product tensors of the two doubles must coincide")
+    T1 = Dx1.inner.support
+    tau1, tau2 = Dx1.inner.sign_form, Dx2.inner.sign_form
+    beta = Dx1.inner.bicharacter
+    # chi(s) = tau1(s) tau2(s) is a character of T'; nondegeneracy provides
+    # t' with beta(t', .) = chi
+    t_prime = None
+    for cand in T1.elements:
+        if all(beta.eval(cand, s, field) ==
+               field.scalar(tau1(s) * tau2(s)) for s in T1.elements):
+            t_prime = cand
+            break
+    if t_prime is None:
+        raise VerificationError("no t' realizes the character tau1 tau2")
+    # Int(Y_t') o phi_1 must equal phi_2 exactly on the Y basis
+    alg1 = Dx1.algebra
+    i_tp = Dx1.index[t_prime]
+    inv_c, inv_idx = Dx1.basis_inverse(i_tp)
+    for i in range(alg1.dim):
+        s, k2 = Dx1.sandwich(i_tp, i, inv_idx)
+        twisted = {k2: Dx1.involution_sign(i) * s * inv_c}
+        expected = Dx2.algebra.row(INVOLUTION, (i,))
+        if twisted != expected:
+            raise VerificationError(f"Int(Y_t') o phi_1 != phi_2 at basis {i}")
+    # seatbelt: the identity map intertwines the twisted structures
+    ident = LinearMap(Dx2.algebra, Dx1.algebra,
+                      [Dx1.algebra.basis_vec(i) for i in range(alg1.dim)])
+    rep = check_morphism(ident, ops=[PRODUCT],
+                         gradings=(Dx2.grading, Dx1.grading))
+    if not rep.passed:
+        raise VerificationError(f"the identity does not intertwine the "
+                                f"twisted doubles: {rep.violations[:3]}")
+    return t_prime, ident

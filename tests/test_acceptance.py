@@ -11,14 +11,10 @@ from atsbench.classify import (classify_conductor, enumerate_labels,
                                run_census)
 from atsbench.constructions import (MonoMatrix, d_inv,
                                     exchange_double_division,
-                                    exchange_subgroup_transfer,
-                                    graded_division_iso, removal_twist,
                                     standard_realization)
-from atsbench.corpus import (algebra_corpus, classification_supports,
-                             involuted_division_corpus, seeded_automorphisms,
-                             triple_corpus)
+from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
-                             all_quadratic_forms, symplectic_decomposition)
+                             symplectic_decomposition)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, check_grading,
                             check_involution, check_morphism, check_t4_flip,
                             graded_is_simple, is_simple, pi1_coarsening)
@@ -26,7 +22,9 @@ from atsbench.scalars import CycloField
 from atsbench.triples import (check_at2, extend_automorphism, loos_envelope,
                               pierce_split, reconstruct_iso, recover_triple,
                               triple_from, triple_is_simple)
-from helpers import compose
+from helpers import (all_quadratic_forms, classification_supports, compose,
+                     exchange_subgroup_transfer, graded_division_iso,
+                     involuted_division_corpus, removal_twist)
 
 _corpus = algebra_corpus()
 _triples = triple_corpus()

@@ -24,15 +24,15 @@ from atsbench.config import parse_config
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     d_inv, exchange_double_division,
                                     standard_realization)
-from atsbench.corpus import (algebra_corpus, classification_supports,
-                             involuted_division_corpus)
+from atsbench.corpus import algebra_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
-                             Subgroup, all_quadratic_forms, extend_bicharacter,
-                             trivial_subgroup)
+                             Subgroup, extend_bicharacter, trivial_subgroup)
 from atsbench.linalg import invert_matrix
 from atsbench.omega import LinearMap, VerificationError, check_morphism
 from atsbench.scalars import CycloField
-from helpers import (compose, ref_antimap_candidates, ref_pairwise_census,
+from helpers import (all_quadratic_forms, classification_supports, compose,
+                     involuted_division_corpus, label_dimension,
+                     ref_antimap_candidates, ref_pairwise_census,
                      xi_shift_equal)
 
 Z2 = AbelianGroup(0, (2,))
@@ -333,7 +333,7 @@ def test_enumerated_labels_keep_the_dimension_bound(G, classes):
     labels = enumerate_labels(G, 9)
     for lab in labels:
         ca = lab.build(CycloField(classify_conductor(lab)))
-        assert ca.algebra.dim == lab.dimension() <= 9
+        assert ca.algebra.dim == label_dimension(lab) <= 9
     assert any((2,) in (lab.params.kappa0, lab.params.kappa1)
                for lab in labels)
     res = classify.run_census(G, 9)
@@ -477,7 +477,7 @@ def test_exhausted_search_budget_is_inconclusive(monkeypatch, tmp_path):
     texts = {"a.cfg": BUDGET_LABEL + "delta = -1\ng = (1)\nm0 = 0\nm1 = 0\n",
              "b.cfg": BUDGET_LABEL + "delta = 1\ng = (0)\n"}
     l1, l2 = (parse_config(text).label for text in texts.values())
-    assert l1.dimension() == l2.dimension() == 16
+    assert label_dimension(l1) == label_dimension(l2) == 16
     field = CycloField(classify_conductor(l1, l2))
     assert not decide_iso(l1, l2, field).is_yes
     assert refute_isomorphism(l1, l2, field) == Refutation(
@@ -796,7 +796,7 @@ def test_composed_class_maps_certify_every_yes_pair(name, n_classes, n_yes):
     assert n_classes in (None, len(res.representatives))
     table = {f.name for f in dataclasses.fields(res)} - {
         "group", "max_dim", "labels"}
-    assert len(table) == 5 and not table & set(res.to_dict())
+    assert len(table) == 6 and not table & set(res.to_dict())
     psi = [_class_map(res, k, field) for k in range(len(res.labels))]
     yes = [(i, j) for i, j, verdict, _ in res.decisions() if verdict == "YES"]
     assert len(yes) == n_yes == res.yes_count == res.verified_witnesses
@@ -831,6 +831,19 @@ def _census_raises(capsys, flip):
         classify.run_census(_census_group("census_z4.cfg"), 8)
     assert main(["census", str(CONFIGS / "census_z4.cfg")]) == 3
     assert f"decided {flip} against the classes" in capsys.readouterr().err
+
+
+def test_unwitnessed_members_fail_all_yes_witnessed(monkeypatch, capsys):
+    # a member whose witness search returns no map certifies none of its
+    # YES pairs: verified_witnesses falls below yes, and `ats census`
+    # exits 1 with all-yes-witnessed failing
+    monkeypatch.setattr(classify, "witness_isomorphism", lambda *args: None)
+    res = classify.run_census(_census_group("census_z2.cfg"), 8)
+    assert res.verified_witnesses == len(res.representatives) < res.yes_count
+    assert main(["census", str(CONFIGS / "census_z2.cfg")]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL all-yes-witnessed ({res.yes_count} checks) -- " \
+           f"{len(res.representatives)}/{res.yes_count}" in out
 
 
 @pytest.mark.parametrize("flip", ["NO", "YES"])

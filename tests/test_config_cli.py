@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +9,12 @@ from types import SimpleNamespace
 
 import pytest
 
-import atsbench
 from atsbench.cli import CHUNK, main, run, write_report
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
 from atsbench.groups import AbelianGroup
 from atsbench.omega import SimplicityUndecided
-from helpers import GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE
+from helpers import GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE, run_optimized
 
 MINIMAL = """
 [job]
@@ -277,8 +275,8 @@ import atsbench.cli as cli
 import atsbench.constructions as c
 import atsbench.scalars as sc
 import atsbench.triples as tr
-from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
-                             all_quadratic_forms, trivial_subgroup)
+import helpers as h
+from atsbench.groups import AbelianGroup, Bicharacter, Subgroup, trivial_subgroup
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, VerificationError,
                             VerificationReport)
@@ -300,7 +298,7 @@ a, b, t = (G.element(x) for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 T = Subgroup(G, (a, b))
 beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
 Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)
-            for tau in all_quadratic_forms(beta)[:2])
+            for tau in h.all_quadratic_forms(beta)[:2])
 D = Dx1.inner
 real_phi, real_double = c.phi_matrix, c.exchange_double
 cyclotomic = sc.cyclotomic_polynomial.__wrapped__
@@ -374,11 +372,11 @@ cases = [
     (*unpatched,
      lambda: tr._envelope_grading(W3, None, 1, 0, [(swap, zero2)], [], 2)),
     (Dx2.algebra, "tensors", dict(Dx2.algebra.tensors, product={}),
-     lambda: c.removal_twist(Dx1, Dx2)),
-    (Dx2.inner, "sign_form", lambda s: 2, lambda: c.removal_twist(Dx1, Dx2)),
+     lambda: h.removal_twist(Dx1, Dx2)),
+    (Dx2.inner, "sign_form", lambda s: 2, lambda: h.removal_twist(Dx1, Dx2)),
     (Dx2.algebra, "tensors",
      dict(Dx2.algebra.tensors, involution=Dx1.algebra.tensors[INVOLUTION]),
-     lambda: c.removal_twist(Dx1, Dx2)),
+     lambda: h.removal_twist(Dx1, Dx2)),
     (*unpatched, lambda: cl._cross_case_certificate(label, label, F)),
     (D.algebra, "tensors", two_terms, lambda: D.mu(0, 0)),
     (D, "index", dict.fromkeys(D.elements, 1), lambda: D.basis_inverse(0)),
@@ -389,7 +387,7 @@ cases = [
      lambda: c.exchange_double_division(D, t)),
     (c, "phi_matrix", two_entry_phi, lambda: c.build_M_inv(inv_params, F)),
     (Dx1.algebra, "tensors", shifted(Dx1.algebra, INVOLUTION),
-     lambda: c.exchange_subgroup_transfer(Dx1, Subgroup(G, (a + t, b)))),
+     lambda: h.exchange_subgroup_transfer(Dx1, Subgroup(G, (a + t, b)))),
     (c.GradedDivision, "commutation", lambda self, i, j: None,
      lambda: c.exchange_double_division(D, t)),
     (D.algebra, "tensors", shifted(D.algebra, INVOLUTION),
@@ -429,13 +427,8 @@ def test_verified_claims_survive_optimize_flag(tmp_path):
     division, doubled = tmp_path / "division.cfg", tmp_path / "doubled.cfg"
     division.write_text(DIVISION_CFG)
     doubled.write_text(DOUBLED_CFG)
-    src = str(Path(atsbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS,
-                          str(cfg), str(division), str(doubled)], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == [
+    assert run_optimized(OPTIMIZED_CHECKS, str(cfg), str(division),
+                         str(doubled)) == [
         "forced", "forced", "reconstruction", "reconstruction", "involution",
         "extension", "triple", "L", "Y-basis", "no", "Int(Y_t')",
         "cross-case", "product", "inverse:", "realization:", "transpose",
@@ -546,6 +539,11 @@ def _edit(text, old, new):
                  "m0", id="m0"),
     pytest.param(["construct", "j.cfg"], {"j.cfg": MINIMAL + "t = (1)\n"},
                  "line 17: t does not apply", id="simple-algebra-t"),
+    # t_i = -(2 gamma_i + g) is derived, so no key supplies it
+    pytest.param(["construct", "j.cfg"],
+                 {"j.cfg": MINIMAL + "t_values0 = (0)\n"},
+                 "line 17: unknown key 't_values0' in [label]",
+                 id="label-t-values0"),
     pytest.param(["construct", "j.cfg"],
                  {"j.cfg": _edit(DIVISION_CFG, "tau = 1 1 1 -1",
                                  "tau = 1 1 x 1")}, "tau", id="tau"),

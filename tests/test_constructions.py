@@ -2,10 +2,6 @@
 
 import dataclasses
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,22 +11,23 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     _resolve_part, build_exchange_pair,
                                     build_M_inv, check_commutation, d_inv,
                                     d_inv_transpose, exchange_double,
-                                    exchange_double_division,
-                                    exchange_subgroup_transfer,
-                                    graded_division_iso, kappa_expand,
+                                    exchange_double_division, kappa_expand,
                                     matrix_grading, opposite, part_layouts,
-                                    phi_matrix, removal_twist,
-                                    standard_realization, transpose_form)
+                                    phi_matrix, standard_realization,
+                                    transpose_form)
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
-                             QuadraticForm, Subgroup, all_quadratic_forms,
-                             extend_bicharacter, trivial_subgroup)
+                             QuadraticForm, Subgroup, extend_bicharacter,
+                             trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, LinearMap, VerificationError,
                             check_grading, check_involution, check_morphism,
                             check_t4_flip, is_simple)
 from atsbench.scalars import CycloField
-from atsbench.corpus import algebra_corpus, classification_supports
-from helpers import (dense_eq, dense_mul, dense_scale, dense_transpose,
-                     ref_phi_involution)
+from atsbench.corpus import algebra_corpus
+from helpers import (all_quadratic_forms, classification_supports, dense_eq,
+                     dense_mul, dense_scale, dense_transpose,
+                     exchange_subgroup_transfer, graded_division_iso,
+                     mono_dense, ref_phi_involution, removal_twist,
+                     run_optimized)
 
 F2 = CycloField(2)
 V4 = AbelianGroup(0, (2, 2))
@@ -67,8 +64,8 @@ def test_z2_squared_clock_and_shift():
     (a, b, l), = [(a, b, l) for (a, b, l) in [p for p in
                   __import__("atsbench.groups", fromlist=["symplectic_decomposition"]).symplectic_decomposition(T, beta)]]
     assert l == 2
-    Xa = D.matrices[D.index[a]].to_dense(F2)
-    Xb = D.matrices[D.index[b]].to_dense(F2)
+    Xa = mono_dense(D.matrices[D.index[a]], F2)
+    Xb = mono_dense(D.matrices[D.index[b]], F2)
     assert dense_eq(Xa, [[F2.one, F2.zero], [F2.zero, F2.scalar(-1)]])
     assert dense_eq(Xb, [[F2.zero, F2.one], [F2.one, F2.zero]])
     # independent oracle: explicit 2x2 multiplication
@@ -139,7 +136,7 @@ def test_transpose_form_gives_matrix_transpose():
     tau = D.sign_form
     # the symmetric/antisymmetric split of the four basis matrices
     for i, t in enumerate(D.elements):
-        dense = D.matrices[i].to_dense(F2)
+        dense = mono_dense(D.matrices[i], F2)
         assert dense_eq(dense_transpose(dense),
                         dense_scale(F2.scalar(tau(t)), dense))
     assert sum(1 for t in T.elements if tau(t) == -1) == 1   # only X_a X_b
@@ -157,11 +154,11 @@ def test_other_form_is_conjugated_transpose():
         s = next(t for t in T.elements
                  if all(beta.eval(t, u, F2) == F2.scalar(chi[u])
                         for u in T.elements))
-        Xs = D.matrices[D.index[s]].to_dense(F2)
+        Xs = mono_dense(D.matrices[D.index[s]], F2)
         Xs_inv = dense_scale(
             (D.mu(D.index[s], D.index[s])[0]).inverse(), Xs)
         for i, t in enumerate(D.elements):
-            dense = D.matrices[i].to_dense(F2)
+            dense = mono_dense(D.matrices[i], F2)
             via_int = dense_mul(F2, Xs_inv,
                                 dense_mul(F2, dense_transpose(dense), Xs))
             assert dense_eq(via_int, dense_scale(F2.scalar(tau(t)), dense))
@@ -561,8 +558,8 @@ def test_scan_verdicts_survive_optimize_flag():
     # removal_twist raise VerificationError, also under python -O
     code = (
         "import atsbench.constructions as c\n"
-        "from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,\n"
-        "                             all_quadratic_forms)\n"
+        "import helpers as h\n"
+        "from atsbench.groups import AbelianGroup, Bicharacter, Subgroup\n"
         "from atsbench.omega import VerificationError, VerificationReport\n"
         "from atsbench.scalars import CycloField\n"
         "F = CycloField(2)\n"
@@ -570,24 +567,19 @@ def test_scan_verdicts_survive_optimize_flag():
         "a, b, t = (G.element(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))\n"
         "T = Subgroup(G, (a, b))\n"
         "beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])\n"
-        "tau1, tau2 = all_quadratic_forms(beta)[:2]\n"
+        "tau1, tau2 = h.all_quadratic_forms(beta)[:2]\n"
         "Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)\n"
         "            for tau in (tau1, tau2))\n"
-        "c.check_involution = c.check_morphism = (\n"
+        "c.check_involution = h.check_morphism = (\n"
         "    lambda *args, **kw: VerificationReport('forced', ['forced']))\n"
         "for call in (lambda: c.d_inv(T, beta, tau1, F),\n"
-        "             lambda: c.removal_twist(Dx1, Dx2)):\n"
+        "             lambda: h.removal_twist(Dx1, Dx2)):\n"
         "    try:\n"
         "        call()\n"
         "    except VerificationError:\n"
         "        print('raised')\n"
         "print('debug', __debug__)\n")
-    src = str(Path(atsbench.constructions.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["raised", "raised", "debug", "False"]
+    assert run_optimized(code) == ["raised", "raised", "debug", "False"]
 
 
 def test_elimination_checks_survive_optimize_flag():
@@ -600,8 +592,8 @@ def test_elimination_checks_survive_optimize_flag():
         "import atsbench.linalg as la\n"
         "import atsbench.triples as tr\n"
         "from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,\n"
-        "                             Subgroup, all_quadratic_forms,\n"
-        "                             trivial_subgroup)\n"
+        "                             Subgroup, trivial_subgroup)\n"
+        "from helpers import all_quadratic_forms\n"
         "from atsbench.omega import INVOLUTION, VerificationError\n"
         "from atsbench.scalars import CycloField\n"
         "F = CycloField(2)\n"
@@ -645,13 +637,8 @@ def test_elimination_checks_survive_optimize_flag():
         "        print(str(err).split()[0])\n"
         "    setattr(owner, name, real)\n"
         "print('debug', __debug__)\n")
-    src = str(Path(atsbench.constructions.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["involution:", "involution", "commutation",
-                                  "L*L", "A_0", "debug", "False"]
+    assert run_optimized(code) == ["involution:", "involution", "commutation",
+                                   "L*L", "A_0", "debug", "False"]
 
 
 def test_double_is_simple_with_involution_only():

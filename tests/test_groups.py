@@ -6,11 +6,11 @@ import random
 import pytest
 
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
-                             QuadraticForm, Subgroup, all_quadratic_forms,
-                             extend_bicharacter, prepend_z,
-                             symplectic_decomposition, trivial_subgroup,
-                             zg_element)
+                             QuadraticForm, Subgroup, extend_bicharacter,
+                             prepend_z, symplectic_decomposition,
+                             trivial_subgroup, zg_element)
 from atsbench.scalars import CycloField
+from helpers import all_quadratic_forms
 
 F2 = CycloField(2)
 V4 = AbelianGroup(0, (2, 2))

@@ -12,10 +12,10 @@ from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, SimplicityUndecided,
                             algebra_from_dict, algebra_to_dict, center_basis,
                             check_grading, check_involution, check_morphism,
-                            check_t4_flip, coarsen, graded_is_simple,
-                            ideal_closure, is_simple, pi1_coarsening)
+                            check_t4_flip, graded_is_simple, ideal_closure,
+                            is_simple, pi1_coarsening)
 from atsbench.scalars import CycloField
-from helpers import unit
+from helpers import coarsen, unit
 
 FQ = CycloField(1)
 Z = AbelianGroup(1)

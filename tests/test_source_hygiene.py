@@ -1,8 +1,10 @@
 """Source hygiene, read with `ast`: no top-level function or class is
 defined twice in one file (the second definition silently replaces the
 first), every private top-level function of the package is used
-somewhere in it, and every name a package module imports is used there
-or imported from it by a sibling module (a re-export)."""
+somewhere in it, every name a package module imports is used there or
+imported from it by a sibling module (a re-export), and every definition
+of the package is reached, by name, from `cli.main` or from the
+benchmark: code that only tests call lives in tests/helpers.py."""
 
 import ast
 from pathlib import Path
@@ -18,9 +20,12 @@ def parsed(directory: Path) -> dict:
             for path in sorted(directory.glob("*.py"))}
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def top_level(tree) -> list:
-    return [node for node in tree.body if isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [node for node in tree.body
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef))]
 
 
 @pytest.mark.parametrize("directory", ["src/atsbench", "tests", "bench"])
@@ -82,3 +87,98 @@ def test_imported_names_are_used():
                       if name not in used
                       and (path.stem, name) not in reexported)
     assert not unused
+
+
+def mentioned(node) -> set:
+    """Every name and attribute name under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreachable(names=()) -> set:
+    """The package's definitions that `cli.main`, the module-level
+    statements (they run on import) and `names` do not reach, by
+    qualified name: `module.name` for a top-level function or class,
+    `module.Class.name` for a function in a class body (listed only when
+    its class is reached).  Name-based: a definition reaches every
+    definition whose name it mentions; a class mentions what its
+    decorators, bases and non-function statements do, and reaches its
+    dunder methods."""
+    defs, roots = {}, set(names)
+    for path, tree in parsed(PACKAGE).items():
+        for node in tree.body:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                roots |= mentioned(node)
+                continue
+            defs[f"{path.stem}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{path.stem}.{node.name}.{sub.name}", sub)
+                            for sub in node.body if isinstance(sub, FUNCTIONS))
+    by_name = {}
+    for qual in defs:
+        by_name.setdefault(qual.rsplit(".", 1)[1], []).append(qual)
+    todo = ["cli.main"] + [q for name in roots for q in by_name.get(name, ())]
+    seen = set()
+    while todo:
+        qual = todo.pop()
+        if qual in seen:
+            continue
+        seen.add(qual)
+        node, parts = defs[qual], [defs[qual]]
+        if isinstance(node, ast.ClassDef):
+            parts = [*node.decorator_list, *node.bases, *node.keywords,
+                     *(sub for sub in node.body
+                       if not isinstance(sub, FUNCTIONS))]
+            todo += [f"{qual}.{sub.name}" for sub in node.body
+                     if isinstance(sub, FUNCTIONS)
+                     and sub.name.startswith("__") and sub.name.endswith("__")]
+        for part in parts:
+            for name in mentioned(part):
+                todo += by_name.get(name, ())
+    unreached = set(defs) - seen
+    return {qual for qual in unreached
+            if qual.rsplit(".", 1)[0] not in unreached}
+
+
+def bench_names() -> set:
+    """The names the non-test files under bench/ mention: imported names,
+    attribute names and identifier strings (the tracer's name tuples)."""
+    names = set()
+    for path, tree in parsed(ROOT / "bench").items():
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str) and node.value.isidentifier()):
+                names.add(node.value)
+    return names
+
+
+# What `ats` does not run, 335 lines: the triple corpus and seeded
+# automorphisms that the benchmark's envelope workload sweeps, and the
+# routines it or its tracer name (`extend_automorphism` and what it
+# calls, `trivial_subgroup`, `invert_matrix`, `mat_vec`,
+# `RowSpace.contains`).  Moving any of them out of the package changes
+# bench/.  The list may only shrink.
+CLI_UNREACHED = {
+    "corpus._trivial", "corpus.symplectic_subgroup", "corpus.CorpusEntry",
+    "corpus._entry", "corpus.algebra_corpus", "corpus.TripleEntry",
+    "corpus.triple_corpus", "corpus.seeded_automorphisms",
+    "groups.trivial_subgroup", "linalg.mat_vec", "linalg.RowSpace.contains",
+    "linalg.invert_matrix", "omega.pi1_coarsening",
+    "triples.Envelope.w_offset", "triples.Envelope.wbar_offset",
+    "triples.Envelope.r_offset", "triples.pierce_split",
+    "triples.reconstruct_iso", "triples.extend_automorphism",
+}
+
+
+def test_only_the_pinned_definitions_are_unreached_from_cli_main():
+    assert unreachable() == CLI_UNREACHED
+
+
+def test_every_definition_is_reached_from_cli_main_or_the_benchmark():
+    assert unreachable(bench_names()) == set()

@@ -1,14 +1,19 @@
-"""The names the benchmark tracer (bench/tracer.py) wraps must exist in the
-package: a refactor that drops or renames one fails here, not only in the
-benchmark's own checks.  The tracer file is loaded read-only."""
+"""The names the benchmark tracer (bench/tracer.py) wraps and the names the
+workloads (bench/workloads.py) import from the package must exist in it:
+a refactor that drops, moves or renames one fails here, not only in the
+benchmark's own run.  The tracer file is loaded read-only, the workloads
+file only parsed."""
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 from atsbench import classify, constructions, linalg, omega, scalars, triples
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _tracer():
@@ -41,3 +46,46 @@ def test_every_traced_name_resolves_in_its_module():
     assert any(attr in scalars.Scalar.__dict__ for attr in t.SCALAR_OPS)
     for attr in ("zero", "one"):
         assert isinstance(scalars.CycloField.__dict__[attr], property)
+
+
+def workload_bindings() -> set:
+    """(module, name) for every `from atsbench.module import name` and
+    `from atsbench import module` in bench/workloads.py (the latter as
+    ("", module)), and for every `module.name` and `inp["module"].name`
+    it reads off a module imported that way."""
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    pairs, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "atsbench":
+            modules.update(alias.name for alias in node.names)
+            pairs.update(("", alias.name) for alias in node.names)
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("atsbench.")):
+            pairs.update((node.module.split(".", 1)[1], alias.name)
+                         for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Subscript):
+                owner = owner.slice
+            name = getattr(owner, "id", getattr(owner, "value", None))
+            if name in modules:
+                pairs.add((name, node.attr))
+    return pairs
+
+
+def test_every_workload_import_resolves_in_the_package():
+    pairs = workload_bindings()
+    assert {("", "corpus"), ("corpus", "triple_corpus"),
+            ("corpus", "seeded_automorphisms"), ("groups", "trivial_subgroup"),
+            ("constructions", "InvolutionParams"),
+            ("constructions", "build_M_inv"), ("cli", "run")} <= pairs
+    missing = []
+    for module, name in sorted(pairs):
+        path = "atsbench" + (f".{module}" if module else "")
+        try:
+            if not hasattr(importlib.import_module(path), name):
+                importlib.import_module(f"{path}.{name}")
+        except ImportError:
+            missing.append(f"{path}.{name}")
+    assert not missing

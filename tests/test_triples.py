@@ -1,10 +1,5 @@
 """Triple systems, Loos envelopes, reconstruction, automorphism extension."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import atsbench.triples
@@ -25,7 +20,8 @@ from atsbench.triples import (TripleSystem, check_associative, check_at2,
                               loos_envelope, pierce_split, reconstruct_iso,
                               recover_triple, scalar_triple, triple_from,
                               triple_is_simple, zero_triple)
-from helpers import GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE, compose, unit
+from helpers import (GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE, compose,
+                     run_optimized, unit)
 
 FQ = CycloField(1)
 F2 = CycloField(2)
@@ -204,12 +200,7 @@ def test_transfer_check_survives_optimize_flag():
         "    tr.triple_is_simple(tr.direct_sum_triple(CycloField(1), 2))\n"
         "except VerificationError:\n"
         "    print('debug', __debug__, 'raised')\n")
-    src = str(Path(atsbench.triples.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["debug", "False", "raised"]
+    assert run_optimized(code) == ["debug", "False", "raised"]
 
 
 def test_envelope_associativity_on_pair_case():
