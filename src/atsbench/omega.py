@@ -201,14 +201,41 @@ def _unequal_sums(first, *others) -> list[set]:
     iterable of terms (key, c, row), standing for the vector sum of
     c * row over the terms with that key; the result lists, for each of
     `others`, the keys at which its sum differs from the one of `first`.
-    A sum that cancels to zero equals an absent one."""
+    A sum that cancels to zero equals an absent one.
+
+    Each side is summed in one pass, into one dict per key.  A key's
+    first term stores c * row, or the row object itself when c is +1;
+    a second term copies that dict before adding into it, so a tensor
+    row is never written.  As rows hold no stored zeros and c != 0, only
+    a key with two or more terms can hold a zero, and only those are
+    filtered; an empty row adds nothing."""
     sums = []
     for terms in (first, *others):
-        grouped = {}
+        acc, summed = {}, set()
         for key, c, row in terms:
-            grouped.setdefault(key, []).append((c, row))
-        sums.append({key: vec for key, group in grouped.items()
-                     if (vec := combine(group))})
+            if not row:
+                continue
+            vec = acc.get(key)
+            if vec is None:
+                num = c.num
+                if c.den == 1 and num[0] == 1 and not any(num[1:]):
+                    acc[key] = row
+                else:
+                    acc[key] = {i: c * x for i, x in row.items()}
+                continue
+            if key not in summed:
+                summed.add(key)
+                acc[key] = vec = dict(vec)
+            for i, x in row.items():
+                s = vec.get(i)
+                vec[i] = c * x if s is None else s + c * x
+        for key in summed:
+            vec = {i: s for i, s in acc[key].items() if not s.is_zero()}
+            if vec:
+                acc[key] = vec
+            else:
+                del acc[key]
+        sums.append(acc)
     lhs = sums[0]
     return [set() if lhs == rhs else {key for key in lhs.keys() | rhs.keys()
                                       if lhs.get(key) != rhs.get(key)}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from . import linalg
@@ -105,6 +106,25 @@ def _at2_violations(bad_mid: set, bad_rhs: set, at) -> list:
             if key in bad]
 
 
+def _draw_tuples(rng: random.Random, d: int, n: int) -> list:
+    """The n tuples of five rng.randrange(d) values each, drawn in bulk.
+
+    For d < 2**32 (which a dim-d table implies), randrange(d) keeps the
+    top k = d.bit_length() bits of the next 32-bit Mersenne Twister word
+    if they are below d and draws again otherwise; getrandbits(32 * m)
+    holds the next m words, in order in its native-endian bytes.  So
+    chunks of 4096 words give the same values as the randrange calls."""
+    shift = 32 - d.bit_length()
+
+    def values():
+        while True:
+            words = memoryview(rng.getrandbits(32 * 4096).to_bytes(
+                4 * 4096, sys.byteorder)).cast("I")
+            yield from [v for w in words if (v := w >> shift) < d]
+    stream = values()
+    return list(itertools.islice(zip(*[stream] * 5), n))
+
+
 def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
               samples: int = 10000) -> VerificationReport:
     """The defining identities on basis 5-tuples: exhaustive up to
@@ -118,11 +138,12 @@ def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
     row-wise, one first index u at a time: the sides of all (v, x, y, z)
     are accumulated at once and compared once, and a u in the first slot
     of no row has every side zero.  The sampled scan draws all `samples`
-    tuples first (five rng.randrange calls each) and keys each side's
-    terms by the tuple's position, so a tuple drawn twice is checked
-    twice.  Either way `checked` counts every tuple (dim^5, or
-    `samples`), and the violations come in tuple order, the
-    {u,{y,x,v},z} message before the {u,v,{x,y,z}} one for each tuple."""
+    tuples first, each the values of five rng.randrange(dim) calls taken
+    in bulk (_draw_tuples), and keys each side's terms by the tuple's
+    position, so a tuple drawn twice is checked twice.  Either way
+    `checked` counts every tuple (dim^5, or `samples`), and the
+    violations come in tuple order, the {u,{y,x,v},z} message before the
+    {u,v,{x,y,z}} one for each tuple."""
     table = W.algebra.tensors[TRIPLE]
     d = W.dim
     if d <= exhaustive_limit:
@@ -140,7 +161,7 @@ def check_at2(W: TripleSystem, seed: int = 0, exhaustive_limit: int = 12,
                 bad_mid, bad_rhs, lambda key: (u,) + key))
         return report
     rng = random.Random(seed)
-    drawn = [tuple(rng.randrange(d) for _ in range(5)) for _ in range(samples)]
+    drawn = _draw_tuples(rng, d, samples)
     lhs = ((n, c, table[m, y, z]) for n, (u, v, x, y, z) in enumerate(drawn)
            for m, c in table.get((u, v, x), {}).items() if (m, y, z) in table)
     mid = ((n, c, table[u, m, z]) for n, (u, v, x, y, z) in enumerate(drawn)

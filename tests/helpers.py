@@ -18,10 +18,12 @@ triples kept out of the corpus (whose counts the benchmark pins), and
 the `ref_check_*` scans, run by the per-tuple harness
 `scan`, evaluate every basis tuple (or stored entry) one by one, the
 oracle for the checks that compare summed rows or make one pass over the
-stored entries; `RefRowSpace` and
-`ref_solve`/`ref_invert_matrix`/`ref_kernel` are the dense elimination
-kernel that the sparse `linalg` is checked against; `ref_center_basis`,
-`ref_graded_center_support` and `ref_zero_divisor_candidates` are the
+stored entries, and `ref_unequal_sums` sums each key's terms apart
+(`ref_sums`), the oracle for the one-pass kernel behind those checks;
+`RefRowSpace` and `ref_solve`/`ref_invert_matrix`/`ref_kernel` are the
+dense elimination kernel that the sparse `linalg` is checked against;
+`ref_center_basis`, `ref_graded_center_support` and
+`ref_zero_divisor_candidates` are the
 structure decisions by row lookups, one kernel per component and ideal
 closures, the oracles for the center and zero-divisor tests; the float
 embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
@@ -419,6 +421,27 @@ def scan(name, tuples, sides):
             if lhs != rhs:
                 report.violations.append(message())
     return report
+
+
+def ref_sums(terms) -> dict:
+    """The nonzero sums of c * row over the terms (key, c, row), by key:
+    the terms grouped by key and each group summed by `combine`."""
+    grouped = {}
+    for key, c, row in terms:
+        grouped.setdefault(key, []).append((c, row))
+    return {key: vec for key, group in grouped.items()
+            if (vec := combine(group))}
+
+
+def ref_unequal_sums(first, *others) -> list[set]:
+    """The identity-scan kernel side by side (`ref_sums`, one fresh dict
+    per key): the sets of keys at which each of `others` differs from
+    `first`, a sum that cancels to zero equal to an absent one.  The
+    oracle for `omega._unequal_sums`."""
+    lhs = ref_sums(first)
+    return [{key for key in lhs.keys() | rhs.keys()
+             if lhs.get(key) != rhs.get(key)}
+            for rhs in map(ref_sums, others)]
 
 
 def ref_check_grading(grading):

@@ -15,9 +15,9 @@ from atsbench.constructions import (MonoMatrix, d_inv,
 from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
                              symplectic_decomposition)
-from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, check_grading,
-                            check_involution, check_morphism, check_t4_flip,
-                            graded_is_simple, is_simple, pi1_coarsening)
+from atsbench.omega import (PRODUCT, TRIPLE, check_grading, check_involution,
+                            check_t4_flip, graded_is_simple, is_simple,
+                            pi1_coarsening)
 from atsbench.scalars import CycloField
 from atsbench.triples import (check_at2, extend_automorphism, loos_envelope,
                               pierce_split, reconstruct_iso, recover_triple,

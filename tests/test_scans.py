@@ -16,16 +16,17 @@ from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
                              trivial_subgroup, z_part)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
-                            OmegaAlgebra, check_grading, check_involution,
-                            check_morphism, check_t4_flip, combine)
+                            OmegaAlgebra, _unequal_sums, check_grading,
+                            check_involution, check_morphism, check_t4_flip,
+                            combine)
 from atsbench.scalars import CycloField
-from atsbench.triples import (TripleSystem, check_associative, check_at2,
-                              extend_automorphism, loos_envelope,
+from atsbench.triples import (TripleSystem, _draw_tuples, check_associative,
+                              check_at2, extend_automorphism, loos_envelope,
                               reconstruct_iso, triple_from)
-from helpers import (ref_check_associative, ref_check_at2,
+from helpers import (random_scalar, ref_check_associative, ref_check_at2,
                      ref_check_commutation, ref_check_grading,
                      ref_check_involution, ref_check_morphism,
-                     ref_check_t4_flip)
+                     ref_check_t4_flip, ref_sums, ref_unequal_sums)
 
 
 def same(new, ref):
@@ -341,3 +342,107 @@ def test_morphism_scan_matches_reference():
             assert same(new, ref)
             failed += not ref.passed
     assert failed >= len(maps)
+
+
+def random_sides(F, rng) -> list:
+    """One to three sides of terms (key, c, row) over a few keys: the first
+    side random, with empty rows, +1, -1 and other coefficients, and pairs
+    of terms that cancel; each further side the first one shuffled, some
+    of its terms split in two, some coefficients scaled and some terms
+    added.  Rows are shared between terms, as tensor rows are."""
+    def coefficient():
+        pick = rng.random()
+        if pick < 0.35:
+            return F.one
+        if pick < 0.5:
+            return -F.one
+        while (c := random_scalar(F, rng)).is_zero():
+            pass
+        return c / F.scalar(rng.choice([1, 1, 2, 3]))
+
+    def row():
+        vec = {}
+        for k in rng.sample(range(4), rng.choice([0, 1, 1, 2, 3])):
+            vec[k] = coefficient()
+        return vec
+    rows = [row() for _ in range(6)]
+    first = []
+    for _ in range(rng.randint(0, 14)):
+        key, c, r = rng.randrange(5), coefficient(), rng.choice(rows)
+        first.append((key, c, r))
+        if rng.random() < 0.2:
+            first.append((key, -c, r))
+    sides = [first]
+    for _ in range(rng.randint(0, 2)):
+        other = []
+        for key, c, r in first:
+            if rng.random() < 0.2:
+                part = coefficient()
+                if part != c:
+                    other += [(key, part, r), (key, c - part, r)]
+                    continue
+            if rng.random() < 0.1:
+                c = c * F.scalar(2)
+            other.append((key, c, r))
+        for _ in range(rng.choice([0, 0, 1])):
+            other.append((rng.randrange(5), coefficient(), rng.choice(rows)))
+        rng.shuffle(other)
+        sides.append(other)
+    return sides
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 4])
+def test_kernel_matches_reference_on_random_term_streams(conductor):
+    # the one-pass kernel reads each side once and writes no row
+    F = CycloField(conductor)
+    rng = random.Random(f"kernel-{conductor}")
+    seen = dict.fromkeys(("equal", "unequal", "cancelled", "empty"), 0)
+    for _ in range(400):
+        sides = random_sides(F, rng)
+        rows = [(r, dict(r)) for side in sides for _, _, r in side]
+        got = _unequal_sums(*(iter(side) for side in sides))
+        assert got == ref_unequal_sums(*sides)
+        assert all(r == before for r, before in rows)
+        seen["equal"] += sum(not bad for bad in got)
+        seen["unequal"] += sum(bool(bad) for bad in got)
+        seen["cancelled"] += len({key for key, _, r in sides[0] if r}
+                                 - ref_sums(sides[0]).keys())
+        seen["empty"] += sum(not r for _, _, r in sides[0])
+    assert min(seen.values()) > 50
+
+
+def test_scans_leave_every_tensor_unchanged(corpus):
+    # the kernel stores a tensor row itself as a key's sum when the key's
+    # first term has coefficient +1, and must copy it before a second term
+    # is added: with {x,x,x} = p - q, the terms of {{x,x,x},x,x} are
+    # +1 {p,x,x} and then -1 {q,x,x}, and with xx = p - q those of (xx)x
+    # are +1 px and then -1 qx; the corpus adds many more such keys
+    F = CycloField(1)
+    x, p, q, y = range(4)
+    W = OmegaAlgebra(F, 4, {TRIPLE: 3})
+    A = OmegaAlgebra(F, 4, {PRODUCT: 2, INVOLUTION: 1})
+    for alg, op, head in ((W, TRIPLE, (x, x)), (A, PRODUCT, (x,))):
+        alg.set_entry(op, head + (x,), {p: F.one, q: -F.one})
+        alg.set_entry(op, (p,) + head, {y: F.one})
+        alg.set_entry(op, (q,) + head, {y: F.one})
+    for i in range(4):
+        A.set_entry(INVOLUTION, (i,), {i: F.one})
+    cases = [(TripleSystem(W), A)] + [(V, env.algebra) for V, env in corpus]
+    # a copy down to the rows (scalars are immutable)
+    before = [(copied(V.algebra).tensors, copied(B).tensors) for V, B in cases]
+    for V, B in cases:
+        check_at2(V, exhaustive_limit=V.dim)
+        check_at2(V, exhaustive_limit=V.dim - 1, samples=500)
+        check_associative(B)
+        check_involution(B)
+        for alg in (V.algebra, B):
+            check_morphism(LinearMap.identity(alg))
+    assert [(V.algebra.tensors, B.tensors) for V, B in cases] == before
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9, 16, 17, 36, 100])
+def test_bulk_draw_equals_randrange(d):
+    for seed, n in itertools.product(range(3), (3000, 10 ** 4)):
+        rng = random.Random(seed)
+        want = [tuple(rng.randrange(d) for _ in range(5)) for _ in range(n)]
+        assert _draw_tuples(random.Random(seed), d, n) == want

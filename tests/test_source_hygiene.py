@@ -1,10 +1,11 @@
 """Source hygiene, read with `ast`: no top-level function or class is
 defined twice in one file (the second definition silently replaces the
 first), every private top-level function of the package is used
-somewhere in it, every name a package module imports is used there or
-imported from it by a sibling module (a re-export), and every definition
-of the package is reached, by name, from `cli.main` or from the
-benchmark: code that only tests call lives in tests/helpers.py."""
+somewhere in it, every name a module of the package or of tests/ imports
+is used there or imported from it by a sibling module (a re-export),
+and every definition of the package is reached, by name, from
+`cli.main` or from the benchmark: code that only tests call lives in
+tests/helpers.py."""
 
 import ast
 from pathlib import Path
@@ -71,21 +72,24 @@ def imported_names(tree) -> list:
 
 
 def test_imported_names_are_used():
-    trees = parsed(PACKAGE)
-    reexported = set()          # (module, name) a sibling imports from it
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                reexported.update((node.module, alias.name)
-                                  for alias in node.names)
     unused = []
-    for path, tree in trees.items():
-        used = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
-        unused.extend(f"{path.name}:{line} {name}"
-                      for name, line in imported_names(tree)
-                      if name not in used
-                      and (path.stem, name) not in reexported)
+    for directory in (PACKAGE, ROOT / "tests"):
+        trees = parsed(directory)
+        stems = {path.stem for path in trees}
+        reexported = set()      # (module, name) a sibling imports from it
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.ImportFrom)
+                        and node.level <= 1 and node.module in stems):
+                    reexported.update((node.module, alias.name)
+                                      for alias in node.names)
+        for path, tree in trees.items():
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            unused.extend(f"{path.parent.name}/{path.name}:{line} {name}"
+                          for name, line in imported_names(tree)
+                          if name not in used
+                          and (path.stem, name) not in reexported)
     assert not unused
 
 
