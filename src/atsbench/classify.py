@@ -30,11 +30,11 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
-from .constructions import (ConstraintError, ConstructedAlgebra, ExchangePairParams,
+from .constructions import (ConstructedAlgebra, ExchangePairParams,
                             InvolutionParams, _compositions,
                             _conjugation_columns, build_exchange_pair,
-                            build_M_inv, diagonal_solutions, kappa_expand,
-                            opposite, part_layouts)
+                            build_M_inv, diagonal_solutions, division_part,
+                            kappa_expand, opposite, part_layouts)
 from .groups import AbelianGroup, GroupElement, Subgroup
 from .omega import (PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, center_basis, check_morphism,
@@ -131,7 +131,7 @@ class ClassLabel:
     The fields after `case` are caches: `_built` and `_intrinsics` keyed
     by conductor, `_keys` by key()'s `direct` flag; `_divisions` is the
     division-part table shared by the labels of one enumeration
-    (see build_division_part)."""
+    (see division_part)."""
     params: object                 # ExchangePairParams | InvolutionParams
     name: str = ""
     case: str = dc_field(init=False)
@@ -756,25 +756,34 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
 
     Deliberately exhaustive and deduplicated only by literal parameter
     equality: distinct labels of the same class are exactly what the
-    census wants to decide about."""
+    census wants to decide about.
+
+    Every candidate satisfies its constraints by construction, so each
+    one kept is built once (the census reuses the build) and none is
+    built to be rejected.  An exchange pair's only constraint is that a
+    part's degrees are distinct modulo T: they run over exactly those
+    tuples (_degree_tuples).  The Phi-involution constraints are solved
+    by _enumerate_phi.  The names omit beta, so a name recurs when T
+    carries several bicharacters; its first candidate is its label, and
+    a repeat is not built."""
     elements = G.elements()
+    free = [((x,), None) for x in elements]
     labels = {}
     divisions = {}
 
-    def add(params_cls, **fields):
-        try:
-            lab = ClassLabel(params_cls(group=G, **fields),
-                             _divisions=divisions)
-            # full validation (the sign constraints need the division part)
-            lab.build(CycloField(classify_conductor(lab)))
-        except ConstraintError:
-            return
-        labels.setdefault(lab.name, lab)
+    def add(params, field):
+        lab = ClassLabel(params, _divisions=divisions)
+        if lab.name not in labels:
+            lab.build(field)
+            labels[lab.name] = lab
 
     for T in all_subgroups(G):
         if max_support is not None and len(T) > max_support:
             continue
         for beta in nondegenerate_alternating_bicharacters(T):
+            # classify_conductor of every label over (T, beta): a doubling
+            # element has order 2, which the lcm holds already
+            field = CycloField(2 * lcm(2, T.exponent, beta.exponent))
             tdim = len(T)
             # exchange pairs: dim = 2 n^2 |T|
             if EXCHANGE_PAIR in cases:
@@ -784,48 +793,111 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
                         k1 = n - k0
                         if not 1 <= k1 <= 2:
                             continue
-                        for kappa0 in _compositions(k0):
-                            for kappa1 in _compositions(k1):
-                                for g0 in itertools.product(elements, repeat=len(kappa0)):
-                                    for g1 in itertools.product(elements, repeat=len(kappa1)):
-                                        add(ExchangePairParams, T=T,
-                                            beta=beta, kappa0=kappa0,
-                                            gamma0=g0, kappa1=kappa1,
-                                            gamma1=g1)
+                        for kappa0, kappa1 in itertools.product(
+                                _compositions(k0), _compositions(k1)):
+                            gammas1 = [gam for gam, _ in _degree_tuples(
+                                [free] * len(kappa1), T.coset_rep)]
+                            for g0, _ in _degree_tuples([free] * len(kappa0),
+                                                        T.coset_rep):
+                                for g1 in gammas1:
+                                    add(ExchangePairParams(
+                                        group=G, T=T, beta=beta,
+                                        kappa0=kappa0, gamma0=g0,
+                                        kappa1=kappa1, gamma1=g1), field)
                     n += 1
             if not T.is_elementary_2():
                 continue
             # simple algebras (Phi involution): dim = n^2 |T|
             if SIMPLE_ALGEBRA in cases:
-                _enumerate_phi(elements, T, beta, None, max_dim, add)
+                _enumerate_phi(elements, T, beta, None, max_dim, add, field,
+                               divisions)
             if EXCHANGE_DIVISION in cases:
                 for t in elements:
                     if t.order() == 2 and t not in T:
-                        _enumerate_phi(elements, T, beta, t, max_dim, add)
+                        _enumerate_phi(elements, T, beta, t, max_dim, add,
+                                       field, divisions)
     return sorted(labels.values(), key=lambda lab: lab.name)
 
 
-def _enumerate_phi(elements, T, beta, t, max_dim, add):
+def _enumerate_phi(elements, T, beta, t, max_dim, add, field, divisions):
     """The Phi-involution labels over (T, beta, t) within the dimension
-    bound.  A kappa that admits several m gives labels of one name, and
-    `add` keeps the first that builds: part_layouts lists the larger m
-    first."""
+    bound, each solving the constraints _resolve_part checks.  With
+    T_full the support (T<t> in the exchange-division case) and sigma
+    the sign form of the division part, taken from the shared table
+    `divisions`:
+
+    * a self-dual degree x needs t_x = -(2x + g) in T_full, so it runs
+      over a per-g table of those x;
+    * an odd self-dual block needs sigma(t_x) = delta: the first one
+      fixes delta (t fixes it to +1 from the start), and a layout with no
+      odd block takes both deltas;
+    * a dual pair's second degree is -g - x, given its first x;
+    * the degrees of a part stay distinct modulo T_full as they are
+      chosen.
+
+    The free degrees run in the order of the product over the elements
+    (g first, delta last), so the candidates are the valid ones of that
+    product in its order.  The degrees fix m: the head x of a dual pair
+    has -g - x distinct from x modulo T_full, so t_x is not in T_full and
+    x is no self-dual degree.  Two layouts of one kappa therefore never
+    give one name."""
     tdim = len(T) * (2 if t is not None else 1)
-    deltas = (1,) if t is not None else (1, -1)
+    if 4 * tdim > max_dim:
+        return
+    T_full = T if t is None else T.extended_by(t)
+    sigma = division_part(T, beta, t, field, divisions).sign_form
+    odd, even, paired = {}, {}, {}
+    for g in elements:
+        degrees = [(x, -(x + x + g)) for x in elements]
+        selfdual = [(x, t_x) for x, t_x in degrees if t_x in T_full]
+        odd[g] = [((x,), sigma(t_x)) for x, t_x in selfdual]
+        even[g] = [((x,), None) for x, _ in selfdual]
+        paired[g] = [((x, -(g + x)), None) for x in elements]
+
+    def slots(kappa, m, g):
+        return ([odd[g] if k % 2 else even[g] for k in kappa[:m]]
+                + [paired[g]] * ((len(kappa) - m) // 2))
+
     n = 2
     while n * n * tdim <= max_dim:
         for n0 in range(1, n):
             for (kappa0, m0), (kappa1, m1) in itertools.product(
                     part_layouts(n0), part_layouts(n - n0)):
-                for g, gam0, gam1, delta in itertools.product(
-                        elements,
-                        itertools.product(elements, repeat=len(kappa0)),
-                        itertools.product(elements, repeat=len(kappa1)),
-                        deltas):
-                    add(InvolutionParams, T=T, beta=beta, kappa0=kappa0,
-                        gamma0=gam0, kappa1=kappa1, gamma1=gam1, delta=delta,
-                        g=g, t=t, m0=m0, m1=m1)
+                for g in elements:
+                    for gam0, d0 in _degree_tuples(
+                            slots(kappa0, m0, g), T_full.coset_rep,
+                            None if t is None else 1):
+                        for gam1, d1 in _degree_tuples(
+                                slots(kappa1, m1, g), T_full.coset_rep, d0):
+                            for delta in (1, -1) if d1 is None else (d1,):
+                                add(InvolutionParams(
+                                    group=T.group, T=T, beta=beta,
+                                    kappa0=kappa0, gamma0=gam0,
+                                    kappa1=kappa1, gamma1=gam1, delta=delta,
+                                    g=g, t=t, m0=m0, m1=m1), field)
         n += 1
+
+
+def _degree_tuples(slots, coset_rep, delta=None):
+    """The degree tuples of one module part, as (degrees, delta), in the
+    lexicographic order of the slots.  Each slot lists its choices
+    (degrees, sign); a tuple takes one choice per slot.  Its degrees are
+    distinct modulo the support (coset_rep names their cosets), and each
+    sign that is not None equals delta; the first such sign fixes a
+    delta of None."""
+    def extend(i, gamma, used, delta):
+        if i == len(slots):
+            yield gamma, delta
+            return
+        for degrees, sign in slots[i]:
+            reps = {coset_rep(x) for x in degrees}
+            if len(reps) < len(degrees) or not used.isdisjoint(reps):
+                continue
+            if sign is None:
+                yield from extend(i + 1, gamma + degrees, used | reps, delta)
+            elif delta in (None, sign):
+                yield from extend(i + 1, gamma + degrees, used | reps, sign)
+    return extend(0, (), frozenset(), delta)
 
 
 @dataclass

@@ -325,13 +325,21 @@ def parse_config(text: str) -> JobConfig:
         if "dim" in cfg.triple_spec:
             cfg.triple_spec["dim"] = _int(*sections["triple"]["dim"], "dim")
     if "census" in sections:
-        if "max_dim" in sections["census"]:
-            cfg.max_dim = _int(*sections["census"]["max_dim"], "max_dim")
-        if "max_support" in sections["census"]:
-            cfg.max_support = _int(*sections["census"]["max_support"],
-                                   "max_support")
-        if "cases" in sections["census"]:
-            cases = tuple(sections["census"]["cases"][0].split())
+        census = sections["census"]
+        if "max_dim" in census:
+            cfg.max_dim = _int(*census["max_dim"], "max_dim")
+        if "max_support" in census:
+            cfg.max_support = _int(*census["max_support"], "max_support")
+            if cfg.max_support < 1:
+                raise ConfigError(
+                    f"line {census['max_support'][1]}: max_support must be "
+                    f"at least 1, got max_support = {cfg.max_support}")
+        if "cases" in census:
+            text, lineno = census["cases"]
+            cases = tuple(text.split())
+            if not cases:
+                raise ConfigError(
+                    f"line {lineno}: cases must name at least one census case")
             for c in cases:
                 if c not in (EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION):
                     raise ConfigError(f"unknown census case {c!r}")

@@ -631,16 +631,20 @@ def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
 
 def build_division_part(params: InvolutionParams, field: CycloField,
                         divisions: dict = None) -> GradedDivision:
+    """The division part of the parameters (see division_part)."""
+    return division_part(params.T, params.beta, params.t, field, divisions)
+
+
+def division_part(T: Subgroup, beta: Bicharacter, t: GroupElement,
+                  field: CycloField, divisions: dict = None) -> GradedDivision:
     """D(T, beta) with transposition, doubled at t in the exchange-division
     case.  `divisions` holds the parts one run has built, keyed by (T, beta,
     t, conductor): a built part is never changed, so labels share it."""
     divisions = {} if divisions is None else divisions
-    key = (params.T, params.beta.exponent, params.beta, params.t,
-           field.conductor)
+    key = (T, beta.exponent, beta, t, field.conductor)
     if key not in divisions:
-        D = d_inv_transpose(params.T, params.beta, field)
-        divisions[key] = (D if params.t is None
-                          else exchange_double_division(D, params.t))
+        D = d_inv_transpose(T, beta, field)
+        divisions[key] = D if t is None else exchange_double_division(D, t)
     return divisions[key]
 
 

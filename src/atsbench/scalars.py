@@ -288,7 +288,11 @@ class Scalar:
                 and self.conductor == other.conductor)
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        # a rational scalar equals its int or Fraction, so it hashes as one
+        if self.is_rational():
+            n, den = self.num[0], self.den
+            return hash(n) if den == 1 else hash(Fraction(n, den))
+        return hash((self.conductor, self.num, self.den))
 
     def __repr__(self):
         return f"Scalar({self.conductor}, {self})"

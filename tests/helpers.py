@@ -13,7 +13,9 @@ the entrywise Phi^{-1} X^* Phi loop the built involutions are checked
 against, `ref_pairwise_census` the census that witnesses and refutes
 every pair on its own and stores every pair's record in a
 `PairwiseCensus`, the oracle for the census through isomorphism
-classes, `ROTATED_SPLIT_TRIPLE` and `GAUSSIAN_TRIPLE` two serialized
+classes, `ref_enumerate_labels` the label enumeration that checks every
+candidate of the dimension bound and keeps those that pass, the oracle for the enumeration that solves the
+constraints, `ROTATED_SPLIT_TRIPLE` and `GAUSSIAN_TRIPLE` two serialized
 triples kept out of the corpus (whose counts the benchmark pins), and
 the `ref_check_*` scans, run by the per-tuple harness
 `scan`, evaluate every basis tuple (or stored entry) one by one, the
@@ -49,9 +51,12 @@ from pathlib import Path
 
 from atsbench import classify
 from atsbench.classify import xi_shift_candidates
-from atsbench.constructions import (ConstraintError, GradedDivision, d_inv,
+from atsbench.constructions import (ConstraintError, ExchangePairParams,
+                                    GradedDivision, InvolutionParams,
+                                    _compositions, build_division_part, d_inv,
                                     diagonal_solutions,
-                                    exchange_double_division)
+                                    exchange_double_division, part_layouts,
+                                    phi_matrix)
 from atsbench.corpus import symplectic_subgroup
 from atsbench.linalg import combine, kernel
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
@@ -663,6 +668,84 @@ def ref_pairwise_census(G, max_dim, cases=(classify.EXCHANGE_PAIR,
                     detail += f" [{ref.method}]"
             result.decisions.append((i, j, decision.verdict, detail))
     return result
+
+
+def ref_enumerate_labels(G, max_dim, cases=(classify.EXCHANGE_PAIR,
+                                            classify.SIMPLE_ALGEBRA,
+                                            classify.EXCHANGE_DIVISION),
+                         max_support=None):
+    """classify.enumerate_labels by filtering: every degree tuple, delta
+    and m of the dimension bound is a candidate, and a candidate is kept
+    when the checks a build makes before it assembles anything raise no
+    ConstraintError: those of the parameters and, for a Phi involution,
+    the block resolution of phi_matrix.  A name keeps its first label;
+    the labels are not built."""
+    elements = G.elements()
+    labels = {}
+    divisions = {}
+
+    def add(params_cls, **fields):
+        try:
+            lab = classify.ClassLabel(params_cls(group=G, **fields))
+            if params_cls is InvolutionParams:
+                D = build_division_part(
+                    lab.params, CycloField(classify.classify_conductor(lab)),
+                    divisions)
+                phi_matrix(lab.params, D, D.sign_form)
+        except ConstraintError:
+            return
+        labels.setdefault(lab.name, lab)
+
+    def phi(T, beta, t):
+        tdim = len(T) * (2 if t is not None else 1)
+        deltas = (1,) if t is not None else (1, -1)
+        n = 2
+        while n * n * tdim <= max_dim:
+            for n0 in range(1, n):
+                for (kappa0, m0), (kappa1, m1) in itertools.product(
+                        part_layouts(n0), part_layouts(n - n0)):
+                    for g, gam0, gam1, delta in itertools.product(
+                            elements,
+                            itertools.product(elements, repeat=len(kappa0)),
+                            itertools.product(elements, repeat=len(kappa1)),
+                            deltas):
+                        add(InvolutionParams, T=T, beta=beta, kappa0=kappa0,
+                            gamma0=gam0, kappa1=kappa1, gamma1=gam1,
+                            delta=delta, g=g, t=t, m0=m0, m1=m1)
+            n += 1
+
+    for T in classify.all_subgroups(G):
+        if max_support is not None and len(T) > max_support:
+            continue
+        for beta in classify.nondegenerate_alternating_bicharacters(T):
+            tdim = len(T)
+            if classify.EXCHANGE_PAIR in cases:
+                n = 2
+                while 2 * n * n * tdim <= max_dim:
+                    for k0 in range(1, min(n, 3)):
+                        k1 = n - k0
+                        if not 1 <= k1 <= 2:
+                            continue
+                        for kappa0, kappa1 in itertools.product(
+                                _compositions(k0), _compositions(k1)):
+                            for g0, g1 in itertools.product(
+                                    itertools.product(elements,
+                                                      repeat=len(kappa0)),
+                                    itertools.product(elements,
+                                                      repeat=len(kappa1))):
+                                add(ExchangePairParams, T=T, beta=beta,
+                                    kappa0=kappa0, gamma0=g0, kappa1=kappa1,
+                                    gamma1=g1)
+                    n += 1
+            if not T.is_elementary_2():
+                continue
+            if classify.SIMPLE_ALGEBRA in cases:
+                phi(T, beta, None)
+            if classify.EXCHANGE_DIVISION in cases:
+                for t in elements:
+                    if t.order() == 2 and t not in T:
+                        phi(T, beta, t)
+    return sorted(labels.values(), key=lambda lab: lab.name)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from atsbench.classify import (EXCHANGE_DIVISION, EXCHANGE_PAIR,
                                witness_isomorphism, xi_multiset)
 from atsbench.cli import main, write_report
 from atsbench.config import parse_config
-from atsbench.constructions import (ExchangePairParams, InvolutionParams,
-                                    d_inv, exchange_double_division,
+from atsbench.constructions import (ConstraintError, ExchangePairParams,
+                                    InvolutionParams, d_inv,
+                                    exchange_double_division, part_layouts,
                                     standard_realization)
 from atsbench.corpus import algebra_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
@@ -32,8 +33,8 @@ from atsbench.omega import LinearMap, VerificationError, check_morphism
 from atsbench.scalars import CycloField
 from helpers import (all_quadratic_forms, classification_supports, compose,
                      involuted_division_corpus, label_dimension,
-                     ref_antimap_candidates, ref_pairwise_census,
-                     xi_shift_equal)
+                     ref_antimap_candidates, ref_enumerate_labels,
+                     ref_pairwise_census, xi_shift_equal)
 
 Z2 = AbelianGroup(0, (2,))
 Z4 = AbelianGroup(0, (4,))
@@ -369,6 +370,77 @@ def test_enumerated_labels_are_pinned(torsion, max_dim, count, digest):
              getattr(lab.params, "m1", None)] for lab in labels]
     assert len(rows) == count
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
+def _label_rows(labels):
+    """Each label's case, name and every parameter field, in order."""
+    return [[lab.case, lab.name] + [getattr(lab.params, f.name)
+                                    for f in dataclasses.fields(lab.params)]
+            for lab in labels]
+
+
+@pytest.mark.parametrize("torsion, max_dim, kwargs", [
+    *(pytest.param(torsion, max_dim, {},
+                   id=f"Z{'xZ'.join(map(str, torsion))}-{max_dim}")
+      for torsion in ((2,), (3,), (4,), (2, 2), (2, 4), (2, 2, 2))
+      for max_dim in (8, 9)),
+    pytest.param((4,), 16, {}, id="Z4-16"),
+    pytest.param((2, 2), 16, {"max_support": 1}, id="Z2xZ2-16-support-1"),
+    *(pytest.param((2, 2), 9, {"cases": (case,)}, id=f"Z2xZ2-9-{case}")
+      for case in (EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION)),
+])
+def test_enumeration_by_construction_matches_filtering(torsion, max_dim,
+                                                       kwargs):
+    # solving the degree and sign constraints keeps exactly the labels
+    # that checking every candidate keeps: the same cases, parameters (m
+    # included) and order; and each label is built
+    G = AbelianGroup(0, torsion)
+    labels = enumerate_labels(G, max_dim, **kwargs)
+    assert labels and all(lab._built for lab in labels)
+    assert _label_rows(labels) == _label_rows(
+        ref_enumerate_labels(G, max_dim, **kwargs))
+
+
+@pytest.mark.parametrize("torsion, max_dim", [
+    ((4,), 16), ((2, 4), 9), ((2, 2), 9)],
+    ids=["Z4-16", "Z2xZ4-9", "Z2xZ2-9"])
+def test_a_phi_label_admits_one_m(torsion, max_dim):
+    # a degree x that may head a dual pair has -g - x distinct from x
+    # modulo the support, so 2x + g is not in it and x is no self-dual
+    # degree: the degrees of a label fix its m, and no other m of its
+    # kappa builds
+    tried = 0
+    for lab in enumerate_labels(AbelianGroup(0, torsion), max_dim):
+        if lab.case == EXCHANGE_PAIR:
+            continue
+        p = lab.params
+        field = CycloField(classify_conductor(lab))
+        for which, kappa in enumerate((p.kappa0, p.kappa1)):
+            m = getattr(p, f"m{which}")
+            for other in (k for kap, k in part_layouts(sum(kappa))
+                          if kap == kappa and k != m):
+                with pytest.raises(ConstraintError):
+                    constructions.build_M_inv(dataclasses.replace(
+                        p, **{f"m{which}": other}), field)
+                tried += 1
+    assert tried
+
+
+@pytest.mark.parametrize("torsion, max_dim, count", [
+    ((2, 2, 2), 8, 576), ((4,), 16, 312)], ids=["Z2xZ2xZ2-8", "Z4-16"])
+def test_enumeration_builds_no_rejected_candidate(monkeypatch, torsion,
+                                                  max_dim, count):
+    # filtering made 4 672 and 12 368 builds here; by construction every
+    # build is a label's
+    builds = []
+    for name in ("build_M_inv", "build_exchange_pair"):
+        def counting(*args, _real=getattr(classify, name), **kwargs):
+            builds.append(args[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(classify, name, counting)
+    labels = enumerate_labels(AbelianGroup(0, torsion), max_dim)
+    assert len(labels) == count
+    assert len(builds) <= 1.1 * count
 
 
 def test_exchange_division_pairs_over_v4():

@@ -577,6 +577,17 @@ def _edit(text, old, new):
     pytest.param(["census", "j.cfg", "--max-dim", "-1"],
                  {"j.cfg": "[group]\nG = Z/2\n"},
                  "Z/2 with max_dim = -1", id="census-max-dim-flag"),
+    # a census key that admits no label is named, not blamed on max_dim
+    *(pytest.param(["census", "j.cfg"],
+                   {"j.cfg": f"[group]\nG = Z/4\n[census]\n{line}\n"},
+                   named, id=f"census-{ident}")
+      for line, named, ident in (
+          ("max_support = -3", "line 4: max_support must be at least 1, "
+           "got max_support = -3", "max-support-negative"),
+          ("max_support = 0", "line 4: max_support must be at least 1, "
+           "got max_support = 0", "max-support-0"),
+          ("cases =", "line 4: cases must name at least one census case",
+           "cases-empty"))),
     pytest.param(["census", "j.cfg"],
                  {"j.cfg": "[job]\ncommand = census\n[group]\nG = Z\n"},
                  "census over Z needs a finite group, but it has free "

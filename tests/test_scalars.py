@@ -225,7 +225,8 @@ def test_hash_text_and_parse_round_trip(conductor):
     F = CycloField(conductor)
     xs = random_scalars(conductor, rng, 30) + [F.one, -F.one, F.scalar(7)]
     for s in xs:
-        assert hash(s) == hash((conductor, s.coeffs))
+        assert hash(s) == (hash(s.rational_value()) if s.is_rational()
+                           else hash((conductor, s.num, s.den)))
         assert str(s) == reference_str(s)
         assert repr(s) == f"Scalar({conductor}, {reference_str(s)})"
         assert parse_scalar(str(s), conductor) == s
@@ -233,6 +234,26 @@ def test_hash_text_and_parse_round_trip(conductor):
         assert Scalar(conductor, [str(c) for c in s.coeffs]) == s
     with pytest.raises(ValueError, match="expected"):
         Scalar(conductor, [1] * (euler_phi(conductor) + 1))
+
+
+@pytest.mark.parametrize("conductor", [1, 4, 12])
+def test_equal_scalars_hash_equal(conductor):
+    # hash agrees with ==: a rational scalar is one set or dict key with
+    # the int or Fraction it equals, and equal elements of Q(i) built two
+    # ways are one key
+    F = CycloField(conductor)
+    assert 1 in {F.one} and len({F.one, 1}) == 1
+    for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3), 2 ** 70):
+        s = F.scalar(value)
+        assert s == value and hash(s) == hash(value)
+        assert {value: "v"}[s] == "v" and {s: "s"}[value] == "s"
+    if conductor % 4 == 0:
+        i = F.zeta(4)
+        a = (i + F.scalar(Fraction(1, 2))) * 2
+        b = F.scalar(1) + i + i
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert i * i == -1 and hash(i * i) == hash(-1)
+        assert i not in {1, -1, Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("conductor", PROPERTY_CONDUCTORS)
