@@ -703,10 +703,11 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
 
 def all_subgroups(G: AbelianGroup):
     """All subgroups of a small finite group, by closing generator sets of
-    at most three elements."""
+    at most G.ncoords elements: a subgroup of a finite abelian group
+    needs no more generators than the group."""
     elements = G.elements()
     seen = {}
-    for size in range(4):
+    for size in range(G.ncoords + 1):
         for gens in itertools.combinations(elements, size):
             sub = Subgroup(G, gens)
             seen.setdefault(frozenset(e.coords for e in sub.elements), sub)
@@ -754,18 +755,19 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
     """All valid class labels over G within the dimension bound; each
     module part of an exchange pair has dimension at most two.
 
-    Deliberately exhaustive and deduplicated only by literal parameter
-    equality: distinct labels of the same class are exactly what the
-    census wants to decide about.
+    Deliberately exhaustive up to names: distinct labels of the same
+    class are exactly what the census wants to decide about.  Labels are
+    deduplicated by name, and a name omits beta: when T carries several
+    nondegenerate alternating bicharacters, a label over a later one is
+    dropped whenever a label over an earlier one has its name.
 
     Every candidate satisfies its constraints by construction, so each
     one kept is built once (the census reuses the build) and none is
     built to be rejected.  An exchange pair's only constraint is that a
     part's degrees are distinct modulo T: they run over exactly those
     tuples (_degree_tuples).  The Phi-involution constraints are solved
-    by _enumerate_phi.  The names omit beta, so a name recurs when T
-    carries several bicharacters; its first candidate is its label, and
-    a repeat is not built."""
+    by _enumerate_phi.  A name that recurs keeps its first candidate as
+    its label, and a repeat is not built."""
     elements = G.elements()
     free = [((x,), None) for x in elements]
     labels = {}

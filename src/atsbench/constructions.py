@@ -3,19 +3,27 @@ algebras, involutions on them, exchange doubles, 3-graded matrix
 algebras over them, and the block-matrix involutions.
 
 The standard realization of a finite group T with a nondegenerate
-alternating bicharacter beta is built from clock and shift matrices as
-Kronecker products, one factor per hyperbolic pair of (T, beta).  The
-basis element X_t attached to t = a1^c1 b1^d1 ... is the product
-X_a1^c1 X_b1^d1 ... in that fixed order, so bases are bit-exact
-reproducible.  All higher constructions are assembled from the exact
-structure constants of these realizations and verified on the spot.
+alternating bicharacter beta is a twisted group algebra, built from its
+structure constants.  Over the hyperbolic pairs (a_i, b_i, l_i) of
+(T, beta), write t = sum c_i(t) a_i + d_i(t) b_i with 0 <= c_i, d_i < l_i;
+then
+
+    X_s X_t = omega(s, t) X_(s+t),
+    omega(s, t) = prod_i beta(a_i, b_i)^(c_i(s) d_i(t)).
+
+These are the products of the clock and shift matrices
+X_t = (x)_i S^(d_i) C^(c_i), since C S = beta(a_i, b_i) S C.  omega is
+bilinear, so the product is associative, and omega(s, t) / omega(t, s)
+= beta(s, t).  The basis is indexed by the support sorted by
+coordinates, so bases are bit-exact reproducible.  All higher
+constructions are assembled from these exact structure constants and
+verified on the spot.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 
 from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
@@ -23,77 +31,13 @@ from .groups import (AbelianGroup, Bicharacter, GroupElement, GroupError,
                      prepend_z, symplectic_decomposition, zg_element)
 from .omega import (INVOLUTION, PRODUCT, Grading, OmegaAlgebra,
                     VerificationError, VerificationReport, check_grading,
-                    check_involution, check_t4_flip, combine)
+                    check_involution, check_t4_flip)
 from .scalars import CycloField, Scalar
 
 
 class ConstraintError(ValueError):
     """A construction parameter violates one of its defining constraints;
     the message names the violated condition."""
-
-
-# ---------------------------------------------------------------------------
-# monomial matrices (clock / shift arithmetic)
-# ---------------------------------------------------------------------------
-
-class MonoMatrix:
-    """A generalized permutation matrix: one nonzero entry per column.
-
-    perm[j] is the row of the nonzero entry in column j, vals[j] its value.
-    """
-
-    __slots__ = ("n", "perm", "vals")
-
-    def __init__(self, n, perm, vals):
-        self.n = n
-        self.perm = tuple(perm)
-        self.vals = tuple(vals)
-
-    @staticmethod
-    def identity(field: CycloField, n: int) -> "MonoMatrix":
-        return MonoMatrix(n, range(n), [field.one] * n)
-
-    @staticmethod
-    def clock(field: CycloField, eps: Scalar, n: int) -> "MonoMatrix":
-        return MonoMatrix(n, range(n), [eps ** k for k in range(n)])
-
-    @staticmethod
-    def shift(field: CycloField, n: int) -> "MonoMatrix":
-        # e_k -> e_(k+1 mod n)
-        return MonoMatrix(n, [(j + 1) % n for j in range(n)], [field.one] * n)
-
-    def __matmul__(self, other: "MonoMatrix") -> "MonoMatrix":
-        perm = [self.perm[other.perm[j]] for j in range(self.n)]
-        vals = [self.vals[other.perm[j]] * other.vals[j] for j in range(self.n)]
-        return MonoMatrix(self.n, perm, vals)
-
-    def kron(self, other: "MonoMatrix") -> "MonoMatrix":
-        n = self.n * other.n
-        perm = [0] * n
-        vals = [None] * n
-        for j1 in range(self.n):
-            for j2 in range(other.n):
-                j = j1 * other.n + j2
-                perm[j] = self.perm[j1] * other.n + other.perm[j2]
-                vals[j] = self.vals[j1] * other.vals[j2]
-        return MonoMatrix(n, perm, vals)
-
-    def transpose(self) -> "MonoMatrix":
-        perm = [0] * self.n
-        vals = [None] * self.n
-        for j in range(self.n):
-            perm[self.perm[j]] = j
-            vals[self.perm[j]] = self.vals[j]
-        return MonoMatrix(self.n, perm, vals)
-
-    def scalar_ratio(self, other: "MonoMatrix"):
-        """c with self = c * other, or None."""
-        if self.perm != other.perm:
-            return None
-        c = self.vals[0] / other.vals[0]
-        if all(self.vals[j] == c * other.vals[j] for j in range(self.n)):
-            return c
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +57,6 @@ class GradedDivision:
     bicharacter: Bicharacter         # commutation bicharacter on the support
     sign_form: QuadraticForm = None  # phi0(Z_s) = sign_form(s) Z_s, if involution
     t: GroupElement = None           # doubling element (exchange flavor)
-    matrices: list = None            # monomial realizations (simple flavor)
     inner: "GradedDivision" = None   # the doubled algebra (exchange flavor)
 
     def __post_init__(self):
@@ -158,15 +101,6 @@ class GradedDivision:
         cj, kj = self.mu(j, i)
         return ci / cj if ki == kj else None
 
-    def involution_sign(self, i: int) -> Scalar:
-        """c with phi(Z_i) = c Z_i, read off the involution tensor;
-        VerificationError when phi(Z_i) is no multiple of Z_i."""
-        row = self.algebra.row(INVOLUTION, (i,))
-        if list(row) != [i]:
-            raise VerificationError(
-                f"involution: phi(Z{i}) is no multiple of Z{i}")
-        return row[i]
-
     def has_involution(self) -> bool:
         return INVOLUTION in self.algebra.operators
 
@@ -185,74 +119,48 @@ def check_commutation(D: GradedDivision) -> VerificationReport:
 
 def standard_realization(T: Subgroup, beta: Bicharacter,
                          field: CycloField) -> GradedDivision:
-    """The graded division algebra D(T, beta) realized by Kronecker
-    products of clock and shift matrices, with basis {X_t}."""
+    """The graded division algebra D(T, beta) with basis {X_t} and the
+    cocycle omega of the module docstring as its structure constants,
+    checked against beta on every basis pair."""
     if not beta.is_nondegenerate_alternating():
         raise ConstraintError(
             "bicharacter must be nondegenerate alternating on T")
     pairs = symplectic_decomposition(T, beta)
-    group = T.group
-    # exponent coordinates of each t over (a1, b1, a2, b2, ...)
-    gens = [g for (a, b, _) in pairs for g in (a, b)]
-    orders = [l for (_, _, l) in pairs for _ in range(2)]
-    coords = {group.identity: ()}
-    for g, o in zip(gens, orders):
-        coords = {e + g.scaled(k): c + (k,)
-                  for e, c in coords.items() for k in range(o)}
+    # exponent coordinates (c1, d1, c2, d2, ...) of each t over (a1, b1, ...)
+    coords = {T.group.identity: ()}
+    for (a, b, l) in pairs:
+        for g in (a, b):
+            coords = {e + g.scaled(k): c + (k,)
+                      for e, c in coords.items() for k in range(l)}
     if len(coords) != len(T):
         raise ConstraintError("T is not of symmetric-square shape")
-
-    gen_mats = []
-    for (a, b, l) in pairs:
-        eps = beta.eval(a, b, field)
-        gen_mats.append(MonoMatrix.clock(field, eps, l))
-        gen_mats.append(MonoMatrix.shift(field, l))
-    n = 1
-    for (_, _, l) in pairs:
-        n *= l
-
-    def realize(exps) -> MonoMatrix:
-        m = MonoMatrix.identity(field, 1)
-        for (a, b, l), pos in zip(pairs, range(0, 2 * len(pairs), 2)):
-            blk = MonoMatrix.identity(field, l)
-            for _ in range(exps[pos]):
-                blk = gen_mats[pos] @ blk
-            for _ in range(exps[pos + 1]):
-                blk = gen_mats[pos + 1] @ blk
-            m = m.kron(blk)
-        return m
-
+    # beta(a_i, b_i) = zeta_M^(eps_i)
+    eps = [beta.exponent_of(a, b) for (a, b, _) in pairs]
     elements = tuple(sorted(T.elements, key=lambda e: e.coords))
-    mats = [realize(coords[t]) for t in elements]
-    index = {e: i for i, e in enumerate(elements)}
-
     alg = OmegaAlgebra(field, len(T), {PRODUCT: 2},
-                       [f"X{t}" for t in elements])
-    for i, ti in enumerate(elements):
-        for j, tj in enumerate(elements):
-            k = index[ti + tj]
-            c = (mats[i] @ mats[j]).scalar_ratio(mats[k])
-            if c is None:
-                raise VerificationError(f"realization: X{ti} X{tj} is not monomial")
-            alg.set_entry(PRODUCT, (i, j), {k: c})
-    grading = Grading(alg, group, elements)
-    return GradedDivision(field, group, T, alg, grading, elements, beta,
-                          matrices=mats)
+                       [f"X{s}" for s in elements])
+    D = GradedDivision(field, T.group, T, alg,
+                       Grading(alg, T.group, elements), elements, beta)
+    for (i, s), (j, u) in itertools.product(enumerate(elements), repeat=2):
+        power = sum(k * c * d for k, c, d in
+                    zip(eps, coords[s][0::2], coords[u][1::2]))
+        alg.set_entry(PRODUCT, (i, j),
+                      {D.index[s + u]: field.zeta(beta.exponent, power)})
+    if not check_commutation(D).passed:
+        raise VerificationError(
+            "realization: commutation factor must follow beta")
+    return D
 
 
 def transpose_form(D: GradedDivision) -> QuadraticForm:
-    """The distinguished quadratic form tau with X_t^T = tau(t) X_t,
-    i.e. the sign pattern of matrix transposition on the realization.
-    Only elementary 2-supports admit one."""
+    """The distinguished quadratic form tau with X_t^T = tau(t) X_t for
+    the clock-and-shift matrices.  Only elementary 2-supports admit one:
+    there every X_t is a signed permutation matrix, so X_t^T = X_t^-1,
+    and tau(t) is the coefficient of X_t X_t."""
     if not D.support.is_elementary_2():
         raise GroupError("transposition is diagonal only on elementary 2-supports")
-    values = {}
-    for i, t in enumerate(D.elements):
-        c = D.matrices[i].transpose().scalar_ratio(D.matrices[i])
-        if c is None or not c.is_rational():
-            raise VerificationError(f"transpose of X{t} is no rational multiple of it")
-        values[t] = int(c.rational_value())
-    return QuadraticForm(D.support, values)
+    return QuadraticForm(D.support, {t: int(D.mu(i, i)[0].rational_value())
+                                     for i, t in enumerate(D.elements)})
 
 
 def _with_involution(D: GradedDivision, tau: QuadraticForm) -> GradedDivision:
@@ -286,91 +194,42 @@ def d_inv_transpose(T: Subgroup, beta: Bicharacter,
     return _with_involution(D, transpose_form(D))
 
 
-# ---------------------------------------------------------------------------
-# exchange doubles
-# ---------------------------------------------------------------------------
-
-def exchange_double(alg: OmegaAlgebra, grading: Grading,
-                    t: GroupElement) -> tuple[OmegaAlgebra, Grading]:
-    """(A + A^op, ex) with the grading deg(x, phi(x)) = h,
-    deg(x, -phi(x)) = h + t over a homogeneous basis of A.
-
-    Basis order: u_0..u_{d-1} = (x_k, phi(x_k)), then v_k = (x_k, -phi(x_k)).
-    """
-    if t.order() != 2:
-        raise ConstraintError("doubling element must have order 2")
-    if t in set(grading.degmap):
-        raise ConstraintError("doubling element must avoid the support")
-    field = alg.field
-    d = alg.dim
-    phi_cols = [alg.row(INVOLUTION, (k,)) for k in range(d)]
-    for k in range(d):
-        if alg.apply_slot(INVOLUTION, 0, phi_cols[k]) != {k: field.one}:
-            raise ConstraintError(f"involution must square to the identity "
-                                  f"(fails at basis vector {k})")
-    half = field.scalar(Fraction(1, 2))
-
-    def to_new(p, q):
-        # (p, q) = sum a_k u_k + b_k v_k: a = (p + phi q)/2, b = (p - phi q)/2
-        phi_q = alg.apply_slot(INVOLUTION, 0, q)
-        a = combine([(half, p), (half, phi_q)])
-        b = combine([(half, p), (-half, phi_q)])
-        return {**a, **{d + k: c for k, c in b.items()}}
-
-    out = OmegaAlgebra(field, 2 * d, {PRODUCT: 2, INVOLUTION: 1},
-                       [f"u{k}" for k in range(d)] + [f"v{k}" for k in range(d)])
-    minus_one = field.scalar(-1)
-    cols = ([(alg.basis_vec(k), phi_cols[k]) for k in range(d)] +
-            [(alg.basis_vec(k), combine([(minus_one, phi_cols[k])]))
-             for k in range(d)])
-    for i, (p, q) in enumerate(cols):
-        for j, (p2, q2) in enumerate(cols):
-            # (p, q)(p', q') = (p p', q' q)
-            out.set_entry(PRODUCT, (i, j), to_new(alg.mul(p, p2), alg.mul(q2, q)))
-        out.set_entry(INVOLUTION, (i,), to_new(q, p))
-    degmap = tuple(list(grading.degmap) + [h + t for h in grading.degmap])
-    new_grading = Grading(out, grading.group, degmap,
-                          graded_ops=grading.graded_ops | {INVOLUTION})
-    return out, new_grading
-
-
 def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivision:
-    """Double a graded division algebra with involution at t, re-sorting
-    the basis by support element so Y_s sits at index(s).
+    """The exchange double D^[t] = (D + D^op, ex) of D with its involution
+    phi0, on the basis Y_u = (X_u, phi0(X_u)), Y_(u+t) = (X_u, -phi0(X_u))
+    for u in the support T, sorted by support element of T<t>:
 
-    Verifies the two claimed identities: the induced involution is
-    s -> sign_form^[t](s) and the commutation bicharacter is beta^[t].
+        Y_(u+kt) Y_(v+lt) = mu(u, v) Y_(u+v+(k+l)t),
+        ex(Y_s) = tau^[t](s) Y_s,
+
+    with mu the structure constants of D and tau its sign form.  Verifies
+    the two claimed identities: ex is an involution of this product, and
+    the commutation bicharacter is beta^[t].
     """
     if not D.has_involution():
         raise ConstraintError("exchange double needs an involution on D")
-    alg2, gr2 = exchange_double(D.algebra, D.grading, t)
-    Tt = D.support.extended_by(t)
+    if t.order() != 2:
+        raise ConstraintError("doubling element must have order 2")
+    if t in D.support:
+        raise ConstraintError("doubling element must avoid the support")
+    field, Tt = D.field, D.support.extended_by(t)
     elements = tuple(sorted(Tt.elements, key=lambda e: e.coords))
-    order = []
-    for s in elements:
-        matches = [i for i, h in enumerate(gr2.degmap) if h == s]
-        if len(matches) != 1:
-            raise VerificationError(f"degree {s} holds {len(matches)} basis vectors, not 1")
-        order.append(matches[0])
-    perm = {old: new for new, old in enumerate(order)}
-
-    alg = OmegaAlgebra(D.field, alg2.dim, dict(alg2.operators),
-                       [f"Y{elements[i]}" for i in range(alg2.dim)])
-    for op, arity in alg2.operators.items():
-        for idx, row in alg2.tensors[op].items():
-            if all(i in perm for i in idx):
-                alg.set_entry(op, tuple(perm[i] for i in idx),
-                              {perm[j]: c for j, c in row.items()})
-    grading = Grading(alg, gr2.group, elements, graded_ops=gr2.graded_ops)
-
-    beta_ext = extend_bicharacter(D.bicharacter, t)
-    sign_ext = D.sign_form.extend(t)
-    out = GradedDivision(D.field, D.group, Tt, alg, grading, elements,
-                         beta_ext, sign_form=sign_ext, t=t, inner=D)
-    for i in range(alg.dim):
-        if out.involution_sign(i) != D.field.scalar(sign_ext(elements[i])):
-            raise VerificationError(
-                "involution signs must follow the extended quadratic form")
+    alg = OmegaAlgebra(field, len(Tt), {PRODUCT: 2, INVOLUTION: 1},
+                       [f"Y{s}" for s in elements])
+    grading = Grading(alg, D.group, elements,
+                      graded_ops=D.grading.graded_ops | {INVOLUTION})
+    out = GradedDivision(field, D.group, Tt, alg, grading, elements,
+                         extend_bicharacter(D.bicharacter, t),
+                         sign_form=D.sign_form.extend(t), t=t, inner=D)
+    inner = [D.index[s if s in D.index else s + t] for s in elements]
+    for (i, s), (j, u) in itertools.product(enumerate(elements), repeat=2):
+        alg.set_entry(PRODUCT, (i, j),
+                      {out.index[s + u]: D.mu(inner[i], inner[j])[0]})
+    for i, s in enumerate(elements):
+        alg.set_entry(INVOLUTION, (i,), {i: field.scalar(out.sign_form(s))})
+    if not check_involution(alg).passed:
+        raise VerificationError(
+            "involution signs must follow the extended quadratic form")
     if not check_commutation(out).passed:
         raise VerificationError(
             "commutation factor must follow the extended bicharacter")

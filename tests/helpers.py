@@ -14,9 +14,14 @@ against, `ref_pairwise_census` the census that witnesses and refutes
 every pair on its own and stores every pair's record in a
 `PairwiseCensus`, the oracle for the census through isomorphism
 classes, `ref_enumerate_labels` the label enumeration that checks every
-candidate of the dimension bound and keeps those that pass, the oracle for the enumeration that solves the
-constraints, `ROTATED_SPLIT_TRIPLE` and `GAUSSIAN_TRIPLE` two serialized
-triples kept out of the corpus (whose counts the benchmark pins), and
+candidate of the dimension bound and keeps those that pass, the oracle for
+the enumeration that solves the constraints, `ref_standard_realization`
+(Kronecker products of clock and shift matrices, `MonoMatrix`) with
+`ref_transpose_form` and `ref_exchange_double_division` (the double of a
+general algebra with involution in the (x, phi x), (x, -phi x) basis,
+re-sorted) the oracles for the division algebras built from their
+structure constants, `ROTATED_SPLIT_TRIPLE` and `GAUSSIAN_TRIPLE` two
+serialized triples kept out of the corpus (whose counts the benchmark pins), and
 the `ref_check_*` scans, run by the per-tuple harness
 `scan`, evaluate every basis tuple (or stored entry) one by one, the
 oracle for the checks that compare summed rows or make one pass over the
@@ -32,10 +37,11 @@ embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
 next to the exact assertions, never instead of them.
 
 The last section holds the routines that only tests call, kept out of
-the package: `mono_dense`, `label_dimension` and the general `coarsen`,
-`all_quadratic_forms`, the division corpus (`classification_supports`,
-`involuted_division_corpus`) and the exchange-double theorems
-(`graded_division_iso`, `exchange_subgroup_transfer`, `removal_twist`).
+the package: `mono_dense`, `generator_power`, `involution_sign`,
+`label_dimension` and the general `coarsen`, `all_quadratic_forms`, the
+division corpus (`classification_supports`, `involuted_division_corpus`)
+and the exchange-double theorems (`graded_division_iso`,
+`exchange_subgroup_transfer`, `removal_twist`).
 """
 
 import bisect
@@ -60,9 +66,10 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
 from atsbench.corpus import symplectic_subgroup
 from atsbench.linalg import combine, kernel
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
-                             Subgroup, flip_z, trivial_subgroup)
+                             Subgroup, extend_bicharacter, flip_z,
+                             symplectic_decomposition, trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
-                            VerificationError, VerificationReport,
+                            OmegaAlgebra, VerificationError, VerificationReport,
                             _grades_product, _unit_in, check_morphism,
                             ideal_closure)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
@@ -749,6 +756,174 @@ def ref_enumerate_labels(G, max_dim, cases=(classify.EXCHANGE_PAIR,
 
 
 # ---------------------------------------------------------------------------
+# the division algebras as matrices: the Kronecker realization and the
+# double in the (x, phi x), (x, -phi x) basis, the oracles for the
+# constructions from structure constants
+# ---------------------------------------------------------------------------
+
+class MonoMatrix:
+    """A generalized permutation matrix: one nonzero entry per column.
+
+    perm[j] is the row of the nonzero entry in column j, vals[j] its value.
+    """
+
+    __slots__ = ("n", "perm", "vals")
+
+    def __init__(self, n, perm, vals):
+        self.n = n
+        self.perm = tuple(perm)
+        self.vals = tuple(vals)
+
+    @staticmethod
+    def identity(field, n: int) -> "MonoMatrix":
+        return MonoMatrix(n, range(n), [field.one] * n)
+
+    @staticmethod
+    def clock(eps, n: int) -> "MonoMatrix":
+        return MonoMatrix(n, range(n), [eps ** k for k in range(n)])
+
+    @staticmethod
+    def shift(field, n: int) -> "MonoMatrix":
+        # e_k -> e_(k+1 mod n)
+        return MonoMatrix(n, [(j + 1) % n for j in range(n)], [field.one] * n)
+
+    def __matmul__(self, other: "MonoMatrix") -> "MonoMatrix":
+        perm = [self.perm[other.perm[j]] for j in range(self.n)]
+        vals = [self.vals[other.perm[j]] * other.vals[j] for j in range(self.n)]
+        return MonoMatrix(self.n, perm, vals)
+
+    def kron(self, other: "MonoMatrix") -> "MonoMatrix":
+        n = self.n * other.n
+        perm = [0] * n
+        vals = [None] * n
+        for j1 in range(self.n):
+            for j2 in range(other.n):
+                j = j1 * other.n + j2
+                perm[j] = self.perm[j1] * other.n + other.perm[j2]
+                vals[j] = self.vals[j1] * other.vals[j2]
+        return MonoMatrix(n, perm, vals)
+
+    def transpose(self) -> "MonoMatrix":
+        perm = [0] * self.n
+        vals = [None] * self.n
+        for j in range(self.n):
+            perm[self.perm[j]] = j
+            vals[self.perm[j]] = self.vals[j]
+        return MonoMatrix(self.n, perm, vals)
+
+    def scalar_ratio(self, other: "MonoMatrix"):
+        """c with self = c * other, or None."""
+        if self.perm != other.perm:
+            return None
+        c = self.vals[0] / other.vals[0]
+        if all(self.vals[j] == c * other.vals[j] for j in range(self.n)):
+            return c
+        return None
+
+
+def ref_standard_realization(T, beta, field):
+    """(D(T, beta), its matrices): X_t = (x)_i S^(d_i) C^(c_i), Kronecker
+    products of clock and shift matrices over the hyperbolic pairs, and
+    each structure constant divided back out of X_s X_t."""
+    pairs = symplectic_decomposition(T, beta)
+    group = T.group
+    coords = {group.identity: ()}
+    for (a, b, l) in pairs:
+        for g in (a, b):
+            coords = {e + g.scaled(k): c + (k,)
+                      for e, c in coords.items() for k in range(l)}
+    assert len(coords) == len(T)
+
+    def realize(exps) -> MonoMatrix:
+        m = MonoMatrix.identity(field, 1)
+        for r, (a, b, l) in enumerate(pairs):
+            clock = MonoMatrix.clock(beta.eval(a, b, field), l)
+            blk = MonoMatrix.identity(field, l)
+            for _ in range(exps[2 * r]):
+                blk = clock @ blk
+            for _ in range(exps[2 * r + 1]):
+                blk = MonoMatrix.shift(field, l) @ blk
+            m = m.kron(blk)
+        return m
+
+    elements = tuple(sorted(T.elements, key=lambda e: e.coords))
+    mats = [realize(coords[t]) for t in elements]
+    index = {e: i for i, e in enumerate(elements)}
+    alg = OmegaAlgebra(field, len(T), {PRODUCT: 2},
+                       [f"X{t}" for t in elements])
+    for i, ti in enumerate(elements):
+        for j, tj in enumerate(elements):
+            k = index[ti + tj]
+            c = (mats[i] @ mats[j]).scalar_ratio(mats[k])
+            assert c is not None, (ti, tj)
+            alg.set_entry(PRODUCT, (i, j), {k: c})
+    D = GradedDivision(field, group, T, alg, Grading(alg, group, elements),
+                       elements, beta)
+    return D, mats
+
+
+def ref_transpose_form(D, mats):
+    """tau with X_t^T = tau(t) X_t, read off the transposed matrices."""
+    values = {}
+    for i, t in enumerate(D.elements):
+        c = mats[i].transpose().scalar_ratio(mats[i])
+        assert c is not None and c.is_rational(), t
+        values[t] = int(c.rational_value())
+    return QuadraticForm(D.support, values)
+
+
+def ref_exchange_double(alg, grading, t):
+    """(A + A^op, ex) of any algebra with involution, graded by
+    deg(x, phi(x)) = h and deg(x, -phi(x)) = h + t over a homogeneous
+    basis of A, on the basis u_k = (x_k, phi(x_k)), v_k = (x_k, -phi(x_k))."""
+    field, d = alg.field, alg.dim
+    phi_cols = [alg.row(INVOLUTION, (k,)) for k in range(d)]
+    half = field.scalar(Fraction(1, 2))
+
+    def to_new(p, q):
+        # (p, q) = sum a_k u_k + b_k v_k: a = (p + phi q)/2, b = (p - phi q)/2
+        phi_q = alg.apply_slot(INVOLUTION, 0, q)
+        a = combine([(half, p), (half, phi_q)])
+        b = combine([(half, p), (-half, phi_q)])
+        return {**a, **{d + k: c for k, c in b.items()}}
+
+    out = OmegaAlgebra(field, 2 * d, {PRODUCT: 2, INVOLUTION: 1},
+                       [f"u{k}" for k in range(d)] + [f"v{k}" for k in range(d)])
+    minus_one = field.scalar(-1)
+    cols = ([(alg.basis_vec(k), phi_cols[k]) for k in range(d)] +
+            [(alg.basis_vec(k), combine([(minus_one, phi_cols[k])]))
+             for k in range(d)])
+    for i, (p, q) in enumerate(cols):
+        for j, (p2, q2) in enumerate(cols):
+            # (p, q)(p', q') = (p p', q' q)
+            out.set_entry(PRODUCT, (i, j), to_new(alg.mul(p, p2), alg.mul(q2, q)))
+        out.set_entry(INVOLUTION, (i,), to_new(q, p))
+    degmap = tuple(grading.degmap) + tuple(h + t for h in grading.degmap)
+    return out, Grading(out, grading.group, degmap,
+                        graded_ops=grading.graded_ops | {INVOLUTION})
+
+
+def ref_exchange_double_division(D, t):
+    """The double of D at t built by ref_exchange_double and copied into
+    the basis sorted by support element, Y_s at index(s).  Its sign form
+    is left unset: the extended form is the groups module's, not the
+    double's, and checking its polar form costs more than the double."""
+    alg2, gr2 = ref_exchange_double(D.algebra, D.grading, t)
+    Tt = D.support.extended_by(t)
+    elements = tuple(sorted(Tt.elements, key=lambda e: e.coords))
+    perm = {gr2.degmap.index(s): new for new, s in enumerate(elements)}
+    alg = OmegaAlgebra(D.field, alg2.dim, dict(alg2.operators),
+                       [f"Y{s}" for s in elements])
+    for op in alg2.operators:
+        for idx, row in alg2.tensors[op].items():
+            alg.set_entry(op, tuple(perm[i] for i in idx),
+                          {perm[j]: c for j, c in row.items()})
+    grading = Grading(alg, gr2.group, elements, graded_ops=gr2.graded_ops)
+    return GradedDivision(D.field, D.group, Tt, alg, grading, elements,
+                          extend_bicharacter(D.bicharacter, t), t=t, inner=D)
+
+
+# ---------------------------------------------------------------------------
 # routines only the tests call: dense views, the division corpus and the
 # exchange-double theorems, checked on instances
 # ---------------------------------------------------------------------------
@@ -759,6 +934,25 @@ def mono_dense(m, field):
     for j in range(m.n):
         out[m.perm[j]][j] = m.vals[j]
     return out
+
+
+def generator_power(D, gen, l: int):
+    """(c, k) with Z_gen^l = c Z_k, multiplied out through D.mu."""
+    c, k = D.field.one, D.index[D.group.identity]
+    for _ in range(l):
+        step, k = D.mu(k, D.index[gen])
+        c = c * step
+    return c, k
+
+
+def involution_sign(D, i: int):
+    """c with phi(Z_i) = c Z_i, read off the involution tensor of D;
+    VerificationError when phi(Z_i) is no multiple of Z_i."""
+    row = D.algebra.row(INVOLUTION, (i,))
+    if list(row) != [i]:
+        raise VerificationError(
+            f"involution: phi(Z{i}) is no multiple of Z{i}")
+    return row[i]
 
 
 def label_dimension(label) -> int:
@@ -910,7 +1104,7 @@ def exchange_subgroup_transfer(Dx, T2):
         for h2 in T2.elements:
             c = Dx.commutation(Dx.index[h1], Dx.index[h2])
             table[(h1, h2)] = 0 if c == field.one else 1
-    signs = {h: 1 if Dx.involution_sign(Dx.index[h]) == field.one else -1
+    signs = {h: 1 if involution_sign(Dx, Dx.index[h]) == field.one else -1
              for h in T2.elements}
     return Bicharacter(T2, 2, table), QuadraticForm(T2, signs), proj_cols
 
@@ -953,7 +1147,7 @@ def removal_twist(Dx1, Dx2):
     inv_c, inv_idx = Dx1.basis_inverse(i_tp)
     for i in range(alg1.dim):
         s, k2 = Dx1.sandwich(i_tp, i, inv_idx)
-        twisted = {k2: Dx1.involution_sign(i) * s * inv_c}
+        twisted = {k2: involution_sign(Dx1, i) * s * inv_c}
         expected = Dx2.algebra.row(INVOLUTION, (i,))
         if twisted != expected:
             raise VerificationError(f"Int(Y_t') o phi_1 != phi_2 at basis {i}")

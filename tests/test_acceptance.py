@@ -9,8 +9,7 @@ import itertools
 
 from atsbench.classify import (classify_conductor, enumerate_labels,
                                run_census)
-from atsbench.constructions import (MonoMatrix, d_inv,
-                                    exchange_double_division,
+from atsbench.constructions import (d_inv, exchange_double_division,
                                     standard_realization)
 from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
@@ -23,8 +22,9 @@ from atsbench.triples import (check_at2, extend_automorphism, loos_envelope,
                               pierce_split, reconstruct_iso, recover_triple,
                               triple_from, triple_is_simple)
 from helpers import (all_quadratic_forms, classification_supports, compose,
-                     exchange_subgroup_transfer, graded_division_iso,
-                     involuted_division_corpus, removal_twist)
+                     exchange_subgroup_transfer, generator_power,
+                     graded_division_iso, involuted_division_corpus,
+                     removal_twist)
 
 _corpus = algebra_corpus()
 _triples = triple_corpus()
@@ -45,12 +45,8 @@ def test_criterion_1_standard_realizations():
                 assert ci == beta.eval(ti, tj, field) * cj, (name, ti, tj)
         for (a, b, l) in symplectic_decomposition(T, beta):
             for gen in (a, b):
-                m = D.matrices[D.index[gen]]
-                power = MonoMatrix.identity(field, m.n)
-                for _ in range(l):
-                    power = m @ power
-                assert power.scalar_ratio(
-                    MonoMatrix.identity(field, m.n)) == field.one
+                assert generator_power(D, gen, l) == (
+                    field.one, D.index[T.group.identity]), (name, gen)
         assert is_simple(D.algebra), name
     print("ACCEPTANCE 1: PASS  standard realizations "
           "(Z2^2, Z2^4, Z3^2, Z4^2)")

@@ -32,7 +32,8 @@ from atsbench.linalg import invert_matrix
 from atsbench.omega import LinearMap, VerificationError, check_morphism
 from atsbench.scalars import CycloField
 from helpers import (all_quadratic_forms, classification_supports, compose,
-                     involuted_division_corpus, label_dimension,
+                     involuted_division_corpus, involution_sign,
+                     label_dimension,
                      ref_antimap_candidates, ref_enumerate_labels,
                      ref_pairwise_census, xi_shift_equal)
 
@@ -275,7 +276,7 @@ def test_intrinsic_signs_recover_quadratic_form():
     for tau in all_quadratic_forms(beta):
         D = d_inv(T, beta, tau, F2)
         for i, t in enumerate(D.elements):
-            assert D.involution_sign(i) == F2.scalar(tau(t))
+            assert involution_sign(D, i) == F2.scalar(tau(t))
 
 
 def test_center_support_of_double():
@@ -323,6 +324,19 @@ def test_census_z2_tiny_bound():
     assert res.inconclusive == 0
     assert res.verified_witnesses == res.yes_count
     assert res.refutations == res.no_count
+
+
+@pytest.mark.parametrize("torsion, count", [
+    ((2, 4), 8), ((4, 4), 15), ((2, 2, 2), 16), ((2, 2, 4), 27),
+    ((2, 2, 2, 2), 67)])
+def test_all_subgroups_counts_every_subgroup_once(torsion, count):
+    # Z/2^4 needs four generators for itself: closing sets of at most
+    # three elements found 66 of its 67 subgroups
+    G = AbelianGroup(0, torsion)
+    subgroups = classify.all_subgroups(G)
+    assert len(subgroups) == count
+    assert len({frozenset(s.elements) for s in subgroups}) == count
+    assert len(subgroups[-1]) == len(G.elements())
 
 
 @pytest.mark.parametrize("G, classes", [(Z2, 11), (Z4, 14)],

@@ -300,7 +300,8 @@ beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
 Dx1, Dx2 = (c.exchange_double_division(c.d_inv(T, beta, tau, F), t)
             for tau in h.all_quadratic_forms(beta)[:2])
 D = Dx1.inner
-real_phi, real_double = c.phi_matrix, c.exchange_double
+(pa, pb, _), = c.symplectic_decomposition(T, beta)
+real_phi, real_extend = c.phi_matrix, c.QuadraticForm.extend
 cyclotomic = sc.cyclotomic_polynomial.__wrapped__
 
 
@@ -317,19 +318,14 @@ def failing(*args, **kw):
     return VerificationReport("forced", ["forced"])
 
 
-def no_ratio(self, other):
-    return None
-
-
 def two_entry_phi(*args):
     phi = real_phi(*args)
     (i, j), entry = next(iter(phi.items()))
     return {**phi, (i, -1): entry}
 
 
-def one_degree(*args):
-    alg, gr = real_double(*args)
-    return alg, type("Flat", (), {"degmap": (gr.degmap[0],) * alg.dim})
+def negated_extend(q, s):
+    return lambda u: -real_extend(q, s)(u)
 
 
 def shifted(alg, op):
@@ -380,18 +376,15 @@ cases = [
     (*unpatched, lambda: cl._cross_case_certificate(label, label, F)),
     (D.algebra, "tensors", two_terms, lambda: D.mu(0, 0)),
     (D, "index", dict.fromkeys(D.elements, 1), lambda: D.basis_inverse(0)),
-    (c.MonoMatrix, "scalar_ratio", no_ratio,
+    (beta, "table", {**beta.table, (pa, pb): 0},
      lambda: c.standard_realization(T, beta, F)),
-    (c.MonoMatrix, "scalar_ratio", no_ratio, lambda: c.transpose_form(D)),
-    (c, "exchange_double", one_degree,
-     lambda: c.exchange_double_division(D, t)),
     (c, "phi_matrix", two_entry_phi, lambda: c.build_M_inv(inv_params, F)),
     (Dx1.algebra, "tensors", shifted(Dx1.algebra, INVOLUTION),
      lambda: h.exchange_subgroup_transfer(Dx1, Subgroup(G, (a + t, b)))),
     (c.GradedDivision, "commutation", lambda self, i, j: None,
      lambda: c.exchange_double_division(D, t)),
     (D.algebra, "tensors", shifted(D.algebra, INVOLUTION),
-     lambda: D.involution_sign(0)),
+     lambda: h.involution_sign(D, 0)),
     (sc, "cyclotomic_polynomial", lambda n: (1, 1), lambda: cyclotomic(6)),
 ]
 for owner, name, fake, call in cases:
@@ -406,8 +399,8 @@ for owner, name, fake, call in cases:
 print(issubclass(cl.WitnessError, VerificationError))
 job, division, doubled = sys.argv[1:]
 for owner, name, fake, argv in [
-        (c.MonoMatrix, "scalar_ratio", no_ratio, ["verify", division]),
-        (c, "exchange_double", one_degree, ["verify", doubled]),
+        (c, "check_commutation", failing, ["verify", division]),
+        (c.QuadraticForm, "extend", negated_extend, ["verify", doubled]),
         (c, "phi_matrix", two_entry_phi, ["construct", job])]:
     real = getattr(owner, name)
     setattr(owner, name, fake)
@@ -431,8 +424,8 @@ def test_verified_claims_survive_optimize_flag(tmp_path):
                          str(doubled)) == [
         "forced", "forced", "reconstruction", "reconstruction", "involution",
         "extension", "triple", "L", "Y-basis", "no", "Int(Y_t')",
-        "cross-case", "product", "inverse:", "realization:", "transpose",
-        "degree", "Phi", "involution:", "commutation", "involution:",
+        "cross-case", "product", "inverse:", "realization:", "Phi",
+        "involution:", "commutation", "involution:",
         "cyclotomic", "True", "exit", "3", "exit", "3", "exit", "3",
         "exit", "3", "debug", "False"]
 
@@ -674,6 +667,16 @@ def _edit(text, old, new):
                  {"j.cfg": MINIMAL + "[triple]\nbuiltin = zero\ndim = 3\n"},
                  "triple source grw does not read the [triple] key(s) "
                  "builtin, dim", id="grw-with-builtin-keys"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DOUBLED_CFG, "G = Z/2 x Z/2 x Z/2",
+                                 "G = Z/2 x Z/2 x Z/4")},
+                 "doubling element must have order 2", id="t-of-order-4"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DOUBLED_CFG, "t = (0,0,1)", "t = (1,0,0)")},
+                 "doubling element must avoid the support", id="t-inside-T"),
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(DOUBLED_CFG, "tau = 1 1 1 -1\n", "")},
+                 "exchange double needs an involution on D", id="t-without-tau"),
 ])
 def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
                                             argv, files, named):

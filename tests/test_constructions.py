@@ -2,32 +2,38 @@
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 
 import atsbench.constructions
+from atsbench.classify import (all_subgroups,
+                               nondegenerate_alternating_bicharacters)
 from atsbench.constructions import (ConstraintError, ExchangePairParams,
-                                    InvolutionParams, MonoMatrix,
-                                    _resolve_part, build_exchange_pair,
+                                    InvolutionParams, _resolve_part,
+                                    _with_involution, build_exchange_pair,
                                     build_M_inv, check_commutation, d_inv,
-                                    d_inv_transpose, exchange_double,
+                                    d_inv_transpose,
                                     exchange_double_division, kappa_expand,
                                     matrix_grading, opposite, part_layouts,
                                     phi_matrix, standard_realization,
                                     transpose_form)
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
                              QuadraticForm, Subgroup, extend_bicharacter,
-                             trivial_subgroup)
+                             symplectic_decomposition, trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, LinearMap, VerificationError,
                             check_grading, check_involution, check_morphism,
                             check_t4_flip, is_simple)
 from atsbench.scalars import CycloField
 from atsbench.corpus import algebra_corpus
+from atsbench.triples import check_associative
 from helpers import (all_quadratic_forms, classification_supports, dense_eq,
                      dense_mul, dense_scale, dense_transpose,
-                     exchange_subgroup_transfer, graded_division_iso,
-                     mono_dense, ref_phi_involution, removal_twist,
-                     run_optimized)
+                     exchange_subgroup_transfer, generator_power,
+                     graded_division_iso, mono_dense,
+                     ref_exchange_double_division,
+                     ref_phi_involution, ref_standard_realization,
+                     ref_transpose_form, removal_twist, run_optimized)
 
 F2 = CycloField(2)
 V4 = AbelianGroup(0, (2, 2))
@@ -59,13 +65,12 @@ def test_trivial_support_gives_base_field():
 
 def test_z2_squared_clock_and_shift():
     T, beta = symplectic_v4()
-    D = standard_realization(T, beta, F2)
+    D, mats = ref_standard_realization(T, beta, F2)
     assert D.dim == 4
-    (a, b, l), = [(a, b, l) for (a, b, l) in [p for p in
-                  __import__("atsbench.groups", fromlist=["symplectic_decomposition"]).symplectic_decomposition(T, beta)]]
+    (a, b, l), = symplectic_decomposition(T, beta)
     assert l == 2
-    Xa = mono_dense(D.matrices[D.index[a]], F2)
-    Xb = mono_dense(D.matrices[D.index[b]], F2)
+    Xa = mono_dense(mats[D.index[a]], F2)
+    Xb = mono_dense(mats[D.index[b]], F2)
     assert dense_eq(Xa, [[F2.one, F2.zero], [F2.zero, F2.scalar(-1)]])
     assert dense_eq(Xb, [[F2.zero, F2.one], [F2.one, F2.zero]])
     # independent oracle: explicit 2x2 multiplication
@@ -99,16 +104,59 @@ def test_commutation_relation_and_powers(torsion, matrix, conductor):
     assert rep.name == "commutation-relation"
     assert rep.passed and rep.checked == D.dim ** 2
     # X_(a_i)^(l_i) = 1 = X_(b_i)^(l_i) for the hyperbolic pair generators
-    from atsbench.groups import symplectic_decomposition
     for (a, b, l) in symplectic_decomposition(T, beta):
         for gen in (a, b):
-            i = D.index[gen]
-            power = MonoMatrix.identity(field, D.matrices[i].n)
-            for _ in range(l):
-                power = D.matrices[i] @ power
-            assert power.scalar_ratio(
-                MonoMatrix.identity(field, power.n)) == field.one
+            assert generator_power(D, gen, l) == (
+                field.one, D.index[T.group.identity])
     assert check_grading(D.grading).passed
+
+
+def equivalence_cases():
+    """(G, T, beta) for every subgroup T of the small groups and every
+    beta on it, and the first beta on T = Z/2^4 (all 28 would make the
+    test about four times slower)."""
+    for torsion in ((2, 2), (3, 3), (4, 4), (2, 4), (2, 2, 2), (2, 2, 4)):
+        G = AbelianGroup(0, torsion)
+        for T in all_subgroups(G):
+            for beta in nondegenerate_alternating_bicharacters(T):
+                yield G, T, beta
+    G = AbelianGroup(0, (2, 2, 2, 2))
+    T = Subgroup(G, [G.element(tuple(int(i == k) for i in range(4)))
+                     for k in range(4)])
+    yield G, T, nondegenerate_alternating_bicharacters(T)[0]
+
+
+def assert_same_division(D, R):
+    assert D.algebra.tensors == R.algebra.tensors
+    assert D.algebra.basis_labels == R.algebra.basis_labels
+    assert D.elements == R.elements
+    assert D.grading.degmap == R.grading.degmap
+    assert D.grading.graded_ops == R.grading.graded_ops
+    assert check_associative(D.algebra).passed
+
+
+def test_structure_constants_match_the_matrix_references():
+    # every D(T, beta), its transpose form and every double at t, built
+    # from structure constants, equal the Kronecker realization and the
+    # double of a general algebra with involution, scalar for scalar
+    count = 0
+    for G, T, beta in equivalence_cases():
+        field = CycloField(2 * math.lcm(2, T.exponent, beta.exponent))
+        D = standard_realization(T, beta, field)
+        R, mats = ref_standard_realization(T, beta, field)
+        assert_same_division(D, R)
+        count += 1
+        if not T.is_elementary_2():
+            continue
+        tau = transpose_form(D)
+        assert tau == ref_transpose_form(R, mats)
+        D = _with_involution(D, tau)
+        for t in G.elements():
+            if t.order() == 2 and t not in T:
+                assert_same_division(exchange_double_division(D, t),
+                                     ref_exchange_double_division(D, t))
+                count += 1
+    assert count == 107
 
 
 def test_degenerate_bicharacter_rejected():
@@ -135,8 +183,9 @@ def test_transpose_form_gives_matrix_transpose():
     D = d_inv_transpose(T, beta, F2)
     tau = D.sign_form
     # the symmetric/antisymmetric split of the four basis matrices
+    _, mats = ref_standard_realization(T, beta, F2)
     for i, t in enumerate(D.elements):
-        dense = mono_dense(D.matrices[i], F2)
+        dense = mono_dense(mats[i], F2)
         assert dense_eq(dense_transpose(dense),
                         dense_scale(F2.scalar(tau(t)), dense))
     assert sum(1 for t in T.elements if tau(t) == -1) == 1   # only X_a X_b
@@ -148,17 +197,18 @@ def test_other_form_is_conjugated_transpose():
     T, beta = symplectic_v4()
     D0 = standard_realization(T, beta, F2)
     tau_tr = transpose_form(D0)
+    _, mats = ref_standard_realization(T, beta, F2)
     for tau in all_quadratic_forms(beta):
         D = d_inv(T, beta, tau, F2)
         chi = {t: tau(t) * tau_tr(t) for t in T.elements}
         s = next(t for t in T.elements
                  if all(beta.eval(t, u, F2) == F2.scalar(chi[u])
                         for u in T.elements))
-        Xs = mono_dense(D.matrices[D.index[s]], F2)
+        Xs = mono_dense(mats[D.index[s]], F2)
         Xs_inv = dense_scale(
             (D.mu(D.index[s], D.index[s])[0]).inverse(), Xs)
         for i, t in enumerate(D.elements):
-            dense = mono_dense(D.matrices[i], F2)
+            dense = mono_dense(mats[i], F2)
             via_int = dense_mul(F2, Xs_inv,
                                 dense_mul(F2, dense_transpose(dense), Xs))
             assert dense_eq(via_int, dense_scale(F2.scalar(tau(t)), dense))
@@ -241,14 +291,16 @@ def test_commutation_check_catches_wrong_bicharacter(monkeypatch):
 
 
 def test_double_preconditions():
-    G = AbelianGroup(0, (2, 2))
-    T = Subgroup(G, (A_,))
-    beta = Bicharacter.from_generator_matrix(T, (A_,), [[0]])
-    D_alg = d_inv(trivial_subgroup(G),
-                  Bicharacter.from_generator_matrix(trivial_subgroup(G), (), []),
-                  QuadraticForm(trivial_subgroup(G), {G.identity: 1}), F2)
-    with pytest.raises(ConstraintError):
-        exchange_double(D_alg.algebra, D_alg.grading, G.identity)  # order 1
+    # the doubling element must have order 2 and avoid the support, and
+    # D must carry an involution
+    T, beta = symplectic_v4()
+    D = d_inv_transpose(T, beta, F2)
+    with pytest.raises(ConstraintError, match="must have order 2"):
+        exchange_double_division(D, V4.identity)           # order 1
+    with pytest.raises(ConstraintError, match="must avoid the support"):
+        exchange_double_division(D, A_)
+    with pytest.raises(ConstraintError, match="needs an involution on D"):
+        exchange_double_division(standard_realization(T, beta, F2), A_)
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +635,10 @@ def test_scan_verdicts_survive_optimize_flag():
 
 
 def test_elimination_checks_survive_optimize_flag():
-    # the diagonal involution, the involution signs and the commutation
-    # factor checked by exchange_double_division, the L/R subalgebra check
-    # of loos_envelope and the A_0 spanning check of reconstruct_iso each
-    # raise VerificationError when forced to fail, also under python -O
+    # the involution and the commutation factor checked by
+    # exchange_double_division, the L/R subalgebra check of loos_envelope
+    # and the A_0 spanning check of reconstruct_iso each raise
+    # VerificationError when forced to fail, also under python -O
     code = (
         "import atsbench.constructions as c\n"
         "import atsbench.linalg as la\n"
@@ -594,7 +646,7 @@ def test_elimination_checks_survive_optimize_flag():
         "from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,\n"
         "                             Subgroup, trivial_subgroup)\n"
         "from helpers import all_quadratic_forms\n"
-        "from atsbench.omega import INVOLUTION, VerificationError\n"
+        "from atsbench.omega import VerificationError\n"
         "from atsbench.scalars import CycloField\n"
         "F = CycloField(2)\n"
         "G = AbelianGroup(0, (2, 2, 2))\n"
@@ -607,17 +659,11 @@ def test_elimination_checks_survive_optimize_flag():
         "m2 = c.build_M_inv(c.InvolutionParams(\n"
         "    group=Z2, T=T1, beta=Bicharacter.from_generator_matrix(T1, (), []),\n"
         "    kappa0=(1,), gamma0=(e,), kappa1=(1,), gamma1=(e,), delta=1, g=e), F)\n"
-        "double, extend = c.exchange_double, QuadraticForm.extend\n"
-        "def skew_involution(*args):\n"
-        "    alg, grading = double(*args)\n"
-        "    alg.set_entry(INVOLUTION, (0,), {1: F.one})\n"
-        "    return alg, grading\n"
+        "extend = QuadraticForm.extend\n"
         "class Constant:\n"
         "    def eval(self, x, y, field):\n"
         "        return field.scalar(2)\n"
         "cases = [\n"
-        "    (c, 'exchange_double', skew_involution,\n"
-        "     lambda: c.exchange_double_division(D, t)),\n"
         "    (QuadraticForm, 'extend', lambda q, s: lambda u: -extend(q, s)(u),\n"
         "     lambda: c.exchange_double_division(D, t)),\n"
         "    (c, 'extend_bicharacter', lambda *args: Constant(),\n"
@@ -637,7 +683,7 @@ def test_elimination_checks_survive_optimize_flag():
         "        print(str(err).split()[0])\n"
         "    setattr(owner, name, real)\n"
         "print('debug', __debug__)\n")
-    assert run_optimized(code) == ["involution:", "involution", "commutation",
+    assert run_optimized(code) == ["involution", "commutation",
                                    "L*L", "A_0", "debug", "False"]
 
 
@@ -686,7 +732,7 @@ def test_sandwich_matches_the_realization_matrices():
         if len(T) > 9:
             continue
         D = standard_realization(T, beta, CycloField(conductor))
-        mats = D.matrices
+        _, mats = ref_standard_realization(T, beta, CycloField(conductor))
         for a, b, c in itertools.product(range(D.dim), repeat=3):
             s, k = D.sandwich(a, b, c)
             assert (mats[a] @ mats[b] @ mats[c]).scalar_ratio(mats[k]) == s

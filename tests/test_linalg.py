@@ -3,6 +3,7 @@ Q and Q(i), checked against the dense oracles in helpers, and the sparse
 kernel against the dense reference kernel `RefRowSpace` on random and on
 real systems."""
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -11,13 +12,13 @@ import pytest
 from atsbench import linalg
 from atsbench.classify import classify_conductor, graded_center_support
 from atsbench.config import parse_config
-from atsbench.constructions import ConstraintError, exchange_double
+from atsbench.constructions import d_inv_transpose, exchange_double_division
 from atsbench.corpus import triple_corpus
-from atsbench.groups import AbelianGroup
+from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
+                             Subgroup)
 from atsbench.linalg import (RowSpace, invert_matrix, kernel, mat_mul,
                              mat_vec, rref, solve)
-from atsbench.omega import (INVOLUTION, PRODUCT, Grading, OmegaAlgebra,
-                            center_basis)
+from atsbench.omega import VerificationError, center_basis
 from atsbench.scalars import CycloField
 from atsbench.triples import loos_envelope
 from helpers import (RefRowSpace, dense_eq, dense_mul, dense_transpose,
@@ -343,12 +344,14 @@ def test_solve_and_envelope_insert_no_empty_rows(monkeypatch):
 
 
 def test_exchange_double_rejects_non_involution():
-    # phi(e0) = 2 e0 squares to 4, not the identity
-    F = CycloField(1)
-    alg = OmegaAlgebra(F, 1, {PRODUCT: 2, INVOLUTION: 1})
-    alg.set_entry(PRODUCT, (0, 0), {0: F.one})
-    alg.set_entry(INVOLUTION, (0,), {0: F.scalar(2)})
-    Z2 = AbelianGroup(0, (2,))
-    grading = Grading(alg, Z2, (Z2.identity,))
-    with pytest.raises(ConstraintError, match="square to the identity"):
-        exchange_double(alg, grading, Z2.element((1,)))
+    # a sign form whose polar form is not beta: ex(Y_s) = tau^[t](s) Y_s
+    # is then no involution of the double's product
+    G = AbelianGroup(0, (2, 2, 2))
+    a, b, t = (G.element(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    T = Subgroup(G, (a, b))
+    beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
+    F = CycloField(2)
+    D = d_inv_transpose(T, beta, F)
+    flat = QuadraticForm(T, dict.fromkeys(T.elements, 1))
+    with pytest.raises(VerificationError, match="extended quadratic form"):
+        exchange_double_division(dataclasses.replace(D, sign_form=flat), t)
