@@ -30,8 +30,8 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import gcd, lcm
 
-from .constructions import (ConstructedAlgebra, ExchangePairParams,
-                            InvolutionParams, _compositions,
+from .constructions import (ConstraintError, ConstructedAlgebra,
+                            ExchangePairParams, InvolutionParams, _compositions,
                             _conjugation_columns, build_exchange_pair,
                             build_M_inv, diagonal_solutions, division_part,
                             kappa_expand, opposite, part_layouts)
@@ -755,19 +755,19 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
     """All valid class labels over G within the dimension bound; each
     module part of an exchange pair has dimension at most two.
 
-    Deliberately exhaustive up to names: distinct labels of the same
-    class are exactly what the census wants to decide about.  Labels are
-    deduplicated by name, and a name omits beta: when T carries several
-    nondegenerate alternating bicharacters, a label over a later one is
-    dropped whenever a label over an earlier one has its name.
+    Deliberately exhaustive: distinct labels of the same class are
+    exactly what the census wants to decide about.  No name recurs over
+    one beta, but a name omits beta: when T carries several nondegenerate
+    alternating bicharacters, two labels can share a name, and the
+    enumeration raises a ConstraintError naming T and the label rather
+    than drop one.
 
     Every candidate satisfies its constraints by construction, so each
     one kept is built once (the census reuses the build) and none is
     built to be rejected.  An exchange pair's only constraint is that a
     part's degrees are distinct modulo T: they run over exactly those
     tuples (_degree_tuples).  The Phi-involution constraints are solved
-    by _enumerate_phi.  A name that recurs keeps its first candidate as
-    its label, and a repeat is not built."""
+    by _enumerate_phi."""
     elements = G.elements()
     free = [((x,), None) for x in elements]
     labels = {}
@@ -775,9 +775,12 @@ def enumerate_labels(G: AbelianGroup, max_dim: int,
 
     def add(params, field):
         lab = ClassLabel(params, _divisions=divisions)
-        if lab.name not in labels:
-            lab.build(field)
-            labels[lab.name] = lab
+        if lab.name in labels:
+            raise ConstraintError(
+                f"label {lab.name} recurs over T = {params.T}: label names "
+                f"omit beta, so a second bicharacter on T repeats them")
+        lab.build(field)
+        labels[lab.name] = lab
 
     for T in all_subgroups(G):
         if max_support is not None and len(T) > max_support:

@@ -77,8 +77,10 @@ class JobConfig:
 
 
 def _raw_sections(text: str):
-    sections = {}
-    current = None
+    """{section: {key: (value, lineno)}}; a repeated section or key is an
+    error naming both lines."""
+    sections, headers = {}, {}
+    current = name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,17 +89,22 @@ def _raw_sections(text: str):
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
-            current = sections.setdefault(name, {})
+            if name in headers:
+                raise ConfigError(f"line {lineno}: section [{name}] repeats "
+                                  f"line {headers[name]}")
+            headers[name] = lineno
+            current = sections[name] = {}
             continue
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        section_name = next(n for n, d in sections.items() if d is current)
-        if key not in _SECTIONS[section_name]:
-            raise ConfigError(
-                f"line {lineno}: unknown key {key!r} in [{section_name}]")
+        if key not in _SECTIONS[name]:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{name}]")
+        if key in current:
+            raise ConfigError(f"line {lineno}: key {key!r} in [{name}] "
+                              f"repeats line {current[key][1]}")
         current[key] = (value, lineno)
     return sections
 

@@ -136,12 +136,11 @@ def standard_realization(T: Subgroup, beta: Bicharacter,
         raise ConstraintError("T is not of symmetric-square shape")
     # beta(a_i, b_i) = zeta_M^(eps_i)
     eps = [beta.exponent_of(a, b) for (a, b, _) in pairs]
-    elements = tuple(sorted(T.elements, key=lambda e: e.coords))
     alg = OmegaAlgebra(field, len(T), {PRODUCT: 2},
-                       [f"X{s}" for s in elements])
+                       [f"X{s}" for s in T.elements])
     D = GradedDivision(field, T.group, T, alg,
-                       Grading(alg, T.group, elements), elements, beta)
-    for (i, s), (j, u) in itertools.product(enumerate(elements), repeat=2):
+                       Grading(alg, T.group, T.elements), T.elements, beta)
+    for (i, s), (j, u) in itertools.product(enumerate(T.elements), repeat=2):
         power = sum(k * c * d for k, c, d in
                     zip(eps, coords[s][0::2], coords[u][1::2]))
         alg.set_entry(PRODUCT, (i, j),
@@ -164,7 +163,8 @@ def transpose_form(D: GradedDivision) -> QuadraticForm:
 
 
 def _with_involution(D: GradedDivision, tau: QuadraticForm) -> GradedDivision:
-    """Give D the involution X_t -> tau(t) X_t, verified."""
+    """Give D the involution X_t -> tau(t) X_t, verified.  The polar-form
+    comparison is the one check that tau is quadratic (beta is bilinear)."""
     if tau.polar_form() != D.bicharacter:
         raise ConstraintError("polar form of tau must equal beta")
     D.algebra.add_operator(INVOLUTION, 1)
@@ -187,13 +187,6 @@ def d_inv(T: Subgroup, beta: Bicharacter, tau: QuadraticForm,
     return _with_involution(standard_realization(T, beta, field), tau)
 
 
-def d_inv_transpose(T: Subgroup, beta: Bicharacter,
-                    field: CycloField) -> GradedDivision:
-    """D(T, beta) with matrix transposition as the involution."""
-    D = standard_realization(T, beta, field)
-    return _with_involution(D, transpose_form(D))
-
-
 def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivision:
     """The exchange double D^[t] = (D + D^op, ex) of D with its involution
     phi0, on the basis Y_u = (X_u, phi0(X_u)), Y_(u+t) = (X_u, -phi0(X_u))
@@ -213,7 +206,7 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
     if t in D.support:
         raise ConstraintError("doubling element must avoid the support")
     field, Tt = D.field, D.support.extended_by(t)
-    elements = tuple(sorted(Tt.elements, key=lambda e: e.coords))
+    elements = Tt.elements
     alg = OmegaAlgebra(field, len(Tt), {PRODUCT: 2, INVOLUTION: 1},
                        [f"Y{s}" for s in elements])
     grading = Grading(alg, D.group, elements,
@@ -234,6 +227,20 @@ def exchange_double_division(D: GradedDivision, t: GroupElement) -> GradedDivisi
         raise VerificationError(
             "commutation factor must follow the extended bicharacter")
     return out
+
+
+def division_part(T: Subgroup, beta: Bicharacter, t: GroupElement,
+                  field: CycloField, divisions: dict = None) -> GradedDivision:
+    """D(T, beta) with transposition as its involution, doubled at t if
+    given.  `divisions` holds the parts one run has built, keyed by (T, beta,
+    t, conductor): a built part is never changed, so labels share it."""
+    divisions = {} if divisions is None else divisions
+    key = (T, beta.exponent, beta, t, field.conductor)
+    if key not in divisions:
+        D = standard_realization(T, beta, field)
+        D = _with_involution(D, transpose_form(D))
+        divisions[key] = D if t is None else exchange_double_division(D, t)
+    return divisions[key]
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +495,6 @@ def _resolve_part(params: InvolutionParams, which: int, sigma: QuadraticForm):
     return blocks
 
 
-def build_division_part(params: InvolutionParams, field: CycloField,
-                        divisions: dict = None) -> GradedDivision:
-    """The division part of the parameters (see division_part)."""
-    return division_part(params.T, params.beta, params.t, field, divisions)
-
-
-def division_part(T: Subgroup, beta: Bicharacter, t: GroupElement,
-                  field: CycloField, divisions: dict = None) -> GradedDivision:
-    """D(T, beta) with transposition, doubled at t in the exchange-division
-    case.  `divisions` holds the parts one run has built, keyed by (T, beta,
-    t, conductor): a built part is never changed, so labels share it."""
-    divisions = {} if divisions is None else divisions
-    key = (T, beta.exponent, beta, t, field.conductor)
-    if key not in divisions:
-        D = d_inv_transpose(T, beta, field)
-        divisions[key] = D if t is None else exchange_double_division(D, t)
-    return divisions[key]
-
-
 @dataclass
 class ConstructedAlgebra:
     """A fully assembled algebra with involution and Z x G grading,
@@ -565,8 +553,8 @@ def build_M_inv(params: InvolutionParams, field: CycloField,
     exchange-double variant: the 3-graded matrix algebra over the
     division part with the involution X -> Phi^{-1} X^* Phi, where *
     is the entrywise-phi0 transpose.  `divisions` is the division-part
-    table of build_division_part."""
-    D = build_division_part(params, field, divisions)
+    table of division_part."""
+    D = division_part(params.T, params.beta, params.t, field, divisions)
     phi = phi_matrix(params, D, D.sign_form)
 
     g0 = kappa_expand(params.kappa0, params.gamma0)

@@ -264,22 +264,6 @@ class Bicharacter:
                 table[(t1, t2)] = k % M
         return Bicharacter(domain, M, table)
 
-    @staticmethod
-    def from_sign_table(domain: Subgroup, signs: dict) -> "Bicharacter":
-        """Build a {+1,-1}-valued bicharacter from a full sign table,
-        checking multiplicativity in each slot."""
-        table = {}
-        for t1 in domain.elements:
-            for t2 in domain.elements:
-                s = signs[(t1, t2)]
-                if s not in (1, -1):
-                    raise GroupError("sign table values must be +-1")
-                table[(t1, t2)] = 0 if s == 1 else 1
-        bc = Bicharacter(domain, 2, table)
-        if not bc.is_multiplicative():
-            raise GroupError("sign table is not multiplicative in each slot")
-        return bc
-
     def exponent_of(self, t1: GroupElement, t2: GroupElement) -> int:
         key = (t1, t2)
         if key not in self.table:
@@ -288,18 +272,6 @@ class Bicharacter:
 
     def eval(self, t1: GroupElement, t2: GroupElement, field: CycloField) -> Scalar:
         return field.zeta(self.exponent, self.exponent_of(t1, t2))
-
-    def is_multiplicative(self) -> bool:
-        els = self.domain.elements
-        for a in els:
-            for b in els:
-                ab = a + b
-                for c in els:
-                    if (self.table[(ab, c)] - self.table[(a, c)] - self.table[(b, c)]) % self.exponent:
-                        return False
-                    if (self.table[(c, ab)] - self.table[(c, a)] - self.table[(c, b)]) % self.exponent:
-                        return False
-        return True
 
     def is_alternating(self) -> bool:
         return all(self.table[(t, t)] % self.exponent == 0 for t in self.domain.elements)
@@ -340,8 +312,9 @@ class Bicharacter:
 
 
 class QuadraticForm:
-    """A sign-valued form tau on an elementary 2-group with tau(e) = 1 whose
-    polar form tau(t1+t2)tau(t1)tau(t2) is a bicharacter."""
+    """A sign-valued form tau on an elementary 2-group with tau(e) = 1.
+    Only the values are checked here: constructions._with_involution checks
+    that tau is quadratic, by comparing its polar form with beta."""
 
     def __init__(self, domain: Subgroup, values: dict):
         self.domain = domain
@@ -352,7 +325,6 @@ class QuadraticForm:
             raise GroupError("quadratic form must send the identity to +1")
         if any(v not in (1, -1) for v in self.values.values()):
             raise GroupError("quadratic form values must be +-1")
-        self.polar_form()   # raises if the polar form is not multiplicative
 
     def __call__(self, t: GroupElement) -> int:
         if t not in self.values:
@@ -360,11 +332,11 @@ class QuadraticForm:
         return self.values[t]
 
     def polar_form(self) -> Bicharacter:
-        signs = {}
-        for t1 in self.domain.elements:
-            for t2 in self.domain.elements:
-                signs[(t1, t2)] = self(t1 + t2) * self(t1) * self(t2)
-        return Bicharacter.from_sign_table(self.domain, signs)
+        """tau(t1+t2)tau(t1)tau(t2); a bicharacter iff tau is quadratic."""
+        v, els = self.values, self.domain.elements
+        return Bicharacter(self.domain, 2, {
+            (t1, t2): (1 - v[t1 + t2] * v[t1] * v[t2]) // 2
+            for t1 in els for t2 in els})
 
     def extend(self, t: GroupElement) -> "QuadraticForm":
         """tau^[t] on T<t>: u + k*t  ->  tau(u) * (-1)^k."""

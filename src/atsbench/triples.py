@@ -42,9 +42,6 @@ class TripleSystem:
     def field(self) -> CycloField:
         return self.algebra.field
 
-    def product(self, x: SparseVec, y: SparseVec, z: SparseVec) -> SparseVec:
-        return self.algebra.apply(TRIPLE, x, y, z)
-
     def row(self, i, j, k) -> SparseVec:
         return self.algebra.row(TRIPLE, (i, j, k))
 

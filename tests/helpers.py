@@ -38,7 +38,8 @@ next to the exact assertions, never instead of them.
 
 The last section holds the routines that only tests call, kept out of
 the package: `mono_dense`, `generator_power`, `involution_sign`,
-`label_dimension` and the general `coarsen`, `all_quadratic_forms`, the
+`label_dimension` and the general `coarsen`, `is_multiplicative`,
+`all_quadratic_forms`, the
 division corpus (`classification_supports`, `involuted_division_corpus`)
 and the exchange-double theorems (`graded_division_iso`,
 `exchange_subgroup_transfer`, `removal_twist`).
@@ -59,7 +60,7 @@ from atsbench import classify
 from atsbench.classify import xi_shift_candidates
 from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     GradedDivision, InvolutionParams,
-                                    _compositions, build_division_part, d_inv,
+                                    _compositions, d_inv, division_part,
                                     diagonal_solutions,
                                     exchange_double_division, part_layouts,
                                     phi_matrix)
@@ -695,9 +696,10 @@ def ref_enumerate_labels(G, max_dim, cases=(classify.EXCHANGE_PAIR,
         try:
             lab = classify.ClassLabel(params_cls(group=G, **fields))
             if params_cls is InvolutionParams:
-                D = build_division_part(
-                    lab.params, CycloField(classify.classify_conductor(lab)),
-                    divisions)
+                p = lab.params
+                D = division_part(
+                    p.T, p.beta, p.t,
+                    CycloField(classify.classify_conductor(lab)), divisions)
                 phi_matrix(lab.params, D, D.sign_form)
         except ConstraintError:
             return
@@ -968,6 +970,18 @@ def coarsen(grading, alpha, target_group) -> Grading:
     return Grading(grading.algebra, target_group,
                    tuple(alpha(d) for d in grading.degmap),
                    graded_ops=grading.graded_ops)
+
+
+def is_multiplicative(bc) -> bool:
+    """Whether a Bicharacter's table is multiplicative in each slot, over
+    all |T|^3 triples."""
+    els, M, table = bc.domain.elements, bc.exponent, bc.table
+    for a, b, c in itertools.product(els, repeat=3):
+        ab = a + b
+        if ((table[(ab, c)] - table[(a, c)] - table[(b, c)]) % M
+                or (table[(c, ab)] - table[(c, a)] - table[(c, b)]) % M):
+            return False
+    return True
 
 
 def all_quadratic_forms(beta):

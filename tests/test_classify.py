@@ -457,6 +457,26 @@ def test_enumeration_builds_no_rejected_candidate(monkeypatch, torsion,
     assert len(builds) <= 1.1 * count
 
 
+def test_a_name_repeated_over_a_second_beta_exits_2(monkeypatch, tmp_path,
+                                                    capsys):
+    # Z/3 x Z/3 carries two nondegenerate alternating bicharacters, and a
+    # label name omits beta: their exchange pairs of dim 72 share names,
+    # which the enumeration reports instead of keeping the first beta's
+    monkeypatch.setattr(ClassLabel, "build", lambda self, field: None)
+    G = AbelianGroup(0, (3, 3))
+    assert len(enumerate_labels(G, 71, cases=(EXCHANGE_PAIR,))) == 8100
+    named = ("label exchange_pair T=(0,1)|(1,0) k0=(1,) g0=((0,0)) k1=(1,) "
+             "g1=((0,0)) recurs over T = <(0,1), (1,0)>")
+    with pytest.raises(ConstraintError) as err:
+        enumerate_labels(G, 72, cases=(EXCHANGE_PAIR,))
+    assert named in str(err.value)
+    cfg = tmp_path / "census.cfg"
+    cfg.write_text("[group]\nG = Z/3 x Z/3\n[census]\nmax_dim = 72\n"
+                   "cases = exchange_pair\n")
+    assert main(["census", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_exchange_division_pairs_over_v4():
     T, beta = trivial_pair(V4)
     e, a = V4.identity, V4.element((1, 0))
@@ -608,12 +628,12 @@ def test_census_builds_each_division_part_once(monkeypatch):
     # (2), conductor 4); a second census in the same process builds its
     # own, so nothing is carried over between runs
     built = []
-    real = constructions.d_inv_transpose
+    real = constructions.transpose_form
 
-    def counting(T, beta, field):
-        built.append((frozenset(T.elements), field.conductor))
-        return real(T, beta, field)
-    monkeypatch.setattr(constructions, "d_inv_transpose", counting)
+    def counting(D):
+        built.append((frozenset(D.elements), D.field.conductor))
+        return real(D)
+    monkeypatch.setattr(constructions, "transpose_form", counting)
     G = _census_group("census_z4.cfg")
     first = classify.run_census(G, 8)
     assert len(built) == 2 and len(first.labels) == 32
@@ -630,13 +650,13 @@ def test_shared_division_parts_are_not_changed_by_a_census(monkeypatch):
     # a division part is shared by every label of its (T, beta, t,
     # conductor); no construction, decision or search may change it
     seen = {}
-    real = constructions.build_division_part
+    real = constructions.division_part
 
-    def recording(params, field, divisions=None):
-        D = real(params, field, divisions)
+    def recording(T, beta, t, field, divisions=None):
+        D = real(T, beta, t, field, divisions)
         seen.setdefault(id(D), (D, _tensors(D), dict(D.algebra.operators)))
         return D
-    monkeypatch.setattr(constructions, "build_division_part", recording)
+    monkeypatch.setattr(constructions, "division_part", recording)
     res = classify.run_census(_census_group("census_z4.cfg"), 8)
     assert res.inconclusive == 0 and len(seen) == 2
     for D, tensors, operators in seen.values():

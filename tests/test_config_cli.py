@@ -457,6 +457,16 @@ tau = 1 1 1 -1
 t = (0,0,1)
 """
 
+CUBIC_TAU_CFG = """
+[group]
+G = Z/2 x Z/2 x Z/2 x Z/2
+
+[division]
+T = (1,0,0,0) (0,1,0,0) (0,0,1,0) (0,0,0,1)
+beta = [[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]
+tau = 1 1 1 1 1 1 1 1 1 1 1 1 1 1 -1 -1
+"""
+
 
 def test_cli_division_verify(tmp_path):
     cfg = tmp_path / "div.cfg"
@@ -540,6 +550,16 @@ def _edit(text, old, new):
     pytest.param(["construct", "j.cfg"],
                  {"j.cfg": _edit(DIVISION_CFG, "tau = 1 1 1 -1",
                                  "tau = 1 1 x 1")}, "tau", id="tau"),
+    # tau(x) = (-1)^(x1 x2 x3) is cubic: its polar form is no bicharacter
+    pytest.param(["verify", "j.cfg"], {"j.cfg": CUBIC_TAU_CFG}, "tau",
+                 id="tau-cubic"),
+    pytest.param(["construct", "j.cfg"], {"j.cfg": MINIMAL + "gamma1 = (1)\n"},
+                 "line 17: key 'gamma1' in [label] repeats line 14",
+                 id="repeated-key"),
+    pytest.param(["construct", "j.cfg"],
+                 {"j.cfg": MINIMAL + "[group]\nG = Z/4\n"},
+                 "line 17: section [group] repeats line 6",
+                 id="repeated-section"),
     pytest.param(["envelope", "t.cfg"],
                  {"t.cfg": "[triple]\nsource = builtin\nbuiltin = zero\n"
                            "dim = two\n"}, "dim", id="triple-dim"),

@@ -13,7 +13,7 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     InvolutionParams, _resolve_part,
                                     _with_involution, build_exchange_pair,
                                     build_M_inv, check_commutation, d_inv,
-                                    d_inv_transpose,
+                                    division_part,
                                     exchange_double_division, kappa_expand,
                                     matrix_grading, opposite, part_layouts,
                                     phi_matrix, standard_realization,
@@ -180,7 +180,7 @@ def test_identity_involution_on_f():
 
 def test_transpose_form_gives_matrix_transpose():
     T, beta = symplectic_v4()
-    D = d_inv_transpose(T, beta, F2)
+    D = division_part(T, beta, None, F2)
     tau = D.sign_form
     # the symmetric/antisymmetric split of the four basis matrices
     _, mats = ref_standard_realization(T, beta, F2)
@@ -228,7 +228,7 @@ def test_involution_needs_elementary_two_support():
     T = Subgroup(G, gens)
     beta = Bicharacter.from_generator_matrix(T, gens, [[0, 1], [-1, 0]])
     with pytest.raises((ConstraintError, GroupError)):
-        d_inv_transpose(T, beta, CycloField(3))
+        division_part(T, beta, None, CycloField(3))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_double_of_z2_squared():
     a, b, t = G.element((1, 0, 0)), G.element((0, 1, 0)), G.element((0, 0, 1))
     T = Subgroup(G, (a, b))
     beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
-    D = d_inv_transpose(T, beta, F2)
+    D = division_part(T, beta, None, F2)
     Dx = exchange_double_division(D, t)
     assert Dx.dim == 8
     assert len(set(Dx.grading.degmap)) == 8       # all components 1-dim
@@ -283,7 +283,7 @@ def test_commutation_check_catches_wrong_bicharacter(monkeypatch):
     T3 = Subgroup(G, (a, b))
     beta3 = Bicharacter.from_generator_matrix(T3, (a, b), [[0, 1], [1, 0]])
     flat = Bicharacter.from_generator_matrix(T3, (a, b), [[0, 0], [0, 0]])
-    D3 = d_inv_transpose(T3, beta3, F2)
+    D3 = division_part(T3, beta3, None, F2)
     monkeypatch.setattr(atsbench.constructions, "extend_bicharacter",
                         lambda _, s: extend_bicharacter(flat, s))
     with pytest.raises(VerificationError, match="commutation factor"):
@@ -294,7 +294,7 @@ def test_double_preconditions():
     # the doubling element must have order 2 and avoid the support, and
     # D must carry an involution
     T, beta = symplectic_v4()
-    D = d_inv_transpose(T, beta, F2)
+    D = division_part(T, beta, None, F2)
     with pytest.raises(ConstraintError, match="must have order 2"):
         exchange_double_division(D, V4.identity)           # order 1
     with pytest.raises(ConstraintError, match="must avoid the support"):
@@ -350,7 +350,7 @@ def test_phi_trivial_is_identity():
     e = G.identity
     p = InvolutionParams(group=G, T=T, beta=beta, kappa0=(1,), gamma0=(e,),
                          kappa1=(1,), gamma1=(e,), delta=1, g=e)
-    D = d_inv_transpose(T, beta, F2)
+    D = division_part(T, beta, None, F2)
     phi = phi_matrix(p, D, D.sign_form)
     assert phi == {(0, 0): (0, F2.one), (1, 1): (0, F2.one)}
 
@@ -364,7 +364,7 @@ def test_phi_paired_block_shape():
                              kappa0=(1, 1), gamma0=(A_, B_), m0=0,
                              kappa1=(1, 1), gamma1=(e, A_ + B_), m1=0,
                              delta=delta, g=A_ + B_)
-        D = d_inv_transpose(T, beta, F2)
+        D = division_part(T, beta, None, F2)
         phi = phi_matrix(p, D, D.sign_form)
         # [[0, I], [delta I, 0]] per part
         assert phi[(0, 1)] == (0, F2.one)
@@ -693,7 +693,7 @@ def test_double_is_simple_with_involution_only():
     G, a, b, t = z2cube()
     T1 = Subgroup(G, (a, b))
     beta1 = Bicharacter.from_generator_matrix(T1, (a, b), [[0, 1], [1, 0]])
-    Dx = exchange_double_division(d_inv_transpose(T1, beta1, F2), t)
+    Dx = exchange_double_division(division_part(T1, beta1, None, F2), t)
     assert is_simple(Dx.algebra)
     assert not is_simple(Dx.algebra, ops={PRODUCT})
     assert len(set(Dx.grading.degmap)) == Dx.dim
@@ -708,8 +708,8 @@ def test_double_isomorphism_criterion_on_divisions():
     T2 = Subgroup(G, (a, t))
     beta1 = Bicharacter.from_generator_matrix(T1, (a, b), [[0, 1], [1, 0]])
     beta2 = Bicharacter.from_generator_matrix(T2, (a, t), [[0, 1], [1, 0]])
-    Dx1 = exchange_double_division(d_inv_transpose(T1, beta1, F2), t)
-    Dx2 = exchange_double_division(d_inv_transpose(T2, beta2, F2), b)
+    Dx1 = exchange_double_division(division_part(T1, beta1, None, F2), t)
+    Dx2 = exchange_double_division(division_part(T2, beta2, None, F2), b)
     assert set(Dx1.support.elements) == set(Dx2.support.elements)
     assert graded_division_iso(Dx1, Dx2) is None
     # and doubles with different extended quadratic forms at the same t

@@ -10,7 +10,7 @@ from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
                              prepend_z, symplectic_decomposition,
                              trivial_subgroup, zg_element)
 from atsbench.scalars import CycloField
-from helpers import all_quadratic_forms
+from helpers import all_quadratic_forms, is_multiplicative
 
 F2 = CycloField(2)
 V4 = AbelianGroup(0, (2, 2))
@@ -62,7 +62,7 @@ def test_equal_bicharacters_of_different_exponents_hash_alike():
 
 def test_multiplicativity_exhaustive():
     T, beta = symplectic_v4()
-    assert beta.is_multiplicative()
+    assert is_multiplicative(beta)
     for t1, t2, t3 in itertools.product(T.elements, repeat=3):
         lhs = beta.eval(t1 + t2, t3, F2)
         assert lhs == beta.eval(t1, t3, F2) * beta.eval(t2, t3, F2)
@@ -103,6 +103,25 @@ def test_polar_form_examples():
         for (s, t), sign in expanded.items():
             assert got.eval(s, t, F2) == F2.scalar(sign)
         assert got == beta
+    # the same oracle on the 16 quadratic forms of a symplectic beta on Z/2^4
+    G4 = AbelianGroup(0, (2, 2, 2, 2))
+    gens = [G4.element(v) for v in ((1, 0, 0, 0), (0, 1, 0, 0),
+                                    (0, 0, 1, 0), (0, 0, 0, 1))]
+    T4 = Subgroup(G4, gens)
+    beta4 = Bicharacter.from_generator_matrix(
+        T4, gens, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    forms4 = all_quadratic_forms(beta4)
+    assert len(set(forms4)) == 16
+    for tau in forms4:
+        got = tau.polar_form()
+        for s, t in itertools.product(T4.elements, repeat=2):
+            assert got.eval(s, t, F2) == F2.scalar(tau(s + t) * tau(s) * tau(t))
+        assert is_multiplicative(got) and got == beta4
+    # a cubic form's polar form is no bicharacter
+    cubic = QuadraticForm(T4, {x: (-1) ** (x.coords[0] * x.coords[1]
+                                          * x.coords[2])
+                               for x in T4.elements})
+    assert not is_multiplicative(cubic.polar_form())
 
 
 def test_quadratic_form_validation():

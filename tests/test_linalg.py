@@ -12,7 +12,7 @@ import pytest
 from atsbench import linalg
 from atsbench.classify import classify_conductor, graded_center_support
 from atsbench.config import parse_config
-from atsbench.constructions import d_inv_transpose, exchange_double_division
+from atsbench.constructions import division_part, exchange_double_division
 from atsbench.corpus import triple_corpus
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              Subgroup)
@@ -351,7 +351,7 @@ def test_exchange_double_rejects_non_involution():
     T = Subgroup(G, (a, b))
     beta = Bicharacter.from_generator_matrix(T, (a, b), [[0, 1], [1, 0]])
     F = CycloField(2)
-    D = d_inv_transpose(T, beta, F)
+    D = division_part(T, beta, None, F)
     flat = QuadraticForm(T, dict.fromkeys(T.elements, 1))
     with pytest.raises(VerificationError, match="extended quadratic form"):
         exchange_double_division(dataclasses.replace(D, sign_form=flat), t)
