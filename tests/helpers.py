@@ -38,10 +38,10 @@ next to the exact assertions, never instead of them.
 
 The last section holds the routines that only tests call, kept out of
 the package: `mono_dense`, `generator_power`, `involution_sign`,
-`label_dimension` and the general `coarsen`, `is_multiplicative`,
-`all_quadratic_forms`, the
-division corpus (`classification_supports`, `involuted_division_corpus`)
-and the exchange-double theorems (`graded_division_iso`,
+`label_dimension` and the general `coarsen`, `is_multiplicative` (the
+|T|^3 scan of a bicharacter table), `all_quadratic_forms`, the division
+corpus (`classification_supports`, `involuted_division_corpus`) and the
+exchange-double theorems (`graded_division_iso`,
 `exchange_subgroup_transfer`, `removal_twist`).
 """
 
@@ -700,7 +700,7 @@ def ref_enumerate_labels(G, max_dim, cases=(classify.EXCHANGE_PAIR,
                 D = division_part(
                     p.T, p.beta, p.t,
                     CycloField(classify.classify_conductor(lab)), divisions)
-                phi_matrix(lab.params, D, D.sign_form)
+                phi_matrix(p, D, D.sign_form)
         except ConstraintError:
             return
         labels.setdefault(lab.name, lab)
