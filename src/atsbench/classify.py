@@ -702,15 +702,33 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
 # ---------------------------------------------------------------------------
 
 def all_subgroups(G: AbelianGroup):
-    """All subgroups of a small finite group, by closing generator sets of
-    at most G.ncoords elements: a subgroup of a finite abelian group
-    needs no more generators than the group."""
+    """All subgroups of a small finite group, each with the first set of
+    generators, by size and then lexicographically, that spans it.  A set
+    grows one element at a time, up to G.ncoords elements (a subgroup of
+    a finite abelian group needs no more generators than the group), and
+    its span grows by the multiples of the new element.  An element
+    already in the span is skipped, and so is every extension of that
+    set: dropping the element gives a smaller set with the same span."""
     elements = G.elements()
-    seen = {}
-    for size in range(G.ncoords + 1):
-        for gens in itertools.combinations(elements, size):
-            sub = Subgroup(G, gens)
-            seen.setdefault(frozenset(e.coords for e in sub.elements), sub)
+    torsion = G.torsion
+    multiples = [[tuple(k * c % m for c, m in zip(e.coords, torsion))
+                  for k in range(e.order())] for e in elements]
+    trivial = frozenset(multiples[0])
+    seen = {trivial: Subgroup(G, ())}
+    layer = [((), trivial)]         # (indices of the generators, span)
+    for _ in range(G.ncoords):
+        grown = []
+        for gens, span in layer:
+            for n in range(gens[-1] + 1 if gens else 0, len(elements)):
+                if elements[n].coords in span:
+                    continue
+                wider = frozenset(
+                    tuple((a + b) % m for a, b, m in zip(s, k, torsion))
+                    for s in span for k in multiples[n])
+                if wider not in seen:
+                    seen[wider] = Subgroup(G, [elements[i] for i in gens + (n,)])
+                grown.append((gens + (n,), wider))
+        layer = grown
     return sorted(seen.values(), key=lambda s: (len(s), tuple(
         e.coords for e in s.elements)))
 

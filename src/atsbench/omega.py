@@ -7,7 +7,8 @@ a group-element degree to every basis vector.  Every verification is
 exact: the identity checks (morphisms, involutions, and in `triples`
 associativity and the triple axioms) compare summed rows in one kernel,
 _unequal_sums, and the per-entry checks (grading, degree flip) make one
-pass over the stored entries.
+pass over the stored entries, with their degree arithmetic done once per
+distinct tuple of degrees.
 
 Vectors are sparse dicts {basis_index: Scalar} with no stored zeros.
 """
@@ -264,22 +265,57 @@ def _unequal_images(table: dict, columns: list, target: dict) -> list:
     return sorted(bad)
 
 
+def _degree_codes(degmap) -> tuple[list, dict]:
+    """One small int per distinct degree: the code of each basis vector,
+    and the codes by degree (numbered in order of first appearance)."""
+    codes = {}
+    return [codes.setdefault(d, len(codes)) for d in degmap], codes
+
+
+def _misgraded(grading: Grading, ops) -> list:
+    """The violations of the grading on the operators `ops`, in stored
+    order: one per output index of a stored entry outside the predicted
+    component.  The predicted degree, identity + deg(e_i1) + deg(e_i2) +
+    ..., is kept per tuple of input degree codes and every prefix of one,
+    so each distinct prefix costs at most one group sum (none for a single
+    degree of the grading group, which is its own sum).  An output index
+    is compared by code; a predicted degree that no basis vector has gets
+    no code, so every output index of its entries is outside."""
+    alg, degmap, group = grading.algebra, grading.degmap, grading.group
+    code, codes = _degree_codes(degmap)
+    degrees, at = list(codes), code.__getitem__
+    predicted = {(c,): (c, d) for c, d in enumerate(degrees)
+                 if d.group == group}               # codes -> (code, sum)
+    predicted[()] = (codes.get(group.identity, -1), group.identity)
+
+    def predict(key):
+        head = key[:-1]
+        total = (predicted.get(head) or predict(head))[1] + degrees[key[-1]]
+        hit = predicted[key] = (codes.get(total, -1), total)
+        return hit
+
+    violations = []
+    for op in ops:
+        for idx, out in alg.tensors[op].items():
+            key = tuple(map(at, idx))
+            want, total = predicted.get(key) or predict(key)
+            for j in out:
+                if code[j] != want:
+                    violations.append(f"{op}{idx} -> index {j}: degree "
+                                      f"{degmap[j]} != predicted {total}")
+    return violations
+
+
 def check_grading(grading: Grading) -> VerificationReport:
     """Every stored tensor entry must land in the predicted component: one
-    check per entry, one violation per output index outside it."""
-    alg, degmap = grading.algebra, grading.degmap
-    report = VerificationReport("grading")
-    for op in sorted(grading.graded_ops):
-        if alg.operators[op]:
-            for idx, out in alg.tensors[op].items():
-                predicted = sum((degmap[i] for i in idx),
-                                grading.group.identity)
-                report.checked += 1
-                report.violations.extend(
-                    f"{op}{idx} -> index {j}: degree {degmap[j]}"
-                    f" != predicted {predicted}"
-                    for j in out if degmap[j] != predicted)
-    return report
+    check per entry, one violation per output index outside it.  The
+    degree arithmetic runs once per distinct tuple of input degrees
+    (_misgraded), not once per entry."""
+    alg = grading.algebra
+    ops = [op for op in sorted(grading.graded_ops) if alg.operators[op]]
+    return VerificationReport(
+        "grading", violations=_misgraded(grading, ops),
+        checked=sum(len(alg.tensors[op]) for op in ops))
 
 
 def check_morphism(f: LinearMap, ops=None, gradings=None) -> VerificationReport:
@@ -329,16 +365,23 @@ def check_involution(alg: OmegaAlgebra) -> VerificationReport:
 def check_t4_flip(grading: Grading) -> VerificationReport:
     """The involution must map the (i, g) component onto the (-i, g) one:
     one check per basis vector, one violation per index of phi(e_i)
-    outside it.
+    outside it.  The flipped degree is computed once per distinct degree,
+    and indices are compared by degree code (_degree_codes).
 
     Assumes the grading group is Z x G with the Z slot in coordinate 0.
     """
     alg, degmap = grading.algebra, grading.degmap
-    flipped = [flip_z(d) for d in degmap]
-    return VerificationReport("t4-degree-flip", checked=alg.dim, violations=[
-        f"phi(e{i}) [{degmap[i]}] meets component {degmap[j]} != {flipped[i]}"
-        for i in range(alg.dim) for j in alg.row(INVOLUTION, (i,))
-        if degmap[j] != flipped[i]])
+    code, codes = _degree_codes(degmap)
+    flipped = [flip_z(d) for d in codes]
+    wanted = [codes.get(f, -1) for f in flipped]
+    violations = []
+    for i, c in enumerate(code):
+        want = wanted[c]
+        for j in alg.row(INVOLUTION, (i,)):
+            if code[j] != want:
+                violations.append(f"phi(e{i}) [{degmap[i]}] meets component "
+                                  f"{degmap[j]} != {flipped[c]}")
+    return VerificationReport("t4-degree-flip", violations, checked=alg.dim)
 
 
 def pi1_coarsening(grading: Grading) -> Grading:
@@ -467,7 +510,7 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
     if PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}:
         raise ValueError(f"is_simple takes a product and at most an "
                          f"involution, not the operators {sorted(active)}")
-    if grading is not None and not _grades_product(grading):
+    if grading is not None and _misgraded(grading, [PRODUCT]):
         raise ValueError("is_simple: the degree map does not grade the "
                          "product")
     field, dim = alg.field, alg.dim
@@ -506,12 +549,6 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
                 return False
     raise SimplicityUndecided(f"no zero divisor found in a center part of "
                               f"dimension {len(center)}")
-
-
-def _grades_product(grading: Grading) -> bool:
-    deg = grading.degmap
-    return all(deg[k] == deg[i] + deg[j] for (i, j), out in
-               grading.algebra.tensors[PRODUCT].items() for k in out)
 
 
 def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:

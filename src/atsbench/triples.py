@@ -23,8 +23,9 @@ from . import linalg
 from .groups import AbelianGroup, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
-                    VerificationReport, _slot_views, _unequal_sums,
-                    check_morphism, combine, ideal_closure, is_simple)
+                    VerificationReport, _degree_codes, _slot_views,
+                    _unequal_sums, check_morphism, combine, ideal_closure,
+                    is_simple)
 from .scalars import CycloField
 
 
@@ -329,7 +330,9 @@ def loos_envelope(W: TripleSystem) -> Envelope:
 
 def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
     """Z grading (L, R at 0; W at -1; Wbar at +1), refined by the G
-    degrees of W when the triple is graded."""
+    degrees of W when the triple is graded: an L or R row takes the one
+    shift deg(e_i) - deg(e_k) of the terms e_k -> e_i of its operators,
+    computed once per distinct pair of W-degree codes (_degree_codes)."""
     if W.grading is None:
         Z = AbelianGroup(1)
         degmap = ([Z.element((0,))] * nL + [Z.element((-1,))] * d +
@@ -338,13 +341,19 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
     G = W.grading.group
     ZG = prepend_z(G)
     wdeg = W.grading.degmap
+    code, _ = _degree_codes(wdeg)
+    shifts = {}                     # (code of i, code of k) -> the shift
 
     def operator_shift(pair, what):
         shift = None
         for m in pair:
             for i, row in enumerate(m):
+                ci = code[i]
                 for k in row:
-                    s = wdeg[i] - wdeg[k]
+                    key = (ci, code[k])
+                    s = shifts.get(key)
+                    if s is None:
+                        s = shifts[key] = wdeg[i] - wdeg[k]
                     if shift not in (None, s):
                         raise VerificationError(f"{what} mixes G-degrees")
                     shift = s

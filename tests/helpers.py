@@ -15,7 +15,9 @@ every pair on its own and stores every pair's record in a
 `PairwiseCensus`, the oracle for the census through isomorphism
 classes, `ref_enumerate_labels` the label enumeration that checks every
 candidate of the dimension bound and keeps those that pass, the oracle for
-the enumeration that solves the constraints, `ref_standard_realization`
+the enumeration that solves the constraints, `ref_all_subgroups` the
+subgroup list that closes every generator set of up to `G.ncoords`
+elements, the oracle for the one that grows spans, `ref_standard_realization`
 (Kronecker products of clock and shift matrices, `MonoMatrix`) with
 `ref_transpose_form` and `ref_exchange_double_division` (the double of a
 general algebra with involution in the (x, phi x), (x, -phi x) basis,
@@ -71,7 +73,7 @@ from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              symplectic_decomposition, trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, VerificationError, VerificationReport,
-                            _grades_product, _unit_in, check_morphism,
+                            _misgraded, _unit_in, check_morphism,
                             ideal_closure)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
@@ -298,7 +300,7 @@ def ref_zero_divisor_candidates(alg, grading=None, ops=None):
     or a nonzero radical (the kernel of the dense trace form)."""
     active = set(ops if ops is not None else alg.operators)
     if (PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}
-            or grading is not None and not _grades_product(grading)):
+            or grading is not None and _misgraded(grading, [PRODUCT])):
         return None
     F, dim = alg.field, alg.dim
     trace = [sum((alg.row(PRODUCT, (k, j)).get(j, F.zero)
@@ -755,6 +757,20 @@ def ref_enumerate_labels(G, max_dim, cases=(classify.EXCHANGE_PAIR,
                     if t.order() == 2 and t not in T:
                         phi(T, beta, t)
     return sorted(labels.values(), key=lambda lab: lab.name)
+
+
+def ref_all_subgroups(G):
+    """classify.all_subgroups by closing every generator set of at most
+    G.ncoords elements, in order of size and then lexicographically, and
+    keeping the first set of each subgroup."""
+    elements = G.elements()
+    seen = {}
+    for size in range(G.ncoords + 1):
+        for gens in itertools.combinations(elements, size):
+            sub = Subgroup(G, gens)
+            seen.setdefault(frozenset(e.coords for e in sub.elements), sub)
+    return sorted(seen.values(), key=lambda s: (len(s), tuple(
+        e.coords for e in s.elements)))
 
 
 # ---------------------------------------------------------------------------

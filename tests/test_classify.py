@@ -34,7 +34,8 @@ from atsbench.scalars import CycloField
 from helpers import (all_quadratic_forms, classification_supports, compose,
                      involuted_division_corpus, involution_sign,
                      label_dimension,
-                     ref_antimap_candidates, ref_enumerate_labels,
+                     ref_all_subgroups, ref_antimap_candidates,
+                     ref_enumerate_labels,
                      ref_pairwise_census, xi_shift_equal)
 
 Z2 = AbelianGroup(0, (2,))
@@ -337,6 +338,18 @@ def test_all_subgroups_counts_every_subgroup_once(torsion, count):
     assert len(subgroups) == count
     assert len({frozenset(s.elements) for s in subgroups}) == count
     assert len(subgroups[-1]) == len(G.elements())
+
+
+@pytest.mark.parametrize("torsion", [
+    (2,), (3,), (4,), (2, 2), (3, 3), (4, 4), (2, 4), (2, 2, 2),
+    (2, 2, 4), (2, 2, 2, 2)])
+def test_all_subgroups_match_reference(torsion):
+    # the same subgroups, generators, elements and order as closing every
+    # generator set of up to G.ncoords elements
+    G = AbelianGroup(0, torsion)
+    new, ref = classify.all_subgroups(G), ref_all_subgroups(G)
+    assert [(s.generators, s.elements) for s in new] == \
+        [(s.generators, s.elements) for s in ref]
 
 
 @pytest.mark.parametrize("G, classes", [(Z2, 11), (Z4, 14)],

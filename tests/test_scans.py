@@ -7,14 +7,17 @@ corpus and on seeded corruptions of it."""
 import dataclasses
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from atsbench.classify import classify_conductor
+from atsbench.config import parse_config
 from atsbench.constructions import (InvolutionParams, build_M_inv,
                                    check_commutation, standard_realization)
 from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
-from atsbench.groups import (AbelianGroup, Bicharacter, Subgroup,
-                             trivial_subgroup, z_part)
+from atsbench.groups import (AbelianGroup, Bicharacter, GroupElement,
+                             GroupError, Subgroup, trivial_subgroup, z_part)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, _unequal_sums, check_grading,
                             check_involution, check_morphism, check_t4_flip,
@@ -23,10 +26,14 @@ from atsbench.scalars import CycloField
 from atsbench.triples import (TripleSystem, _draw_tuples, check_associative,
                               check_at2, extend_automorphism, loos_envelope,
                               reconstruct_iso, triple_from)
-from helpers import (random_scalar, ref_check_associative, ref_check_at2,
+from helpers import (involuted_division_corpus, random_scalar,
+                     ref_check_associative, ref_check_at2,
                      ref_check_commutation, ref_check_grading,
                      ref_check_involution, ref_check_morphism,
                      ref_check_t4_flip, ref_sums, ref_unequal_sums)
+
+WIDE36 = [Path(__file__).resolve().parents[1] / "bench" / "configs" /
+          f"wide36_{sign}.cfg" for sign in ("minus", "plus")]
 
 
 def same(new, ref):
@@ -169,26 +176,59 @@ def test_sampled_at2_repeats_the_violations_of_a_tuple_drawn_twice():
         assert len(ref.violations) > len(set(ref.violations)) > 0
 
 
-def test_grading_and_flip_checks_match_reference():
+def same_or_raise(check, ref, grading):
+    """check(grading) equals ref(grading), or both raise GroupError."""
+    try:
+        expected = ref(grading)
+    except GroupError:
+        with pytest.raises(GroupError):
+            check(grading)
+        return None
+    new = check(grading)
+    assert same(new, expected)
+    return new
+
+
+def test_grading_and_flip_checks_match_reference(corpus):
     # per corpus algebra: its grading with one basis vector's degree moved
-    # to another component, and its involution with a term phi(e_i) = e_i
-    # added at a vector of nonzero Z degree (one that does not flip Z)
+    # to another component, to a degree no basis vector has (so some
+    # predicted degrees are no vector's degree) and to an element of
+    # another group, its degrees taken as a grading by another group, and
+    # its involution with a term phi(e_i) = e_i added at a vector of
+    # nonzero Z degree (one that does not flip Z)
     rng = random.Random("per-entry")
     entries = algebra_corpus()[::3]
-    failed = 0
+    failed = raised = 0
+    other = AbelianGroup(0, (5,)).element((1,))
     for entry in entries:
         ca = entry.build()
         alg, grading = ca.algebra, ca.grading
-        deg = list(grading.degmap)
+        group = grading.group
         k = rng.randrange(alg.dim)
-        deg[k] = rng.choice([d for d in deg if d != deg[k]])
-        moved = Grading(alg, grading.group, tuple(deg), grading.graded_ops)
-        for gr in (grading, moved):
+        fresh = group.element((max(abs(z_part(d)) for d in grading.degmap)
+                               + 5,) + grading.degmap[k].coords[1:])
+        moved = {}
+        for name, degree in (
+                ("moved", rng.choice([d for d in grading.degmap
+                                      if d != grading.degmap[k]])),
+                ("fresh", fresh), ("foreign", other)):
+            deg = list(grading.degmap)
+            deg[k] = degree
+            moved[name] = Grading(alg, group, tuple(deg), grading.graded_ops)
+        moved["regrouped"] = Grading(alg, other.group, grading.degmap,
+                                     grading.graded_ops)
+        predicted = {sum((moved["fresh"].degmap[i] for i in idx),
+                         group.identity) for idx in alg.tensors[PRODUCT]}
+        assert not predicted <= set(moved["fresh"].degmap)
+        for gr in (grading, *moved.values()):
             for check, ref in ((check_grading, ref_check_grading),
                                (check_t4_flip, ref_check_t4_flip)):
-                new, old = check(gr), ref(gr)
-                assert same(new, old) and (new.passed or gr is moved)
-                failed += not old.passed
+                new = same_or_raise(check, ref, gr)
+                if new is None:
+                    raised += 1
+                    continue
+                assert new.passed or gr is not grading
+                failed += not new.passed
         bad = copied(alg)
         i = rng.choice([i for i, d in enumerate(grading.degmap) if z_part(d)])
         bad.tensors[INVOLUTION][(i,)][i] = alg.field.one
@@ -198,7 +238,64 @@ def test_grading_and_flip_checks_match_reference():
         assert same(new, old) and not old.passed
         assert f"phi(e{i}) [{grading.degmap[i]}] meets component " \
                f"{grading.degmap[i]}" in new.violations[0]
-    assert failed >= len(entries)
+    assert failed >= 3 * len(entries) and raised == 2 * len(entries)
+    # a graded operator of arity 1: the exchange doubles' gradings grade
+    # the involution, here also with a term phi(e_0) = e_j, j of another
+    # degree
+    doubles = [entry.D for entry in involuted_division_corpus()
+               if INVOLUTION in entry.D.grading.graded_ops]
+    assert doubles
+    for D in doubles:
+        grading = D.grading
+        bad = copied(D.algebra)
+        j = next(j for j, d in enumerate(grading.degmap)
+                 if d != grading.degmap[0])
+        bad.tensors[INVOLUTION][(0,)][j] = D.field.one
+        stray = Grading(bad, grading.group, grading.degmap,
+                        grading.graded_ops)
+        assert same_or_raise(check_grading, ref_check_grading, grading).passed
+        new = same_or_raise(check_grading, ref_check_grading, stray)
+        assert new.violations == [f"involution(0,) -> index {j}: degree "
+                                  f"{grading.degmap[j]} != predicted "
+                                  f"{grading.degmap[0]}"]
+    # a graded operator of arity 3: the graded corpus triples on TRIPLE,
+    # also with one basis vector's degree moved
+    graded = [W for W, _ in corpus if W.grading is not None]
+    assert graded
+    failed = 0
+    for W in graded:
+        grading = W.grading
+        assert same_or_raise(check_grading, ref_check_grading, grading).passed
+        deg = list(grading.degmap)
+        k = rng.randrange(W.dim)
+        deg[k] = rng.choice([g for g in grading.group.elements()
+                             if g != deg[k]])
+        new = same_or_raise(check_grading, ref_check_grading, Grading(
+            W.algebra, grading.group, tuple(deg), grading.graded_ops))
+        failed += not new.passed
+    assert failed >= len(graded) // 2
+
+
+def test_grading_check_sums_once_per_degree_tuple(monkeypatch):
+    # the wide36 labels: 216 product entries in 6 distinct degrees each;
+    # the predicted degree is summed once per distinct pair of input
+    # degrees, not once per entry
+    labels = [parse_config(path.read_text(encoding="utf-8")).label
+              for path in WIDE36]
+    field = CycloField(classify_conductor(*labels))
+    add = GroupElement.__add__
+    for label in labels:
+        grading = label.build(field).grading
+        table = grading.algebra.tensors[PRODUCT]
+        assert grading.graded_ops == {PRODUCT} and len(table) == 216
+        pairs = {tuple(grading.degmap[i] for i in idx) for idx in table}
+        calls = []
+        monkeypatch.setattr(GroupElement, "__add__",
+                            lambda a, b: calls.append(1) or add(a, b))
+        report = check_grading(grading)
+        monkeypatch.undo()
+        assert report.passed and report.checked == len(table)
+        assert len(calls) <= 2 * len(pairs) < len(table)
 
 
 def test_commutation_check_matches_reference():
