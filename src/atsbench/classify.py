@@ -350,9 +350,19 @@ def intrinsic_invariants(alg: OmegaAlgebra,
                          grading: Grading) -> IntrinsicInvariants:
     """Invariants computable from the structure tensors alone.  The
     center kernel is solved once, for both the simplicity test and the
-    center support."""
+    center support.
+
+    `grading` must grade the product: ClassLabel.intrinsics passes the
+    grading that ConstructedAlgebra.verify checks with check_grading.
+    The center support relies on it, and so does the graded test, which
+    takes the center of the identity component from here and so skips
+    is_simple's own check of the grading."""
     center = center_basis(alg, range(alg.dim))
     simple = is_simple(alg, ops={PRODUCT}, center=center)
+    # a graded ideal is an ideal: a simple algebra is graded-simple
+    identity = grading.group.identity
+    graded_simple = simple or graded_is_simple(alg, grading, center_basis(
+        alg, [i for i, d in enumerate(grading.degmap) if d == identity]))
     counts = {}
     for d in grading.degmap:
         counts[d.coords] = counts.get(d.coords, 0) + 1
@@ -362,8 +372,7 @@ def intrinsic_invariants(alg: OmegaAlgebra,
         center_support=tuple(e.coords for e in
                              graded_center_support(alg, grading, center)),
         simple=simple,
-        # a graded ideal is an ideal: a simple algebra is graded-simple
-        graded_simple=simple or graded_is_simple(alg, grading),
+        graded_simple=graded_simple,
     )
 
 

@@ -335,22 +335,28 @@ def _run_census(cfg: JobConfig, report: Report):
 
 def run(cfg: JobConfig, *, decide_paths=None, verify_flag=False) -> Report:
     report = Report(cfg.command, cfg.seed)
-    if cfg.command == "construct":
-        _run_construct(cfg, report, full=False)
-    elif cfg.command == "verify":
-        _run_construct(cfg, report, full=True)
-    elif cfg.command == "envelope":
-        _run_envelope(cfg, report)
-    elif cfg.command == "triple":
-        _run_triple(cfg, report, at2_only=False)
-    elif cfg.command == "check-at2":
-        _run_triple(cfg, report, at2_only=True)
-    elif cfg.command == "decide-iso":
-        _run_decide(decide_paths[0], decide_paths[1], verify_flag, report)
-    elif cfg.command == "census":
-        _run_census(cfg, report)
-    else:
-        raise ConfigError("no command given (job.command or subcommand)")
+    try:
+        if cfg.command == "construct":
+            _run_construct(cfg, report, full=False)
+        elif cfg.command == "verify":
+            _run_construct(cfg, report, full=True)
+        elif cfg.command == "envelope":
+            _run_envelope(cfg, report)
+        elif cfg.command == "triple":
+            _run_triple(cfg, report, at2_only=False)
+        elif cfg.command == "check-at2":
+            _run_triple(cfg, report, at2_only=True)
+        elif cfg.command == "decide-iso":
+            _run_decide(decide_paths[0], decide_paths[1], verify_flag, report)
+        elif cfg.command == "census":
+            _run_census(cfg, report)
+        else:
+            raise ConfigError("no command given (job.command or subcommand)")
+    except SimplicityUndecided as err:
+        # a verdict the job needs whole (the intrinsic invariants of census
+        # and decide-iso) fails it as INCONCLUSIVE, like add_decision
+        report.add_check("simplicity-decided", False, f"INCONCLUSIVE: {err}",
+                         1)
     return report
 
 

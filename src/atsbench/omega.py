@@ -504,13 +504,16 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
     A zero product under both a grading and an active involution also
     raises SimplicityUndecided.  A caller that already holds step (b)'s
     C may pass it as `center` (without a grading and an active
-    involution, C is center_basis(alg, range(alg.dim))).
+    involution, C is center_basis(alg, range(alg.dim))); with a grading,
+    C was computed on it, so the caller vouches that it grades the
+    product, and only a call without `center` checks that.
     """
     active = set(ops if ops is not None else alg.operators)
     if PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}:
         raise ValueError(f"is_simple takes a product and at most an "
                          f"involution, not the operators {sorted(active)}")
-    if grading is not None and _misgraded(grading, [PRODUCT]):
+    if (grading is not None and center is None
+            and _misgraded(grading, [PRODUCT])):
         raise ValueError("is_simple: the degree map does not grade the "
                          "product")
     field, dim = alg.field, alg.dim
@@ -563,10 +566,13 @@ def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:
     return combine((x, span[j]) for j, x in sol.items())
 
 
-def graded_is_simple(alg: OmegaAlgebra, grading: Grading) -> bool:
+def graded_is_simple(alg: OmegaAlgebra, grading: Grading,
+                     center: list = None) -> bool:
     """Graded-simplicity of (A, Gamma): the product-only ideal test with
-    homogeneous projections adjoined."""
-    return is_simple(alg, grading=grading, ops={PRODUCT})
+    homogeneous projections adjoined.  `center` is passed on to is_simple:
+    the center of the identity component, which skips its check that the
+    grading grades the product."""
+    return is_simple(alg, grading=grading, ops={PRODUCT}, center=center)
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,12 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ScalarDivisionError("division by zero scalar")
+        conductor, num = self.conductor, self.num
+        if not any(num[1:]):                # a rational a = num[0] / den
+            return _make(conductor, (self.den if num[0] > 0 else -self.den,)
+                         + num[1:], abs(num[0]))
         # a^-1 = P / N(a) with P the product of the conjugates sigma_k(a),
         # k != 1 a unit mod N; the Galois norm N(a) = a*P is rational
-        conductor, num = self.conductor, self.num
         phi = len(num)
         powers = _powers(conductor)
         conj = (1,) + (0,) * (phi - 1)

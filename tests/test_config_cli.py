@@ -839,6 +839,39 @@ def test_undecided_verify_simplicity_is_inconclusive(tmp_path, monkeypatch,
     assert failed == {name: "INCONCLUSIVE: stub verdict" for name in checks}
 
 
+@pytest.mark.parametrize("argv, files", [
+    pytest.param(["census", "a.cfg"],
+                 {"a.cfg": "[group]\nG = Z/2\n[census]\nmax_dim = 8\n"},
+                 id="census"),
+    pytest.param(["decide-iso", "a.cfg", "b.cfg", "--verify"],
+                 {"a.cfg": MINIMAL,
+                  "b.cfg": MINIMAL.replace("gamma1 = (0)", "gamma1 = (1)")},
+                 id="decide-iso"),
+])
+def test_undecided_intrinsic_simplicity_is_inconclusive(tmp_path, monkeypatch,
+                                                        capsys, argv, files):
+    # the intrinsic invariants of census and of a refutation need a
+    # simplicity verdict: an undecided one fails the job as INCONCLUSIVE,
+    # with the report written and exit 1, not a traceback
+    from atsbench import classify
+
+    def undecided(*args, **kwargs):
+        raise SimplicityUndecided("stub verdict")
+    monkeypatch.setattr(classify, "is_simple", undecided)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv + ["--json", "r.json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert data["status"] == "fail"
+    failed = {c["name"]: c["detail"] for c in data["checks"]
+              if not c["passed"]}
+    assert failed == {"simplicity-decided": "INCONCLUSIVE: stub verdict"}
+    assert "FAIL simplicity-decided (1 checks) -- INCONCLUSIVE" in out
+
+
 SWEEP_COMMANDS = ("construct", "verify", "envelope", "triple", "check-at2",
                   "census")
 

@@ -184,6 +184,25 @@ def test_arithmetic_agrees_with_fraction_reference(conductor):
             assert a.inverse().coeffs == ref_inverse(a.coeffs, conductor)
 
 
+@pytest.mark.parametrize("conductor", (1, 2, 3, 4, 5, 8, 12))
+def test_rational_inverse_matches_reference(conductor):
+    # a rational scalar is inverted as den / num[0], in lowest terms with a
+    # positive denominator, without forming Galois conjugates
+    F = CycloField(conductor)
+    for value in (1, -1, 2, -2, Fraction(3, 7), Fraction(-5, 4),
+                  10 ** 20 + 1):
+        a = F.scalar(value)
+        inv = a.inverse()
+        assert inv.coeffs == ref_inverse(a.coeffs, conductor)
+        assert inv == 1 / Fraction(value) and a * inv == 1
+        assert all(type(n) is int for n in inv.num) and inv.den >= 1
+        assert gcd(inv.den, *inv.num) == 1
+    with pytest.raises(ScalarDivisionError):
+        F.zero.inverse()
+    with pytest.raises(ScalarDivisionError):
+        F.scalar(Fraction(0, 3)).inverse()
+
+
 @pytest.mark.parametrize("conductor", (1, 2, 3, 4, 12))
 def test_products_with_plus_or_minus_one(conductor):
     # +1 and -1, however they are made, times any scalar on either side:

@@ -3,7 +3,7 @@ references in `helpers`: the center equations built by row lookups, the
 center support by one kernel per homogeneous component, and the zero
 divisors of simplicity step (c) by ideal closures.
 
-The inputs are every label over Z/4, Z/2 x Z/2 and Z/2 x Z/4 up to
+The inputs are every label over Z/2, Z/4, Z/2 x Z/2 and Z/2 x Z/4 up to
 dimension 8, the two dim-36 bench labels (read only), the envelopes of
 the triple corpus and three small commutative algebras whose center has
 dimension > 1.
@@ -18,11 +18,13 @@ import atsbench.omega
 from atsbench import linalg
 from atsbench.classify import (classify_conductor, enumerate_labels,
                                graded_center_support, intrinsic_invariants)
+from atsbench.cli import run
 from atsbench.config import parse_config
 from atsbench.corpus import triple_corpus
 from atsbench.groups import AbelianGroup
 from atsbench.omega import (INVOLUTION, PRODUCT, OmegaAlgebra,
-                            SimplicityUndecided, center_basis, is_simple)
+                            SimplicityUndecided, center_basis,
+                            graded_is_simple, is_simple)
 from atsbench.scalars import CycloField
 from atsbench.triples import loos_envelope
 from helpers import (ref_center_basis, ref_graded_center_support,
@@ -159,6 +161,54 @@ def test_associative_structure_decisions_run_no_closure(monkeypatch):
     for name, env in _envelopes():
         for ops in (None, {PRODUCT}):
             is_simple(env.algebra, ops=ops)
+
+
+ORACLE_CENSUSES = {"census_z4": (32, 24), "census_z2": (12, 8),
+                   "census_v4": (80, 64), "Z2xZ4": (192, 160)}
+
+
+@pytest.mark.parametrize("census", ORACLE_CENSUSES)
+def test_intrinsic_simplicity_matches_the_guarded_tests(census):
+    """On every census label, the intrinsic simple and graded-simple flags
+    (the graded test given the identity-component center, unguarded) equal
+    is_simple and graded_is_simple called alone, with the check that the
+    grading grades the product."""
+    if census.startswith("census_"):
+        cfg = parse_config((ROOT / "configs" / f"{census}.cfg")
+                           .read_text(encoding="utf-8"))
+        labels = enumerate_labels(cfg.group, cfg.max_dim,
+                                  cases=cfg.census_cases,
+                                  max_support=cfg.max_support)
+    else:
+        labels = enumerate_labels(AbelianGroup(0, GROUPS[census]), 8)
+    field = CycloField(classify_conductor(*labels))
+    not_simple = 0
+    for lab in labels:
+        ca = lab.build(field)
+        inv = lab.intrinsics(field)
+        assert inv.simple == is_simple(ca.algebra, ops={PRODUCT}), lab.name
+        assert inv.graded_simple == graded_is_simple(ca.algebra, ca.grading), \
+            lab.name
+        not_simple += not inv.simple
+    # the graded test runs on the labels that are not simple
+    assert (len(labels), not_simple) == ORACLE_CENSUSES[census]
+
+
+def test_census_checks_each_label_grading_once(monkeypatch):
+    """One census_z4 job scans each of its 32 label gradings once, in
+    ConstructedAlgebra.verify; the graded simplicity test trusts that
+    check and does not repeat it."""
+    calls = []
+    real = atsbench.omega._misgraded
+
+    def counting(grading, ops):
+        calls.append(grading)
+        return real(grading, ops)
+    monkeypatch.setattr(atsbench.omega, "_misgraded", counting)
+    cfg = parse_config((ROOT / "configs" / "census_z4.cfg")
+                       .read_text(encoding="utf-8"))
+    assert run(cfg).status == "pass"
+    assert len(calls) == len({id(g) for g in calls}) == 32
 
 
 def test_intrinsic_invariants_solve_one_center_kernel(monkeypatch):

@@ -1,8 +1,9 @@
 """The names the benchmark tracer (bench/tracer.py) wraps and the names the
-workloads (bench/workloads.py) import from the package must exist in it:
-a refactor that drops, moves or renames one fails here, not only in the
-benchmark's own run.  The tracer file is loaded read-only, the workloads
-file only parsed."""
+workloads (bench/workloads.py) import from the package must exist in it,
+and one traced job of each workload must meet the workload's predicted
+zero and non-zero layer counts: a refactor that drops, moves or renames
+one, or stops calling a traced layer, fails here, not only in the
+benchmark's own run.  Both files are loaded read-only."""
 
 import ast
 import importlib
@@ -10,18 +11,23 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 from atsbench import classify, constructions, linalg, omega, scalars, triples
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("atsbench_bench_tracer",
-                                                  TRACER)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer():
+    return _load(TRACER, "atsbench_bench_tracer")
 
 
 def test_every_traced_name_resolves_in_its_module():
@@ -89,3 +95,21 @@ def test_every_workload_import_resolves_in_the_package():
         except ImportError:
             missing.append(f"{path}.{name}")
     assert not missing
+
+
+@pytest.mark.parametrize("name", ("census_z4", "envelope", "wide36"))
+def test_traced_job_meets_predicted_layer_counts(name):
+    t = _tracer()
+    workload = _load(BENCH / "workloads.py",
+                     "atsbench_bench_workloads").WORKLOADS[name]
+    inputs = workload.setup(0)
+    tracer = t.Tracer({module.__name__.rsplit(".", 1)[1]: module for module in
+                       (scalars, linalg, omega, constructions, triples,
+                        classify)})
+    with tracer:
+        output = workload.job(inputs)
+    assert workload.check(inputs, output)[1] == []
+    values = tracer.metrics(0.0, 0.0)
+    assert {m: values[m] for m in workload.expect_zero} == dict.fromkeys(
+        workload.expect_zero, 0)
+    assert [m for m in workload.expect_nonzero if not values[m]] == []
