@@ -334,35 +334,29 @@ def _intrinsic_mismatch(inv1: IntrinsicInvariants,
                  if getattr(inv1, attr) != getattr(inv2, attr)), None)
 
 
-def graded_center_support(alg: OmegaAlgebra, grading: Grading,
-                          center: list = None):
+def graded_center_support(alg: OmegaAlgebra, grading: Grading, center: list):
     """Degrees g with a nonzero central element in A_g.  The center of an
     algebra graded by its product is graded, the sum of its intersections
     with the A_g, so these are the degrees met by the supports of any basis
-    of it (`center`, when the caller has it): one kernel over all of A."""
-    if center is None:
-        center = center_basis(alg, range(alg.dim))
+    of it, such as `center` = center_basis(alg)."""
     met = {grading.degmap[i] for v in center for i in v}
     return tuple(g for g in grading.support() if g in met)
 
 
 def intrinsic_invariants(alg: OmegaAlgebra,
                          grading: Grading) -> IntrinsicInvariants:
-    """Invariants computable from the structure tensors alone.  The
-    center kernel is solved once, for both the simplicity test and the
-    center support.
+    """Invariants computable from the structure tensors alone, with one
+    center kernel: the simplicity test, the graded test and the center
+    support all read Z = center_basis(alg).
 
     `grading` must grade the product: ClassLabel.intrinsics passes the
     grading that ConstructedAlgebra.verify checks with check_grading.
     The center support relies on it, and so does the graded test, which
-    takes the center of the identity component from here and so skips
-    is_simple's own check of the grading."""
-    center = center_basis(alg, range(alg.dim))
+    is handed Z and so skips is_simple's own check of the grading."""
+    center = center_basis(alg)
     simple = is_simple(alg, ops={PRODUCT}, center=center)
     # a graded ideal is an ideal: a simple algebra is graded-simple
-    identity = grading.group.identity
-    graded_simple = simple or graded_is_simple(alg, grading, center_basis(
-        alg, [i for i, d in enumerate(grading.degmap) if d == identity]))
+    graded_simple = simple or graded_is_simple(alg, grading, center)
     counts = {}
     for d in grading.degmap:
         counts[d.coords] = counts.get(d.coords, 0) + 1

@@ -438,15 +438,10 @@ class SimplicityUndecided(Exception):
     the algebra may be simple, but no verdict is claimed."""
 
 
-def center_basis(alg: OmegaAlgebra, indices, symmetric: bool = False) -> list:
-    """Basis of the central elements of span{e_i : i in indices}, and with
-    `symmetric` only those the involution fixes.
-
-    One kernel over len(indices) unknowns, one equation per coordinate of
-    x e_j - e_j x (and of phi(x) - x), built in one pass over the stored
-    product entries.
-    """
-    col_of = {i: col for col, i in enumerate(indices)}
+def center_basis(alg: OmegaAlgebra) -> list:
+    """Basis of the center Z of the product: one kernel over dim A
+    unknowns, one equation per coordinate of x e_j - e_j x, built in one
+    pass over the stored product entries."""
     equations = {}
 
     def add(key, col, c):
@@ -454,21 +449,36 @@ def center_basis(alg: OmegaAlgebra, indices, symmetric: bool = False) -> list:
         row[col] = row[col] + c if col in row else c
 
     for (i, j), out in alg.tensors[PRODUCT].items():
-        if i in col_of:                     # a term of x e_j
-            for k, c in out.items():
-                add((j, k), col_of[i], c)
-        if j in col_of:                     # a term of e_i x
-            for k, c in out.items():
-                add((i, k), col_of[j], -c)
-    if symmetric:
-        for (i,), out in alg.tensors[INVOLUTION].items():
-            if i in col_of:
-                for k, c in out.items():
-                    add(k, col_of[i], c)
-        for col, i in enumerate(indices):
-            add(i, col, -alg.field.one)
-    kernel = linalg.kernel(alg.field, equations.values(), len(indices))
-    return [{indices[col]: c for col, c in v.items()} for v in kernel]
+        for k, c in out.items():            # a term of x e_j
+            add((j, k), i, c)
+        for k, c in out.items():            # a term of e_i x
+            add((i, k), j, -c)
+    return linalg.kernel(alg.field, equations.values(), alg.dim)
+
+
+def _center_part(alg: OmegaAlgebra, center: list, grading: Grading,
+                 symmetric: bool) -> list:
+    """The elements of span(center) of identity degree under `grading`
+    (unless None), and with `symmetric` fixed by the involution: one
+    kernel over len(center) unknowns.  `center`, linalg.kernel's basis of
+    Z, is reduced with the coordinates in reverse order, and so is the
+    result: the basis linalg.kernel would give for the part itself."""
+    if grading is None and not symmetric:
+        return center
+    off = set() if grading is None else {
+        i for i, d in enumerate(grading.degmap) if d != grading.group.identity}
+    equations = {}          # x_i = 0 off the identity, then phi(x) - x = 0
+    for col, z in enumerate(center):
+        defect = {i: c for i, c in z.items() if i in off}
+        if symmetric:
+            moved = combine([(alg.field.one, alg.apply_slot(INVOLUTION, 0, z)),
+                             (-alg.field.one, z)])
+            defect.update((alg.dim + k, c) for k, c in moved.items())
+        for key, c in defect.items():
+            equations.setdefault(key, {})[col] = c
+    kernel = linalg.kernel(alg.field, equations.values(), len(center))
+    return [dict(sorted(combine((y, center[k]) for k, y in v.items())
+                        .items())) for v in kernel]
 
 
 def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
@@ -489,8 +499,8 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
           0 and A is a proper ideal; when A is nilpotent, A^2 is one
           unless A^2 = 0, and then A is simple iff dim A = 1.
       (b) A semisimple A is simple iff the center part C is a field: the
-          central elements, of identity degree with a grading and fixed
-          by the involution when it is active.
+          elements of the center Z of identity degree with a grading and
+          fixed by the involution when it is active (_center_part).
       (c) dim C = 1 gives True.  Otherwise the candidates w = z - lambda u
           (z a basis vector of C, u the unit, lambda 0 or a root of unity
           of the field) are tried.  A semisimple A is unital, and u lies
@@ -502,11 +512,9 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
           False.  When no candidate is a zero divisor, SimplicityUndecided
           is raised, never True.
     A zero product under both a grading and an active involution also
-    raises SimplicityUndecided.  A caller that already holds step (b)'s
-    C may pass it as `center` (without a grading and an active
-    involution, C is center_basis(alg, range(alg.dim))); with a grading,
-    C was computed on it, so the caller vouches that it grades the
-    product, and only a call without `center` checks that.
+    raises SimplicityUndecided.  A caller may pass Z = center_basis(alg)
+    as `center`, and so vouches that a grading grades the product: only a
+    call without `center` checks that.
     """
     active = set(ops if ops is not None else alg.operators)
     if PRODUCT not in active or not active <= {PRODUCT, INVOLUTION}:
@@ -536,10 +544,9 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
             raise SimplicityUndecided("zero product with a grading and an "
                                       "involution")
         return dim == 1
-    indices = list(range(dim)) if grading is None else [
-        i for i, d in enumerate(grading.degmap) if d == grading.group.identity]
     if center is None:
-        center = center_basis(alg, indices, symmetric=INVOLUTION in active)
+        center = center_basis(alg)
+    center = _center_part(alg, center, grading, INVOLUTION in active)
     if len(center) == 1:
         return True
     unit = _unit_in(alg, center)
@@ -569,9 +576,8 @@ def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:
 def graded_is_simple(alg: OmegaAlgebra, grading: Grading,
                      center: list = None) -> bool:
     """Graded-simplicity of (A, Gamma): the product-only ideal test with
-    homogeneous projections adjoined.  `center` is passed on to is_simple:
-    the center of the identity component, which skips its check that the
-    grading grades the product."""
+    homogeneous projections adjoined.  `center`, Z = center_basis(alg), is
+    passed on to is_simple, which then skips its check of the grading."""
     return is_simple(alg, grading=grading, ops={PRODUCT}, center=center)
 
 

@@ -33,8 +33,10 @@ stored entries, and `ref_unequal_sums` sums each key's terms apart
 dense elimination kernel that the sparse `linalg` is checked against;
 `ref_center_basis`, `ref_graded_center_support` and
 `ref_zero_divisor_candidates` are the
-structure decisions by row lookups, one kernel per component and ideal
-closures, the oracles for the center and zero-divisor tests; the float
+structure decisions by row lookups with one kernel per center part, one
+kernel per component and ideal closures, the oracles for the one center
+kernel and the parts cut out of it, the center support and the
+zero-divisor tests; the float
 embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
 next to the exact assertions, never instead of them.
 
@@ -265,8 +267,13 @@ def ref_invert_matrix(field, m):
 
 
 def ref_center_basis(alg, indices, symmetric=False):
-    """omega.center_basis with its equations built by row lookups: for each
-    unknown, the rows of e_i e_j and e_j e_i for every j (and of phi(e_i))."""
+    """The central elements of span{e_i : i in indices}, and with
+    `symmetric` only those the involution fixes: one kernel over
+    len(indices) unknowns, its equations built by row lookups: for each
+    unknown, the rows of e_i e_j and e_j e_i for every j (and of
+    phi(e_i)).  The oracle for omega.center_basis (all indices) and for
+    each part omega._center_part cuts out of it (the identity-degree
+    indices, or all of them, with or without `symmetric`)."""
     equations = {}
     for col, i in enumerate(indices):
         terms = [((j, k), c) for j in range(alg.dim)

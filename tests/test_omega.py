@@ -9,7 +9,7 @@ import pytest
 from atsbench.groups import AbelianGroup
 from atsbench.linalg import rref
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
-                            OmegaAlgebra, SimplicityUndecided,
+                            OmegaAlgebra, SimplicityUndecided, _center_part,
                             algebra_from_dict, algebra_to_dict, center_basis,
                             check_grading, check_involution, check_morphism,
                             check_t4_flip, graded_is_simple, ideal_closure,
@@ -250,11 +250,15 @@ def test_simplicity_edge_cases():
 
 def test_center_basis():
     alg = matrix_algebra(2)
-    assert center_basis(alg, range(4)) == [{0: FQ.one, 3: FQ.one}]
-    assert center_basis(alg, [1, 2]) == []
+    center = center_basis(alg)
+    assert center == [{0: FQ.one, 3: FQ.one}]
+    # a degree map (it grades nothing) with identity part span(E12, E21)
+    Z2 = AbelianGroup(0, (2,))
+    off = Grading(alg, Z2, tuple(Z2.element((k,)) for k in (1, 0, 0, 1)))
+    assert _center_part(alg, center, off, False) == []
     swap = make_f_plus_f(exchange=True)
-    assert len(center_basis(swap, [0, 1])) == 2
-    assert center_basis(swap, [0, 1], symmetric=True) == [
+    assert len(center_basis(swap)) == 2
+    assert _center_part(swap, center_basis(swap), None, True) == [
         {0: FQ.one, 1: FQ.one}]
 
 

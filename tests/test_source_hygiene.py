@@ -3,9 +3,10 @@ defined twice in one file (the second definition silently replaces the
 first), every private top-level function of the package is used
 somewhere in it, every name a module of the package or of tests/ imports
 is used there or imported from it by a sibling module (a re-export),
-and every definition of the package is reached, by name, from
-`cli.main` or from the benchmark: code that only tests call lives in
-tests/helpers.py."""
+every definition of the package is reached, by name, from `cli.main`
+or from the benchmark: code that only tests call lives in
+tests/helpers.py, and only the pinned optional parameters are passed by
+no call in the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -186,3 +187,79 @@ def test_only_the_pinned_definitions_are_unreached_from_cli_main():
 
 def test_every_definition_is_reached_from_cli_main_or_the_benchmark():
     assert unreachable(bench_names()) == set()
+
+
+def optional_parameters() -> dict:
+    """(qualified name, parameter) -> position among the positional
+    parameters (None for a keyword-only one), for every parameter with a
+    default of a package function or method; a method's position leaves
+    out `self` (or `cls`), a staticmethod's does not."""
+    out = {}
+    for path, tree in parsed(PACKAGE).items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs = [(f"{path.stem}.{node.name}", node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{path.stem}.{node.name}.{sub.name}", sub, 0 if any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in sub.decorator_list) else 1)
+                    for sub in node.body if isinstance(sub, FUNCTIONS)]
+            else:
+                continue
+            for qual, fn, bound in defs:
+                args = fn.args
+                positional = [*args.posonlyargs, *args.args][bound:]
+                first = len(positional) - len(args.defaults)
+                out.update(((qual, p.arg), i)
+                           for i, p in enumerate(positional) if i >= first)
+                out.update(((qual, p.arg), None) for p, default
+                           in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None)
+    return out
+
+
+def unpassed_options() -> set:
+    """The optional parameters that no call in the package or in the
+    non-test files under bench/ passes, by keyword or by position.  A
+    call matches every definition of its name (`f(...)` or `x.f(...)`),
+    and `Class(...)` that of `Class.__init__`; a call with `*args` passes
+    every position from its star on, and one with `**kwargs` every
+    parameter."""
+    trees = [*parsed(PACKAGE).values(),
+             *(tree for path, tree in parsed(ROOT / "bench").items()
+               if not path.name.startswith("test_"))]
+    options = optional_parameters()
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            width = next((i for i, arg in enumerate(call.args)
+                          if isinstance(arg, ast.Starred)), None)
+            width = len(call.args) if width is None else float("inf")
+            keywords = {k.arg for k in call.keywords}
+            for (qual, param), pos in options.items():
+                parts = qual.split(".")
+                if name != parts[-1] and not (
+                        parts[-1] == "__init__" and name == parts[-2]):
+                    continue
+                if (param in keywords or None in keywords
+                        or pos is not None and pos < width):
+                    passed.add((qual, param))
+    return set(options) - passed
+
+
+# Options that no call in the package or the benchmark sets (`ats`
+# reads sys.argv in place of `cli.main`'s argv); the tests set some of
+# them.  The list may only shrink, like CLI_UNREACHED.
+UNPASSED_OPTIONS = {
+    ("cli.main", "argv"), ("constructions.opposite", "negate_z"),
+    ("omega.ideal_closure", "grading"), ("omega.ideal_closure", "ops"),
+    ("triples.reconstruct_iso", "require_simple"),
+}
+
+
+def test_only_the_pinned_options_are_never_passed():
+    assert unpassed_options() == UNPASSED_OPTIONS

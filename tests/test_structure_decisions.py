@@ -22,8 +22,8 @@ from atsbench.cli import run
 from atsbench.config import parse_config
 from atsbench.corpus import triple_corpus
 from atsbench.groups import AbelianGroup
-from atsbench.omega import (INVOLUTION, PRODUCT, OmegaAlgebra,
-                            SimplicityUndecided, center_basis,
+from atsbench.omega import (INVOLUTION, PRODUCT, Grading, OmegaAlgebra,
+                            SimplicityUndecided, _center_part, center_basis,
                             graded_is_simple, is_simple)
 from atsbench.scalars import CycloField
 from atsbench.triples import loos_envelope
@@ -74,17 +74,21 @@ def _check_zero_divisors(alg, grading, ops, seen):
 
 
 def _check_centers(alg, grading):
+    """Every center part cut out of the one center kernel, against its own
+    kernel by row lookups: the identity component (under `grading`) or
+    all of A, each without and with the involution."""
     identity = [i for i, d in enumerate(grading.degmap)
                 if d == grading.group.identity]
     flags = (False, True) if INVOLUTION in alg.operators else (False,)
-    for indices in (identity, range(alg.dim)):
+    center = center_basis(alg)
+    for indices, cut in ((identity, grading), (range(alg.dim), None)):
         for symmetric in flags:
-            new = center_basis(alg, indices, symmetric)
+            new = _center_part(alg, center, cut, symmetric)
             old = ref_center_basis(alg, indices, symmetric)
             # values and key order
             assert [list(v.items()) for v in new] == \
                 [list(v.items()) for v in old]
-    assert graded_center_support(alg, grading) == \
+    assert graded_center_support(alg, grading, center) == \
         ref_graded_center_support(alg, grading)
 
 
@@ -170,9 +174,9 @@ ORACLE_CENSUSES = {"census_z4": (32, 24), "census_z2": (12, 8),
 @pytest.mark.parametrize("census", ORACLE_CENSUSES)
 def test_intrinsic_simplicity_matches_the_guarded_tests(census):
     """On every census label, the intrinsic simple and graded-simple flags
-    (the graded test given the identity-component center, unguarded) equal
-    is_simple and graded_is_simple called alone, with the check that the
-    grading grades the product."""
+    (the graded test given the center Z, unguarded) equal is_simple and
+    graded_is_simple called alone, with the check that the grading grades
+    the product."""
     if census.startswith("census_"):
         cfg = parse_config((ROOT / "configs" / f"{census}.cfg")
                            .read_text(encoding="utf-8"))
@@ -212,27 +216,50 @@ def test_census_checks_each_label_grading_once(monkeypatch):
 
 
 def test_intrinsic_invariants_solve_one_center_kernel(monkeypatch):
-    """The simplicity test and the center support of a label share one
-    center kernel, and give what each gives on its own."""
+    """The simplicity test, the graded test and the center support of a
+    label share one center kernel, and give what each gives on its own."""
     calls = []
 
-    def counting(alg, indices, symmetric=False):
-        calls.append((tuple(indices), symmetric))
-        return center_basis(alg, indices, symmetric)
+    def counting(alg):
+        calls.append(alg)
+        return center_basis(alg)
     labels = enumerate_labels(AbelianGroup(0, (4,)), 8)
-    shared = 0
+    simple_labels = 0
     for name, ca in _labelled(labels):
         alg, grading = ca.algebra, ca.grading
-        simple = is_simple(alg, ops={PRODUCT})
-        support = tuple(e.coords for e in graded_center_support(alg, grading))
+        alone = (is_simple(alg, ops={PRODUCT}),
+                 graded_is_simple(alg, grading),
+                 tuple(e.coords for e in graded_center_support(
+                     alg, grading, center_basis(alg))))
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(atsbench.omega, "center_basis", counting)
             m.setattr(atsbench.classify, "center_basis", counting)
             inv = intrinsic_invariants(alg, grading)
-        assert (inv.simple, inv.center_support) == (simple, support), name
-        assert calls.count((tuple(range(alg.dim)), False)) == 1, name
-        assert len(calls) == len(set(calls)), name
-        shared += simple
-    # the simple labels reach step (b), which reads the shared kernel
-    assert shared
+        assert (inv.simple, inv.graded_simple, inv.center_support) == alone, \
+            name
+        assert calls == [alg], name
+        simple_labels += inv.simple
+    # the simple labels reach step (b) with the shared kernel, and the
+    # others the graded test too
+    assert 0 < simple_labels < len(labels)
+
+
+def test_center_part_when_the_involution_moves_the_identity_component():
+    """F[Z/2 x Z/2] over Q with basis 1, x, y, xy, graded by Z/2 with
+    deg x = deg xy = 1 and deg y = 0, and phi swapping x and y.  The
+    identity-degree, phi-fixed part of the center is span(1): projecting
+    the center onto A_e first and symmetrizing after would give x + y,
+    which is not in A_e."""
+    field = CycloField(1)
+    alg = OmegaAlgebra(field, 4, {PRODUCT: 2, INVOLUTION: 1})
+    for a in range(4):
+        for b in range(4):
+            alg.set_entry(PRODUCT, (a, b), {a ^ b: field.one})
+        alg.set_entry(INVOLUTION, (a,), {(0, 2, 1, 3)[a]: field.one})
+    Z2 = AbelianGroup(0, (2,))
+    grading = Grading(alg, Z2, tuple(Z2.element((k,)) for k in (0, 1, 0, 1)),
+                      graded_ops=frozenset({PRODUCT}))
+    part = _center_part(alg, center_basis(alg), grading, True)
+    assert part == ref_center_basis(alg, [0, 2], symmetric=True) == [
+        {0: field.one}]
