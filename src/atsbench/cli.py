@@ -22,8 +22,8 @@ from .classify import (ClassLabel, CycloField, WitnessError,
 from .config import TRIPLE_SOURCE_KEYS, ConfigError, JobConfig, parse_config
 from .constructions import ConstraintError
 from .omega import (TRIPLE, SimplicityUndecided, VerificationError,
-                    algebra_from_dict, algebra_to_dict, check_grading,
-                    check_involution, is_simple)
+                    _misgraded, algebra_from_dict, algebra_to_dict,
+                    check_grading, check_involution, is_simple)
 from .triples import (TripleSystem, check_associative, check_at2,
                       direct_sum_triple, loos_envelope, recover_triple,
                       scalar_triple, triple_from, triple_is_simple,
@@ -186,6 +186,11 @@ def _build_triple(cfg: JobConfig) -> TripleSystem:
         raise ConfigError(f"{spec['file']}: a triple system has exactly "
                           f"the operator {{'triple': 3}}, not "
                           f"{alg.operators}")
+    # whatever graded_ops lists, the envelope needs graded triple products
+    misgraded = grading and _misgraded(grading, [TRIPLE])
+    if misgraded:
+        raise ConfigError(f"{spec['file']}: the degrees do not grade the "
+                          f"triple product: {misgraded[0]}")
     return TripleSystem(alg, grading, label=spec["file"])
 
 

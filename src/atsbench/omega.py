@@ -502,15 +502,15 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
           elements of the center Z of identity degree with a grading and
           fixed by the involution when it is active (_center_part).
       (c) dim C = 1 gives True.  Otherwise the candidates w = z - lambda u
-          (z a basis vector of C, u the unit, lambda 0 or a root of unity
-          of the field) are tried.  A semisimple A is unital, and u lies
-          in C: it is central, of identity degree and fixed by the
-          involution.  So w lies in C, and the ideal it generates is Aw,
-          which the involution and the projections keep.  Aw is proper iff
-          w has no inverse in A; an inverse would lie in C too, so iff the
-          products w c (c in the basis of C) have rank < dim C, which gives
-          False.  When no candidate is a zero divisor, SimplicityUndecided
-          is raised, never True.
+          (z a basis vector of C, u the unit, lambda 0 or a root of unity of
+          the field) are tried.  A semisimple A is unital, and u lies in C:
+          it is central, of identity degree and fixed by the involution.  So
+          w lies in C, and the ideal it generates is Aw, which the involution
+          and the projections keep.  Aw is proper iff w has no inverse (it
+          would lie in C), so iff the products w c (c in a basis of C) have
+          rank < dim C.  As u c = c, w c = z c - lambda c: u is never solved
+          for.  Rank 0 means w = 0; 0 < rank < dim C gives False.  With no
+          zero divisor, SimplicityUndecided is raised, never True.
     A zero product under both a grading and an active involution also
     raises SimplicityUndecided.  A caller may pass Z = center_basis(alg)
     as `center`, and so vouches that a grading grades the product: only a
@@ -549,28 +549,16 @@ def is_simple(alg: OmegaAlgebra, grading: Grading = None, ops=None,
     center = _center_part(alg, center, grading, INVOLUTION in active)
     if len(center) == 1:
         return True
-    unit = _unit_in(alg, center)
     one, lambdas = field.one, [field.zero] + field.roots_of_unity()
     for z in center:
+        zc = [(one, alg.mul(z, c)) for c in center]
         for lam in lambdas:
-            w = combine([(one, z), (-lam, unit)])
-            if w and len(linalg.rref(field, [alg.mul(w, c) for c in center],
-                                     dim)) < len(center):
+            rank = len(linalg.rref(field, [combine([p, (-lam, c)]) for p, c
+                                          in zip(zc, center)], dim))
+            if 0 < rank < len(center):
                 return False
     raise SimplicityUndecided(f"no zero divisor found in a center part of "
                               f"dimension {len(center)}")
-
-
-def _unit_in(alg: OmegaAlgebra, span: list) -> SparseVec:
-    """The element u of the span with u c = c for every c in it ({} when
-    there is none; a semisimple A has its unit in every center part):
-    one solve with an unknown per element of the span."""
-    dim = alg.dim
-    columns = [{n * dim + i: x for n, c in enumerate(span)
-                for i, x in alg.mul(b, c).items()} for b in span]
-    target = {n * dim + i: x for n, c in enumerate(span) for i, x in c.items()}
-    sol = linalg.solve(alg.field, columns, target, len(span) * dim) or {}
-    return combine((x, span[j]) for j, x in sol.items())
 
 
 def graded_is_simple(alg: OmegaAlgebra, grading: Grading,
@@ -644,6 +632,8 @@ def algebra_from_dict(data: dict):
         raise ValueError(f"'operators' must map names to positive int "
                          f"arities, got {operators!r}")
     basis = _require_list(data, "basis", item=str) if "basis" in data else None
+    if basis is not None and len(basis) != dim:
+        raise ValueError(f"'basis' lists {len(basis)} labels for dim {dim}")
     alg = OmegaAlgebra(field, dim, operators, basis)
     for entry in _require_list(data, "tensor"):
         if not (isinstance(entry, list) and len(entry) == 4):

@@ -34,9 +34,9 @@ dense elimination kernel that the sparse `linalg` is checked against;
 `ref_center_basis`, `ref_graded_center_support` and
 `ref_zero_divisor_candidates` are the
 structure decisions by row lookups with one kernel per center part, one
-kernel per component and ideal closures, the oracles for the one center
-kernel and the parts cut out of it, the center support and the
-zero-divisor tests; the float
+kernel per component and ideal closures (with their own unit solve,
+`unit_in`), the oracles for the one center kernel and the parts cut out
+of it, the center support and the zero-divisor tests; the float
 embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
 next to the exact assertions, never instead of them.
 
@@ -69,14 +69,13 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     exchange_double_division, part_layouts,
                                     phi_matrix)
 from atsbench.corpus import symplectic_subgroup
-from atsbench.linalg import combine, kernel
+from atsbench.linalg import combine, kernel, solve
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              Subgroup, extend_bicharacter, flip_z,
                              symplectic_decomposition, trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, VerificationError, VerificationReport,
-                            _misgraded, _unit_in, check_morphism,
-                            ideal_closure)
+                            _misgraded, check_morphism, ideal_closure)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
 
@@ -321,7 +320,7 @@ def ref_zero_divisor_candidates(alg, grading=None, ops=None):
     center = ref_center_basis(alg, indices, symmetric=INVOLUTION in active)
     if len(center) == 1:
         return center, []
-    u = _unit_in(alg, center)
+    u = unit_in(alg, center)
     candidates = []
     for z in center:
         for lam in [F.zero] + F.roots_of_unity():
@@ -330,6 +329,19 @@ def ref_zero_divisor_candidates(alg, grading=None, ops=None):
                 candidates.append((w, ideal_closure(alg, [w], grading,
                                                     ops=active).rank < dim))
     return center, candidates
+
+
+def unit_in(alg, span):
+    """The element u of the span with u c = c for every c in it ({} when
+    there is none): one solve with an unknown per element of the span.
+    omega.is_simple never solves for the unit, so this solve is the
+    references' own."""
+    dim = alg.dim
+    columns = [{n * dim + i: x for n, c in enumerate(span)
+                for i, x in alg.mul(b, c).items()} for b in span]
+    target = {n * dim + i: x for n, c in enumerate(span) for i, x in c.items()}
+    sol = solve(alg.field, columns, target, len(span) * dim) or {}
+    return combine((x, span[j]) for j, x in sol.items())
 
 
 def ref_kernel(field, rows, width):
@@ -370,9 +382,9 @@ def random_scalar(F, rng, lo: int = -3, hi: int = 3) -> Scalar:
 
 def unit(alg):
     """The two-sided unit of the binary product, or None: the left unit
-    solved by omega._unit_in, when it is also a right identity (a left
-    unit equals any two-sided unit, so none is missed)."""
-    u = _unit_in(alg, [alg.basis_vec(i) for i in range(alg.dim)])
+    solved by `unit_in`, when it is also a right identity (a left unit
+    equals any two-sided unit, so none is missed)."""
+    u = unit_in(alg, [alg.basis_vec(i) for i in range(alg.dim)])
     if all(alg.apply_slot(PRODUCT, 1, u, (i,)) == {i: alg.field.one}
            for i in range(alg.dim)):
         return u

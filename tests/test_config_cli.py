@@ -515,6 +515,11 @@ GRADED_TRIPLE ={"conductor": 1, "dim": 1, "operators": {"triple": 3},
                  "group": {"free_rank": 0, "torsion": [2]}, "degrees": [[0]],
                  "graded_ops": ["triple"]}
 JSON_TRIPLE_CFG = "[triple]\nsource = json\nfile = w.json\n"
+# the rotated F + F with Z/3 degrees 0, 1: {f_0, f_1, f_1} = f_0 lies in
+# degree 0, not 0 + 1 + 1 = 2, so the degrees grade no triple product
+MISGRADED_TRIPLE = dict(ROTATED_SPLIT_TRIPLE, degrees=[[0], [1]],
+                        group={"free_rank": 0, "torsion": [3]},
+                        graded_ops=["triple"])
 
 
 def _edit(text, old, new):
@@ -672,6 +677,24 @@ def _edit(text, old, new):
                      GRADED_TRIPLE, operators={"triple": 3, "product": 2}))},
                  "exactly the operator {'triple': 3}",
                  id="json-extra-product"),
+    # degrees that do not grade the triple product, whatever graded_ops
+    # lists: once exit 3 from envelope (an envelope row mixing degrees) and
+    # exit 0 from triple and check-at2
+    *(pytest.param([command, "t.cfg"],
+                   {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(dict(
+                       MISGRADED_TRIPLE, graded_ops=graded_ops))},
+                   "w.json: the degrees do not grade the triple product: "
+                   "triple(0, 1, 1) -> index 0",
+                   id=f"json-misgraded-{command}-{len(graded_ops)}-ops")
+      for command in ("envelope", "triple", "check-at2")
+      for graded_ops in (["triple"], [])),
+    # a basis of another length than dim, once written out or replaced
+    *(pytest.param(["triple", "t.cfg"],
+                   {"t.cfg": JSON_TRIPLE_CFG, "w.json": json.dumps(dict(
+                       ROTATED_SPLIT_TRIPLE, basis=basis))},
+                   f"'basis' lists {len(basis)} labels for dim 2",
+                   id=f"json-basis-{basis!r}")
+      for basis in (["only"], [])),
     # [triple] keys the source does not read, once silently ignored
     pytest.param(["check-at2", "t.cfg"],
                  {"t.cfg": JSON_TRIPLE_CFG + "dim = 7\n",
@@ -750,6 +773,19 @@ def test_report_json_matches_indented_dump(name, tmp_path):
     assert raw.decode() == json.dumps(json.loads(raw), indent=2,
                                       sort_keys=True) + "\n"
     assert hashlib.sha256(raw[:-1]).hexdigest() == REPORT_SHA256[name]
+
+
+def test_census_never_solves_for_a_unit(monkeypatch):
+    # simplicity step (c) reads u c = c off the center part instead of
+    # solving for the unit u: the Z/4 census, which reaches step (c) with
+    # a center part of dimension > 1, makes no linalg.solve call
+    from atsbench import linalg
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("linalg.solve called")
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    report = run(parse_config((CONFIGS / "census_z4.cfg").read_text()))
+    assert report.status == "pass"
 
 
 def _writes(data):
@@ -878,12 +914,13 @@ SWEEP_COMMANDS = ("construct", "verify", "envelope", "triple", "check-at2",
 
 def test_no_config_command_escapes_with_a_traceback(tmp_path, monkeypatch,
                                                     capsys):
-    # every config command on every shipped config and on the two JSON
+    # every config command on every shipped config and on the three JSON
     # triples: main returns an exit status, and a 2 or a 3 says why
     monkeypatch.chdir(tmp_path)
     configs = sorted(CONFIGS.glob("*.cfg")) + [
         _write_triple(tmp_path, name, data) for name, data in (
-            ("rot", ROTATED_SPLIT_TRIPLE), ("qi", GAUSSIAN_TRIPLE))]
+            ("rot", ROTATED_SPLIT_TRIPLE), ("qi", GAUSSIAN_TRIPLE),
+            ("mis", MISGRADED_TRIPLE))]
     statuses = {}
     for cfg in configs:
         for command in SWEEP_COMMANDS:
@@ -894,6 +931,7 @@ def test_no_config_command_escapes_with_a_traceback(tmp_path, monkeypatch,
                 assert err.startswith(("error: ", "internal error: ")), \
                     (cfg.name, command, err)
             statuses[cfg.name, command] = status
-    assert len(statuses) == 6 * (len(REPORT_SHA256) + 2)
+    assert len(statuses) == 6 * (len(REPORT_SHA256) + 3)
     assert statuses["qi.cfg", "envelope"] == 1
     assert statuses["rot.cfg", "envelope"] == 0
+    assert {statuses["mis.cfg", command] for command in SWEEP_COMMANDS} == {2}
