@@ -196,11 +196,12 @@ class ClassLabel:
 
     def _orbit(self, inverted: bool, g=None) -> tuple:
         """The least image, over the shifts h in G, of g - 2h (with g) and
-        of the two xi multisets (gamma inverted on request) shifted by h."""
+        of the two xi multisets (gamma inverted on request) shifted by h,
+        in element codes, which G orders as its coordinate tuples."""
         coset_rep = self.full_support.coset_rep
         xis = [self.xi(w, inverted).counts.items() for w in (0, 1)]
-        return min(((g - h - h).coords if g is not None else (),) + tuple(
-            tuple(sorted((coset_rep(h + r).coords, m) for r, m in xi))
+        return min(((g - (h + h)).code if g is not None else (),) + tuple(
+            tuple(sorted((coset_rep(h + r).code, m) for r, m in xi))
             for xi in xis) for h in self.params.group.elements())
 
     def build(self, field: CycloField) -> ConstructedAlgebra:

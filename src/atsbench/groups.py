@@ -6,6 +6,14 @@ Degrees of every grading in the workbench are elements of such a group;
 the distinguished grading group Z x G is formed by prepending one free
 coordinate (helpers at the bottom).
 
+A group object numbers its elements by integer codes, the same in equal
+groups, and makes one element per code.  The torsion coordinates are
+read in mixed radix, so codes order a finite group as its coordinate
+tuples; free coordinates are folded into a multiple of the torsion
+order.  An element keeps its hash, string and order, and its negative
+and sums once computed, so that group arithmetic is mostly dict
+lookups: a finite group holds at most |G| elements and |G|^2 sums.
+
 Bicharacters are stored as full exponent tables over the (finite)
 domain subgroup: beta(t1, t2) = zeta_M^table[t1, t2] where M is the
 exponent of the domain.  That makes equality of two bicharacters a
@@ -16,7 +24,6 @@ built from.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 from .scalars import CycloField, Scalar
@@ -26,101 +33,151 @@ class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+def _fold(free) -> int:
+    """An injective map Z^r -> N, 0 at 0: each coordinate in zigzag order,
+    the results paired by Cantor's pairing."""
+    k = 0
+    for z in free:
+        z = 2 * z if z >= 0 else -2 * z - 1
+        k = (k + z) * (k + z + 1) // 2 + z
+    return k
 
-    def __post_init__(self):
-        if self.free_rank < 0 or any(m < 2 for m in self.torsion):
+
+class AbelianGroup:
+    __slots__ = ("free_rank", "torsion", "_hash", "_size", "_codes", "_zg")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0 or any(m < 2 for m in torsion):
             raise GroupError("free rank must be >= 0 and torsion orders >= 2")
+        self.free_rank, self.torsion = free_rank, tuple(torsion)
+        self._hash = hash((free_rank, self.torsion))
+        self._size = prod(torsion)    # number of torsion codes
+        self._codes = {}              # code -> its one element
+        self._zg = None               # prepend_z(self), once formed
+
+    def __eq__(self, other):
+        if other.__class__ is not AbelianGroup:
+            return NotImplemented
+        return self is other or (self.free_rank == other.free_rank
+                                 and self.torsion == other.torsion)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"AbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @property
     def ncoords(self) -> int:
         return self.free_rank + len(self.torsion)
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(int, coords))
         if len(coords) != self.ncoords:
             raise GroupError(f"expected {self.ncoords} coordinates, got {len(coords)}")
-        reduced = list(coords)
-        for k, m in enumerate(self.torsion):
-            reduced[self.free_rank + k] %= m
-        return GroupElement(self, tuple(reduced))
+        r, code = self.free_rank, 0
+        for c, m in zip(coords[r:], self.torsion):
+            code = code * m + c % m
+        if r:
+            code += self._size * _fold(coords[:r])
+        return self._codes.get(code) or self._intern(code, coords)
+
+    def _intern(self, code: int, coords: tuple) -> "GroupElement":
+        r = self.free_rank
+        self._codes[code] = GroupElement(self, coords[:r] + tuple(
+            c % m for c, m in zip(coords[r:], self.torsion)), code)
+        return self._codes[code]
 
     @property
     def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.ncoords)
+        return self._codes.get(0) or self._intern(0, (0,) * self.ncoords)
 
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
     def elements(self) -> list["GroupElement"]:
+        """All elements, in code order, which is coordinate order."""
         if not self.is_finite():
             raise GroupError("cannot enumerate an infinite group")
-        out = [()]
-        for m in self.torsion:
-            out = [t + (k,) for t in out for k in range(m)]
-        return [GroupElement(self, t) for t in sorted(out)]
+        return [self._codes.get(code) or self._intern(code, coords)
+                for code, coords in enumerate(
+                    itertools.product(*map(range, self.torsion)))]
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{m}" for m in self.torsion]
         return " x ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    group: AbelianGroup
-    coords: tuple[int, ...]
+    """An element of `group`: its reduced coordinates and its code there.
+    Only the group makes elements (AbelianGroup.element), one per code."""
+    __slots__ = ("group", "coords", "code", "_hash", "_str", "_order", "_neg",
+                 "_sums")
+
+    def __init__(self, group: AbelianGroup, coords: tuple, code: int):
+        self.group, self.coords, self.code = group, coords, code
+        self._hash = hash((group, coords))
+        self._str = "(" + ",".join(map(str, coords)) + ")"
+        r = group.free_rank
+        self._order = None if any(coords[:r]) else lcm(*(
+            m // gcd(m, c) for c, m in zip(coords[r:], group.torsion)))
+        self._neg = None
+        self._sums = {}               # other.code -> self + other
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self is other or (self.code == other.code
+                                 and self.group == other.group)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"GroupElement(group={self.group!r}, coords={self.coords!r})"
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        """On a torsion-only group the sum is reduced in one pass: both
-        operands are valid elements, so AbelianGroup.element's checks
-        would add nothing (likewise for __neg__)."""
+        """Codes are the same in equal groups, so a sum is kept under the
+        other operand's code; the first time, it is reduced by the group."""
         group = self.group
         if other.group is not group and other.group != group:
             raise GroupError("elements of different groups")
-        if group.free_rank:
-            return group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
-        return GroupElement(group, tuple(
-            (a + b) % m for a, b, m in zip(self.coords, other.coords, group.torsion)))
+        total = self._sums.get(other.code)
+        if total is None:
+            total = self._sums[other.code] = group.element(
+                [a + b for a, b in zip(self.coords, other.coords)])
+        return total
 
     def __neg__(self) -> "GroupElement":
-        group = self.group
-        if group.free_rank:
-            return group.element(tuple(-a for a in self.coords))
-        return GroupElement(group, tuple(-a % m for a, m in zip(self.coords, group.torsion)))
+        if self._neg is None:
+            self._neg = self.group.element([-a for a in self.coords])
+        return self._neg
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
     def scaled(self, n: int) -> "GroupElement":
-        return self.group.element(tuple(n * a for a in self.coords))
+        return self.group.element([n * a for a in self.coords])
 
     def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.code == 0
 
     def order(self):
         """Multiplicative order; None if infinite (nonzero free part)."""
-        if any(self.coords[: self.group.free_rank]):
-            return None
-        n = 1
-        for k, m in enumerate(self.group.torsion):
-            c = self.coords[self.group.free_rank + k]
-            if c:
-                o = m // gcd(m, c)
-                n = n * o // gcd(n, o)
-        return n
+        return self._order
 
     def __str__(self):
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
+        return self._str
 
 
 class Subgroup:
     """A finite subgroup given by generators, eagerly enumerated.
 
     Enumeration is rejected above 2**16 elements; every construction in
-    the workbench needs tiny finite supports anyway.
+    the workbench needs tiny finite supports anyway.  Its elements have
+    no free part, so their codes are ordered as their coordinates; the
+    membership index and the coset-representative table are keyed by
+    code.
     """
 
     MAX_SIZE = 1 << 16
@@ -133,23 +190,26 @@ class Subgroup:
                 raise GroupError("generator outside parent group")
             if g.order() is None:
                 raise GroupError("subgroup must be finite")
-        elems = {group.identity}
-        frontier = [group.identity]
+        identity = group.identity
+        elems = {0: identity}         # code -> element
+        frontier = [identity]
         while frontier:
             cur = frontier.pop()
             for g in self.generators:
                 nxt = cur + g
-                if nxt not in elems:
+                if nxt.code not in elems:
                     if len(elems) >= self.MAX_SIZE:
                         raise GroupError("subgroup enumeration exceeds 2^16 elements")
-                    elems.add(nxt)
+                    elems[nxt.code] = nxt
                     frontier.append(nxt)
-        self.elements = tuple(sorted(elems, key=lambda e: e.coords))
-        self._index = {e: i for i, e in enumerate(self.elements)}
-        self._coset_reps = {}   # element -> coset_rep, filled a coset at a time
+        self._index = {code: i for i, code in enumerate(sorted(elems))}
+        self.elements = tuple(elems[code] for code in self._index)
+        self._hash = hash((group, self.elements))
+        self._coset_reps = {}   # code -> coset_rep, filled a coset at a time
 
     def __contains__(self, e: GroupElement) -> bool:
-        return e in self._index
+        return e.code in self._index and (e.group is self.group
+                                          or e.group == self.group)
 
     def __len__(self):
         return len(self.elements)
@@ -160,7 +220,7 @@ class Subgroup:
                                  and other.elements == self.elements)
 
     def __hash__(self):
-        return hash((self.group, self.elements))
+        return self._hash
 
     def is_elementary_2(self) -> bool:
         return all(e.order() in (1, 2) for e in self.elements)
@@ -171,12 +231,16 @@ class Subgroup:
         return lcm(*(e.order() for e in self.elements))
 
     def coset_rep(self, g: GroupElement) -> GroupElement:
-        """Lexicographically smallest representative of g + T."""
-        rep = self._coset_reps.get(g)
+        """Lexicographically smallest representative of g + T: the
+        element of least code, as the coset's elements share g's free
+        part."""
+        if g.group is not self.group and g.group != self.group:
+            raise GroupError("elements of different groups")
+        rep = self._coset_reps.get(g.code)
         if rep is None:
             coset = [g + t for t in self.elements]
-            rep = min(coset, key=lambda e: e.coords)
-            self._coset_reps.update(dict.fromkeys(coset, rep))
+            rep = min(coset, key=lambda e: e.code)
+            self._coset_reps.update(dict.fromkeys([e.code for e in coset], rep))
         return rep
 
     def basis(self) -> list[GroupElement]:
@@ -228,6 +292,7 @@ class Bicharacter:
         self.domain = domain
         self.exponent = exponent       # M: all values are powers of zeta_M
         self.table = table             # (t1, t2) -> int mod M
+        self._hash = None
 
     @staticmethod
     def from_generator_matrix(domain: Subgroup, gens, matrix) -> "Bicharacter":
@@ -239,13 +304,9 @@ class Bicharacter:
             raise GroupError("bicharacter generators must form a basis of the domain")
         M = lcm(*orders)
         # exponent coordinates of every element over the generator basis
-        coords = {}
-        for vec in itertools.product(*map(range, orders)):
-            cur = domain.group.identity
-            for k, g in zip(vec, gens):
-                for _ in range(k):
-                    cur = cur + g
-            coords[cur] = vec
+        coords = {sum((g.scaled(k) for k, g in zip(vec, gens)),
+                      domain.group.identity): vec
+                  for vec in itertools.product(*map(range, orders))}
         if len(coords) != len(domain):
             raise GroupError("generator exponents do not enumerate the domain")
         kmat = [[(matrix[i][j] * (M // gcd(orders[i], orders[j]))) % M
@@ -306,9 +367,12 @@ class Bicharacter:
 
     def __hash__(self):
         # exponents over the least common order, as __eq__ compares values
-        d = gcd(self.exponent, *self.table.values())
-        return hash(frozenset(((a.coords, b.coords), k % self.exponent // d)
-                              for (a, b), k in self.table.items()))
+        if self._hash is None:
+            d = gcd(self.exponent, *self.table.values())
+            self._hash = hash(frozenset(
+                ((a.coords, b.coords), k % self.exponent // d)
+                for (a, b), k in self.table.items()))
+        return self._hash
 
 
 class QuadraticForm:
@@ -319,6 +383,7 @@ class QuadraticForm:
     def __init__(self, domain: Subgroup, values: dict):
         self.domain = domain
         self.values = {t: int(values[t]) for t in domain.elements}
+        self._hash = None
         if not domain.is_elementary_2():
             raise GroupError("quadratic form domain must be an elementary 2-group")
         if self.values[domain.group.identity] != 1:
@@ -358,7 +423,9 @@ class QuadraticForm:
                 and all(self.values[t] == other.values[t] for t in self.values))
 
     def __hash__(self):
-        return hash(frozenset((t.coords, v) for t, v in self.values.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset((t.coords, v) for t, v in self.values.items()))
+        return self._hash
 
 
 def extend_bicharacter(beta: Bicharacter, t: GroupElement) -> Bicharacter:
@@ -423,8 +490,11 @@ def symplectic_decomposition(T: Subgroup, beta: Bicharacter):
 # ---------------------------------------------------------------------------
 
 def prepend_z(G: AbelianGroup) -> AbelianGroup:
-    """The group Z x G; coordinate 0 is the distinguished Z slot."""
-    return AbelianGroup(G.free_rank + 1, G.torsion)
+    """The group Z x G; coordinate 0 is the distinguished Z slot.  One
+    object per G, so that every Z x G degree over G is interned once."""
+    if G._zg is None:
+        G._zg = AbelianGroup(G.free_rank + 1, G.torsion)
+    return G._zg
 
 
 def zg_element(ZG: AbelianGroup, z: int, g: GroupElement) -> GroupElement:

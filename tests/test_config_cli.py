@@ -12,7 +12,7 @@ import pytest
 from atsbench.cli import CHUNK, main, run, write_report
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
-from atsbench.groups import AbelianGroup
+from atsbench.groups import AbelianGroup, GroupElement
 from atsbench.omega import SimplicityUndecided
 from helpers import GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE, run_optimized
 
@@ -786,6 +786,24 @@ def test_census_never_solves_for_a_unit(monkeypatch):
     monkeypatch.setattr(linalg, "solve", no_solve)
     report = run(parse_config((CONFIGS / "census_z4.cfg").read_text()))
     assert report.status == "pass"
+
+
+def test_census_makes_each_degree_once(monkeypatch):
+    # group elements are interned: the Z/4 census makes one element object
+    # per distinct degree it touches, of G and of Z x G (whose degrees in
+    # a 3-graded algebra have their Z slot in {-1, 0, 1}), however many
+    # labels, gradings and sums it runs through
+    made = []
+    init = GroupElement.__init__
+
+    def recording(self, group, coords, code):
+        made.append((group.free_rank, group.torsion, coords))
+        init(self, group, coords, code)
+    monkeypatch.setattr(GroupElement, "__init__", recording)
+    report = run(parse_config((CONFIGS / "census_z4.cfg").read_text()))
+    assert report.status == "pass"
+    assert len(made) == len(set(made)) <= 4 + 3 * 4
+    assert {(r, t) for r, t, _ in made} == {(0, (4,)), (1, (4,))}
 
 
 def _writes(data):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from atsbench.classify import all_subgroups
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
                              QuadraticForm, Subgroup, extend_bicharacter,
                              prepend_z, symplectic_decomposition,
@@ -225,35 +226,102 @@ def test_coset_reps_and_subgroups():
         Subgroup(AbelianGroup(1), (AbelianGroup(1).element((1,)),))
 
 
+def plain(G, coords):
+    """Coordinates reduced by hand: free ones as they are, torsion ones
+    into [0, m)."""
+    r = G.free_rank
+    return tuple(coords[:r]) + tuple(
+        c % m for c, m in zip(coords[r:], G.torsion))
+
+
+def plain_order(G, coords):
+    if any(coords[:G.free_rank]):
+        return None
+    return next(n for n in itertools.count(1)
+                if plain(G, [n * c for c in coords]) == G.identity.coords)
+
+
 @pytest.mark.parametrize("G", [AbelianGroup(0, (4,)), AbelianGroup(0, (2, 4)),
-                               AbelianGroup(0, (2, 2, 2)), AbelianGroup(1, (2,))])
+                               AbelianGroup(0, (2, 2, 2)), AbelianGroup(1, (2,)),
+                               AbelianGroup(0, (2, 2, 2, 2)),
+                               AbelianGroup(0, (3, 3)), AbelianGroup(1, (4,))])
 def test_add_neg_match_element_reduction(G):
-    # the one-pass torsion reduction (and the free-rank path) agree with
-    # AbelianGroup.element on the unreduced coordinate sums
+    # sums, differences, negatives, orders and multiples agree with plain
+    # coordinate arithmetic: on every pair of a finite group, on sampled
+    # pairs (free coordinates in [-9, 9]) with free rank
     rng = random.Random(7)
-    draws = [G.element([rng.randrange(-9, 10) for _ in range(G.ncoords)])
-             for _ in range(40)]
+    if G.is_finite():
+        draws = G.elements()
+    else:
+        draws = [G.element([rng.randrange(-9, 10) for _ in range(G.ncoords)])
+                 for _ in range(40)]
     for x, y in itertools.product(draws, repeat=2):
         total = x + y
+        assert total.coords == plain(G, [a + b for a, b in zip(x.coords, y.coords)])
+        assert (x - y).coords == plain(G, [a - b for a, b in zip(x.coords, y.coords)])
         assert total == G.element([a + b for a, b in zip(x.coords, y.coords)])
         assert total.group is G and type(total.coords[0]) is int
     for x in draws:
+        assert (-x).coords == plain(G, [-a for a in x.coords])
         assert -x == G.element([-a for a in x.coords])
         assert x - x == G.identity
+        assert x.order() == plain_order(G, x.coords)
+        for n in range(-3, 6):
+            assert x.scaled(n).coords == plain(G, [n * a for a in x.coords])
     other = AbelianGroup(G.free_rank, G.torsion + (3,))
     with pytest.raises(GroupError, match="different groups"):
         draws[0] + other.identity
 
 
+def test_elements_are_interned_and_equal_across_equal_groups():
+    # one object per element of a group object; elements of two distinct
+    # but equal groups are equal and hash alike; the hashes are pinned,
+    # hash((group, coords)) and hash((free_rank, torsion)), since set
+    # iteration orders, and so report bytes, follow them
+    for torsion, free in (((2, 4), 0), ((3, 3), 0), ((4,), 1), ((), 2)):
+        G, H = AbelianGroup(free, torsion), AbelianGroup(free, torsion)
+        assert G is not H and G == H and hash(G) == hash(H)
+        assert hash(G) == hash((G.free_rank, G.torsion)) == hash((free, torsion))
+        coords = [(k, -k, 2 * k, 3, 1)[:G.ncoords] for k in range(-2, 5)]
+        for c in coords:
+            x, y = G.element(c), H.element(c)
+            assert G.element(c) is x and x is not y
+            assert x == y and hash(x) == hash(y)
+            assert hash(x) == hash((x.group, x.coords)) == hash((G, x.coords))
+            assert str(x) == "(" + ",".join(map(str, x.coords)) + ")"
+            assert repr(x) == (f"GroupElement(group=AbelianGroup(free_rank="
+                               f"{free}, torsion={torsion}), coords={x.coords})")
+            assert x + y == y + x and (x + y).group is G and (y + x).group is H
+            assert len({x, y}) == 1 and (-x) + y == G.identity
+        assert G.identity is G.element([0] * G.ncoords)
+        assert G.identity.is_identity() and H.identity == G.identity
+    assert AbelianGroup(0, (2,)) != AbelianGroup(1, (2,))
+    assert AbelianGroup(0, (2,)).element((1,)) != AbelianGroup(0, (4,)).element((1,))
+
+
 def test_coset_rep_table_matches_min_scan():
+    # the least coordinates of g + T, over every subgroup of three finite
+    # groups and over finite subgroups of Z x Z/4 with shifts that have a
+    # free part; the second pass reads the table
+    cases = [(G, all_subgroups(G)) for G in (
+        AbelianGroup(0, (2, 4)), AbelianGroup(0, (2, 2, 2, 2)),
+        AbelianGroup(0, (3, 3)))]
+    ZG = AbelianGroup(1, (4,))
+    cases.append((ZG, [Subgroup(ZG, ()), Subgroup(ZG, (ZG.element((0, 2)),)),
+                       Subgroup(ZG, (ZG.element((0, 1)),))]))
+    for G, subgroups in cases:
+        shifts = (G.elements() if G.is_finite() else
+                  [G.element((z, k)) for z in (-2, 0, 3) for k in range(4)])
+        for T in subgroups:
+            for g in shifts * 2:
+                want = min(plain(G, [a + b for a, b in zip(g.coords, t.coords)])
+                           for t in T.elements)
+                assert T.coset_rep(g).coords == want
+                assert (g in T) == (want == G.identity.coords)
     G = AbelianGroup(0, (2, 4))
-    for T in (Subgroup(G, ()), Subgroup(G, (G.element((0, 2)),)),
-              Subgroup(G, (G.element((1, 2)),)), Subgroup(G, (G.element((1, 1)),))):
-        for g in G.elements() * 2:      # second pass reads the table
-            assert T.coset_rep(g) == min((g + t for t in T.elements),
-                                         key=lambda e: e.coords)
     with pytest.raises(GroupError):
         Subgroup(G, ()).coset_rep(V4.identity)
+    assert V4.identity not in Subgroup(G, ())
 
 
 def test_prepend_z():
