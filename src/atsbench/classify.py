@@ -35,7 +35,7 @@ from .constructions import (ConstraintError, ConstructedAlgebra,
                             _conjugation_columns, build_exchange_pair,
                             build_M_inv, diagonal_solutions, division_part,
                             kappa_expand, opposite, part_layouts)
-from .groups import AbelianGroup, GroupElement, Subgroup
+from .groups import AbelianGroup, GroupElement, Subgroup, _cyclic
 from .omega import (PRODUCT, Grading, LinearMap, OmegaAlgebra,
                     VerificationError, center_basis, check_morphism,
                     graded_is_simple, is_simple)
@@ -714,9 +714,7 @@ def all_subgroups(G: AbelianGroup):
     already in the span is skipped, and so is every extension of that
     set: dropping the element gives a smaller set with the same span."""
     elements = G.elements()
-    torsion = G.torsion
-    multiples = [[tuple(k * c % m for c, m in zip(e.coords, torsion))
-                  for k in range(e.order())] for e in elements]
+    multiples = [_cyclic(e) for e in elements]
     trivial = frozenset(multiples[0])
     seen = {trivial: Subgroup(G, ())}
     layer = [((), trivial)]         # (indices of the generators, span)
@@ -724,11 +722,9 @@ def all_subgroups(G: AbelianGroup):
         grown = []
         for gens, span in layer:
             for n in range(gens[-1] + 1 if gens else 0, len(elements)):
-                if elements[n].coords in span:
+                if elements[n] in span:
                     continue
-                wider = frozenset(
-                    tuple((a + b) % m for a, b, m in zip(s, k, torsion))
-                    for s in span for k in multiples[n])
+                wider = frozenset(s + k for s in span for k in multiples[n])
                 if wider not in seen:
                     seen[wider] = Subgroup(G, [elements[i] for i in gens + (n,)])
                 grown.append((gens + (n,), wider))

@@ -618,17 +618,15 @@ def _verified(ca: ConstructedAlgebra) -> ConstructedAlgebra:
 # opposites and exchange pairs
 # ---------------------------------------------------------------------------
 
-def opposite(alg: OmegaAlgebra, grading: Grading,
-             negate_z: bool = True) -> tuple[OmegaAlgebra, Grading]:
-    """Reversed product; for Z x G gradings the Z slot of every degree is
-    negated (pass negate_z=False for gradings without a Z slot)."""
+def opposite(alg: OmegaAlgebra,
+             grading: Grading) -> tuple[OmegaAlgebra, Grading]:
+    """Reversed product, with the Z slot of every Z x G degree negated."""
     out = OmegaAlgebra(alg.field, alg.dim, {PRODUCT: 2},
                        [f"{lbl}^op" for lbl in alg.basis_labels])
     for (i, j), row in alg.tensors[PRODUCT].items():
         out.set_entry(PRODUCT, (j, i), dict(row))
-    degmap = (tuple(flip_z(d) for d in grading.degmap) if negate_z
-              else grading.degmap)
-    return out, Grading(out, grading.group, degmap,
+    return out, Grading(out, grading.group,
+                        tuple(flip_z(d) for d in grading.degmap),
                         graded_ops=frozenset({PRODUCT}))
 
 

@@ -6,13 +6,16 @@ Degrees of every grading in the workbench are elements of such a group;
 the distinguished grading group Z x G is formed by prepending one free
 coordinate (helpers at the bottom).
 
-A group object numbers its elements by integer codes, the same in equal
-groups, and makes one element per code.  The torsion coordinates are
-read in mixed radix, so codes order a finite group as its coordinate
-tuples; free coordinates are folded into a multiple of the torsion
-order.  An element keeps its hash, string and order, and its negative
-and sums once computed, so that group arithmetic is mostly dict
-lookups: a finite group holds at most |G| elements and |G|^2 sums.
+There is one group object per (free rank, torsion), kept in a registry
+for the life of the process, so equal groups are the same object.  It
+numbers its elements by integer codes and makes one element per code,
+so equal elements are the same object too and compare by identity.  The
+torsion coordinates are read in mixed radix, so codes order a finite
+group as its coordinate tuples; free coordinates are folded into a
+multiple of the torsion order.  An element keeps its hash, string and
+order, and its negative and sums once computed, so that group
+arithmetic is mostly dict lookups: a finite group holds at most |G|
+elements and |G|^2 sums.
 
 Bicharacters are stored as full exponent tables over the (finite)
 domain subgroup: beta(t1, t2) = zeta_M^table[t1, t2] where M is the
@@ -44,22 +47,21 @@ def _fold(free) -> int:
 
 
 class AbelianGroup:
-    __slots__ = ("free_rank", "torsion", "_hash", "_size", "_codes", "_zg")
+    __slots__ = ("free_rank", "torsion", "_hash", "_size", "_codes")
+    _groups = {}                      # (free_rank, torsion) -> its one group
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        if free_rank < 0 or any(m < 2 for m in torsion):
-            raise GroupError("free rank must be >= 0 and torsion orders >= 2")
-        self.free_rank, self.torsion = free_rank, tuple(torsion)
-        self._hash = hash((free_rank, self.torsion))
-        self._size = prod(torsion)    # number of torsion codes
-        self._codes = {}              # code -> its one element
-        self._zg = None               # prepend_z(self), once formed
-
-    def __eq__(self, other):
-        if other.__class__ is not AbelianGroup:
-            return NotImplemented
-        return self is other or (self.free_rank == other.free_rank
-                                 and self.torsion == other.torsion)
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        key = (free_rank, tuple(torsion))
+        group = cls._groups.get(key)
+        if group is None:
+            if free_rank < 0 or any(m < 2 for m in key[1]):
+                raise GroupError("free rank must be >= 0 and torsion orders >= 2")
+            group = cls._groups[key] = object.__new__(cls)
+            group.free_rank, group.torsion = key
+            group._hash = hash(key)
+            group._size = prod(key[1])    # number of torsion codes
+            group._codes = {}             # code -> its one element
+        return group
 
     def __hash__(self):
         return self._hash
@@ -124,12 +126,6 @@ class GroupElement:
         self._neg = None
         self._sums = {}               # other.code -> self + other
 
-    def __eq__(self, other):
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self is other or (self.code == other.code
-                                 and self.group == other.group)
-
     def __hash__(self):
         return self._hash
 
@@ -137,10 +133,10 @@ class GroupElement:
         return f"GroupElement(group={self.group!r}, coords={self.coords!r})"
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        """Codes are the same in equal groups, so a sum is kept under the
-        other operand's code; the first time, it is reduced by the group."""
+        """A sum is kept under the other operand's code; the first time, it
+        is reduced by the group."""
         group = self.group
-        if other.group is not group and other.group != group:
+        if other.group is not group:
             raise GroupError("elements of different groups")
         total = self._sums.get(other.code)
         if total is None:
@@ -186,7 +182,7 @@ class Subgroup:
         self.group = group
         self.generators = tuple(generators)
         for g in self.generators:
-            if g.group != group:
+            if g.group is not group:
                 raise GroupError("generator outside parent group")
             if g.order() is None:
                 raise GroupError("subgroup must be finite")
@@ -208,8 +204,7 @@ class Subgroup:
         self._coset_reps = {}   # code -> coset_rep, filled a coset at a time
 
     def __contains__(self, e: GroupElement) -> bool:
-        return e.code in self._index and (e.group is self.group
-                                          or e.group == self.group)
+        return e.code in self._index and e.group is self.group
 
     def __len__(self):
         return len(self.elements)
@@ -234,7 +229,7 @@ class Subgroup:
         """Lexicographically smallest representative of g + T: the
         element of least code, as the coset's elements share g's free
         part."""
-        if g.group is not self.group and g.group != self.group:
+        if g.group is not self.group:
             raise GroupError("elements of different groups")
         rep = self._coset_reps.get(g.code)
         if rep is None:
@@ -490,11 +485,8 @@ def symplectic_decomposition(T: Subgroup, beta: Bicharacter):
 # ---------------------------------------------------------------------------
 
 def prepend_z(G: AbelianGroup) -> AbelianGroup:
-    """The group Z x G; coordinate 0 is the distinguished Z slot.  One
-    object per G, so that every Z x G degree over G is interned once."""
-    if G._zg is None:
-        G._zg = AbelianGroup(G.free_rank + 1, G.torsion)
-    return G._zg
+    """The group Z x G; coordinate 0 is the distinguished Z slot."""
+    return AbelianGroup(G.free_rank + 1, G.torsion)
 
 
 def zg_element(ZG: AbelianGroup, z: int, g: GroupElement) -> GroupElement:

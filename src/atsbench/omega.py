@@ -7,8 +7,9 @@ a group-element degree to every basis vector.  Every verification is
 exact: the identity checks (morphisms, involutions, and in `triples`
 associativity and the triple axioms) compare summed rows in one kernel,
 _unequal_sums, and the per-entry checks (grading, degree flip) make one
-pass over the stored entries, with their degree arithmetic done once per
-distinct tuple of degrees.
+pass over the stored entries.  Degrees are interned group elements that
+keep their sums, so those checks compare them by identity, and each
+distinct sum is reduced once, by its group.
 
 Vectors are sparse dicts {basis_index: Scalar} with no stored zeros.
 """
@@ -265,42 +266,22 @@ def _unequal_images(table: dict, columns: list, target: dict) -> list:
     return sorted(bad)
 
 
-def _degree_codes(degmap) -> tuple[list, dict]:
-    """One small int per distinct degree: the code of each basis vector,
-    and the codes by degree (numbered in order of first appearance)."""
-    codes = {}
-    return [codes.setdefault(d, len(codes)) for d in degmap], codes
-
-
 def _misgraded(grading: Grading, ops) -> list:
     """The violations of the grading on the operators `ops`, in stored
     order: one per output index of a stored entry outside the predicted
-    component.  The predicted degree, identity + deg(e_i1) + deg(e_i2) +
-    ..., is kept per tuple of input degree codes and every prefix of one,
-    so each distinct prefix costs at most one group sum (none for a single
-    degree of the grading group, which is its own sum).  An output index
-    is compared by code; a predicted degree that no basis vector has gets
-    no code, so every output index of its entries is outside."""
-    alg, degmap, group = grading.algebra, grading.degmap, grading.group
-    code, codes = _degree_codes(degmap)
-    degrees, at = list(codes), code.__getitem__
-    predicted = {(c,): (c, d) for c, d in enumerate(degrees)
-                 if d.group == group}               # codes -> (code, sum)
-    predicted[()] = (codes.get(group.identity, -1), group.identity)
-
-    def predict(key):
-        head = key[:-1]
-        total = (predicted.get(head) or predict(head))[1] + degrees[key[-1]]
-        hit = predicted[key] = (codes.get(total, -1), total)
-        return hit
-
+    component, identity + deg(e_i1) + deg(e_i2) + ....  Degrees are
+    interned and keep their sums, so each distinct prefix is reduced at
+    most once, and an output degree is compared by identity."""
+    alg, degmap = grading.algebra, grading.degmap
+    identity = grading.group.identity
     violations = []
     for op in ops:
         for idx, out in alg.tensors[op].items():
-            key = tuple(map(at, idx))
-            want, total = predicted.get(key) or predict(key)
+            total = identity
+            for i in idx:
+                total += degmap[i]
             for j in out:
-                if code[j] != want:
+                if degmap[j] is not total:
                     violations.append(f"{op}{idx} -> index {j}: degree "
                                       f"{degmap[j]} != predicted {total}")
     return violations
@@ -308,9 +289,8 @@ def _misgraded(grading: Grading, ops) -> list:
 
 def check_grading(grading: Grading) -> VerificationReport:
     """Every stored tensor entry must land in the predicted component: one
-    check per entry, one violation per output index outside it.  The
-    degree arithmetic runs once per distinct tuple of input degrees
-    (_misgraded), not once per entry."""
+    check per entry, one violation per output index outside it.  Each
+    distinct sum of degrees is reduced once, by the group (_misgraded)."""
     alg = grading.algebra
     ops = [op for op in sorted(grading.graded_ops) if alg.operators[op]]
     return VerificationReport(
@@ -365,22 +345,19 @@ def check_involution(alg: OmegaAlgebra) -> VerificationReport:
 def check_t4_flip(grading: Grading) -> VerificationReport:
     """The involution must map the (i, g) component onto the (-i, g) one:
     one check per basis vector, one violation per index of phi(e_i)
-    outside it.  The flipped degree is computed once per distinct degree,
-    and indices are compared by degree code (_degree_codes).
+    outside it.  Degrees are interned, so an index is compared with the
+    flipped degree by identity.
 
     Assumes the grading group is Z x G with the Z slot in coordinate 0.
     """
     alg, degmap = grading.algebra, grading.degmap
-    code, codes = _degree_codes(degmap)
-    flipped = [flip_z(d) for d in codes]
-    wanted = [codes.get(f, -1) for f in flipped]
     violations = []
-    for i, c in enumerate(code):
-        want = wanted[c]
+    for i, d in enumerate(degmap):
+        want = flip_z(d)
         for j in alg.row(INVOLUTION, (i,)):
-            if code[j] != want:
-                violations.append(f"phi(e{i}) [{degmap[i]}] meets component "
-                                  f"{degmap[j]} != {flipped[c]}")
+            if degmap[j] is not want:
+                violations.append(f"phi(e{i}) [{d}] meets component "
+                                  f"{degmap[j]} != {want}")
     return VerificationReport("t4-degree-flip", violations, checked=alg.dim)
 
 

@@ -23,9 +23,8 @@ from . import linalg
 from .groups import AbelianGroup, g_part, prepend_z, z_part, zg_element
 from .omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                     OmegaAlgebra, SparseVec, VerificationError,
-                    VerificationReport, _degree_codes, _slot_views,
-                    _unequal_sums, check_morphism, combine, ideal_closure,
-                    is_simple)
+                    VerificationReport, _slot_views, _unequal_sums,
+                    check_morphism, combine, ideal_closure, is_simple)
 from .scalars import CycloField
 
 
@@ -332,7 +331,7 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
     """Z grading (L, R at 0; W at -1; Wbar at +1), refined by the G
     degrees of W when the triple is graded: an L or R row takes the one
     shift deg(e_i) - deg(e_k) of the terms e_k -> e_i of its operators,
-    computed once per distinct pair of W-degree codes (_degree_codes)."""
+    which the interned degrees keep once computed."""
     if W.grading is None:
         Z = AbelianGroup(1)
         degmap = ([Z.element((0,))] * nL + [Z.element((-1,))] * d +
@@ -341,20 +340,14 @@ def _envelope_grading(W: TripleSystem, alg, nL, nR, L_rows, R_rows, d):
     G = W.grading.group
     ZG = prepend_z(G)
     wdeg = W.grading.degmap
-    code, _ = _degree_codes(wdeg)
-    shifts = {}                     # (code of i, code of k) -> the shift
 
     def operator_shift(pair, what):
         shift = None
         for m in pair:
             for i, row in enumerate(m):
-                ci = code[i]
                 for k in row:
-                    key = (ci, code[k])
-                    s = shifts.get(key)
-                    if s is None:
-                        s = shifts[key] = wdeg[i] - wdeg[k]
-                    if shift not in (None, s):
+                    s = wdeg[i] - wdeg[k]
+                    if shift is not None and s is not shift:
                         raise VerificationError(f"{what} mixes G-degrees")
                     shift = s
         return shift if shift is not None else G.identity

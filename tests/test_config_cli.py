@@ -792,7 +792,9 @@ def test_census_makes_each_degree_once(monkeypatch):
     # group elements are interned: the Z/4 census makes one element object
     # per distinct degree it touches, of G and of Z x G (whose degrees in
     # a 3-graded algebra have their Z slot in {-1, 0, 1}), however many
-    # labels, gradings and sums it runs through
+    # labels, gradings and sums it runs through; it starts from an empty
+    # group registry, so that the count is the census's own
+    monkeypatch.setattr(AbelianGroup, "_groups", {})
     made = []
     init = GroupElement.__init__
 

@@ -21,9 +21,10 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
 from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
                              QuadraticForm, Subgroup, extend_bicharacter,
                              symplectic_decomposition, trivial_subgroup)
-from atsbench.omega import (INVOLUTION, PRODUCT, LinearMap, VerificationError,
-                            check_grading, check_involution, check_morphism,
-                            check_t4_flip, is_simple)
+from atsbench.omega import (INVOLUTION, PRODUCT, Grading, LinearMap,
+                            VerificationError, check_grading,
+                            check_involution, check_morphism, check_t4_flip,
+                            is_simple)
 from atsbench.scalars import CycloField
 from atsbench.corpus import algebra_corpus
 from atsbench.triples import check_associative
@@ -520,7 +521,9 @@ def test_division_opposite_same_class():
     # which equals beta on elementary 2-groups
     T, beta = symplectic_v4()
     D = standard_realization(T, beta, F2)
-    op_alg, op_gr = opposite(D.algebra, D.grading, negate_z=False)
+    op_alg, _ = opposite(D.algebra, D.grading)
+    op_gr = Grading(op_alg, D.grading.group, D.grading.degmap,
+                    graded_ops=frozenset({PRODUCT}))
     from atsbench.constructions import GradedDivision
     Dop = GradedDivision(F2, V4, T, op_alg, op_gr, D.elements, beta.swapped())
     f = graded_division_iso(Dop, D)
@@ -536,7 +539,9 @@ def test_division_opposite_z3_squared():
     T = Subgroup(G, gens)
     beta = Bicharacter.from_generator_matrix(T, gens, [[0, 1], [-1, 0]])
     D = standard_realization(T, beta, F3)
-    op_alg, op_gr = opposite(D.algebra, D.grading, negate_z=False)
+    op_alg, _ = opposite(D.algebra, D.grading)
+    op_gr = Grading(op_alg, D.grading.group, D.grading.degmap,
+                    graded_ops=frozenset({PRODUCT}))
     from atsbench.constructions import GradedDivision
     Dop = GradedDivision(F3, G, T, op_alg, op_gr, D.elements, beta.swapped())
     D_inverse_beta = standard_realization(T, beta.swapped(), F3)

@@ -16,8 +16,8 @@ from atsbench.config import parse_config
 from atsbench.constructions import (InvolutionParams, build_M_inv,
                                    check_commutation, standard_realization)
 from atsbench.corpus import algebra_corpus, seeded_automorphisms, triple_corpus
-from atsbench.groups import (AbelianGroup, Bicharacter, GroupElement,
-                             GroupError, Subgroup, trivial_subgroup, z_part)
+from atsbench.groups import (AbelianGroup, Bicharacter, GroupError,
+                             Subgroup, trivial_subgroup, z_part)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, _unequal_sums, check_grading,
                             check_involution, check_morphism, check_t4_flip,
@@ -278,22 +278,24 @@ def test_grading_and_flip_checks_match_reference(corpus):
 
 def test_grading_check_sums_once_per_degree_tuple(monkeypatch):
     # the wide36 labels: 216 product entries in 6 distinct degrees each;
-    # the predicted degree is summed once per distinct pair of input
-    # degrees, not once per entry
+    # degrees keep their sums (GroupElement._sums), so on groups made
+    # afresh the check reduces each distinct sum identity + a + b at most
+    # once, not once per entry
+    monkeypatch.setattr(AbelianGroup, "_groups", {})
     labels = [parse_config(path.read_text(encoding="utf-8")).label
               for path in WIDE36]
     field = CycloField(classify_conductor(*labels))
-    add = GroupElement.__add__
+    element = AbelianGroup.element
     for label in labels:
         grading = label.build(field).grading
         table = grading.algebra.tensors[PRODUCT]
         assert grading.graded_ops == {PRODUCT} and len(table) == 216
         pairs = {tuple(grading.degmap[i] for i in idx) for idx in table}
         calls = []
-        monkeypatch.setattr(GroupElement, "__add__",
-                            lambda a, b: calls.append(1) or add(a, b))
-        report = check_grading(grading)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(AbelianGroup, "element", lambda G, coords:
+                          calls.append(1) or element(G, coords))
+            report = check_grading(grading)
         assert report.passed and report.checked == len(table)
         assert len(calls) <= 2 * len(pairs) < len(table)
 

@@ -224,9 +224,9 @@ def unpassed_options() -> set:
     """The optional parameters that no call in the package or in the
     non-test files under bench/ passes, by keyword or by position.  A
     call matches every definition of its name (`f(...)` or `x.f(...)`),
-    and `Class(...)` that of `Class.__init__`; a call with `*args` passes
-    every position from its star on, and one with `**kwargs` every
-    parameter."""
+    and `Class(...)` those of `Class.__init__` and `Class.__new__`; a
+    call with `*args` passes every position from its star on, and one
+    with `**kwargs` every parameter."""
     trees = [*parsed(PACKAGE).values(),
              *(tree for path, tree in parsed(ROOT / "bench").items()
                if not path.name.startswith("test_"))]
@@ -245,7 +245,8 @@ def unpassed_options() -> set:
             for (qual, param), pos in options.items():
                 parts = qual.split(".")
                 if name != parts[-1] and not (
-                        parts[-1] == "__init__" and name == parts[-2]):
+                        parts[-1] in ("__init__", "__new__")
+                        and name == parts[-2]):
                     continue
                 if (param in keywords or None in keywords
                         or pos is not None and pos < width):
@@ -257,8 +258,8 @@ def unpassed_options() -> set:
 # reads sys.argv in place of `cli.main`'s argv); the tests set some of
 # them.  The list may only shrink, like CLI_UNREACHED.
 UNPASSED_OPTIONS = {
-    ("cli.main", "argv"), ("constructions.opposite", "negate_z"),
-    ("omega.ideal_closure", "grading"), ("omega.ideal_closure", "ops"),
+    ("cli.main", "argv"), ("omega.ideal_closure", "grading"),
+    ("omega.ideal_closure", "ops"),
     ("triples.reconstruct_iso", "require_simple"),
 }
 

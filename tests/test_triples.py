@@ -6,7 +6,9 @@ import atsbench.triples
 
 from atsbench.constructions import (ExchangePairParams, InvolutionParams,
                                     build_exchange_pair, build_M_inv)
-from atsbench.groups import AbelianGroup, Bicharacter, trivial_subgroup
+from atsbench.corpus import triple_corpus
+from atsbench.groups import (AbelianGroup, Bicharacter, GroupElement,
+                             trivial_subgroup)
 from atsbench.linalg import combine
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, LinearMap,
                             OmegaAlgebra, SimplicityUndecided,
@@ -157,6 +159,25 @@ def test_round_trip_recovers_tensor():
         env = loos_envelope(W)
         W2 = recover_triple(env)
         assert W2.algebra.tensors[TRIPLE] == W.algebra.tensors[TRIPLE]
+
+
+def test_envelopes_remake_no_degree_on_a_second_pass(monkeypatch):
+    # one group object per (free rank, torsion): the Z and Z x G gradings
+    # of envelopes and the G gradings of recovered triples reuse the
+    # degrees of a first pass, though each call asks for its groups anew
+    assert AbelianGroup(1) is AbelianGroup(1)
+    triples = [entry.triple for entry in triple_corpus()]
+
+    def sweep():
+        for W in triples:
+            recover_triple(loos_envelope(W))
+    sweep()
+    made = []
+    init = GroupElement.__init__
+    monkeypatch.setattr(GroupElement, "__init__", lambda self, *args:
+                        made.append(args) or init(self, *args))
+    sweep()
+    assert made == []
 
 
 def test_simplicity_examples():
