@@ -93,9 +93,8 @@ def xi_multiset(kappa, gamma, T: Subgroup) -> XiMultiset:
 
 
 def xi_shift_candidates(a: XiMultiset, b: XiMultiset):
-    """Shifts g that could witness a = g.b, derived from first elements."""
-    if not b.counts:
-        return []
+    """Shifts g that could witness a = g.b, derived from first elements
+    (b is never empty: kappa is nonempty)."""
     r2 = min(b.counts, key=lambda e: e.coords)
     seen, out = set(), []
     for r1 in sorted(a.counts, key=lambda e: e.coords):
@@ -479,13 +478,11 @@ def _solve_scalars(ca1, ca2, pi, s_list, chi, roots):
                     ok = False
                     break
                 c[i] = sol
-            elif c[i] is None and c[j] is None:
+            elif c[i] is None:
+                # phi_matrix pairs i with one j: first met at min(i, j),
+                # with both scalars unset
                 c[i] = field.one
                 c[j] = global_c / ratios[(i, j)]
-            elif c[i] is None:
-                c[i] = global_c / (ratios[(j, i)] * c[j])
-            elif c[j] is None:
-                c[j] = global_c / (ratios[(i, j)] * c[i])
         if not ok:
             continue
         # consistency across both orders of each dual pair
@@ -594,17 +591,10 @@ def _component_wrapper(ca: ConstructedAlgebra) -> ConstructedAlgebra:
 def _assemble_pair_map(ca1, ca2, f_cols, branch) -> LinearMap:
     """Lift a component map to the doubles: (x, y) -> (f x, f y) for the
     direct branch, (x, y) -> (f y, f x) for the opposite branch."""
-    d1 = ca1.matrix.algebra.dim
     d2 = ca2.matrix.algebra.dim
-    cols = [None] * (2 * d1)
-    if branch == "direct":
-        for i in range(d1):
-            cols[i] = dict(f_cols[i])
-            cols[i + d1] = {k + d2: c for k, c in f_cols[i].items()}
-    else:
-        for i in range(d1):
-            cols[i] = {k + d2: c for k, c in f_cols[i].items()}
-            cols[i + d1] = dict(f_cols[i])
+    offsets = (0, d2) if branch == "direct" else (d2, 0)
+    cols = [{k + off: c for k, c in col.items()}
+            for off in offsets for col in f_cols]
     return LinearMap(ca1.algebra, ca2.algebra, cols)
 
 

@@ -299,6 +299,10 @@ def _run_decide(path1: str, path2: str, verify: bool, report: Report):
             raise ConfigError(f"{path}: decide-iso configs need a [label]")
         labels.append(sub.label)
     l1, l2 = labels
+    if l1.params.group is not l2.params.group:
+        raise ConfigError(f"{path1} grades by {l1.params.group} but {path2} "
+                          f"by {l2.params.group}: decide-iso compares labels "
+                          "over one group")
     field = CycloField(classify_conductor(l1, l2))
     decision = decide_iso(l1, l2, field)
     cert = {k: str(v) for k, v in decision.certificate.items()}
@@ -378,7 +382,8 @@ def main(argv=None) -> int:
         p.add_argument("--json", dest="json_out", metavar="PATH",
                        help="write the JSON report here")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-dim", type=int, default=None)
+        if name == "census":
+            p.add_argument("--max-dim", type=int, default=None)
     p = sub.add_parser("decide-iso")
     p.add_argument("config", help="config of the first label")
     p.add_argument("config2", help="config of the second label")

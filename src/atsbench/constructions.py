@@ -665,9 +665,6 @@ def build_exchange_pair(params: ExchangePairParams,
 # diagonal isomorphisms of graded division algebras
 # ---------------------------------------------------------------------------
 
-DIAGONAL_CAP = 4096
-
-
 def diagonal_solutions(Da: GradedDivision, mu_b, roots):
     """The diagonal maps Z_s -> c_s Z_s, as dicts s -> c_s, with
     c_s c_t mu_b(s, t) = c_(s+t) mu_a(s, t) for all s, t in the support
@@ -676,14 +673,14 @@ def diagonal_solutions(Da: GradedDivision, mu_b, roots):
 
     Values from `roots` on a basis of the support propagate to everything;
     each choice is verified against the full table and repeats are
-    skipped.  Stops once the solutions found times len(roots) exceed
-    DIAGONAL_CAP."""
+    skipped.  Every choice is tried, so a search over these maps that
+    finds nothing has seen the whole family.  Onto D^op (mu_b(s, t) =
+    mu_a(t, s)) a diagonal map exists only when beta = beta^-1, and then
+    there are exactly |T| of them."""
     T = Da.support
     basis = T.basis()
     found = []
     for choice in itertools.product(roots, repeat=len(basis)):
-        if len(found) * len(roots) > DIAGONAL_CAP:
-            return
         c = {T.group.identity: Da.field.one}
         for gen, c_gen in zip(basis, choice):
             new_c = dict(c)

@@ -121,12 +121,6 @@ class Grading:
     def support(self) -> list[GroupElement]:
         return sorted(set(self.degmap), key=lambda e: e.coords)
 
-    def split_homogeneous(self, v: SparseVec) -> list[SparseVec]:
-        parts = {}
-        for i, c in v.items():
-            parts.setdefault(self.degmap[i], {})[i] = c
-        return [parts[g] for g in sorted(parts, key=lambda e: e.coords)]
-
 
 @dataclass
 class VerificationReport:
@@ -373,34 +367,24 @@ def pi1_coarsening(grading: Grading) -> Grading:
 # ideals and simplicity
 # ---------------------------------------------------------------------------
 
-def ideal_closure(alg: OmegaAlgebra, seeds, grading: Grading = None,
-                  ops=None) -> linalg.RowSpace:
+def ideal_closure(alg: OmegaAlgebra, seeds) -> linalg.RowSpace:
     """Smallest subspace containing the seeds and closed under inserting
     one element into any slot of any operator (the other slots range
-    over the full algebra).
-
-    With a grading, projections onto homogeneous components are treated
-    as extra unary operators, so the result is the graded ideal closure.
-    `ops` restricts which operators count (graded-simplicity of (A, Gamma)
-    ignores the involution, simplicity of (A, phi) includes it).
-    """
+    over the full algebra).  Its one caller is triples.triple_is_simple's
+    cross-check, the ideal of a triple system generated by a basis
+    vector."""
     space = linalg.RowSpace(alg.field, alg.dim)
     work: list[SparseVec] = []
-    active = {op: alg.operators[op] for op in (ops if ops is not None else alg.operators)}
 
     def push(v: SparseVec):
-        if not v or space.rank == alg.dim:
-            return
-        pieces = grading.split_homogeneous(v) if grading is not None else [v]
-        for piece in pieces:
-            if space.insert(piece):
-                work.append(piece)
+        if v and space.insert(v):
+            work.append(v)
 
     for s in seeds:
-        push(dict(s))
+        push(s)
     while work and space.rank < alg.dim:
         v = work.pop()
-        for op, arity in active.items():
+        for op, arity in alg.operators.items():
             for slot in range(arity):
                 for others in itertools.product(range(alg.dim),
                                                 repeat=arity - 1):
@@ -436,23 +420,28 @@ def center_basis(alg: OmegaAlgebra) -> list:
 def _center_part(alg: OmegaAlgebra, center: list, grading: Grading,
                  symmetric: bool) -> list:
     """The elements of span(center) of identity degree under `grading`
-    (unless None), and with `symmetric` fixed by the involution: one
-    kernel over len(center) unknowns.  `center`, linalg.kernel's basis of
-    Z, is reduced with the coordinates in reverse order, and so is the
-    result: the basis linalg.kernel would give for the part itself."""
-    if grading is None and not symmetric:
+    (unless None), and with `symmetric` fixed by the involution.
+
+    `center` is center_basis(alg), and `grading` grades the product:
+    is_simple checks that, or its caller vouches for it by passing
+    `center`.  Then the center equation keyed (a, k) involves unknowns
+    of degree deg e_k - deg e_a only, so every basis vector of Z is
+    homogeneous, and those of identity degree span the identity part.
+    Only phi(x) = x needs a kernel.  Z's basis, linalg.kernel's, is
+    reduced with the coordinates in reverse order, and so is the result:
+    the basis linalg.kernel would give for the part itself."""
+    if grading is not None:
+        identity = grading.group.identity
+        center = [z for z in center
+                  if grading.degmap[next(iter(z))] is identity]
+    if not symmetric:
         return center
-    off = set() if grading is None else {
-        i for i, d in enumerate(grading.degmap) if d != grading.group.identity}
-    equations = {}          # x_i = 0 off the identity, then phi(x) - x = 0
+    one = alg.field.one
+    equations = {}                              # phi(x) - x = 0
     for col, z in enumerate(center):
-        defect = {i: c for i, c in z.items() if i in off}
-        if symmetric:
-            moved = combine([(alg.field.one, alg.apply_slot(INVOLUTION, 0, z)),
-                             (-alg.field.one, z)])
-            defect.update((alg.dim + k, c) for k, c in moved.items())
-        for key, c in defect.items():
-            equations.setdefault(key, {})[col] = c
+        moved = combine([(one, alg.apply_slot(INVOLUTION, 0, z)), (-one, z)])
+        for k, c in moved.items():
+            equations.setdefault(k, {})[col] = c
     kernel = linalg.kernel(alg.field, equations.values(), len(center))
     return [dict(sorted(combine((y, center[k]) for k, y in v.items())
                         .items())) for v in kernel]

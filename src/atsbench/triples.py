@@ -434,8 +434,7 @@ def pierce_split(algebra: OmegaAlgebra, grading: Grading):
     return minus, zero, plus, pm, mp, pm_products, mp_products
 
 
-def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
-                    require_simple: bool = True):
+def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading):
     """The isomorphism A -> A(W(A)) for a simple 3-graded algebra with
     involution and A_-1 != 0: identity on degree -1, involution-conjugate
     on degree +1, multiplicative on the 0 part.
@@ -445,7 +444,7 @@ def reconstruct_iso(algebra: OmegaAlgebra, grading: Grading,
     failure raises.
     """
     field = algebra.field
-    if require_simple and not is_simple(algebra):
+    if not is_simple(algebra):
         raise ValueError("reconstruction requires a simple algebra with involution")
     W, minus = triple_from(algebra, grading)
     env = loos_envelope(W)

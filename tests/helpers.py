@@ -35,9 +35,10 @@ dense elimination kernel that the sparse `linalg` is checked against;
 `ref_zero_divisor_candidates` are the
 structure decisions by row lookups with one kernel per center part, one
 kernel per component and ideal closures (with their own unit solve,
-`unit_in`), the oracles for the one center kernel and the parts cut out
-of it, the center support and the zero-divisor tests; the float
-embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
+`unit_in`, and their own graded closure over chosen operators,
+`ref_ideal_closure`), the oracles for the one center kernel and the
+parts cut out of it, the center support and the zero-divisor tests; the
+float embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
 next to the exact assertions, never instead of them.
 
 The last section holds the routines that only tests call, kept out of
@@ -69,13 +70,13 @@ from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     exchange_double_division, part_layouts,
                                     phi_matrix)
 from atsbench.corpus import symplectic_subgroup
-from atsbench.linalg import combine, kernel, solve
+from atsbench.linalg import RowSpace, combine, kernel, solve
 from atsbench.groups import (AbelianGroup, Bicharacter, QuadraticForm,
                              Subgroup, extend_bicharacter, flip_z,
                              symplectic_decomposition, trivial_subgroup)
 from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             OmegaAlgebra, VerificationError, VerificationReport,
-                            _misgraded, check_morphism, ideal_closure)
+                            _misgraded, check_morphism)
 from atsbench.scalars import (CycloField, Scalar, cyclotomic_polynomial,
                               euler_phi)
 
@@ -326,9 +327,44 @@ def ref_zero_divisor_candidates(alg, grading=None, ops=None):
         for lam in [F.zero] + F.roots_of_unity():
             w = combine([(F.one, z), (-lam, u)])
             if w:
-                candidates.append((w, ideal_closure(alg, [w], grading,
-                                                    ops=active).rank < dim))
+                candidates.append((w, ref_ideal_closure(
+                    alg, [w], grading, active).rank < dim))
     return center, candidates
+
+
+def ref_ideal_closure(alg, seeds, grading=None, ops=None):
+    """The smallest subspace containing the seeds and closed under
+    inserting one element into any slot of an operator in `ops` (default
+    all; the other slots range over A) and, with a grading, under the
+    projections onto its homogeneous components: the graded ideal
+    closure.  omega.ideal_closure is the ungraded one over every
+    operator, the only closure the package needs."""
+    space = RowSpace(alg.field, alg.dim)
+    work = []
+    active = {op: alg.operators[op]
+              for op in (ops if ops is not None else alg.operators)}
+
+    def push(v):
+        parts = {}
+        for i, c in v.items():
+            d = None if grading is None else grading.degmap[i]
+            parts.setdefault(d, {})[i] = c
+        for piece in parts.values():
+            if space.insert(piece):
+                work.append(piece)
+
+    for s in seeds:
+        push(s)
+    while work and space.rank < alg.dim:
+        v = work.pop()
+        for op, arity in active.items():
+            for slot in range(arity):
+                for others in itertools.product(range(alg.dim),
+                                                repeat=arity - 1):
+                    push(alg.apply_slot(op, slot, v, others))
+                    if space.rank == alg.dim:
+                        return space
+    return space
 
 
 def unit_in(alg, span):
@@ -402,19 +438,16 @@ def xi_shift_equal(a, b):
                 None)
 
 
-def ref_antimap_candidates(D, roots, cap: int = 4096):
+def ref_antimap_candidates(D, roots):
     """Diagonal maps nu(Z_b) = n_b Z_b with n_u n_v mu(v, u) =
     n_(u+v) mu(u, v), by choosing values on a basis of the support,
-    propagating, verifying the full table and skipping repeats; stops
-    once len(out) * len(roots) exceeds cap."""
+    propagating, verifying the full table and skipping repeats."""
     T = D.support
     basis = T.basis()
     if not basis:
         return [{T.group.identity: D.field.one}]
     out = []
     for choice in itertools.product(roots, repeat=len(basis)):
-        if len(out) * len(roots) > cap:
-            break
         values = {T.group.identity: D.field.one}
         ok = True
         for gen, n_gen in zip(basis, choice):

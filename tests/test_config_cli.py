@@ -357,10 +357,11 @@ cases = [
     (c, "check_t4_flip", failing,
      lambda: c.build_exchange_pair(pair_params, F)),
     (LinearMap, "is_bijective", lambda self: False,
-     lambda: tr.reconstruct_iso(m2.algebra, m2.grading, require_simple=False)),
+     lambda: tr.reconstruct_iso(m2.algebra, m2.grading)),
     (tr, "check_morphism", failing,
-     lambda: tr.reconstruct_iso(m2.algebra, m2.grading, require_simple=False)),
-    (*unpatched, lambda: tr.reconstruct_iso(*unflipped, require_simple=False)),
+     lambda: tr.reconstruct_iso(m2.algebra, m2.grading)),
+    (tr, "is_simple", lambda alg: True,
+     lambda: tr.reconstruct_iso(*unflipped)),
     (tr, "check_morphism", failing_with_involution,
      lambda: tr.extend_automorphism(tr.scalar_triple(F), LinearMap.identity(
          tr.scalar_triple(F).algebra))),
@@ -532,6 +533,11 @@ def _edit(text, old, new):
                  id="missing-config"),
     pytest.param(["decide-iso", "a.cfg", "missing.cfg"], {"a.cfg": MINIMAL},
                  "missing.cfg", id="missing-second-config"),
+    pytest.param(["decide-iso", "a.cfg", "b.cfg", "--verify"],
+                 {"a.cfg": MINIMAL,
+                  "b.cfg": _edit(MINIMAL, "G = Z/2", "G = Z/4")},
+                 "a.cfg grades by Z/2 but b.cfg by Z/4",
+                 id="decide-iso-two-groups"),
     pytest.param(["envelope", "t.cfg"], {"t.cfg": JSON_TRIPLE_CFG},
                  "w.json", id="missing-triple-file"),
     pytest.param(["construct", "j.cfg"],
@@ -734,6 +740,17 @@ def test_bad_input_exits_2_with_named_error(tmp_path, monkeypatch, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "envelope",
+                                     "triple", "check-at2"])
+def test_max_dim_is_a_census_flag(capsys, command):
+    # only census reads max_dim: the other commands reject the flag
+    # as bad input, exit 2, where they used to ignore it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "j.cfg", "--max-dim", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-dim 4" in capsys.readouterr().err
 
 
 def test_well_formed_json_triple_is_accepted(tmp_path, monkeypatch):

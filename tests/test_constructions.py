@@ -676,8 +676,7 @@ def test_elimination_checks_survive_optimize_flag():
         "    (la.RowSpace, 'coordinates', lambda self, vec: None,\n"
         "     lambda: tr.loos_envelope(tr.scalar_triple(F))),\n"
         "    (la, 'solve', lambda *args: None,\n"
-        "     lambda: tr.reconstruct_iso(m2.algebra, m2.grading,\n"
-        "                                require_simple=False)),\n"
+        "     lambda: tr.reconstruct_iso(m2.algebra, m2.grading)),\n"
         "]\n"
         "for owner, name, fake, call in cases:\n"
         "    real = getattr(owner, name)\n"

@@ -257,11 +257,7 @@ def unpassed_options() -> set:
 # Options that no call in the package or the benchmark sets (`ats`
 # reads sys.argv in place of `cli.main`'s argv); the tests set some of
 # them.  The list may only shrink, like CLI_UNREACHED.
-UNPASSED_OPTIONS = {
-    ("cli.main", "argv"), ("omega.ideal_closure", "grading"),
-    ("omega.ideal_closure", "ops"),
-    ("triples.reconstruct_iso", "require_simple"),
-}
+UNPASSED_OPTIONS = {("cli.main", "argv")}
 
 
 def test_only_the_pinned_options_are_never_passed():

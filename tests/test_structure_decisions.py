@@ -76,11 +76,15 @@ def _check_zero_divisors(alg, grading, ops, seen):
 def _check_centers(alg, grading):
     """Every center part cut out of the one center kernel, against its own
     kernel by row lookups: the identity component (under `grading`) or
-    all of A, each without and with the involution."""
+    all of A, each without and with the involution.  Every basis vector
+    of the center is homogeneous under `grading`, which _center_part
+    relies on."""
     identity = [i for i, d in enumerate(grading.degmap)
                 if d == grading.group.identity]
     flags = (False, True) if INVOLUTION in alg.operators else (False,)
     center = center_basis(alg)
+    for z in center:
+        assert len({grading.degmap[i] for i in z}) == 1
     for indices, cut in ((identity, grading), (range(alg.dim), None)):
         for symmetric in flags:
             new = _center_part(alg, center, cut, symmetric)
