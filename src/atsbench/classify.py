@@ -502,9 +502,9 @@ def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
 
     or with `op` the anti-map b E_ij -> twist(b) Z_(s_j) b Z_(s_i)^{-1}
     E_(pi(j), pi(i)) onto the opposite, as a graded isomorphism between
-    the two gradings' algebras.  Returns (map, meta) or (None, attempts);
-    gives up after SEARCH_CAP attempts."""
-    D = mk1.D
+    the two gradings' algebras, with products in the target's D.  Returns
+    (map, meta) or (None, attempts); gives up after SEARCH_CAP attempts."""
+    D = mk2.D
     source, target = gradings
     pos1, pos2 = _module_positions(mk1), _module_positions(mk2, negate=op)
     attempts = 0
@@ -554,25 +554,26 @@ def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
 # opposite-branch search for exchange pairs
 # ---------------------------------------------------------------------------
 
-def _antimap_candidates(D, roots):
-    """Diagonal maps nu(Z_b) = n_b Z_b with n_b n_b' / n_(b+b') equal to
-    the commutation factor: exactly the entrywise pieces of a graded
-    isomorphism D -> D^op, whose structure constants are mu(t, s)."""
+def _antimap_candidates(D1, D2, roots):
+    """Diagonal maps nu(Z_b) = n_b W_b (W_b the basis of D2) from D1 to
+    D2^op, whose structure constants are mu_2(t, s): exactly the entrywise
+    pieces of a graded isomorphism D1 -> D2^op."""
     return list(diagonal_solutions(
-        D, lambda s, t: D.mu(D.index[t], D.index[s])[0], roots))
+        D1, lambda s, t: D2.mu(D2.index[t], D2.index[s])[0], roots))
 
 
-def find_component_anti_iso(m1, m2, D, shifts, field):
+def find_component_anti_iso(m1, m2, shifts):
     """Graded isomorphism (component of label 1) -> (component of label 2)^op
     within the monomial family (see _search, with the nu of
     _antimap_candidates as twists); returns (map onto the opposite of m2,
     meta) or (None, attempts)."""
-    roots = field.roots_of_unity()
+    D = m1.D
     _, op_grading = opposite(m2.algebra, m2.grading)
-    nus = [[nu[e] for e in D.elements] for nu in _antimap_candidates(D, roots)]
+    nus = [[nu[e] for e in D.elements] for nu in
+           _antimap_candidates(D, m2.D, D.field.roots_of_unity())]
     if not nus:     # no candidate map: the family is empty
         return None, 0
-    ones = [field.one] * m1.N
+    ones = [D.field.one] * m1.N
     return _search(m1, m2, (m1.grading, op_grading), nus, shifts,
                    lambda *_: ones, op=True)
 
@@ -610,8 +611,7 @@ def _pair_search(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra, branch,
     if branch == "direct":
         return find_structured_iso(_component_wrapper(ca1),
                                    _component_wrapper(ca2), shifts)
-    return find_component_anti_iso(ca1.matrix, ca2.matrix, ca1.D, shifts,
-                                   ca1.field)
+    return find_component_anti_iso(ca1.matrix, ca2.matrix, shifts)
 
 
 def witness_isomorphism(l1: ClassLabel, l2: ClassLabel, certificate: dict,

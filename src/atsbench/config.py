@@ -48,7 +48,7 @@ TRIPLE_SOURCE_KEYS = {"grw": (), "builtin": ("builtin", "dim"),
                       "json": ("file",)}
 
 _SECTIONS = {
-    "job": {"command", "seed", "output", "max_dim"},
+    "job": {"command", "seed", "output"},
     "group": {"G"},
     "label": {"case", "T", "beta", "t", "kappa0", "gamma0", "kappa1",
               "gamma1", "delta", "g", "m0", "m1", "S_signs0", "S_signs1"},
@@ -312,8 +312,6 @@ def parse_config(text: str) -> JobConfig:
         cfg.seed = _int(*job["seed"], "seed")
     if "output" in job:
         cfg.output = job["output"][0]
-    if "max_dim" in job:
-        cfg.max_dim = _int(*job["max_dim"], "max_dim")
     if "group" in sections:
         g_text, g_line = sections["group"].get("G", (None, None))
         if g_text is None:

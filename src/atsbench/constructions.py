@@ -591,8 +591,8 @@ def _conjugation_columns(mk: MatrixOverDivision, target: MatrixOverDivision,
     matrix algebras over D has this form: conjugation by a monomial
     matrix over D composed with an automorphism of D (the twist, given
     per D basis index); with `transpose` it is an anti-isomorphism, such
-    as the Phi-involution X -> Phi^{-1} X^* Phi."""
-    D = mk.D
+    as the Phi-involution X -> Phi^{-1} X^* Phi (products in target.D)."""
+    D = target.D
     cols = [None] * mk.algebra.dim
     for i in range(mk.N):
         for j in range(mk.N):
@@ -676,7 +676,8 @@ def diagonal_solutions(Da: GradedDivision, mu_b, roots):
     skipped.  Every choice is tried, so a search over these maps that
     finds nothing has seen the whole family.  Onto D^op (mu_b(s, t) =
     mu_a(t, s)) a diagonal map exists only when beta = beta^-1, and then
-    there are exactly |T| of them."""
+    there are exactly |T| of them; onto D2^op, with D2 realizing beta^-1
+    on the same support, there are |T| for every beta."""
     T = Da.support
     basis = T.basis()
     found = []

@@ -132,14 +132,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "checked": self.checked, "violations": self.violations[:50]}
-
-    def __str__(self):
-        status = "pass" if self.passed else f"FAIL ({len(self.violations)} violations)"
-        return f"{self.name}: {status} [{self.checked} checks]"
-
 
 class LinearMap:
     """A linear map between algebras, stored as images of basis vectors

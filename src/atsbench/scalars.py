@@ -9,7 +9,9 @@ denominator `den`, in lowest terms (gcd(den, *num) == 1, so zero is
 (0, ..., 0)/1).  All arithmetic is integral and reads one table, the
 powers of zeta reduced mod Phi_N: products reduce through it, and the
 inverse is the product of the other Galois conjugates over the norm.
-`coeffs` gives the coefficients as `fractions.Fraction`s.
+`coeffs` gives the coefficients as `fractions.Fraction`s.  Arithmetic
+takes two scalars of one conductor (an int or Fraction enters through
+`CycloField.scalar`); `==` also compares a scalar with an int or Fraction.
 
 >>> F = CycloField(4)
 >>> i = F.zeta(4, 1)
@@ -166,8 +168,6 @@ class Scalar:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
         if self.conductor != other.conductor:
             raise _mismatch(self, other)
         da, db = self.den, other.den
@@ -178,8 +178,6 @@ class Scalar:
                      da * db)
 
     def __sub__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
         if self.conductor != other.conductor:
             raise _mismatch(self, other)
         da, db = self.den, other.den
@@ -193,8 +191,6 @@ class Scalar:
         return _make(self.conductor, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if type(other) is not Scalar:
-            other = self._coerce(other)
         conductor = self.conductor
         if conductor != other.conductor:
             raise _mismatch(self, other)
@@ -239,35 +235,7 @@ class Scalar:
         return _make(conductor, tuple(scale * c for c in conj), abs(norm[0]))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if self.conductor != other.conductor:
-            raise _mismatch(self, other)
         return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Scalar.rational(1, self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar.rational(other, self.conductor)
-        return NotImplemented
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     # -- predicates ------------------------------------------------------
 
@@ -395,12 +363,6 @@ class CycloField:
 
     def __repr__(self):
         return f"CycloField({self.conductor})"
-
-    def __eq__(self, other):
-        return isinstance(other, CycloField) and other.conductor == self.conductor
-
-    def __hash__(self):
-        return hash(("CycloField", self.conductor))
 
 
 def parse_scalar(text: str, conductor: int) -> Scalar:

@@ -42,12 +42,12 @@ float embedding sends z_N to exp(2 pi i / N) and is used as a sanity oracle
 next to the exact assertions, never instead of them.
 
 The last section holds the routines that only tests call, kept out of
-the package: `mono_dense`, `generator_power`, `involution_sign`,
-`label_dimension` and the general `coarsen`, `is_multiplicative` (the
-|T|^3 scan of a bicharacter table), `all_quadratic_forms`, the division
-corpus (`classification_supports`, `involuted_division_corpus`) and the
-exchange-double theorems (`graded_division_iso`,
-`exchange_subgroup_transfer`, `removal_twist`).
+the package: `power` (of a scalar), `mono_dense`, `generator_power`,
+`involution_sign`, `label_dimension` and the general `coarsen`,
+`is_multiplicative` (the |T|^3 scan of a bicharacter table),
+`all_quadratic_forms`, the division corpus (`classification_supports`,
+`involuted_division_corpus`) and the exchange-double theorems
+(`graded_division_iso`, `exchange_subgroup_transfer`, `removal_twist`).
 """
 
 import bisect
@@ -850,7 +850,7 @@ class MonoMatrix:
 
     @staticmethod
     def clock(eps, n: int) -> "MonoMatrix":
-        return MonoMatrix(n, range(n), [eps ** k for k in range(n)])
+        return MonoMatrix(n, range(n), [power(eps, k) for k in range(n)])
 
     @staticmethod
     def shift(field, n: int) -> "MonoMatrix":
@@ -997,6 +997,17 @@ def ref_exchange_double_division(D, t):
 # routines only the tests call: dense views, the division corpus and the
 # exchange-double theorems, checked on instances
 # ---------------------------------------------------------------------------
+
+def power(s: Scalar, n: int) -> Scalar:
+    """s^n for n >= 0, by repeated squaring."""
+    result = Scalar.rational(1, s.conductor)
+    while n:
+        if n & 1:
+            result = result * s
+        s = s * s
+        n >>= 1
+    return result
+
 
 def mono_dense(m, field):
     """A MonoMatrix as a dense list of rows."""

@@ -625,10 +625,40 @@ def test_antimap_candidates_match_reference_loop():
                   for name, T, beta, conductor in classification_supports()]
     for D in divisions:
         roots = D.field.roots_of_unity()
-        got = _antimap_candidates(D, roots)
+        got = _antimap_candidates(D, D, roots)
         assert got == ref_antimap_candidates(D, roots)
         assert len(got) == (0 if D.support.group.torsion in ((3, 3), (4, 4))
                             else len(D.support))
+    # D2 realizing beta^-1 has D2^op ~ D1 on every support: |T| maps
+    for name, T, beta, conductor in classification_supports():
+        M = beta.exponent
+        inverse = Bicharacter(T, M, {key: -k % M
+                                     for key, k in beta.table.items()})
+        D1 = standard_realization(T, beta, CycloField(conductor))
+        D2 = standard_realization(T, inverse, D1.field)
+        assert len(_antimap_candidates(
+            D1, D2, D1.field.roots_of_unity())) == len(T), name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_opposite_branch_witness_on_beta_and_its_inverse(tmp_path, n):
+    # over Z/n x Z/n, n > 2, beta != beta^-1 and the beta^-1 label's
+    # component is the opposite of the beta label's: decide-iso says YES
+    # by the op branch, and --verify finds the witness among the maps
+    # onto D2^op, D2 the second label's division algebra
+    label = (f"[group]\nG = Z/{n} x Z/{n}\n[label]\ncase = exchange_pair\n"
+             "T = (1,0) (0,1)\nbeta = [[0,{}],[{},0]]\nkappa0 = 1\n"
+             "gamma0 = (0,0)\nkappa1 = 1\ngamma1 = ({},0)\n")
+    (tmp_path / "a.cfg").write_text(label.format(1, n - 1, 1))
+    (tmp_path / "b.cfg").write_text(label.format(n - 1, 1, n - 1))
+    out = tmp_path / "d.json"
+    assert main(["decide-iso", str(tmp_path / "a.cfg"),
+                 str(tmp_path / "b.cfg"), "--verify", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["artifacts"]["verdict"] == "YES"
+    assert data["artifacts"]["certificate"]["branch"] == "op"
+    assert data["checks"][-1] == {"name": "witness-verified", "passed": True,
+                                  "checked": 1, "detail": ""}
 
 
 # ---------------------------------------------------------------------------

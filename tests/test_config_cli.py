@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import atsbench
 from atsbench.cli import CHUNK, main, run, write_report
 from atsbench.config import ConfigError, parse_config, parse_group
 from atsbench.constructions import ConstraintError
@@ -432,8 +434,13 @@ def test_verified_claims_survive_optimize_flag(tmp_path):
 
 
 def test_console_script_installed():
+    # the package's src directory first on the path, so the subprocess
+    # imports the package under test however pytest was started
+    src = str(Path(atsbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "atsbench.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "census" in proc.stdout
 
@@ -544,7 +551,7 @@ def _edit(text, old, new):
                  {"j.cfg": _edit(MINIMAL, "seed = 0", "seed = x")},
                  "seed", id="seed"),
     pytest.param(["census", "j.cfg"],
-                 {"j.cfg": "[job]\nmax_dim = x\n[group]\nG = Z/2\n"},
+                 {"j.cfg": "[group]\nG = Z/2\n[census]\nmax_dim = x\n"},
                  "max_dim", id="max-dim"),
     pytest.param(["census", "j.cfg"],
                  {"j.cfg": "[group]\nG = Z/2\n[census]\nmax_support = x\n"},
@@ -593,14 +600,18 @@ def _edit(text, old, new):
                    f"got dim = {dim}", id=f"scalar-dim-{dim}-{command}")
       for dim, command in ((7, "envelope"), (1, "check-at2"))),
     pytest.param(["census", "j.cfg"],
-                 {"j.cfg": "[job]\nmax_dim = 1\n[group]\nG = Z/2\n"},
+                 {"j.cfg": "[group]\nG = Z/2\n[census]\nmax_dim = 1\n"},
                  "Z/2 with max_dim = 1", id="census-max-dim-1"),
     pytest.param(["census", "j.cfg"],
-                 {"j.cfg": "[job]\nmax_dim = 0\n[group]\nG = Z/2\n"},
+                 {"j.cfg": "[group]\nG = Z/2\n[census]\nmax_dim = 0\n"},
                  "Z/2 with max_dim = 0", id="census-max-dim-0"),
     pytest.param(["census", "j.cfg", "--max-dim", "-1"],
                  {"j.cfg": "[group]\nG = Z/2\n"},
                  "Z/2 with max_dim = -1", id="census-max-dim-flag"),
+    # only census reads max_dim, from [census]: other commands never see it
+    pytest.param(["verify", "j.cfg"],
+                 {"j.cfg": _edit(MINIMAL, "seed = 0", "seed = 0\nmax_dim = 4")},
+                 "line 5: unknown key 'max_dim' in [job]", id="job-max-dim"),
     # a census key that admits no label is named, not blamed on max_dim
     *(pytest.param(["census", "j.cfg"],
                    {"j.cfg": f"[group]\nG = Z/4\n[census]\n{line}\n"},

@@ -11,8 +11,8 @@ from atsbench import scalars
 from atsbench.scalars import (ConductorMismatch, CycloField, Scalar,
                               ScalarDivisionError, cyclotomic_polynomial,
                               euler_phi, parse_scalar)
-from helpers import (close, numeric, random_scalar, ref_add, ref_inverse,
-                     ref_mul, ref_reduce, ref_sub)
+from helpers import (close, numeric, power, random_scalar, ref_add,
+                     ref_inverse, ref_mul, ref_reduce, ref_sub)
 
 # at 5 and 7, 2 phi - 1 > N: products reach powers of zeta beyond zeta^(N-1)
 PROPERTY_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16)
@@ -101,9 +101,9 @@ def test_root_orders():
             if conductor % n:
                 continue
             z = F.zeta(n, 1)
-            assert z ** n == F.one
+            assert power(z, n) == F.one
             for k in range(1, n):
-                assert z ** k != F.one
+                assert power(z, k) != F.one
 
 
 def test_conductor_mismatch_errors():
@@ -112,6 +112,18 @@ def test_conductor_mismatch_errors():
         F3.zeta(2, 1)
     with pytest.raises(ConductorMismatch):
         CycloField(4).one + CycloField(2).one
+
+
+def test_arithmetic_takes_only_scalars():
+    # ints and Fractions enter arithmetic through F.scalar; == still
+    # compares a scalar with the rational it equals
+    F = CycloField(4)
+    for op in (lambda: F.one + 1, lambda: 1 + F.one, lambda: F.one - 1,
+               lambda: 1 - F.one, lambda: 2 * F.one,
+               lambda: F.one * Fraction(1, 2), lambda: F.one / 2):
+        with pytest.raises((TypeError, AttributeError)):
+            op()
+    assert F.one == 1
 
 
 def test_division_by_zero():
@@ -147,7 +159,7 @@ def test_roots_of_unity_group():
     F = CycloField(4)
     roots = F.roots_of_unity()
     assert len(roots) == 4
-    assert all((r ** 4) == F.one for r in roots)
+    assert all(power(r, 4) == F.one for r in roots)
     F3 = CycloField(3)
     roots3 = F3.roots_of_unity()
     assert len(roots3) == 6
@@ -268,7 +280,7 @@ def test_equal_scalars_hash_equal(conductor):
         assert {value: "v"}[s] == "v" and {s: "s"}[value] == "s"
     if conductor % 4 == 0:
         i = F.zeta(4)
-        a = (i + F.scalar(Fraction(1, 2))) * 2
+        a = (i + F.scalar(Fraction(1, 2))) * F.scalar(2)
         b = F.scalar(1) + i + i
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert i * i == -1 and hash(i * i) == hash(-1)
