@@ -500,7 +500,7 @@ def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
 
         b E_ij -> c_i/c_j twist(b) Z_(s_i) b Z_(s_j)^{-1} E_(pi(i), pi(j)),
 
-    or with `op` the anti-map b E_ij -> twist(b) Z_(s_j) b Z_(s_i)^{-1}
+    or with `op` the anti-map b E_ij -> twist(b) Z_(-s_j) b Z_(-s_i)^{-1}
     E_(pi(j), pi(i)) onto the opposite, as a graded isomorphism between
     the two gradings' algebras, with products in the target's D.  Returns
     (map, meta) or (None, attempts); gives up after SEARCH_CAP attempts."""
@@ -517,7 +517,7 @@ def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
                 c = scalars(pi, s_list, twist)
                 if c is None:
                     continue
-                s_idx = [D.index[s] for s in s_list]
+                s_idx = [D.index[-s if op else s] for s in s_list]
                 inverses = [D.basis_inverse(k) for k in s_idx]
                 left = [(pi[i], s_idx[i], c[i]) for i in range(len(pi))]
                 right = [(pi[i], k, x / c[i])
@@ -568,6 +568,8 @@ def find_component_anti_iso(m1, m2, shifts):
     _antimap_candidates as twists); returns (map onto the opposite of m2,
     meta) or (None, attempts)."""
     D = m1.D
+    if D.elements != m2.D.elements:
+        return None, 0
     _, op_grading = opposite(m2.algebra, m2.grading)
     nus = [[nu[e] for e in D.elements] for nu in
            _antimap_candidates(D, m2.D, D.field.roots_of_unity())]

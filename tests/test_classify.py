@@ -640,17 +640,20 @@ def test_antimap_candidates_match_reference_loop():
             D1, D2, D1.field.roots_of_unity())) == len(T), name
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_opposite_branch_witness_on_beta_and_its_inverse(tmp_path, n):
+@pytest.mark.parametrize("n, gamma1", [(3, "(2,0)"), (3, "(1,0)"), (3, "(0,1)"),
+                                       (4, "(3,0)"), (4, "(1,0)"), (4, "(1,1)")])
+def test_opposite_branch_witness_on_beta_and_its_inverse(tmp_path, n, gamma1):
     # over Z/n x Z/n, n > 2, beta != beta^-1 and the beta^-1 label's
     # component is the opposite of the beta label's: decide-iso says YES
     # by the op branch, and --verify finds the witness among the maps
-    # onto D2^op, D2 the second label's division algebra
+    # onto D2^op, D2 the second label's division algebra; a second
+    # gamma1 other than -(1,0) needs the conjugating Z_s of the opposite
+    # with s = shift - gamma_i - gamma'_pi(i), not its negative
     label = (f"[group]\nG = Z/{n} x Z/{n}\n[label]\ncase = exchange_pair\n"
              "T = (1,0) (0,1)\nbeta = [[0,{}],[{},0]]\nkappa0 = 1\n"
-             "gamma0 = (0,0)\nkappa1 = 1\ngamma1 = ({},0)\n")
-    (tmp_path / "a.cfg").write_text(label.format(1, n - 1, 1))
-    (tmp_path / "b.cfg").write_text(label.format(n - 1, 1, n - 1))
+             "gamma0 = (0,0)\nkappa1 = 1\ngamma1 = {}\n")
+    (tmp_path / "a.cfg").write_text(label.format(1, n - 1, "(1,0)"))
+    (tmp_path / "b.cfg").write_text(label.format(n - 1, 1, gamma1))
     out = tmp_path / "d.json"
     assert main(["decide-iso", str(tmp_path / "a.cfg"),
                  str(tmp_path / "b.cfg"), "--verify", "--json", str(out)]) == 0
@@ -659,6 +662,53 @@ def test_opposite_branch_witness_on_beta_and_its_inverse(tmp_path, n):
     assert data["artifacts"]["certificate"]["branch"] == "op"
     assert data["checks"][-1] == {"name": "witness-verified", "passed": True,
                                   "checked": 1, "detail": ""}
+
+
+EXCHANGE_Z2_3 = ("[group]\nG = Z/2 x Z/2 x Z/2\n[label]\ncase = exchange_pair\n"
+                 "T = {}\nbeta = [[0,1],[1,0]]\nkappa0 = 1\n"
+                 "gamma0 = (0,0,0)\nkappa1 = 1\ngamma1 = {}\n")
+
+
+def test_opposite_branch_needs_one_support(tmp_path):
+    # T = <e1,e2>, gamma1 = e3 against T = <e2,e3>, gamma1 = e1: the
+    # component search onto the opposite has no map between different
+    # supports and says so without looking D2 up on D1's support;
+    # decide-iso --verify refutes the pair
+    texts = {"a.cfg": EXCHANGE_Z2_3.format("(1,0,0) (0,1,0)", "(0,0,1)"),
+             "b.cfg": EXCHANGE_Z2_3.format("(0,1,0) (0,0,1)", "(1,0,0)")}
+    l1, l2 = (parse_config(text).label for text in texts.values())
+    F = CycloField(classify_conductor(l1, l2))
+    ca1, ca2 = l1.build(F), l2.build(F)
+    assert classify.find_component_anti_iso(
+        ca1.matrix, ca2.matrix, [l1.params.group.identity]) == (None, 0)
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "d.json"
+    assert main(["decide-iso", str(tmp_path / "a.cfg"),
+                 str(tmp_path / "b.cfg"), "--verify", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["artifacts"]["verdict"] == "NO"
+    assert data["checks"][-1]["name"] == "refutation"
+    assert data["checks"][-1]["passed"]
+
+
+def test_opposite_branch_has_no_maps_between_unrelated_betas():
+    # two nondegenerate betas on Z/2^4, neither equal nor inverse: no
+    # diagonal map D1 -> D2^op exists, so the op branch makes no attempt
+    # and the exhausted search counts the direct branch's one
+    text = ("[group]\nG = Z/2 x Z/2 x Z/2 x Z/2\n[label]\n"
+            "case = exchange_pair\n"
+            "T = (1,0,0,0) (0,1,0,0) (0,0,1,0) (0,0,0,1)\nbeta = {}\n"
+            "kappa0 = 1\ngamma0 = (0,0,0,0)\nkappa1 = 1\n"
+            "gamma1 = (0,0,0,0)\n")
+    l1, l2 = (parse_config(text.format(beta)).label for beta in (
+        "[[0,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,0]]",
+        "[[0,1,1,0],[1,0,0,0],[1,0,0,1],[0,0,1,0]]"))
+    F = CycloField(classify_conductor(l1, l2))
+    assert not _antimap_candidates(l1.build(F).D, l2.build(F).D,
+                                   F.roots_of_unity())
+    assert refute_isomorphism(l1, l2, F) == Refutation(
+        True, "exhausted-search", {"attempts": 1})
 
 
 # ---------------------------------------------------------------------------
