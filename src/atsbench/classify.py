@@ -374,47 +374,29 @@ def intrinsic_invariants(alg: OmegaAlgebra,
 # structured morphism search (witnesses and refutations)
 # ---------------------------------------------------------------------------
 
-def _module_positions(mk, negate: bool = False):
-    """(part, degree) of each module basis vector; `negate` inverts the
-    degrees, for matchings onto an opposite."""
-    return [(0 if i < mk.k0 else 1, -g if negate else g)
-            for i, g in enumerate(mk.gamma)]
-
-
-def _matchings(pos1, pos2, shift, T: Subgroup):
-    """Bijections pi with delta'_(pi(i)) = delta_i and
-    gamma_i - shift - gamma'_(pi(i)) in T; yields (pi, s) pairs, lazily:
-    the caller bounds the search by its attempt count."""
-    n = len(pos1)
-    if n != len(pos2):
+def _matchings(mk1, mk2, shift, op: bool = False):
+    """Bijections pi of the module bases with pi(i) in the part of i and
+    s_i = gamma_i - shift - gamma'_(pi(i)) in T, or with `op` (a matching
+    onto the opposite, whose module degrees are inverted) s_i = gamma_i -
+    shift + gamma'_(pi(i)).  Yields the (pi, s) pairs lazily, in the
+    lexicographic order of pi: the caller bounds the search by its
+    attempt count."""
+    n, k0, T = mk1.N, mk1.k0, mk2.D.support
+    if (n, k0) != (mk2.N, mk2.k0):     # no map respects the parts
         return
-    allowed = []
-    for (d1, g1) in pos1:
-        row = []
-        for j, (d2, g2) in enumerate(pos2):
-            if d1 != d2:
-                continue
-            s = g1 - shift - g2
-            if s in T:
-                row.append((j, s))
-        allowed.append(row)
+    gamma2 = [-g for g in mk2.gamma] if op else mk2.gamma
+    allowed = [[(j, s) for j, g2 in enumerate(gamma2)
+                if (i < k0) == (j < k0) and (s := g1 - shift - g2) in T]
+               for i, g1 in enumerate(mk1.gamma)]
 
-    def backtrack(i, used, pi, s_list):
-        if i == n:
-            yield list(pi), list(s_list)
+    def extend(pi, s_list):
+        if len(pi) == n:
+            yield pi, s_list
             return
-        for (j, s) in allowed[i]:
-            if j in used:
-                continue
-            used.add(j)
-            pi.append(j)
-            s_list.append(s)
-            yield from backtrack(i + 1, used, pi, s_list)
-            used.discard(j)
-            pi.pop()
-            s_list.pop()
-
-    yield from backtrack(0, set(), [], [])
+        for j, s in allowed[len(pi)]:
+            if j not in pi:
+                yield from extend(pi + [j], s_list + [s])
+    yield from extend([], [])
 
 
 def _division_characters(ca: ConstructedAlgebra):
@@ -491,7 +473,7 @@ def _solve_scalars(ca1, ca2, pi, s_list, chi, roots):
     return None
 
 
-def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
+def _search(mk1, mk2, target, twists, shifts, scalars, op: bool = False):
     """The structured search behind witnesses and refutations: block
     permutations x monomial division scalars x twists of D x shift
     relabelings.  For each shift, module matching (pi, s) and twist it
@@ -501,15 +483,15 @@ def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
         b E_ij -> c_i/c_j twist(b) Z_(s_i) b Z_(s_j)^{-1} E_(pi(i), pi(j)),
 
     or with `op` the anti-map b E_ij -> twist(b) Z_(-s_j) b Z_(-s_i)^{-1}
-    E_(pi(j), pi(i)) onto the opposite, as a graded isomorphism between
-    the two gradings' algebras, with products in the target's D.  Returns
-    (map, meta) or (None, attempts); gives up after SEARCH_CAP attempts."""
+    E_(pi(j), pi(i)) onto the opposite, as a graded isomorphism from mk1
+    onto the algebra of the grading `target`, with products in mk2's D.
+    Returns (map, meta) or (None, attempts); gives up after SEARCH_CAP
+    attempts."""
     D = mk2.D
-    source, target = gradings
-    pos1, pos2 = _module_positions(mk1), _module_positions(mk2, negate=op)
+    gradings = (mk1.grading, target)
     attempts = 0
     for shift in shifts:
-        for pi, s_list in _matchings(pos1, pos2, shift, D.support):
+        for pi, s_list in _matchings(mk1, mk2, shift, op):
             for twist in twists:
                 attempts += 1
                 if attempts > SEARCH_CAP:
@@ -522,7 +504,7 @@ def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
                 left = [(pi[i], s_idx[i], c[i]) for i in range(len(pi))]
                 right = [(pi[i], k, x / c[i])
                          for i, (x, k) in enumerate(inverses)]
-                f = LinearMap(source.algebra, target.algebra,
+                f = LinearMap(mk1.algebra, target.algebra,
                               _conjugation_columns(mk1, mk2, left, right,
                                                    twist, transpose=op))
                 if (check_morphism(f, gradings=gradings).passed
@@ -533,11 +515,15 @@ def _search(mk1, mk2, gradings, twists, shifts, scalars, op: bool = False):
 
 def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
                         shifts):
-    """A verified isomorphism of graded algebras with involution in the
-    structured family (see _search), the module scalars solved from the
-    Phi identity.  Returns (map, meta) or (None, attempts)."""
+    """A verified graded isomorphism between the matrix components of two
+    labels in the structured family (see _search).  For a Phi-involution
+    label the component is the algebra with its involution, and the module
+    scalars are solved from the Phi identity; an exchange pair's component
+    has no involution, and the map is the one witness_isomorphism lifts.
+    Returns (map, meta) or (None, attempts)."""
+    m1, m2 = ca1.matrix, ca2.matrix
     field = ca1.field
-    if (ca1.algebra.dim != ca2.algebra.dim
+    if (m1.algebra.dim != m2.algebra.dim
             or ca1.D.elements != ca2.D.elements):
         return None, 0
     roots = field.roots_of_unity()
@@ -546,13 +532,9 @@ def find_structured_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
         if ca1.phi is None:
             return [field.one] * len(pi)
         return _solve_scalars(ca1, ca2, pi, s_list, chi, roots)
-    return _search(ca1.matrix, ca2.matrix, (ca1.grading, ca2.grading),
-                   _division_characters(ca1), shifts, scalars)
+    return _search(m1, m2, m2.grading, _division_characters(ca1), shifts,
+                   scalars)
 
-
-# ---------------------------------------------------------------------------
-# opposite-branch search for exchange pairs
-# ---------------------------------------------------------------------------
 
 def _antimap_candidates(D1, D2, roots):
     """Diagonal maps nu(Z_b) = n_b W_b (W_b the basis of D2) from D1 to
@@ -562,40 +544,34 @@ def _antimap_candidates(D1, D2, roots):
         D1, lambda s, t: D2.mu(D2.index[t], D2.index[s])[0], roots))
 
 
-def find_component_anti_iso(m1, m2, shifts):
-    """Graded isomorphism (component of label 1) -> (component of label 2)^op
-    within the monomial family (see _search, with the nu of
-    _antimap_candidates as twists); returns (map onto the opposite of m2,
-    meta) or (None, attempts)."""
+def find_component_anti_iso(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra,
+                            shifts):
+    """A verified graded isomorphism from the matrix component of the first
+    exchange pair onto the opposite of the second's, within the monomial
+    family (see _search, with the nu of _antimap_candidates as twists);
+    returns (map onto the opposite, meta) or (None, attempts)."""
+    m1, m2 = ca1.matrix, ca2.matrix
     D = m1.D
     if D.elements != m2.D.elements:
         return None, 0
-    _, op_grading = opposite(m2.algebra, m2.grading)
     nus = [[nu[e] for e in D.elements] for nu in
            _antimap_candidates(D, m2.D, D.field.roots_of_unity())]
     if not nus:     # no candidate map: the family is empty
         return None, 0
+    _, op_grading = opposite(m2.algebra, m2.grading)
     ones = [D.field.one] * m1.N
-    return _search(m1, m2, (m1.grading, op_grading), nus, shifts,
-                   lambda *_: ones, op=True)
+    return _search(m1, m2, op_grading, nus, shifts, lambda *_: ones, op=True)
 
 
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------
 
-def _component_wrapper(ca: ConstructedAlgebra) -> ConstructedAlgebra:
-    """The underlying matrix component of an exchange pair, viewed as a
-    searchable construction without involution."""
-    mk = ca.matrix
-    return ConstructedAlgebra(ca.field, ca.D, mk, mk.algebra, mk.grading)
-
-
 def _assemble_pair_map(ca1, ca2, f_cols, branch) -> LinearMap:
     """Lift a component map to the doubles: (x, y) -> (f x, f y) for the
     direct branch, (x, y) -> (f y, f x) for the opposite branch."""
     d2 = ca2.matrix.algebra.dim
-    offsets = (0, d2) if branch == "direct" else (d2, 0)
+    offsets = (d2, 0) if branch == "op" else (0, d2)
     cols = [{k + off: c for k, c in col.items()}
             for off in offsets for col in f_cols]
     return LinearMap(ca1.algebra, ca2.algebra, cols)
@@ -606,43 +582,32 @@ class WitnessError(VerificationError):
     this falsifies the implementation and halts the run."""
 
 
-def _pair_search(ca1: ConstructedAlgebra, ca2: ConstructedAlgebra, branch,
-                 shifts):
-    """The exchange-pair search on the matrix components: an isomorphism
-    (branch "direct") or one onto the opposite of the second component."""
-    if branch == "direct":
-        return find_structured_iso(_component_wrapper(ca1),
-                                   _component_wrapper(ca2), shifts)
-    return find_component_anti_iso(ca1.matrix, ca2.matrix, shifts)
-
-
 def witness_isomorphism(l1: ClassLabel, l2: ClassLabel, certificate: dict,
                         field: CycloField = None) -> LinearMap:
     """Build and fully verify an isomorphism realizing a YES decision.
 
     The map is found inside the structured family seeded by the
-    certificate's shift; check_morphism runs with involution and grading
-    included.  Failure raises WitnessError."""
+    certificate's shift, by the search of its branch; check_morphism runs
+    with involution and grading included.  An exchange pair's component
+    map is lifted to the pair and verified there.  Failure raises
+    WitnessError."""
     field = field or CycloField(classify_conductor(l1, l2))
     ca1, ca2 = l1.build(field), l2.build(field)
     shift = certificate.get("shift", l1.params.group.identity)
-    if l1.case == EXCHANGE_PAIR:
-        f, _ = _pair_search(ca1, ca2, certificate.get("branch"), [shift])
-        if f is None:
-            raise WitnessError(
-                f"no structured witness for {l1.name} ~ {l2.name} "
-                f"(branch {certificate.get('branch')})")
-        F = _assemble_pair_map(ca1, ca2, f.columns, certificate.get("branch"))
-        rep = check_morphism(F, gradings=(ca1.grading, ca2.grading))
-        if not rep.passed or not F.is_bijective():
-            raise WitnessError(f"pair witness fails verification: "
-                               f"{rep.violations[:3]}")
-        return F
-    f, meta = find_structured_iso(ca1, ca2, [shift])
+    branch = certificate.get("branch")
+    search = find_component_anti_iso if branch == "op" else find_structured_iso
+    f, _ = search(ca1, ca2, [shift])
     if f is None:
-        raise WitnessError(
-            f"no structured witness for {l1.name} ~ {l2.name}")
-    return f
+        raise WitnessError(f"no structured witness for {l1.name} ~ {l2.name} "
+                           f"(branch {branch})")
+    if l1.case != EXCHANGE_PAIR:
+        return f
+    F = _assemble_pair_map(ca1, ca2, f.columns, branch)
+    rep = check_morphism(F, gradings=(ca1.grading, ca2.grading))
+    if not rep.passed or not F.is_bijective():
+        raise WitnessError(f"pair witness fails verification: "
+                           f"{rep.violations[:3]}")
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +642,9 @@ def refute_isomorphism(l1: ClassLabel, l2: ClassLabel,
                           {"reason": "cross-case pair with identical "
                                      "intrinsic invariants"})
     attempts = 0
-    for branch in ("direct", "op") if l1.case == EXCHANGE_PAIR else (None,):
-        shifts = xi_shift_candidates(l1.xi(0), l2.xi(0, branch == "op"))
-        f, n = (find_structured_iso(ca1, ca2, shifts) if branch is None
-                else _pair_search(ca1, ca2, branch, shifts))
+    for op in (False, True) if l1.case == EXCHANGE_PAIR else (False,):
+        search = find_component_anti_iso if op else find_structured_iso
+        f, n = search(ca1, ca2, xi_shift_candidates(l1.xi(0), l2.xi(0, op)))
         if f is not None:
             raise WitnessError(
                 f"refutation search found an isomorphism between labels "

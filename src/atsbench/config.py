@@ -195,7 +195,7 @@ def _parse_support(G: AbelianGroup, section: dict):
         raise ConfigError(f"line {t_line}: nontrivial T needs a beta "
                           "exponent matrix")
     try:
-        matrix = json.loads(beta_text) if gens else []
+        matrix = [] if beta_text is None else json.loads(beta_text)
     except json.JSONDecodeError:
         raise ConfigError(f"line {beta_line}: beta must be a JSON matrix")
     n = len(gens)
@@ -347,6 +347,7 @@ def parse_config(text: str) -> JobConfig:
                     f"line {lineno}: cases must name at least one census case")
             for c in cases:
                 if c not in (EXCHANGE_PAIR, SIMPLE_ALGEBRA, EXCHANGE_DIVISION):
-                    raise ConfigError(f"unknown census case {c!r}")
+                    raise ConfigError(
+                        f"line {lineno}: unknown census case {c!r}")
             cfg.census_cases = cases
     return cfg

@@ -145,9 +145,6 @@ class LinearMap:
         if len(self.columns) != source.dim:
             raise ValueError("one image per source basis vector required")
 
-    def apply(self, v: SparseVec) -> SparseVec:
-        return combine((c, self.columns[i]) for i, c in v.items())
-
     def is_bijective(self) -> bool:
         """Full rank; a monomial map (one nonzero term per column) is
         bijective iff its columns hit pairwise distinct basis vectors."""
@@ -161,10 +158,6 @@ class LinearMap:
 
     def __eq__(self, other):
         return isinstance(other, LinearMap) and self.columns == other.columns
-
-    @staticmethod
-    def identity(alg: OmegaAlgebra) -> "LinearMap":
-        return LinearMap(alg, alg, [alg.basis_vec(i) for i in range(alg.dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
 
@@ -135,18 +135,6 @@ class Scalar:
     """An element of Q(zeta_N), immutable and hashable."""
 
     __slots__ = ("conductor", "num", "den")
-
-    def __init__(self, conductor: int, coeffs):
-        phi = euler_phi(conductor)
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != phi:
-            raise ValueError(
-                f"expected {phi} coefficients for conductor {conductor}, got {len(coeffs)}")
-        # the lcm of lowest-terms denominators leaves the numerators coprime to it
-        den = lcm(*(c.denominator for c in coeffs))
-        _set_conductor(self, conductor)
-        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
-        _set_den(self, den)
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("Scalar is immutable")

@@ -59,9 +59,10 @@ import subprocess
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
-from atsbench import classify
+from atsbench import classify, scalars
 from atsbench.classify import xi_shift_candidates
 from atsbench.constructions import (ConstraintError, ExchangePairParams,
                                     GradedDivision, InvolutionParams,
@@ -410,10 +411,24 @@ def run_optimized(code: str, *args) -> list:
                           check=True).stdout.split()
 
 
+def scalar_from_coeffs(conductor: int, coeffs) -> Scalar:
+    """The scalar with these coordinates (anything Fraction takes) on the
+    power basis 1, zeta, ..., zeta^(phi(N) - 1)."""
+    phi = euler_phi(conductor)
+    coeffs = [Fraction(c) for c in coeffs]
+    if len(coeffs) != phi:
+        raise ValueError(f"expected {phi} coefficients for conductor "
+                         f"{conductor}, got {len(coeffs)}")
+    # the lcm of lowest-terms denominators leaves the numerators coprime to it
+    den = lcm(*(c.denominator for c in coeffs))
+    return scalars._make(conductor, tuple(
+        c.numerator * (den // c.denominator) for c in coeffs), den)
+
+
 def random_scalar(F, rng, lo: int = -3, hi: int = 3) -> Scalar:
     """A scalar of F with integer coefficients drawn from [lo, hi]."""
-    return Scalar(F.conductor, [rng.randint(lo, hi)
-                                for _ in range(euler_phi(F.conductor))])
+    return scalar_from_coeffs(F.conductor, [
+        rng.randint(lo, hi) for _ in range(euler_phi(F.conductor))])
 
 
 def unit(alg):
@@ -427,15 +442,42 @@ def unit(alg):
     return None
 
 
+def map_apply(f: LinearMap, v: dict) -> dict:
+    """f(v) for a sparse vector v."""
+    return combine((c, f.columns[i]) for i, c in v.items())
+
+
+def identity_map(alg) -> LinearMap:
+    return LinearMap(alg, alg, [alg.basis_vec(i) for i in range(alg.dim)])
+
+
 def compose(g: LinearMap, f: LinearMap) -> LinearMap:
     """g o f."""
-    return LinearMap(f.source, g.target, [g.apply(col) for col in f.columns])
+    return LinearMap(f.source, g.target,
+                     [map_apply(g, col) for col in f.columns])
 
 
 def xi_shift_equal(a, b):
     """Some g with a = g.b for two coset multisets, or None."""
     return next((g for g in xi_shift_candidates(a, b) if a == b.shifted(g)),
                 None)
+
+
+def ref_matchings(mk1, mk2, shift, op=False):
+    """classify._matchings by brute force: every permutation pi of the
+    module basis, in lexicographic order, that keeps each basis vector in
+    its part and has every s_i = gamma_i - shift - gamma'_(pi(i)) in T
+    (+ gamma'_(pi(i)) with `op`), as (pi, s) pairs."""
+    if mk1.N != mk2.N:
+        return []
+    out = []
+    for pi in itertools.permutations(range(mk1.N)):
+        s = [g - shift + mk2.gamma[j] if op else g - shift - mk2.gamma[j]
+             for g, j in zip(mk1.gamma, pi)]
+        if (all((i < mk1.k0) == (j < mk2.k0) for i, j in enumerate(pi))
+                and all(x in mk2.D.support for x in s)):
+            out.append((list(pi), s))
+    return out
 
 
 def ref_antimap_candidates(D, roots):
@@ -610,7 +652,7 @@ def ref_check_morphism(f, ops=None, gradings=None):
             yield (all(target.degmap[j] == deg for j in f.columns[idx]), True,
                    lambda: f"f(e{idx}) leaves component {deg}")
         else:
-            yield (f.apply(src.row(op, idx)),
+            yield (map_apply(f, src.row(op, idx)),
                    tgt.apply(op, *(f.columns[i] for i in idx)),
                    lambda: f"{op}{idx}: f(op(x)) != op(f(x))")
     return scan("morphism", tuples, sides)

@@ -32,10 +32,10 @@ from atsbench.linalg import invert_matrix
 from atsbench.omega import LinearMap, VerificationError, check_morphism
 from atsbench.scalars import CycloField
 from helpers import (all_quadratic_forms, classification_supports, compose,
-                     involuted_division_corpus, involution_sign,
+                     identity_map, involuted_division_corpus, involution_sign,
                      label_dimension,
                      ref_all_subgroups, ref_antimap_candidates,
-                     ref_enumerate_labels,
+                     ref_enumerate_labels, ref_matchings,
                      ref_pairwise_census, xi_shift_equal)
 
 Z2 = AbelianGroup(0, (2,))
@@ -680,7 +680,7 @@ def test_opposite_branch_needs_one_support(tmp_path):
     F = CycloField(classify_conductor(l1, l2))
     ca1, ca2 = l1.build(F), l2.build(F)
     assert classify.find_component_anti_iso(
-        ca1.matrix, ca2.matrix, [l1.params.group.identity]) == (None, 0)
+        ca1, ca2, [l1.params.group.identity]) == (None, 0)
     for name, text in texts.items():
         (tmp_path / name).write_text(text)
     out = tmp_path / "d.json"
@@ -865,11 +865,34 @@ def test_search_enumeration_order_is_pinned():
         field = CycloField(classify_conductor(l1, l2))
         ca1, ca2 = l1.build(field), l2.build(field)
         shifts = l1.params.group.elements()
-        f, meta = (classify.find_structured_iso(ca1, ca2, shifts)
-                   if branch is None
-                   else classify._pair_search(ca1, ca2, branch, shifts))
+        search = (classify.find_component_anti_iso if branch == "op"
+                  else classify.find_structured_iso)
+        f, meta = search(ca1, ca2, shifts)
         assert f is not None and f.is_bijective()
         assert (meta["shift"].coords, meta["pi"], meta["attempts"]) == want
+
+
+@pytest.mark.parametrize("name, max_dim", [
+    ("census_z2.cfg", None), ("census_z2.cfg", 9), ("census_z4.cfg", None),
+    ("census_v4.cfg", None)], ids=["census_z2", "census_z2-9", "census_z4",
+                                    "census_v4+wide36"])
+def test_matchings_match_brute_force_reference(name, max_dim):
+    # both branches, every shift, every ordered pair of label components;
+    # Z/2 at max_dim 9 pairs modules of rank 3 split 1 + 2 and 2 + 1, and
+    # the wide36 labels (rank 6, parts of 2 and 4) meet census_v4's rank 2
+    cfg = parse_config((CONFIGS / name).read_text())
+    labels = enumerate_labels(cfg.group, max_dim or cfg.max_dim)
+    if name == "census_v4.cfg":
+        labels += [parse_config((CONFIGS.parent / "bench" / "configs" /
+                                 f"wide36_{sign}.cfg").read_text()).label
+                   for sign in ("plus", "minus")]
+    mks = [lab.build(CycloField(classify_conductor(lab))).matrix
+           for lab in labels]
+    for mk1, mk2 in itertools.product(mks, repeat=2):
+        for shift in cfg.group.elements():
+            for op in (False, True):
+                assert (list(classify._matchings(mk1, mk2, shift, op))
+                        == ref_matchings(mk1, mk2, shift, op))
 
 
 def test_label_case_follows_from_its_parameters():
@@ -978,7 +1001,7 @@ def _class_map(res, k, field):
     """psi_k: A_rep -> A_k for label k and its class representative."""
     rep, lab = res.labels[res.representatives[res.classes[k]]], res.labels[k]
     if rep is lab:
-        return LinearMap.identity(lab.build(field).algebra)
+        return identity_map(lab.build(field).algebra)
     return witness_isomorphism(rep, lab, decide_iso(rep, lab, field)
                                .certificate, field)
 

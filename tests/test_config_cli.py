@@ -365,7 +365,7 @@ cases = [
     (tr, "is_simple", lambda alg: True,
      lambda: tr.reconstruct_iso(*unflipped)),
     (tr, "check_morphism", failing_with_involution,
-     lambda: tr.extend_automorphism(tr.scalar_triple(F), LinearMap.identity(
+     lambda: tr.extend_automorphism(tr.scalar_triple(F), h.identity_map(
          tr.scalar_triple(F).algebra))),
     (*unpatched, lambda: tr.triple_from(*leaky)),
     (*unpatched,
@@ -622,7 +622,9 @@ def _edit(text, old, new):
           ("max_support = 0", "line 4: max_support must be at least 1, "
            "got max_support = 0", "max-support-0"),
           ("cases =", "line 4: cases must name at least one census case",
-           "cases-empty"))),
+           "cases-empty"),
+          ("cases = exchange_pair pairs", "line 4: unknown census case "
+           "'pairs'", "cases-unknown"))),
     pytest.param(["census", "j.cfg"],
                  {"j.cfg": "[job]\ncommand = census\n[group]\nG = Z\n"},
                  "census over Z needs a finite group, but it has free "
@@ -646,6 +648,15 @@ def _edit(text, old, new):
                  {"j.cfg": _edit(DIVISION_CFG, "beta = [[0,1],[1,0]]",
                                  "beta = [[0]]")}, "line 7: beta",
                  id="beta-too-small"),
+    # a beta under a trivial T, once silently ignored: it must be empty
+    *(pytest.param(["verify", "j.cfg"], {"j.cfg": text},
+                   f"line {line}: beta must be a list of 0 lists", id=ident)
+      for text, line, ident in (
+          (MINIMAL + "T =\nbeta = [[0,1],[1,0]]\n", 18,
+           "beta-under-empty-T"),
+          (MINIMAL + "beta = [[0,1],[1,0]]\n", 17, "beta-without-T"),
+          (_edit(DIVISION_CFG, "T = (1,0) (0,1)", "T ="), 7,
+           "division-beta-under-empty-T"))),
     pytest.param(["verify", "j.cfg"],
                  {"j.cfg": _edit(DIVISION_CFG, "beta = [[0,1],[1,0]]",
                                  "beta = [[0,1],[1]]")}, "line 7: beta",

@@ -15,7 +15,7 @@ from atsbench.omega import (INVOLUTION, PRODUCT, TRIPLE, Grading, LinearMap,
                             check_t4_flip, graded_is_simple, ideal_closure,
                             is_simple, pi1_coarsening)
 from atsbench.scalars import CycloField
-from helpers import coarsen, ref_ideal_closure, unit
+from helpers import coarsen, identity_map, ref_ideal_closure, unit
 
 FQ = CycloField(1)
 Z = AbelianGroup(1)
@@ -67,7 +67,7 @@ def test_trivial_grading_passes():
 
 def test_identity_morphism_passes():
     alg = matrix_algebra(2)
-    assert check_morphism(LinearMap.identity(alg)).passed
+    assert check_morphism(identity_map(alg)).passed
 
 
 def test_transpose_is_involution():

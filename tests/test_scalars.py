@@ -8,11 +8,12 @@ from math import gcd
 import pytest
 
 from atsbench import scalars
-from atsbench.scalars import (ConductorMismatch, CycloField, Scalar,
+from atsbench.scalars import (ConductorMismatch, CycloField,
                               ScalarDivisionError, cyclotomic_polynomial,
                               euler_phi, parse_scalar)
 from helpers import (close, numeric, power, random_scalar, ref_add,
-                     ref_inverse, ref_mul, ref_reduce, ref_sub)
+                     ref_inverse, ref_mul, ref_reduce, ref_sub,
+                     scalar_from_coeffs)
 
 # at 5 and 7, 2 phi - 1 > N: products reach powers of zeta beyond zeta^(N-1)
 PROPERTY_CONDUCTORS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16)
@@ -29,9 +30,9 @@ def test_module_doctests_pass():
 def random_scalars(conductor, rng, n):
     """n scalars with small non-integer coefficients, zero among them."""
     phi = euler_phi(conductor)
-    out = [Scalar(conductor, [0] * phi)]
+    out = [scalar_from_coeffs(conductor, [0] * phi)]
     while len(out) < n:
-        out.append(Scalar(conductor, [
+        out.append(scalar_from_coeffs(conductor, [
             Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)]))
     return out
 
@@ -224,7 +225,8 @@ def test_products_with_plus_or_minus_one(conductor):
     rng = random.Random(500 + conductor)
     F = CycloField(conductor)
     phi = euler_phi(conductor)
-    plus = [F.one, F.scalar(1), Scalar(conductor, [1] + [0] * (phi - 1)),
+    plus = [F.one, F.scalar(1),
+            scalar_from_coeffs(conductor, [1] + [0] * (phi - 1)),
             F.zeta(conductor, 0), -(-F.one)]
     minus = [-F.one, F.scalar(-1), F.one * F.scalar(-1), F.zeta(2, 1)
              if conductor % 2 == 0 else F.zero - F.one]
@@ -261,10 +263,10 @@ def test_hash_text_and_parse_round_trip(conductor):
         assert str(s) == reference_str(s)
         assert repr(s) == f"Scalar({conductor}, {reference_str(s)})"
         assert parse_scalar(str(s), conductor) == s
-        assert Scalar(conductor, s.coeffs) == s
-        assert Scalar(conductor, [str(c) for c in s.coeffs]) == s
+        assert scalar_from_coeffs(conductor, s.coeffs) == s
+        assert scalar_from_coeffs(conductor, [str(c) for c in s.coeffs]) == s
     with pytest.raises(ValueError, match="expected"):
-        Scalar(conductor, [1] * (euler_phi(conductor) + 1))
+        scalar_from_coeffs(conductor, [1] * (euler_phi(conductor) + 1))
 
 
 @pytest.mark.parametrize("conductor", [1, 4, 12])
@@ -323,8 +325,8 @@ def test_power_table_rows(conductor):
     for m, row in enumerate(rows):
         assert all(type(c) is int for c in row)
         assert row == ref_reduce([0] * m + [1], conductor)
-        assert Scalar(conductor, row) == CycloField(conductor).zeta(
-            conductor, m)
+        assert (scalar_from_coeffs(conductor, row)
+                == CycloField(conductor).zeta(conductor, m))
 
 
 @pytest.mark.parametrize("conductor", TABLE_CONDUCTORS)

@@ -26,7 +26,7 @@ from atsbench.scalars import CycloField
 from atsbench.triples import (TripleSystem, _draw_tuples, check_associative,
                               check_at2, extend_automorphism, loos_envelope,
                               reconstruct_iso, triple_from)
-from helpers import (involuted_division_corpus, random_scalar,
+from helpers import (identity_map, involuted_division_corpus, random_scalar,
                      ref_check_associative, ref_check_at2,
                      ref_check_commutation, ref_check_grading,
                      ref_check_involution, ref_check_morphism,
@@ -536,7 +536,7 @@ def test_scans_leave_every_tensor_unchanged(corpus):
         check_associative(B)
         check_involution(B)
         for alg in (V.algebra, B):
-            check_morphism(LinearMap.identity(alg))
+            check_morphism(identity_map(alg))
     assert [(V.algebra.tensors, B.tensors) for V, B in cases] == before
 
 

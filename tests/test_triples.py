@@ -22,7 +22,7 @@ from atsbench.triples import (TripleSystem, check_associative, check_at2,
                               recover_triple, scalar_triple, triple_from,
                               triple_is_simple, zero_triple)
 from helpers import (GAUSSIAN_TRIPLE, ROTATED_SPLIT_TRIPLE, compose,
-                     run_optimized, unit)
+                     identity_map, run_optimized, unit)
 
 FQ = CycloField(1)
 F2 = CycloField(2)
@@ -315,8 +315,8 @@ def test_pierce_corner_is_simple():
 def test_extend_identity():
     W = scalar_triple(FQ)
     env = loos_envelope(W)
-    ext = extend_automorphism(W, LinearMap.identity(W.algebra), env)
-    assert ext == LinearMap.identity(env.algebra)
+    ext = extend_automorphism(W, identity_map(W.algebra), env)
+    assert ext == identity_map(env.algebra)
 
 
 def test_scalar_automorphisms_are_signs():
